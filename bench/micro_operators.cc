@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the public storage / engine
-// primitives: page-wise scans, statistics, B+-tree operations, and
-// end-to-end engine comparison on a small fixed query.
+// primitives: page-wise scans, statistics, and end-to-end engine
+// comparison on a small fixed query.
 
 #include <benchmark/benchmark.h>
 
@@ -8,9 +8,7 @@
 #include "column/column_engine.h"
 #include "exec/engine.h"
 #include "iterator/volcano_engine.h"
-#include "storage/btree.h"
 #include "util/env.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -73,37 +71,6 @@ void BM_ComputeStats(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeStats);
-
-void BM_BTreeInsert(benchmark::State& state) {
-  for (auto _ : state) {
-    BTree tree;
-    Rng rng(5);
-    for (int i = 0; i < 10000; ++i) {
-      tree.Insert(static_cast<int64_t>(rng.NextBounded(1 << 20)),
-                  MakeRid(i, 0));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_BTreeInsert);
-
-void BM_BTreeLookup(benchmark::State& state) {
-  BTree tree;
-  Rng rng(6);
-  for (int i = 0; i < 100000; ++i) {
-    tree.Insert(static_cast<int64_t>(rng.NextBounded(1 << 20)),
-                MakeRid(i, 0));
-  }
-  Rng probe(7);
-  std::vector<Rid> out;
-  for (auto _ : state) {
-    out.clear();
-    tree.Lookup(static_cast<int64_t>(probe.NextBounded(1 << 20)), &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_BTreeLookup);
 
 void BM_EngineHique(benchmark::State& state) {
   Fixture& f = GetFixture();

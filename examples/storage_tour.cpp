@@ -1,13 +1,12 @@
 // Storage-layer tour: the substrates under the query engine — file-backed
-// tables through the LRU buffer manager, catalogue statistics, and the
-// fractal B+-tree index (paper §IV "Storage layer").
+// tables through the LRU buffer manager and catalogue statistics (paper §IV
+// "Storage layer").
 //
 //   $ ./build/examples/storage_tour
 
 #include <cstdio>
 
 #include "exec/engine.h"
-#include "storage/btree.h"
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
 #include "util/env.h"
@@ -78,30 +77,5 @@ int main() {
   }
   std::printf("\nquery over the file-backed table:\n%s\n",
               result.value().ToString().c_str());
-
-  // 4. The fractal B+-tree index: 4096-byte physical pages holding four
-  // 1024-byte tree nodes (paper §IV, citing fractal prefetching B+-trees).
-  BTree index;
-  timer.Restart();
-  uint64_t page_no = 0;
-  uint32_t slot = 0;
-  (void)events->ForEachTuple([&](const uint8_t* tuple) {
-    int32_t id = schema.GetValue(tuple, 0).AsInt32();
-    index.Insert(id, MakeRid(page_no, slot));
-    if (++slot == events->tuples_per_page()) {
-      slot = 0;
-      ++page_no;
-    }
-  });
-  std::printf("indexed %llu entries in %.2fs: height=%u, physical pages=%llu "
-              "(4 nodes per 4096B page)\n",
-              (unsigned long long)index.size(), timer.ElapsedSeconds(),
-              index.height(), (unsigned long long)index.physical_pages());
-  std::vector<Rid> rids;
-  index.Lookup(42, &rids);
-  std::printf("index lookup id=42: %zu matching tuples\n", rids.size());
-  std::vector<std::pair<int64_t, Rid>> range;
-  index.RangeScan(0, 9, &range);
-  std::printf("index range scan id in [0,9]: %zu entries\n", range.size());
   return 0;
 }

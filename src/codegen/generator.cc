@@ -2956,7 +2956,7 @@ class Generator {
                             : "n";
       Emit("  int64_t emit_n = " + lim + ";");
       Emit("  A.emit_n = emit_n;");
-      Emit("  if (emit_n > 0 && ctx->result_alloc_pages != 0) {");
+      Emit("  if (emit_n > 0) {");
       Emit("    // splitter-partitioned k-way merge: disjoint tasks fill");
       Emit("    // fixed slots of the pre-allocated result pages");
       Emit("    const uint32_t tpp = ctx->result_tuples_per_page;");
@@ -2972,30 +2972,6 @@ class Generator {
            "_out_merge, &A) != HQ_OK) return -1;");
       Emit("    if (ctx->result_emit_pages(ctx->result_sink, npg, "
            "(uint64_t)emit_n) != 0) return -1;");
-      Emit("  } else if (emit_n > 0) {");
-      Emit("    // host without the bulk-page protocol: the same k-way");
-      Emit("    // merge, streamed serially — byte-identical rows");
-      Emit("    HqResultWriter wr; wr.ctx = ctx; wr.page = 0; wr.n = 0;");
-      Emit("    int64_t cur[8]; int64_t stop[8];");
-      Emit("    op" + S(k) + "_out_bounds(&A, 0, cur);");
-      Emit("    op" + S(k) + "_out_bounds(&A, A.nt, stop);");
-      Emit("    for (int64_t i = 0; i < emit_n; ++i) {");
-      Emit("      int best = -1;");
-      Emit("      uint32_t r;");
-      Emit("      for (r = 0; r < A.R; ++r) {");
-      Emit("        if (cur[r] >= stop[r]) continue;");
-      Emit("        if (best < 0 || cmp_op" + S(k) +
-           "_out(A.rows + (uint64_t)cur[r] * " + OSZ +
-           ", A.rows + (uint64_t)cur[best] * " + OSZ + ") < 0) best = "
-           "(int)r;");
-      Emit("      }");
-      Emit("      uint8_t* o = hq_result_slot(&wr);");
-      Emit("      if (!o) return -1;");
-      Emit("      memcpy(o, A.rows + (uint64_t)cur[best] * " + OSZ + ", " +
-           OSZ + ");");
-      Emit("      ++cur[best];");
-      Emit("    }");
-      Emit("    hq_result_close(&wr);");
       Emit("  }");
     } else {
       std::string guard = op.limit >= 0

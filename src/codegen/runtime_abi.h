@@ -161,7 +161,9 @@ typedef struct HqQueryCtx {
   // num_tuples (tuples_per_page on all but the last page, the remainder on
   // the last), delivers the pages sequentially, and accounts the same
   // metrics the per-slot writer would (count helper calls, `rows` tuples);
-  // it returns -1 when the consumer cancelled mid-delivery.
+  // it returns -1 when the consumer cancelled mid-delivery. The executor
+  // always sets both hooks (and result_new_page), so generated code calls
+  // them without a null check.
   int32_t (*result_alloc_pages)(void* result_sink, HqPage** pages,
                                 uint64_t count);
   int32_t (*result_emit_pages)(void* result_sink, uint64_t count,

@@ -304,9 +304,9 @@ class ResultSet {
   /// releases all pages. Idempotent; the destructor calls it.
   void Close();
 
-  /// Drains the remaining rows into a materialized QueryResult (the
-  /// blocking Query/Execute APIs are exactly open-stream + Materialize).
-  /// Rows already consumed through Next() are not replayed.
+  /// Drains the remaining rows into a materialized QueryResult, the same
+  /// one the blocking Query/Execute APIs return. Rows already consumed
+  /// through Next() are not replayed.
   Result<QueryResult> Materialize();
 
   /// Metadata known at open time.
@@ -420,9 +420,9 @@ class Session {
   const SessionOptions& options() const;
   HiqueEngine* engine() const;
 
-  /// Blocking evaluation — thin wrappers: open a streaming cursor, drain
-  /// it (page-at-a-time) into a materialized QueryResult. Semantically
-  /// identical to the pre-session HiqueEngine::Query/Execute.
+  /// Blocking evaluation: the cursor's pipeline, run on the calling thread
+  /// with result pages adopted straight into a materialized QueryResult.
+  /// Semantically identical to the pre-session HiqueEngine::Query/Execute.
   Result<QueryResult> Query(const std::string& sql);
   Result<QueryResult> Execute(const PreparedStatement& stmt,
                               const std::vector<Value>& values = {});
@@ -525,9 +525,9 @@ class HiqueEngine {
   Session OpenSession(SessionOptions options = {});
 
   /// Evaluates one SELECT statement end to end. SQL containing `?`
-  /// placeholders must go through Prepare/Execute instead. Implemented as
-  /// open-stream + drain on the default session; results are bit-identical
-  /// to the streaming path.
+  /// placeholders must go through Prepare/Execute instead. Runs as a
+  /// blocking Session::Query on the default session; results are
+  /// bit-identical to the streaming path.
   Result<QueryResult> Query(const std::string& sql);
 
   /// Same, with per-query planner overrides (used by the benchmarks to pin

@@ -1,9 +1,10 @@
 // The session layer: Session / ResultSet / QueryHandle implementations plus
-// the HiqueEngine client-facing wrappers built on them. The blocking
-// Query/Execute APIs are open-stream + drain over the same streaming
-// machinery the cursors use, so every path shares one execution pipeline
-// and the materialized and streamed results are bit-identical by
-// construction.
+// the HiqueEngine client-facing wrappers built on them. Every statement
+// passes one pipeline — classify, open, run — and the entry points differ
+// only in the page sink Run feeds: a cursor runs it on a producer thread
+// into a bounded StreamCore, a blocking call on the calling thread into a
+// result table, and an async call is a blocking call on an admission slot.
+// The materialized and streamed results are bit-identical by construction.
 
 #include <algorithm>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "sql/parser.h"
 #include "util/macros.h"
+#include "util/timer.h"
 
 namespace hique {
 
@@ -67,7 +69,6 @@ bool StreamCore::Push(Page* page) {
     return false;
   }
   queue.push_back(page);
-  ++pages_delivered;
   // Peak residency: buffered pages + the page the producer fills next +
   // the page the consumer holds.
   uint32_t resident = static_cast<uint32_t>(queue.size()) + 2;
@@ -76,13 +77,13 @@ bool StreamCore::Push(Page* page) {
   return true;
 }
 
-void StreamCore::Finish(Status status, int64_t row_count,
-                        const exec::ExecStats& s) {
+void StreamCore::Finish(Status status, const exec::ExecStats& s,
+                        StatementMeta m) {
   {
     std::lock_guard<std::mutex> lk(mu);
     final_status = std::move(status);
-    rows = row_count;
     stats = s;
+    meta = std::move(m);
     finished = true;
   }
   cv.notify_all();
@@ -117,13 +118,8 @@ bool StreamCore::TryPop(Page** out, bool* ended) {
   return false;
 }
 
-void StreamCore::WaitReadable() {
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return !queue.empty() || finished || closed; });
-}
-
 void StreamCore::CancelAndClose() {
-  cancel_flag->store(1, std::memory_order_release);
+  cancel.store(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lk(mu);
     closed = true;
@@ -131,7 +127,7 @@ void StreamCore::CancelAndClose() {
   cv.notify_all();
 }
 
-// ---- SessionImpl -----------------------------------------------------------
+// ---- Statement metrics -----------------------------------------------------
 
 namespace {
 
@@ -139,7 +135,6 @@ namespace {
 /// behind Session::Stats(): effective executor width (last statement wins)
 /// and the lifetime-max per-barrier skew ratio.
 void RecordExecGauges(Session::State* session, const exec::ExecStats& stats) {
-  if (session == nullptr) return;
   session->stat_threads_effective.store(stats.threads,
                                         std::memory_order_relaxed);
   auto skew_milli = static_cast<uint64_t>(stats.skew_ratio * 1000.0);
@@ -217,37 +212,31 @@ double TotalMs(const QueryTimings& t) {
          t.execute_ms;
 }
 
-/// Statement-completion fold shared by the cursor and blocking drains:
-/// latency histograms, row counters, and the engine's slow-query log.
-void RecordStatementDone(ResultSet::Stream* s, int64_t rows) {
+/// Statement-completion fold: latency histograms, row counters, and the
+/// engine's slow-query log.
+void RecordStatementDone(const StatementRun& r, int64_t rows) {
   auto& m = StatementMetrics::Get();
   m.statements->Increment();
   if (rows > 0) m.rows->Add(static_cast<uint64_t>(rows));
-  m.bp_hits->Add(s->stats.bp_hits);
-  m.bp_misses->Add(s->stats.bp_misses);
-  m.bp_evictions->Add(s->stats.bp_evictions);
-  m.barriers->Add(s->stats.par_barriers);
-  m.tasks->Add(s->stats.par_tasks);
-  m.execute_ms->Observe(s->timings.execute_ms);
-  double total = TotalMs(s->timings);
+  m.bp_hits->Add(r.stats.bp_hits);
+  m.bp_misses->Add(r.stats.bp_misses);
+  m.bp_evictions->Add(r.stats.bp_evictions);
+  m.barriers->Add(r.stats.par_barriers);
+  m.tasks->Add(r.stats.par_tasks);
+  m.execute_ms->Observe(r.meta.timings.execute_ms);
+  double total = TotalMs(r.meta.timings);
   m.total_ms->Observe(total);
-  HiqueEngine* engine = s->engine;
-  if (engine != nullptr && engine->slow_query_ms() > 0 &&
-      total >= engine->slow_query_ms()) {
+  HiqueEngine* engine = r.session->engine;
+  if (engine->slow_query_ms() > 0 && total >= engine->slow_query_ms()) {
     m.slow->Increment();
     obs::SlowQueryEntry entry;
-    entry.sql = (!s->sql.empty() || s->state == nullptr) ? s->sql
-                                                         : s->state->sql;
-    entry.signature = s->plan_signature;
+    entry.sql = r.source.sql;
+    entry.signature = r.meta.plan_signature;
     entry.total_ms = total;
-    entry.span_summary = obs::SpanSummaryLine(s->timings, s->stats);
+    entry.span_summary = obs::SpanSummaryLine(r.meta.timings, r.stats);
     engine->slow_log()->Record(std::move(entry));
   }
 }
-
-}  // namespace
-
-namespace {
 
 Status SessionClosedError() {
   return Status::ExecError("session is closed");
@@ -255,13 +244,10 @@ Status SessionClosedError() {
 
 Status CancelledError() { return Status::ExecError("query cancelled"); }
 
-}  // namespace
-
 /// Registers a stream's handoff core with its session so Close() can cancel
 /// it; fails when the session has been closed.
-Status SessionImpl::RegisterStream(
-    const std::shared_ptr<Session::State>& session,
-    const std::shared_ptr<StreamCore>& core) {
+Status RegisterStream(Session::State* session,
+                      const std::shared_ptr<StreamCore>& core) {
   std::lock_guard<std::mutex> lk(session->mu);
   if (session->closed) return SessionClosedError();
   auto& streams = session->streams;
@@ -274,458 +260,442 @@ Status SessionImpl::RegisterStream(
   return Status::OK();
 }
 
-void SessionImpl::FillStreamMeta(ResultSet::Stream* s) {
-  s->schema = s->state->plan->output_schema;
-  s->tuple_size = s->schema.TupleSize();
-  s->plan_signature = s->state->signature;
-  s->plan_text = s->state->plan_text;
-  s->opt_level = s->library->opt_level();
-  s->source_bytes = s->library->compiled().source_bytes;
-  s->library_bytes = s->library->compiled().library_bytes;
-  if (s->engine->options().keep_source) {
-    s->generated_source = s->library->source();
+// ---- Stage 1: classify -----------------------------------------------------
+
+enum class StatementKind { kSelect, kExplain, kExplainAnalyze, kDml };
+
+/// Sorts SQL text by its leading keywords (lexically; the statement itself
+/// may still fail to parse). For EXPLAIN, `*inner` receives the explained
+/// statement.
+StatementKind Classify(const std::string& sql, std::string* inner) {
+  bool analyze = false;
+  if (sql::ParseExplainPrefix(sql, &analyze, inner)) {
+    return analyze ? StatementKind::kExplainAnalyze : StatementKind::kExplain;
   }
+  return sql::IsDmlStatement(sql) ? StatementKind::kDml
+                                  : StatementKind::kSelect;
 }
 
-exec::ParallelRuntime SessionImpl::RuntimeFor(const Session::State& s,
-                                              std::atomic<int32_t>* cancel) {
-  exec::ParallelRuntime par;
-  par.pool =
-      s.options.threads == 1 ? nullptr : s.engine->worker_pool_.get();
-  par.arena_limit_bytes =
-      s.options.arena_limit_bytes == SessionOptions::kInheritArenaLimit
-          ? s.engine->options().arena_limit_bytes
-          : s.options.arena_limit_bytes;
-  par.cancel = cancel;
-  par.priority = s.options.priority;
-  return par;
+StatementSource TextSource(const Session::State& session,
+                           const std::string& sql) {
+  StatementSource source;
+  source.sql = sql;
+  source.planner = session.planner;
+  source.cacheable = session.engine->options().cache_compiled;
+  return source;
 }
 
-Status SessionImpl::Launch(ResultSet::Stream* s) {
-  if (s->is_execute) {
-    HQ_RETURN_IF_ERROR(
-        exec::BindParamValues(s->state->plan->params, s->values, &s->bound));
-  } else {
-    exec::BindParams(s->state->plan->params, &s->bound);
+StatementSource PreparedSource(const PreparedStatement& stmt,
+                               const std::vector<Value>& values) {
+  StatementSource source;
+  source.stmt = stmt;
+  source.values = values;
+  return source;
+}
+
+// ---- Stage 2 helpers: answers known at open --------------------------------
+
+/// A one-CHAR-column table named "plan", one row per line, sized to the
+/// longest line. CHAR(N) is the only variable-width type the engine has,
+/// and a text report is the only result shape that flows through every
+/// surface (rows, pages, wire) without a new protocol concept.
+Result<std::unique_ptr<Table>> TextTable(
+    const std::vector<std::string>& lines) {
+  size_t width = 1;
+  for (const auto& line : lines) width = std::max(width, line.size());
+  // A tuple must fit one NSM page (and leave the 8-byte rounding room).
+  constexpr size_t kMaxWidth = 1024;
+  if (width > kMaxWidth) width = kMaxWidth;
+  auto w = static_cast<uint16_t>(width);
+
+  Schema schema;
+  schema.AddColumn("plan", Type::Char(w));
+  auto table = std::make_unique<Table>("explain", schema);
+  for (const auto& line : lines) {
+    std::string text = line.size() > width ? line.substr(0, width) : line;
+    HQ_RETURN_IF_ERROR(table->AppendRow({Value::Char(std::move(text), w)}));
   }
-  s->core = std::make_shared<StreamCore>(s->session->stream_buffer_pages);
-  if (s->external_cancel != nullptr) s->core->cancel_flag = s->external_cancel;
-  s->par = RuntimeFor(*s->session, nullptr);
-  s->par.cancel = s->core->cancel_flag;
-  s->par.collect_op_stats = s->force_op_stats || s->engine->trace_spans();
-  s->par.collect_op_cycles = s->force_op_stats;
-  HQ_RETURN_IF_ERROR(RegisterStream(s->session, s->core));
-
-  ResultSet::Stream* raw = s;
-  std::shared_ptr<StreamCore> core = s->core;
-  s->producer = std::thread([raw, core] {
-    exec::ExecStats stats;
-    auto rows = exec::ExecuteEntryStreaming(
-        raw->state->plan->query->tables, raw->state->plan->output_schema,
-        raw->library->entry(), &raw->bound.abi, &stats, raw->par,
-        [&core](Page* page) { return core->Push(page); },
-        [&core]() { return core->AcquirePage(); }, &raw->state->table_layouts);
-    if (rows.ok()) {
-      core->Finish(Status::OK(), rows.value(), stats);
-    } else {
-      core->Finish(rows.status(), 0, stats);
-    }
-  });
-  return Status::OK();
+  return table;
 }
 
-/// Map-overflow replan: swap the stream onto the hybrid-aggregation
-/// fallback plan. Query paths remember the doomed plan's signature so the
-/// working library can be aliased under it on success; Execute paths cache
-/// the fallback state inside the prepared statement (shared by all its
-/// executions), exactly as the pre-streaming Execute retry did.
-Status SessionImpl::ReplanHybrid(ResultSet::Stream* s) {
-  HiqueEngine* engine = s->engine;
-  if (s->is_execute) {
-    std::shared_ptr<const PreparedStatement::State> next;
-    {
-      std::lock_guard<std::mutex> lk(s->state->fallback_mu);
-      if (s->state->fallback == nullptr) {
-        auto fallback = SessionImpl::PrepareFallback(engine, *s->state);
-        if (!fallback.ok()) return fallback.status();
-        s->state->fallback = std::move(fallback).value();
+/// The one constructor for a stream answered at open (DML, EXPLAIN): the
+/// answer's rows are copied into pages of a sealed core, so the row loop,
+/// the page pump and the wire server serve it like any other result.
+/// `table` is null for DML, which has no result relation.
+Result<std::unique_ptr<ResultSet::Stream>> FinishedStream(
+    const std::shared_ptr<Session::State>& session,
+    std::unique_ptr<Table> table, StatementMeta meta,
+    const exec::ExecStats& stats) {
+  auto stream = std::make_unique<ResultSet::Stream>();
+  stream->run.session = session;
+  const int64_t rows =
+      table != nullptr ? static_cast<int64_t>(table->NumTuples()) : 0;
+  if (table != nullptr) stream->schema = table->schema();
+  const uint32_t tuple_size = stream->schema.TupleSize();
+  stream->tuple_size = tuple_size;
+  const uint32_t per_page =
+      table != nullptr ? Page::TuplesPerPage(tuple_size) : 1;
+  // Capacity covers every page up front, so the sealed core is filled
+  // without a consumer: Push only blocks once `capacity` pages queue up.
+  auto pages_needed = static_cast<uint32_t>(
+      (static_cast<uint64_t>(rows) + per_page - 1) / per_page);
+  auto core = std::make_shared<StreamCore>(pages_needed < 1 ? 1 : pages_needed);
+
+  Page* page = nullptr;
+  uint32_t slot = 0;
+  bool failed = false;
+  auto flush = [&] {
+    if (page == nullptr) return;
+    page->num_tuples = slot;
+    if (!core->Push(page)) failed = true;
+    page = nullptr;
+    slot = 0;
+  };
+  if (table != nullptr) {
+    HQ_RETURN_IF_ERROR(table->ForEachTuple([&](const uint8_t* tuple) {
+      if (failed) return;
+      if (page == nullptr) {
+        page = core->AcquirePage();
+        if (page == nullptr) {
+          failed = true;
+          return;
+        }
+        std::memset(page, 0, kPageSize);
       }
-      next = s->state->fallback;
-    }
-    s->state = std::move(next);
-    std::shared_ptr<exec::CompiledLibrary> library =
-        SessionImpl::CurrentLibrary(engine, *s->state);
-    s->library = std::move(library);
-  } else {
-    s->failed_signature = s->state->signature;
-    s->failed_params = s->state->plan->params;
-    auto fallback =
-        SessionImpl::PrepareQueryState(engine, s->sql, s->planner,
-                                       s->cacheable, /*force_hybrid=*/true);
-    if (!fallback.ok()) return fallback.status();
-    s->state = std::move(fallback).value();
-    s->library = s->state->library;
-    s->cache_hit = s->state->cache_hit;
-    s->timings = s->state->prepare_timings;
+      std::memcpy(page->TupleAt(slot, tuple_size), tuple, tuple_size);
+      if (++slot == per_page) flush();
+    }));
   }
-  FillStreamMeta(s);
-  return Status::OK();
+  if (!failed) flush();
+  if (failed) return Status::ExecError("out of memory materializing a result");
+  stream->meta = meta;
+  stream->stats = stats;
+  core->Finish(Status::OK(), stats, std::move(meta));
+  stream->core = std::move(core);
+  return stream;
 }
 
-Status SessionImpl::RestartWithHybrid(ResultSet::Stream* s) {
-  HQ_RETURN_IF_ERROR(ReplanHybrid(s));
-  return SessionImpl::Launch(s);
-}
-
-/// Stale-plan replan: a compaction / compression rewrite moved a table's
-/// page layout between preparation and pinning. Re-prepare from scratch —
-/// the statistics-version prefix keys the fresh plan to its own cache slot,
-/// so the stale library is never served again for this layout.
-Status SessionImpl::ReplanFresh(ResultSet::Stream* s) {
-  HiqueEngine* engine = s->engine;
-  if (s->is_execute) {
-    auto next = engine->PrepareState(s->state->sql, s->state->planner,
-                                     s->state->cacheable,
-                                     /*force_hybrid_agg=*/false,
-                                     /*allow_placeholders=*/true);
-    if (!next.ok()) return next.status();
-    s->state = std::move(next).value();
-    s->library = s->state->library;
-  } else {
-    auto next = PrepareQueryState(engine, s->sql, s->planner, s->cacheable,
-                                  /*force_hybrid=*/false);
-    if (!next.ok()) return next.status();
-    s->state = std::move(next).value();
-    s->library = s->state->library;
-    s->cache_hit = s->state->cache_hit;
-  }
-  FillStreamMeta(s);
-  return Status::OK();
-}
-
-QueryResult SessionImpl::AssembleResult(ResultSet::Stream* s,
-                                        std::unique_ptr<Table> table) {
+QueryResult AssembleResult(HiqueEngine* engine, const StatementMeta& meta,
+                           const exec::ExecStats& stats,
+                           std::unique_ptr<Table> table) {
   QueryResult result;
-  result.schema = table->schema();
+  if (table != nullptr) result.schema = table->schema();
   result.table = std::move(table);
-  result.timings = s->timings;
-  result.source_bytes = s->source_bytes;
-  result.library_bytes = s->library_bytes;
-  result.generated_source = s->generated_source;
-  result.plan_text = s->plan_text;
-  result.plan_signature = s->plan_signature;
-  result.cache_hit = s->cache_hit;
-  result.library_opt_level = s->opt_level;
-  result.exec_stats = s->stats;
-  result.cache_stats = s->engine->CacheStats();
+  result.timings = meta.timings;
+  result.source_bytes = meta.source_bytes;
+  result.library_bytes = meta.library_bytes;
+  result.generated_source = meta.generated_source;
+  result.plan_text = meta.plan_text;
+  result.plan_signature = meta.plan_signature;
+  result.cache_hit = meta.cache_hit;
+  result.library_opt_level = meta.opt_level;
+  result.rows_affected = meta.rows_affected;
+  result.exec_stats = stats;
+  result.cache_stats = engine->CacheStats();
   return result;
 }
 
-/// End of stream: the producer finished and the queue drained. Collects
-/// the outcome, runs the one-shot map-overflow restart (true: a fresh
-/// producer is live, keep pulling from the new core), or seals the
-/// stream's done/end_status (false).
-bool SessionImpl::FinishStream(ResultSet::Stream* s) {
+/// The blocking sink: Run on the calling thread, with each result page
+/// adopted straight into the result table — no thread, no handoff queue.
+Result<std::unique_ptr<Table>> Drain(ResultSet::Stream* s,
+                                     std::atomic<int32_t>* cancel) {
+  auto table = std::make_unique<Table>("result", s->schema);
+  Status adopted = Status::OK();
+  auto on_page = [&](Page* page) {
+    adopted = table->AdoptPage(page);
+    if (adopted.ok()) return true;
+    std::free(page);
+    return false;
+  };
+  Status ran = SessionImpl::Run(&s->run, on_page, /*alloc_page=*/{}, cancel);
+  HQ_RETURN_IF_ERROR(adopted);
+  HQ_RETURN_IF_ERROR(ran);
+  return table;
+}
+
+/// End of stream: joins the producer and applies what it published through
+/// the core — the final status, stats and (possibly replanned) metadata.
+void EndStream(ResultSet::Stream* s) {
   if (s->producer.joinable()) s->producer.join();
-  Status status;
-  exec::ExecStats stats;
-  int64_t rows;
-  uint64_t delivered;
-  uint32_t peak;
-  {
-    std::lock_guard<std::mutex> lk(s->core->mu);
-    status = s->core->final_status;
-    stats = s->core->stats;
-    rows = s->core->rows;
-    delivered = s->core->pages_delivered;
-    peak = s->core->peak_resident;
-  }
-  if (peak > s->stats_peak_pages) s->stats_peak_pages = peak;
-  if (s->is_meta) {
-    // Pre-materialized EXPLAIN stream: the inner execution already folded
-    // its stats; just seal the cursor.
-    s->stats = stats;
-    s->done = true;
-    s->end_status = std::move(status);
-    return false;
-  }
-  RecordExecGauges(s->session.get(), stats);
-  if (status.ok()) {
-    s->stats = stats;
-    s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-    RecordStatementDone(s, rows);
-    s->done = true;
-    s->end_status = Status::OK();
-    if (s->restarted && !s->is_execute) {
-      s->engine->InstallOverflowAlias(s->failed_signature, s->failed_params,
-                                      *s->state);
-    }
-    return false;
-  }
-  if (exec::IsMapOverflow(status) && !s->restarted && delivered == 0) {
-    // Stale statistics: directories overflowed before any page was
-    // emitted. Re-plan with hybrid aggregation and retry once.
-    s->restarted = true;
-    {
-      // The doomed core is about to be replaced: fold its allocation
-      // telemetry so the cursor's lifetime counters stay complete.
-      std::lock_guard<std::mutex> lk(s->core->mu);
-      s->acc_pages_allocated += s->core->pages_allocated;
-      s->acc_pages_recycled += s->core->pages_recycled;
-    }
-    Status restart = RestartWithHybrid(s);
-    if (restart.ok()) return true;
-    status = restart;
-  }
-  if (exec::IsStalePlan(status) && s->stale_restarts < 3 && delivered == 0) {
-    // A compaction or compression rewrite republished a table's pages
-    // between preparation and pinning. Re-prepare against the new layout
-    // and relaunch; bounded so a compaction storm cannot starve the query.
-    ++s->stale_restarts;
-    {
-      std::lock_guard<std::mutex> lk(s->core->mu);
-      s->acc_pages_allocated += s->core->pages_allocated;
-      s->acc_pages_recycled += s->core->pages_recycled;
-    }
-    Status restart = ReplanFresh(s);
-    if (restart.ok()) restart = Launch(s);
-    if (restart.ok()) return true;
-    status = restart;
-  }
-  s->stats = stats;
-  s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-  StatementMetrics::Get().failed->Increment();
+  std::lock_guard<std::mutex> lk(s->core->mu);
+  s->end_status = s->core->final_status;
+  s->stats = s->core->stats;
+  s->meta = s->core->meta;
   s->done = true;
-  s->end_status = std::move(status);
-  return false;
 }
 
-Page* SessionImpl::PullPage(ResultSet::Stream* s) {
+/// Next completed page (ownership to the caller), or null at end of stream.
+Page* PullPage(ResultSet::Stream* s) {
   if (s->done) return nullptr;
-  for (;;) {
-    Page* page = s->core->Pop();
-    if (page != nullptr) return page;
-    if (!FinishStream(s)) return nullptr;
-  }
+  Page* page = s->core->Pop();
+  if (page == nullptr) EndStream(s);
+  return page;
 }
 
-ResultSet::PagePoll SessionImpl::TryPullPage(ResultSet::Stream* s,
-                                             Page** page) {
-  *page = nullptr;
-  if (s->done) return ResultSet::PagePoll::kEnd;
-  for (;;) {
-    bool ended = false;
-    if (!s->core->TryPop(page, &ended)) return ResultSet::PagePoll::kPending;
-    if (*page != nullptr) return ResultSet::PagePoll::kPage;
-    // Producer finished (or the stream was closed): resolve the outcome.
-    // A successful map-overflow restart leaves a fresh producer running —
-    // report kPending so the event loop polls the new core.
-    if (!FinishStream(s)) return ResultSet::PagePoll::kEnd;
-  }
-}
+}  // namespace
 
-Result<std::shared_ptr<const PreparedStatement::State>>
-SessionImpl::PrepareQueryState(HiqueEngine* engine, const std::string& sql,
-                               const plan::PlannerOptions& planner,
-                               bool cacheable, bool force_hybrid) {
-  return engine->PrepareState(sql, planner, cacheable, force_hybrid,
-                              /*allow_placeholders=*/false);
-}
+// ---- Stage 2: open ---------------------------------------------------------
 
-Result<std::shared_ptr<const PreparedStatement::State>>
-SessionImpl::PrepareFallback(HiqueEngine* engine,
-                             const PreparedStatement::State& state) {
-  return engine->PrepareState(state.sql, state.planner, state.cacheable,
-                              /*force_hybrid_agg=*/true,
-                              /*allow_placeholders=*/true);
-}
-
-Result<PreparedStatement> SessionImpl::Prepare(
-    HiqueEngine* engine, const std::string& sql,
-    const plan::PlannerOptions& planner) {
+Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
+    const std::shared_ptr<Session::State>& session, StatementSource source,
+    std::atomic<int32_t>* cancel) {
+  HiqueEngine* engine = session->engine;
   {
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      // EXPLAIN is a one-shot diagnostic: its output depends on transient
-      // cache state, so a prepared handle would lie on re-execution.
+    std::lock_guard<std::mutex> lk(session->mu);
+    if (session->closed) return SessionClosedError();
+  }
+  std::string inner;
+  StatementKind kind;
+  if (source.stmt.has_value()) {
+    if (!source.stmt->valid()) {
       return Status::BindError(
-          "EXPLAIN cannot be prepared; run it with Query()");
+          "invalid (default-constructed) PreparedStatement");
     }
+    const PreparedStatement::State& prepared = *source.stmt->state_;
+    source.sql = prepared.sql;
+    source.planner = prepared.planner;
+    source.cacheable = prepared.cacheable;
+    kind = prepared.is_dml ? StatementKind::kDml : StatementKind::kSelect;
+  } else {
+    kind = Classify(source.sql, &inner);
   }
-  if (sql::IsDmlStatement(sql)) {
-    // Validate now (typed parse/placeholder errors surface at Prepare, as
-    // they do for reads) but execute per-Execute: DML compiles nothing, so
-    // the prepared state is just the validated statement text.
-    auto parsed = sql::ParseDml(sql);
-    if (!parsed.ok()) return parsed.status();
-    auto state = std::make_shared<PreparedStatement::State>();
-    state->sql = sql;
-    state->signature = "dml";
-    state->plan_text = "dml";
-    state->is_dml = true;
-    PreparedStatement prepared;
-    prepared.state_ = std::move(state);
-    return prepared;
+
+  switch (kind) {
+    case StatementKind::kDml: {
+      // Writes bypass the compiled-query machinery: the statement executes
+      // before any cursor exists, and the answer is the affected-row count.
+      if (!source.values.empty()) {
+        return Status::BindError("DML statements take no parameter values");
+      }
+      WallTimer timer;
+      HQ_ASSIGN_OR_RETURN(uint64_t affected, engine->ExecuteDml(source.sql));
+      StatementMeta meta;
+      meta.plan_text = "dml";
+      meta.rows_affected = static_cast<int64_t>(affected);
+      meta.timings.execute_ms = timer.ElapsedMillis();
+      return FinishedStream(session, nullptr, std::move(meta), {});
+    }
+    case StatementKind::kExplain:
+    case StatementKind::kExplainAnalyze: {
+      std::string nested;
+      if (Classify(inner, &nested) != StatementKind::kSelect) {
+        return Status::PlanError("EXPLAIN supports SELECT statements only");
+      }
+      // Plan (and for ANALYZE, run with span collection forced) the inner
+      // statement through the real pipeline — same restarts, same metrics
+      // fold — then render the report.
+      source.sql = std::move(inner);
+      HQ_ASSIGN_OR_RETURN(auto planned,
+                          Open(session, std::move(source), cancel));
+      StatementRun& run = planned->run;
+      std::vector<std::string> lines;
+      if (kind == StatementKind::kExplain) {
+        lines = obs::RenderExplainLines(run.meta.plan_text,
+                                        run.meta.plan_signature,
+                                        run.meta.cache_hit, run.meta.opt_level);
+      } else {
+        run.force_op_stats = true;
+        HQ_RETURN_IF_ERROR(Drain(planned.get(), cancel).status());
+        lines = obs::RenderAnalyzeLines(
+            run.meta.plan_text, run.meta.plan_signature, run.meta.cache_hit,
+            run.meta.opt_level, run.meta.timings, run.stats);
+      }
+      HQ_ASSIGN_OR_RETURN(auto report, TextTable(lines));
+      return FinishedStream(session, std::move(report), run.meta, run.stats);
+    }
+    case StatementKind::kSelect:
+      break;
   }
-  HQ_ASSIGN_OR_RETURN(
-      auto state,
-      engine->PrepareState(sql, planner, engine->options().cache_compiled,
-                           /*force_hybrid_agg=*/false,
-                           /*allow_placeholders=*/true));
-  PreparedStatement prepared;
-  prepared.state_ = std::move(state);
-  return prepared;
-}
 
-std::shared_ptr<exec::CompiledLibrary> SessionImpl::CurrentLibrary(
-    HiqueEngine* engine, const PreparedStatement::State& state) {
-  // Prefer the cache's current library for this signature: the background
-  // worker may have swapped in the -O2 tier since Prepare. The statement's
-  // pinned library is the eviction-proof fallback.
-  std::shared_ptr<exec::CompiledLibrary> library =
-      engine->PeekLibrary(state.signature);
-  if (library == nullptr) library = state.library;
-  return library;
-}
-
-Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::BuildQueryStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->sql = sql;
-  stream->planner = planner;
-  stream->cacheable = cacheable;
-  stream->external_cancel = external_cancel;
-  HQ_ASSIGN_OR_RETURN(stream->state,
-                      PrepareQueryState(engine, sql, planner, cacheable,
-                                        /*force_hybrid=*/false));
-  stream->library = stream->state->library;
-  stream->cache_hit = stream->state->cache_hit;
-  stream->timings = stream->state->prepare_timings;
-  FillStreamMeta(stream.get());
-  stream->exec_timer.Restart();
-  return stream;
-}
-
-Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::BuildExecuteStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (!stmt.valid()) {
-    return Status::BindError(
-        "invalid (default-constructed) PreparedStatement");
-  }
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->is_execute = true;
-  stream->values = values;
-  stream->external_cancel = external_cancel;
-  stream->state = stmt.state_;
-  {
+  std::shared_ptr<const PreparedStatement::State> state;
+  if (source.stmt.has_value()) {
     // A previous execution already hit the map-overflow fallback (stale
     // statistics): start there, skipping the known-doomed map plan.
-    std::lock_guard<std::mutex> lk(stmt.state_->fallback_mu);
-    if (stmt.state_->fallback != nullptr) stream->state = stmt.state_->fallback;
+    const auto& prepared = source.stmt->state_;
+    std::lock_guard<std::mutex> lk(prepared->fallback_mu);
+    state = prepared->fallback != nullptr ? prepared->fallback : prepared;
+  } else {
+    HQ_ASSIGN_OR_RETURN(state, engine->PrepareState(
+                                   source.sql, source.planner,
+                                   source.cacheable,
+                                   /*force_hybrid_agg=*/false,
+                                   /*allow_placeholders=*/false));
   }
-  stream->library = CurrentLibrary(engine, *stream->state);
-  stream->cache_hit = true;  // Execute never generates or compiles
-  FillStreamMeta(stream.get());
-  stream->exec_timer.Restart();
+  auto stream = std::make_unique<ResultSet::Stream>();
+  StatementRun& run = stream->run;
+  run.session = session;
+  run.source = std::move(source);
+  HQ_RETURN_IF_ERROR(Adopt(&run, std::move(state)));
+  stream->schema = run.state->plan->output_schema;
+  stream->tuple_size = stream->schema.TupleSize();
+  stream->meta = run.meta;
   return stream;
 }
 
-Result<ResultSet> SessionImpl::OpenQueryStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  {
-    // EXPLAIN over a cursor (this is the wire server's path): materialize
-    // the report, then serve it from a sealed core — the consumer side
-    // (row loop, page pump, remote protocol) is none the wiser.
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      HQ_ASSIGN_OR_RETURN(QueryResult explained,
-                          ExplainQuery(engine, session, inner, analyze,
-                                       planner, cacheable, external_cancel));
-      session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-      return StreamFromResult(engine, session, std::move(explained));
-    }
+Status SessionImpl::Adopt(
+    StatementRun* run, std::shared_ptr<const PreparedStatement::State> state) {
+  HiqueEngine* engine = run->session->engine;
+  const bool prepared = run->source.stmt.has_value();
+  run->state = std::move(state);
+  run->library = run->state->library;
+  if (prepared) {
+    // Prefer the cache's current library for this signature: the background
+    // worker may have swapped in the -O2 tier since Prepare. The statement's
+    // pinned library is the eviction-proof fallback.
+    auto current = engine->PeekLibrary(run->state->signature);
+    if (current != nullptr) run->library = std::move(current);
   }
-  if (sql::IsDmlStatement(sql)) {
-    // Writes execute before the cursor is handed out; the stream opens
-    // pre-finished (no core, no producer) so every consumer — row loop,
-    // page loop, Materialize, the wire server's pump — sees an immediate
-    // clean end-of-stream with rows_affected set.
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected, engine->ExecuteDml(sql));
-    auto dml = std::make_unique<ResultSet::Stream>();
-    dml->engine = engine;
-    dml->session = session;
-    dml->sql = sql;
-    dml->is_dml = true;
-    dml->rows_affected = static_cast<int64_t>(affected);
-    dml->plan_text = "dml";
-    dml->done = true;
-    dml->timings.execute_ms = timer.ElapsedMillis();
-    session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-    ResultSet rs;
-    rs.stream_ = std::move(dml);
-    return rs;
+  StatementMeta& meta = run->meta;
+  meta.plan_signature = run->state->signature;
+  meta.plan_text = run->state->plan_text;
+  meta.opt_level = run->library->opt_level();
+  meta.source_bytes = run->library->compiled().source_bytes;
+  meta.library_bytes = run->library->compiled().library_bytes;
+  if (engine->options().keep_source) {
+    meta.generated_source = run->library->source();
   }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, sql, planner,
-                                       cacheable, external_cancel));
-  HQ_RETURN_IF_ERROR(Launch(stream.get()));
-  session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-  ResultSet rs;
-  rs.stream_ = std::move(stream);
-  return rs;
+  if (prepared) {
+    meta.cache_hit = true;  // Execute never generates or compiles
+    return exec::BindParamValues(run->state->plan->params, run->source.values,
+                                 &run->bound);
+  }
+  meta.cache_hit = run->state->cache_hit;
+  meta.timings = run->state->prepare_timings;
+  exec::BindParams(run->state->plan->params, &run->bound);
+  return Status::OK();
 }
 
-Result<ResultSet> SessionImpl::OpenExecuteStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (stmt.valid() && stmt.state_->is_dml) {
-    if (!values.empty()) {
-      return Status::BindError("DML statements take no parameter values");
+// ---- Stage 3: run ----------------------------------------------------------
+
+Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
+                        const exec::PageAllocFn& alloc_page,
+                        std::atomic<int32_t>* cancel) {
+  HiqueEngine* engine = run->session->engine;
+  const Session::State& session = *run->session;
+  WallTimer timer;
+  exec::ParallelRuntime par;
+  par.pool = session.options.threads == 1 ? nullptr
+                                          : engine->worker_pool_.get();
+  par.arena_limit_bytes =
+      session.options.arena_limit_bytes == SessionOptions::kInheritArenaLimit
+          ? engine->options().arena_limit_bytes
+          : session.options.arena_limit_bytes;
+  par.cancel = cancel;
+  par.priority = session.options.priority;
+  par.collect_op_stats = run->force_op_stats || engine->trace_spans();
+  par.collect_op_cycles = run->force_op_stats;
+
+  uint64_t delivered = 0;
+  const exec::ResultPageFn deliver = [&](Page* page) {
+    ++delivered;
+    return on_page(page);
+  };
+  bool hybrid = false;
+  uint32_t stale_replans = 0;
+  std::string failed_signature;
+  plan::ParamTable failed_params;
+  for (;;) {
+    exec::ExecStats stats;
+    auto rows = exec::ExecuteEntryStreaming(
+        run->state->plan->query->tables, run->state->plan->output_schema,
+        run->library->entry(), &run->bound.abi, &stats, par, deliver,
+        alloc_page, &run->state->table_layouts);
+    // The restart policy. Stale statistics overflowed map aggregation's
+    // directories: re-plan once with hybrid aggregation. A compaction or
+    // compression rewrite moved a table's pages between preparation and
+    // pinning: re-prepare against the new layout, at most three times so a
+    // compaction storm cannot starve the query. Either only while the
+    // consumer has seen nothing.
+    const bool overflow =
+        !rows.ok() && !hybrid && exec::IsMapOverflow(rows.status());
+    const bool stale =
+        !rows.ok() && stale_replans < 3 && exec::IsStalePlan(rows.status());
+    if ((overflow || stale) && delivered == 0) {
+      if (overflow) {
+        hybrid = true;
+        failed_signature = run->state->signature;
+        failed_params = run->state->plan->params;
+      } else {
+        ++stale_replans;
+      }
+      Status replanned = Replan(run, overflow);
+      if (replanned.ok()) continue;
+      rows = std::move(replanned);
     }
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
+    run->stats = stats;
+    run->meta.timings.execute_ms = timer.ElapsedMillis();
+    RecordExecGauges(run->session.get(), stats);
+    if (!rows.ok()) {
+      StatementMetrics::Get().failed->Increment();
+      return rows.status();
     }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected,
-                        engine->ExecuteDml(stmt.state_->sql));
-    auto dml = std::make_unique<ResultSet::Stream>();
-    dml->engine = engine;
-    dml->session = session;
-    dml->sql = stmt.state_->sql;
-    dml->is_execute = true;
-    dml->is_dml = true;
-    dml->rows_affected = static_cast<int64_t>(affected);
-    dml->plan_text = "dml";
-    dml->done = true;
-    dml->timings.execute_ms = timer.ElapsedMillis();
-    session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-    ResultSet rs;
-    rs.stream_ = std::move(dml);
-    return rs;
+    RecordStatementDone(*run, rows.value());
+    if (hybrid && !run->source.stmt.has_value()) {
+      // Alias the working hybrid library under the overflowing plan's
+      // signature so the next Query of this text skips the doomed plan.
+      engine->InstallOverflowAlias(failed_signature, failed_params,
+                                   *run->state);
+    }
+    return Status::OK();
   }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildExecuteStream(engine, session, stmt, values,
-                                         external_cancel));
-  HQ_RETURN_IF_ERROR(Launch(stream.get()));
+}
+
+Status SessionImpl::Replan(StatementRun* run, bool hybrid) {
+  HiqueEngine* engine = run->session->engine;
+  const StatementSource& source = run->source;
+  std::shared_ptr<const PreparedStatement::State> next;
+  if (hybrid && source.stmt.has_value()) {
+    const PreparedStatement::State& prepared = *source.stmt->state_;
+    std::lock_guard<std::mutex> lk(prepared.fallback_mu);
+    if (prepared.fallback == nullptr) {
+      HQ_ASSIGN_OR_RETURN(prepared.fallback,
+                          engine->PrepareState(source.sql, source.planner,
+                                               source.cacheable,
+                                               /*force_hybrid_agg=*/true,
+                                               /*allow_placeholders=*/true));
+    }
+    next = prepared.fallback;
+  } else {
+    const bool placeholders = source.stmt.has_value();
+    HQ_ASSIGN_OR_RETURN(next, engine->PrepareState(source.sql, source.planner,
+                                                   source.cacheable, hybrid,
+                                                   placeholders));
+  }
+  return Adopt(run, std::move(next));
+}
+
+// ---- Entry points: which sink Run feeds ------------------------------------
+
+Result<QueryResult> SessionImpl::Blocking(
+    const std::shared_ptr<Session::State>& session, StatementSource source,
+    std::atomic<int32_t>* cancel) {
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source), cancel));
+  if (stream->core != nullptr) {
+    // Answered at open (DML, EXPLAIN): read the finished stream back.
+    ResultSet answered;
+    answered.stream_ = std::move(stream);
+    return answered.Materialize();
+  }
+  HQ_ASSIGN_OR_RETURN(auto table, Drain(stream.get(), cancel));
+  return AssembleResult(session->engine, stream->run.meta, stream->run.stats,
+                        std::move(table));
+}
+
+Result<ResultSet> SessionImpl::Cursor(
+    const std::shared_ptr<Session::State>& session, StatementSource source) {
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source), nullptr));
+  if (stream->core == nullptr) {
+    stream->core = std::make_shared<StreamCore>(session->stream_buffer_pages);
+    HQ_RETURN_IF_ERROR(RegisterStream(session.get(), stream->core));
+    StatementRun* run = &stream->run;
+    std::shared_ptr<StreamCore> core = stream->core;
+    stream->producer = std::thread([run, core] {
+      Status ran = Run(
+          run, [&core](Page* page) { return core->Push(page); },
+          [&core]() { return core->AcquirePage(); }, &core->cancel);
+      core->Finish(std::move(ran), run->stats, run->meta);
+    });
+  }
   session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
   ResultSet rs;
   rs.stream_ = std::move(stream);
@@ -767,272 +737,6 @@ SessionImpl::AdmissionLease::~AdmissionLease() {
   if (controller_ != nullptr) controller_->ExitBlocking();
 }
 
-Result<QueryResult> SessionImpl::DrainInline(ResultSet::Stream* s) {
-  // The blocking fast path: no producer thread, no handoff queue — the
-  // executor's page callback adopts pages straight into the result table
-  // on the calling thread. Semantics (pipeline, restart, metadata) are
-  // identical to the cursor path; a cursor is only worth its thread when
-  // the client actually overlaps consumption with execution.
-  {
-    std::lock_guard<std::mutex> lk(s->session->mu);
-    if (s->session->closed) return SessionClosedError();
-  }
-  for (;;) {
-    if (s->is_execute) {
-      HQ_RETURN_IF_ERROR(
-          exec::BindParamValues(s->state->plan->params, s->values, &s->bound));
-    } else {
-      exec::BindParams(s->state->plan->params, &s->bound);
-    }
-    s->par = RuntimeFor(*s->session, s->external_cancel);
-    s->par.collect_op_stats = s->force_op_stats || s->engine->trace_spans();
-    s->par.collect_op_cycles = s->force_op_stats;
-
-    auto table = std::make_unique<Table>("result", s->schema);
-    Status adopt = Status::OK();
-    auto on_page = [&](Page* page) {
-      adopt = table->AdoptPage(page);
-      if (!adopt.ok()) {
-        std::free(page);
-        return false;
-      }
-      return true;
-    };
-    exec::ExecStats stats;
-    auto rows = exec::ExecuteEntryStreaming(
-        s->state->plan->query->tables, s->state->plan->output_schema,
-        s->library->entry(), &s->bound.abi, &stats, s->par, on_page,
-        /*alloc_page=*/{}, &s->state->table_layouts);
-    if (!adopt.ok()) return adopt;
-    if (!rows.ok()) {
-      if (exec::IsMapOverflow(rows.status()) && !s->restarted) {
-        // Stale statistics: re-plan with hybrid aggregation, retry once.
-        s->restarted = true;
-        HQ_RETURN_IF_ERROR(ReplanHybrid(s));
-        continue;
-      }
-      if (exec::IsStalePlan(rows.status()) && s->stale_restarts < 3) {
-        // Table layout moved between prepare and pin: re-prepare fresh.
-        ++s->stale_restarts;
-        HQ_RETURN_IF_ERROR(ReplanFresh(s));
-        continue;
-      }
-      StatementMetrics::Get().failed->Increment();
-      return rows.status();
-    }
-    s->stats = stats;
-    s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-    RecordExecGauges(s->session.get(), stats);
-    RecordStatementDone(s, rows.value());
-    if (s->restarted && !s->is_execute) {
-      s->engine->InstallOverflowAlias(s->failed_signature, s->failed_params,
-                                      *s->state);
-    }
-    return AssembleResult(s, std::move(table));
-  }
-}
-
-// ---- EXPLAIN / EXPLAIN ANALYZE --------------------------------------------
-
-Result<QueryResult> SessionImpl::MakeTextResult(
-    const std::string& column, const std::vector<std::string>& lines) {
-  // One fixed-width CHAR column sized to the longest line: CHAR(N) is the
-  // only variable-width type the engine has, and a text report is the only
-  // result shape that flows through every surface (rows, pages, wire)
-  // without a new protocol concept.
-  size_t width = 1;
-  for (const auto& line : lines) width = std::max(width, line.size());
-  // A tuple must fit one NSM page (and leave the 8-byte rounding room).
-  constexpr size_t kMaxWidth = 1024;
-  if (width > kMaxWidth) width = kMaxWidth;
-  auto w = static_cast<uint16_t>(width);
-
-  Schema schema;
-  schema.AddColumn("plan", Type::Char(w));
-  auto table = std::make_unique<Table>("explain", schema);
-  for (const auto& line : lines) {
-    std::string text = line.size() > width ? line.substr(0, width) : line;
-    HQ_RETURN_IF_ERROR(table->AppendRow({Value::Char(std::move(text), w)}));
-  }
-  QueryResult result;
-  result.schema = schema;
-  result.table = std::move(table);
-  return result;
-}
-
-Result<ResultSet> SessionImpl::StreamFromResult(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    QueryResult&& result) {
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->is_meta = true;
-  stream->schema = result.schema;
-  stream->tuple_size = result.schema.TupleSize();
-  stream->plan_signature = result.plan_signature;
-  stream->plan_text = result.plan_text;
-  stream->timings = result.timings;
-  stream->cache_hit = result.cache_hit;
-  stream->opt_level = result.library_opt_level;
-  stream->stats = result.exec_stats;
-
-  const uint32_t tuple_size = stream->tuple_size;
-  const uint32_t per_page = Page::TuplesPerPage(tuple_size);
-  const int64_t rows = result.NumRows();
-  // Capacity covers every page up front, so the sealed core is filled
-  // without a consumer: Push only blocks once `capacity` pages queue up.
-  auto pages_needed = static_cast<uint32_t>(
-      (static_cast<uint64_t>(rows) + per_page - 1) / per_page);
-  auto core = std::make_shared<StreamCore>(pages_needed < 1 ? 1 : pages_needed);
-
-  Page* page = nullptr;
-  uint32_t slot = 0;
-  bool failed = false;
-  auto flush = [&] {
-    if (page == nullptr) return;
-    page->num_tuples = slot;
-    if (!core->Push(page)) failed = true;
-    page = nullptr;
-    slot = 0;
-  };
-  if (result.table != nullptr) {
-    HQ_RETURN_IF_ERROR(result.table->ForEachTuple([&](const uint8_t* tuple) {
-      if (failed) return;
-      if (page == nullptr) {
-        page = core->AcquirePage();
-        if (page == nullptr) {
-          failed = true;
-          return;
-        }
-        std::memset(page, 0, kPageSize);
-      }
-      std::memcpy(page->TupleAt(slot, tuple_size), tuple, tuple_size);
-      if (++slot == per_page) flush();
-    }));
-  }
-  if (!failed) flush();
-  if (failed) return Status::ExecError("out of memory materializing EXPLAIN");
-  core->Finish(Status::OK(), rows, result.exec_stats);
-  stream->core = std::move(core);
-  ResultSet rs;
-  rs.stream_ = std::move(stream);
-  return rs;
-}
-
-Result<QueryResult> SessionImpl::ExplainQuery(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& inner, bool analyze,
-    const plan::PlannerOptions& planner, bool cacheable,
-    std::atomic<int32_t>* external_cancel) {
-  {
-    std::lock_guard<std::mutex> lk(session->mu);
-    if (session->closed) return SessionClosedError();
-  }
-  if (sql::IsDmlStatement(inner)) {
-    return Status::PlanError("EXPLAIN supports SELECT statements only");
-  }
-  if (!analyze) {
-    // Plan only: prepare (plan + generate + compile, or a cache hit) but
-    // never execute. The report is the physical plan plus cache metadata.
-    HQ_ASSIGN_OR_RETURN(auto state,
-                        PrepareQueryState(engine, inner, planner, cacheable,
-                                          /*force_hybrid=*/false));
-    auto library = CurrentLibrary(engine, *state);
-    auto lines =
-        obs::RenderExplainLines(state->plan_text, state->signature,
-                                state->cache_hit, library->opt_level());
-    HQ_ASSIGN_OR_RETURN(QueryResult result, MakeTextResult("plan", lines));
-    result.plan_text = state->plan_text;
-    result.plan_signature = state->signature;
-    result.cache_hit = state->cache_hit;
-    result.library_opt_level = library->opt_level();
-    result.timings = state->prepare_timings;
-    return result;
-  }
-  // ANALYZE: run the inner statement with per-operator span collection
-  // (and cycle counters) forced, then render the annotated plan. The inner
-  // execution is the real pipeline — same restarts, same admission, same
-  // metrics fold — so the report reflects exactly what a plain Query did.
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, inner, planner,
-                                       cacheable, external_cancel));
-  stream->force_op_stats = true;
-  HQ_ASSIGN_OR_RETURN(QueryResult executed, DrainInline(stream.get()));
-  auto lines = obs::RenderAnalyzeLines(
-      executed.plan_text, executed.plan_signature, executed.cache_hit,
-      executed.library_opt_level, executed.timings, executed.exec_stats);
-  HQ_ASSIGN_OR_RETURN(QueryResult result, MakeTextResult("plan", lines));
-  result.plan_text = executed.plan_text;
-  result.plan_signature = executed.plan_signature;
-  result.cache_hit = executed.cache_hit;
-  result.library_opt_level = executed.library_opt_level;
-  result.timings = executed.timings;
-  result.exec_stats = executed.exec_stats;
-  result.cache_stats = executed.cache_stats;
-  return result;
-}
-
-Result<QueryResult> SessionImpl::BlockingQuery(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  {
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      return ExplainQuery(engine, session, inner, analyze, planner,
-                          cacheable, external_cancel);
-    }
-  }
-  if (sql::IsDmlStatement(sql)) {
-    // Writes bypass the compiled-query machinery entirely: the statement
-    // executes before any cursor exists, and the result carries only the
-    // affected-row count.
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected, engine->ExecuteDml(sql));
-    QueryResult result;
-    result.rows_affected = static_cast<int64_t>(affected);
-    result.plan_text = "dml";
-    result.timings.execute_ms = timer.ElapsedMillis();
-    return result;
-  }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, sql, planner,
-                                       cacheable, external_cancel));
-  return DrainInline(stream.get());
-}
-
-Result<QueryResult> SessionImpl::BlockingExecute(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (stmt.valid() && stmt.state_->is_dml) {
-    if (!values.empty()) {
-      return Status::BindError("DML statements take no parameter values");
-    }
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected,
-                        engine->ExecuteDml(stmt.state_->sql));
-    QueryResult result;
-    result.rows_affected = static_cast<int64_t>(affected);
-    result.plan_text = "dml";
-    result.timings.execute_ms = timer.ElapsedMillis();
-    return result;
-  }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildExecuteStream(engine, session, stmt, values,
-                                         external_cancel));
-  return DrainInline(stream.get());
-}
-
 void SessionImpl::SettleCancelled(
     const std::shared_ptr<QueryHandle::AsyncState>& s) {
   {
@@ -1044,11 +748,10 @@ void SessionImpl::SettleCancelled(
   s->cv.notify_all();
 }
 
-QueryHandle SessionImpl::Submit(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    std::function<Result<QueryResult>(std::atomic<int32_t>*)> run) {
+QueryHandle SessionImpl::Submit(const std::shared_ptr<Session::State>& session,
+                                StatementSource source) {
   auto state = std::make_shared<QueryHandle::AsyncState>();
-  state->controller = engine->admission();
+  state->controller = session->engine->admission();
   state->session = session;
   {
     std::lock_guard<std::mutex> lk(session->mu);
@@ -1071,7 +774,7 @@ QueryHandle SessionImpl::Submit(
   session->stat_queued.fetch_add(1, std::memory_order_relaxed);
   WallTimer queue_wait;
   auto job = [state, session, queue_wait,
-              run = std::move(run)](uint64_t seq, bool cancelled) {
+              source = std::move(source)](uint64_t seq, bool cancelled) {
     DebitQueued(state);
     if (cancelled || state->cancel.load(std::memory_order_acquire) != 0) {
       SettleCancelled(state);
@@ -1084,7 +787,7 @@ QueryHandle SessionImpl::Submit(
     StatementMetrics::Get().admission_wait_ms->Observe(
         static_cast<double>(waited_micros) / 1000.0);
     state->dispatch_seq.store(seq, std::memory_order_release);
-    auto result = run(&state->cancel);
+    auto result = Blocking(session, source, &state->cancel);
     {
       std::lock_guard<std::mutex> lk(state->mu);
       if (!state->done) {
@@ -1099,6 +802,45 @@ QueryHandle SessionImpl::Submit(
   QueryHandle handle;
   handle.state_ = std::move(state);
   return handle;
+}
+
+Result<PreparedStatement> SessionImpl::Prepare(
+    HiqueEngine* engine, const std::string& sql,
+    const plan::PlannerOptions& planner) {
+  std::string inner;
+  switch (Classify(sql, &inner)) {
+    case StatementKind::kExplain:
+    case StatementKind::kExplainAnalyze:
+      // EXPLAIN is a one-shot diagnostic: its output depends on transient
+      // cache state, so a prepared handle would lie on re-execution.
+      return Status::BindError(
+          "EXPLAIN cannot be prepared; run it with Query()");
+    case StatementKind::kDml: {
+      // Validate now (typed parse/placeholder errors surface at Prepare, as
+      // they do for reads) but execute per-Execute: DML compiles nothing, so
+      // the prepared state is just the validated statement text.
+      auto parsed = sql::ParseDml(sql);
+      if (!parsed.ok()) return parsed.status();
+      auto state = std::make_shared<PreparedStatement::State>();
+      state->sql = sql;
+      state->signature = "dml";
+      state->plan_text = "dml";
+      state->is_dml = true;
+      PreparedStatement prepared;
+      prepared.state_ = std::move(state);
+      return prepared;
+    }
+    case StatementKind::kSelect:
+      break;
+  }
+  HQ_ASSIGN_OR_RETURN(
+      auto state,
+      engine->PrepareState(sql, planner, engine->options().cache_compiled,
+                           /*force_hybrid_agg=*/false,
+                           /*allow_placeholders=*/true));
+  PreparedStatement prepared;
+  prepared.state_ = std::move(state);
+  return prepared;
 }
 
 // ---- ResultSet -------------------------------------------------------------
@@ -1149,7 +891,7 @@ bool ResultSet::Next() {
       s->page = nullptr;
       s->row_valid = false;
     }
-    s->page = SessionImpl::PullPage(s);
+    s->page = PullPage(s);
     if (s->page == nullptr) return false;
   }
 }
@@ -1159,7 +901,7 @@ Page* ResultSet::TakePage() {
   Stream* s = stream_.get();
   HQ_CHECK_MSG(!s->iterating, "page access on a row-iterating cursor");
   s->page_mode = true;
-  Page* page = SessionImpl::PullPage(s);
+  Page* page = PullPage(s);
   if (page != nullptr) s->rows_read += page->num_tuples;
   return page;
 }
@@ -1170,14 +912,20 @@ ResultSet::PagePoll ResultSet::TryTakePage(Page** page) {
   Stream* s = stream_.get();
   HQ_CHECK_MSG(!s->iterating, "page access on a row-iterating cursor");
   s->page_mode = true;
-  PagePoll poll = SessionImpl::TryPullPage(s, page);
-  if (poll == PagePoll::kPage) s->rows_read += (*page)->num_tuples;
-  return poll;
+  if (s->done) return PagePoll::kEnd;
+  bool ended = false;
+  if (!s->core->TryPop(page, &ended)) return PagePoll::kPending;
+  if (*page == nullptr) {
+    EndStream(s);
+    return PagePoll::kEnd;
+  }
+  s->rows_read += (*page)->num_tuples;
+  return PagePoll::kPage;
 }
 
 void ResultSet::RecyclePage(Page* page) {
   if (page == nullptr) return;
-  if (valid() && stream_->core != nullptr) {
+  if (valid()) {
     stream_->core->Recycle(page);
   } else {
     std::free(page);
@@ -1186,22 +934,14 @@ void ResultSet::RecyclePage(Page* page) {
 
 uint64_t ResultSet::pages_allocated() const {
   if (!valid()) return 0;
-  uint64_t n = stream_->acc_pages_allocated;
-  if (stream_->core != nullptr) {
-    std::lock_guard<std::mutex> lk(stream_->core->mu);
-    n += stream_->core->pages_allocated;
-  }
-  return n;
+  std::lock_guard<std::mutex> lk(stream_->core->mu);
+  return stream_->core->pages_allocated;
 }
 
 uint64_t ResultSet::pages_recycled() const {
   if (!valid()) return 0;
-  uint64_t n = stream_->acc_pages_recycled;
-  if (stream_->core != nullptr) {
-    std::lock_guard<std::mutex> lk(stream_->core->mu);
-    n += stream_->core->pages_recycled;
-  }
-  return n;
+  std::lock_guard<std::mutex> lk(stream_->core->mu);
+  return stream_->core->pages_recycled;
 }
 
 const uint8_t* ResultSet::RowBytes() const {
@@ -1229,23 +969,14 @@ Status ResultSet::status() const {
 }
 
 void ResultSet::Close() {
-  if (!valid() || stream_->core == nullptr) return;
+  if (!valid()) return;
   Stream* s = stream_.get();
   s->core->CancelAndClose();
-  if (s->producer.joinable()) s->producer.join();
+  if (!s->done) EndStream(s);
   {
     std::lock_guard<std::mutex> lk(s->core->mu);
     for (Page* p : s->core->queue) std::free(p);
     s->core->queue.clear();
-    if (!s->done) {
-      s->done = true;
-      s->end_status = s->core->final_status.ok() ? Status::OK()
-                                                 : s->core->final_status;
-      s->stats = s->core->stats;
-      if (s->core->peak_resident > s->stats_peak_pages) {
-        s->stats_peak_pages = s->core->peak_resident;
-      }
-    }
   }
   std::free(s->page);
   s->page = nullptr;
@@ -1255,25 +986,18 @@ void ResultSet::Close() {
 Result<QueryResult> ResultSet::Materialize() {
   if (!valid()) return Status::InvalidArgument("invalid ResultSet");
   Stream* s = stream_.get();
-  if (s->is_dml) {
-    // No result table exists (or could: the schema is empty), so iterating
-    // first loses nothing — always surface the affected-row count the
-    // pre-finished stream carries.
-    QueryResult result;
-    result.rows_affected = s->rows_affected;
-    result.plan_text = s->plan_text;
-    result.timings = s->timings;
-    return result;
+  std::unique_ptr<Table> table;
+  // A DML statement has no result columns and no result relation; rows
+  // consumed first lose nothing, so its affected-row count always surfaces.
+  if (s->schema.NumColumns() > 0) {
+    if (s->iterating) {
+      return Status::InvalidArgument(
+          "Materialize requires an unconsumed cursor (rows were already read "
+          "through Next)");
+    }
+    table = std::make_unique<Table>("result", s->schema);
   }
-  if (s->iterating) {
-    return Status::InvalidArgument(
-        "Materialize requires an unconsumed cursor (rows were already read "
-        "through Next)");
-  }
-  auto table = std::make_unique<Table>("result", s->schema);
-  for (;;) {
-    Page* page = SessionImpl::PullPage(s);
-    if (page == nullptr) break;
+  while (Page* page = PullPage(s)) {
     Status adopted = table->AdoptPage(page);
     if (!adopted.ok()) {
       std::free(page);
@@ -1282,45 +1006,40 @@ Result<QueryResult> ResultSet::Materialize() {
     }
   }
   if (!s->end_status.ok()) return s->end_status;
-  return SessionImpl::AssembleResult(s, std::move(table));
+  return AssembleResult(s->run.session->engine, s->meta, s->stats,
+                        std::move(table));
 }
 
 const std::string& ResultSet::plan_signature() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
-  return stream_->plan_signature;
+  return stream_->meta.plan_signature;
 }
 const std::string& ResultSet::plan_text() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
-  return stream_->plan_text;
+  return stream_->meta.plan_text;
 }
 const QueryTimings& ResultSet::timings() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
-  return stream_->timings;
+  return stream_->meta.timings;
 }
 bool ResultSet::cache_hit() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
-  return stream_->cache_hit;
+  return stream_->meta.cache_hit;
 }
 int ResultSet::library_opt_level() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
-  return stream_->opt_level;
+  return stream_->meta.opt_level;
 }
 int64_t ResultSet::rows_read() const {
   return valid() ? stream_->rows_read : 0;
 }
 int64_t ResultSet::rows_affected() const {
-  return valid() ? stream_->rows_affected : 0;
+  return valid() ? stream_->meta.rows_affected : 0;
 }
 uint32_t ResultSet::peak_result_pages() const {
   if (!valid()) return 0;
-  uint32_t peak = stream_->stats_peak_pages;
-  if (stream_->core != nullptr) {
-    std::lock_guard<std::mutex> lk(stream_->core->mu);
-    if (stream_->core->peak_resident > peak) {
-      peak = stream_->core->peak_resident;
-    }
-  }
-  return peak;
+  std::lock_guard<std::mutex> lk(stream_->core->mu);
+  return stream_->core->peak_resident;
 }
 const exec::ExecStats& ResultSet::exec_stats() const {
   HQ_CHECK_MSG(valid(), "accessor on an invalid ResultSet");
@@ -1384,18 +1103,14 @@ Result<QueryResult> Session::Query(const std::string& sql) {
   // (one shared slot pool), so a storm of blocking remote clients cannot
   // starve async slots — or the other way round.
   SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::BlockingQuery(state_->engine, state_, sql,
-                                    state_->planner,
-                                    state_->engine->options().cache_compiled,
-                                    nullptr);
+  return SessionImpl::Blocking(state_, TextSource(*state_, sql), nullptr);
 }
 
 Result<QueryResult> Session::Execute(const PreparedStatement& stmt,
                                      const std::vector<Value>& values) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
   SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::BlockingExecute(state_->engine, state_, stmt, values,
-                                      nullptr);
+  return SessionImpl::Blocking(state_, PreparedSource(stmt, values), nullptr);
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& sql) {
@@ -1405,44 +1120,24 @@ Result<PreparedStatement> Session::Prepare(const std::string& sql) {
 
 Result<ResultSet> Session::QueryStream(const std::string& sql) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  return SessionImpl::OpenQueryStream(
-      state_->engine, state_, sql, state_->planner,
-      state_->engine->options().cache_compiled, nullptr);
+  return SessionImpl::Cursor(state_, TextSource(*state_, sql));
 }
 
 Result<ResultSet> Session::ExecuteStream(const PreparedStatement& stmt,
                                          const std::vector<Value>& values) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  return SessionImpl::OpenExecuteStream(state_->engine, state_, stmt, values,
-                                        nullptr);
+  return SessionImpl::Cursor(state_, PreparedSource(stmt, values));
 }
 
 QueryHandle Session::SubmitAsync(const std::string& sql) {
   if (!valid()) return QueryHandle();
-  HiqueEngine* engine = state_->engine;
-  auto session = state_;
-  bool cacheable = engine->options().cache_compiled;
-  plan::PlannerOptions planner = state_->planner;
-  return SessionImpl::Submit(
-      engine, state_,
-      [engine, session, sql, planner,
-       cacheable](std::atomic<int32_t>* cancel) {
-        return SessionImpl::BlockingQuery(engine, session, sql, planner,
-                                          cacheable, cancel);
-      });
+  return SessionImpl::Submit(state_, TextSource(*state_, sql));
 }
 
 QueryHandle Session::SubmitAsync(const PreparedStatement& stmt,
                                  const std::vector<Value>& values) {
   if (!valid()) return QueryHandle();
-  HiqueEngine* engine = state_->engine;
-  auto session = state_;
-  return SessionImpl::Submit(
-      engine, state_,
-      [engine, session, stmt, values](std::atomic<int32_t>* cancel) {
-        return SessionImpl::BlockingExecute(engine, session, stmt, values,
-                                            cancel);
-      });
+  return SessionImpl::Submit(state_, PreparedSource(stmt, values));
 }
 
 SessionStats Session::Stats() const {
@@ -1529,8 +1224,11 @@ Result<QueryResult> HiqueEngine::QueryWithPlanner(
     const std::string& sql, const plan::PlannerOptions& planner) {
   // Per-query planner override, bypassing the compiled-query cache so
   // sweeps always measure a fresh compile.
-  return SessionImpl::BlockingQuery(this, default_session_.state_, sql,
-                                    planner, /*cacheable=*/false, nullptr);
+  StatementSource source;
+  source.sql = sql;
+  source.planner = planner;
+  return SessionImpl::Blocking(default_session_.state_, std::move(source),
+                               nullptr);
 }
 
 Result<PreparedStatement> HiqueEngine::Prepare(const std::string& sql) {

@@ -11,6 +11,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "exec/admission.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
-#include "util/timer.h"
 
 namespace hique {
 
@@ -53,6 +53,20 @@ struct PreparedStatement::State {
   mutable std::shared_ptr<const State> fallback;
 };
 
+/// What a statement reports besides its rows. Open fills it in; a restart
+/// replan rewrites it, and Run stamps timings.execute_ms.
+struct StatementMeta {
+  std::string plan_signature;
+  std::string plan_text;
+  std::string generated_source;  // kept when EngineOptions::keep_source
+  QueryTimings timings;
+  bool cache_hit = false;
+  int opt_level = 0;
+  int64_t source_bytes = 0;
+  int64_t library_bytes = 0;
+  int64_t rows_affected = 0;  // DML
+};
+
 /// The bounded producer→consumer handoff behind a ResultSet: completed
 /// result pages queue here until the consumer pulls them. The producer
 /// blocks once `capacity` pages are buffered — that bound (plus the page
@@ -67,11 +81,12 @@ struct StreamCore {
   std::deque<Page*> queue;
   const uint32_t capacity;
   bool closed = false;    // consumer cancelled / went away
-  bool finished = false;  // producer done; final_status/rows/stats valid
+  bool finished = false;  // producer done; final_status/stats/meta valid
   Status final_status = Status::OK();
-  int64_t rows = 0;
   exec::ExecStats stats;
-  uint64_t pages_delivered = 0;
+  // The producer's final metadata: a restart replan on the producer thread
+  // rewrites it, and the consumer applies it at end of stream.
+  StatementMeta meta;
   uint32_t peak_resident = 0;
 
   // Backpressure-aware page recycling: pages the consumer drained return
@@ -83,9 +98,8 @@ struct StreamCore {
   uint64_t pages_allocated = 0;  // fresh posix_memalign calls
   uint64_t pages_recycled = 0;   // free-list reuses
 
-  // The flag the executor polls: &cancel, or the async job's flag.
+  // The flag the producer's executor polls.
   std::atomic<int32_t> cancel{0};
-  std::atomic<int32_t>* cancel_flag = &cancel;
 
   /// Producer side: enqueue a completed page (takes ownership). Blocks
   /// while the buffer is full; false once the consumer closed (the page is
@@ -102,7 +116,7 @@ struct StreamCore {
   void Recycle(Page* page);
 
   /// Producer side: final outcome of the execution.
-  void Finish(Status status, int64_t row_count, const exec::ExecStats& s);
+  void Finish(Status status, const exec::ExecStats& s, StatementMeta m);
 
   /// Consumer side: next page (ownership transfers to the caller), or
   /// null once the producer finished and the buffer drained.
@@ -112,9 +126,6 @@ struct StreamCore {
   /// page (or the end of stream, *out == null with `ended` true) is
   /// available right now; false when the producer is still computing.
   bool TryPop(Page** out, bool* ended);
-
-  /// Consumer side: wait until Pop/TryPop would make progress.
-  void WaitReadable();
 
   /// Consumer/session side: request cancellation and wake both ends.
   void CancelAndClose();
@@ -170,43 +181,52 @@ struct QueryHandle::AsyncState {
   std::atomic<bool> dequeued{false};
 };
 
-/// Everything one streaming execution owns: the pinned plan/library/param
-/// block the producer thread reads, the handoff core, and the consumer's
-/// cursor position. Destroyed only after the producer joined.
-struct ResultSet::Stream {
-  HiqueEngine* engine = nullptr;
-  std::shared_ptr<Session::State> session;
-
-  // Plan + library pins (the prepared state owns the plan; the library
-  // shared_ptr keeps the dlopen'd code loaded through cache evictions).
-  std::shared_ptr<const PreparedStatement::State> state;
-  std::shared_ptr<exec::CompiledLibrary> library;
-
-  // How to (re)launch — kept for the map-overflow restart.
-  bool is_execute = false;
-  std::vector<Value> values;  // placeholder bindings (execute path)
+/// Where a statement comes from: SQL text planned with `planner`, or a
+/// prepared statement executed with `values`.
+struct StatementSource {
   std::string sql;
   plan::PlannerOptions planner;
   bool cacheable = false;
-  std::atomic<int32_t>* external_cancel = nullptr;  // async job's flag
-  exec::ParallelRuntime par;
+  std::optional<PreparedStatement> stmt;
+  std::vector<Value> values;
+};
 
+/// One statement between Open and the end of Run: what to (re)plan from,
+/// the resolved plan state and library, and the bound parameter block. On a
+/// cursor, only the producer thread touches it once Open has returned.
+struct StatementRun {
+  std::shared_ptr<Session::State> session;
+  // For a prepared statement, sql/planner/cacheable are the statement's.
+  StatementSource source;
+  // EXPLAIN ANALYZE forces per-operator span collection (and cycle
+  // counters) regardless of EngineOptions::trace_spans. Neither changes the
+  // generated source or the result bytes.
+  bool force_op_stats = false;
+
+  // The prepared state owns the plan; the library shared_ptr keeps the
+  // dlopen'd code loaded through cache evictions.
+  std::shared_ptr<const PreparedStatement::State> state;
+  std::shared_ptr<exec::CompiledLibrary> library;
   exec::BoundParams bound;
+  StatementMeta meta;
+  exec::ExecStats stats;
+};
+
+/// A statement opened for reading. A SELECT cursor runs its StatementRun on
+/// the producer thread into `core`; DML and EXPLAIN are answered at open
+/// and arrive with a sealed `core`. Destroyed only after the producer
+/// joined.
+struct ResultSet::Stream {
+  StatementRun run;
   std::shared_ptr<StreamCore> core;
   std::thread producer;
-  WallTimer exec_timer;  // launch → end-of-stream wall time
 
-  // Metadata fixed at open.
+  // Metadata the consumer reads: set at open, replaced from the core at end
+  // of stream.
   Schema schema;
   uint32_t tuple_size = 0;
-  std::string plan_signature;
-  std::string plan_text;
-  std::string generated_source;
-  QueryTimings timings;
-  bool cache_hit = false;
-  int opt_level = 0;
-  int64_t source_bytes = 0;
-  int64_t library_bytes = 0;
+  StatementMeta meta;
+  exec::ExecStats stats;
 
   // Consumer cursor.
   Page* page = nullptr;       // held page (owned)
@@ -217,139 +237,64 @@ struct ResultSet::Stream {
   bool page_mode = false;     // Take/TryTakePage used (row access forbidden)
   bool done = false;
   Status end_status = Status::OK();
-  exec::ExecStats stats;
-  uint32_t stats_peak_pages = 0;  // high-water resident pages across launches
-  uint64_t acc_pages_allocated = 0;  // folded from prior cores on restart
-  uint64_t acc_pages_recycled = 0;
-
-  // Stale-statistics restart bookkeeping.
-  bool restarted = false;
-  std::string failed_signature;
-  plan::ParamTable failed_params;
-
-  // Stale-plan restarts (table layout moved between prepare and pin):
-  // bounded so a compaction storm cannot loop a query forever.
-  uint32_t stale_restarts = 0;
-
-  // DML statements short-circuit the stream machinery: the write executed
-  // before the cursor was handed out, rows_affected carries the count, and
-  // the stream opens pre-finished (done == true, no core, no producer).
-  bool is_dml = false;
-  int64_t rows_affected = 0;
-
-  // EXPLAIN ANALYZE forces per-operator span collection (and cycle
-  // counters) for this one statement, regardless of
-  // EngineOptions::trace_spans. Neither flag changes the generated source
-  // or the result bytes — collection is engine-side only.
-  bool force_op_stats = false;
-
-  // Pre-materialized metadata stream (EXPLAIN output wrapped by
-  // StreamFromResult): the core is already sealed, there is no producer
-  // thread, and statement metrics were recorded by the inner execution —
-  // FinishStream must not fold it into the session gauges again.
-  bool is_meta = false;
 
   ~Stream();
 };
 
 /// The privileged implementation of the session layer: a friend of
 /// HiqueEngine / Session / ResultSet / QueryHandle / PreparedStatement, so
-/// the streaming and async paths can reach the cache, the worker pool and
-/// the prepared-state internals without widening any public surface.
+/// the pipeline can reach the cache, the worker pool and the prepared-state
+/// internals without widening any public surface. Every statement passes
+/// Classify (session.cc), Open and, unless Open answered it, Run.
 struct SessionImpl {
-  static exec::ParallelRuntime RuntimeFor(const Session::State& s,
-                                          std::atomic<int32_t>* cancel);
+  /// Stage 2: resolves the state and library and fills in the metadata.
+  /// DML and EXPLAIN are answered here and come back as a finished stream
+  /// (sealed core, no producer); a SELECT comes back ready for Run. `cancel`
+  /// is polled by the execution EXPLAIN ANALYZE runs.
+  static Result<std::unique_ptr<ResultSet::Stream>> Open(
+      const std::shared_ptr<Session::State>& session, StatementSource source,
+      std::atomic<int32_t>* cancel);
 
-  /// Builds a fully planned stream (metadata filled, producer not yet
-  /// started): the shared front half of the cursor and blocking paths.
-  static Result<std::unique_ptr<ResultSet::Stream>> BuildQueryStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
-  static Result<std::unique_ptr<ResultSet::Stream>> BuildExecuteStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
-      std::atomic<int32_t>* external_cancel);
+  /// Stage 3: executes `run` into the page sink, applies the restart policy
+  /// (at most one map-overflow replan to hybrid aggregation and three
+  /// stale-plan replans, only while no page has been delivered), stamps
+  /// timings.execute_ms and folds the statement metrics.
+  static Status Run(StatementRun* run, const exec::ResultPageFn& on_page,
+                    const exec::PageAllocFn& alloc_page,
+                    std::atomic<int32_t>* cancel);
 
-  static Result<ResultSet> OpenQueryStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
+  /// Open, then Run on the calling thread into a result table.
+  static Result<QueryResult> Blocking(
+      const std::shared_ptr<Session::State>& session, StatementSource source,
+      std::atomic<int32_t>* cancel);
 
-  static Result<ResultSet> OpenExecuteStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
-      std::atomic<int32_t>* external_cancel);
+  /// Open, then Run on a producer thread into a bounded StreamCore.
+  static Result<ResultSet> Cursor(
+      const std::shared_ptr<Session::State>& session, StatementSource source);
 
-  /// Blocking drain on the calling thread — same pipeline and restart
-  /// logic as the cursor path, but no producer thread or handoff queue:
-  /// pages are adopted into the result table straight from the executor's
-  /// page callback.
-  static Result<QueryResult> DrainInline(ResultSet::Stream* stream);
+  /// Blocking on an admission slot.
+  static QueryHandle Submit(const std::shared_ptr<Session::State>& session,
+                            StatementSource source);
 
-  /// EXPLAIN / EXPLAIN ANALYZE over `inner`: plans (and for ANALYZE,
-  /// executes with span collection forced) the inner statement and renders
-  /// the report as a single-CHAR-column result set, so it flows through
-  /// every existing surface — blocking, cursor, and the wire server —
-  /// unchanged.
-  static Result<QueryResult> ExplainQuery(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& inner, bool analyze,
-      const plan::PlannerOptions& planner, bool cacheable,
-      std::atomic<int32_t>* external_cancel);
+  static Result<PreparedStatement> Prepare(
+      HiqueEngine* engine, const std::string& sql,
+      const plan::PlannerOptions& planner);
 
-  /// Builds a one-CHAR-column QueryResult (one row per line, width = the
-  /// longest line).
-  static Result<QueryResult> MakeTextResult(const std::string& column,
-                                            const std::vector<std::string>& lines);
+  /// Points `run` at `state`: resolves its library, fills in the metadata
+  /// and binds the parameters.
+  static Status Adopt(StatementRun* run,
+                      std::shared_ptr<const PreparedStatement::State> state);
 
-  /// Wraps an already materialized result into a pre-finished stream (pages
-  /// pushed, core sealed, no producer thread) so the cursor and wire paths
-  /// can serve it like any other query.
-  static Result<ResultSet> StreamFromResult(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      QueryResult&& result);
-
-  static Result<QueryResult> BlockingQuery(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
-
-  static Result<QueryResult> BlockingExecute(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
-      std::atomic<int32_t>* external_cancel);
-
-  static QueryHandle Submit(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      std::function<Result<QueryResult>(std::atomic<int32_t>*)> run);
-
-  /// Binds parameters and starts the producer thread (stream->core must be
-  /// unset or replaced first).
-  static Status Launch(ResultSet::Stream* stream);
-
-  /// Pulls the next completed page (ownership to the caller); handles the
-  /// end of stream, the map-overflow restart, and the overflow-alias
-  /// success hook. Null at end — stream->done / end_status are then set.
-  static Page* PullPage(ResultSet::Stream* stream);
-
-  /// Non-blocking PullPage for event-loop consumers (the wire server):
-  /// kPending means the producer is still computing (or a map-overflow
-  /// restart just relaunched) — poll again. Same end-of-stream handling
-  /// as PullPage.
-  static ResultSet::PagePoll TryPullPage(ResultSet::Stream* stream,
-                                         Page** page);
-
-  /// Shared end-of-stream handling once the producer finished and the
-  /// queue drained: joins the producer, folds core telemetry into the
-  /// stream, runs the map-overflow restart (returns true: keep pulling)
-  /// or seals done/end_status (returns false).
-  static bool FinishStream(ResultSet::Stream* stream);
+  /// Re-plans after a restartable failure: onto hybrid aggregation after a
+  /// map overflow (a prepared statement shares one lazily built fallback
+  /// across its executions), or from scratch against the current table
+  /// layouts after a stale plan.
+  static Status Replan(StatementRun* run, bool hybrid);
 
   /// Blocking-admission lease for Session::Query/Execute: waits for an
   /// admission slot (same stride queue as SubmitAsync), records the wait
   /// in the session stats, and releases on destruction. Async jobs hold an
-  /// admission slot already, so they bypass this (external_cancel path).
+  /// admission slot already, so they bypass this.
   class AdmissionLease {
    public:
     explicit AdmissionLease(const std::shared_ptr<Session::State>& session);
@@ -361,46 +306,6 @@ struct SessionImpl {
     exec::AdmissionController* controller_ = nullptr;
     bool leased_ = false;
   };
-
-  /// Copies the open-time metadata out of the (possibly restarted)
-  /// prepared state into the stream.
-  static void FillStreamMeta(ResultSet::Stream* stream);
-
-  /// Adds a stream's handoff core to its session's live set (so Close can
-  /// cancel it); fails when the session is closed.
-  static Status RegisterStream(const std::shared_ptr<Session::State>& session,
-                               const std::shared_ptr<StreamCore>& core);
-
-  /// Map-overflow replan: swap the stream onto the hybrid-aggregation
-  /// fallback state (query path: fresh PrepareState + failed-signature
-  /// capture; execute path: the statement's shared lazy fallback) and
-  /// refresh the stream metadata. Does not start execution.
-  static Status ReplanHybrid(ResultSet::Stream* stream);
-
-  /// Map-overflow restart for the cursor path: ReplanHybrid + Launch.
-  static Status RestartWithHybrid(ResultSet::Stream* stream);
-
-  /// Stale-plan replan: re-prepare the stream's statement from scratch
-  /// against the current table layouts (the statistics-version prefix keys
-  /// it to a fresh cache slot). Does not start execution.
-  static Status ReplanFresh(ResultSet::Stream* stream);
-
-  /// Shared QueryResult assembly from a finished stream.
-  static QueryResult AssembleResult(ResultSet::Stream* stream,
-                                    std::unique_ptr<Table> table);
-
-  /// Engine-private plumbing used by the streaming paths.
-  static Result<std::shared_ptr<const PreparedStatement::State>>
-  PrepareQueryState(HiqueEngine* engine, const std::string& sql,
-                    const plan::PlannerOptions& planner, bool cacheable,
-                    bool force_hybrid);
-  static Result<std::shared_ptr<const PreparedStatement::State>>
-  PrepareFallback(HiqueEngine* engine, const PreparedStatement::State& state);
-  static Result<PreparedStatement> Prepare(
-      HiqueEngine* engine, const std::string& sql,
-      const plan::PlannerOptions& planner);
-  static std::shared_ptr<exec::CompiledLibrary> CurrentLibrary(
-      HiqueEngine* engine, const PreparedStatement::State& state);
 
   static void SettleCancelled(const std::shared_ptr<QueryHandle::AsyncState>& s);
 };

@@ -87,8 +87,7 @@ bool RemoteResultSet::FetchPage() {
         if (parsed.ok()) parsed = r.U64(&tuples_emitted);
         if (parsed.ok()) parsed = r.U32(&threads);
         if (parsed.ok()) parsed = r.U8(&cache_hit);
-        // v4 extension: absent from v3 servers' frames, defaults to 0.
-        if (parsed.ok() && r.remaining() > 0) parsed = r.U64(&affected);
+        if (parsed.ok()) parsed = r.U64(&affected);
         if (parsed.ok()) rows_affected_ = static_cast<int64_t>(affected);
         end_status_ = parsed;
         done_ = true;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <unordered_set>
 
@@ -632,7 +633,15 @@ Status Table::ComputeStats() {
               if (iv < prev[c]) {
                 sorted[c] = 0;
               } else {
-                max_step[c] = std::max(max_step[c], iv - prev[c]);
+                // In unsigned arithmetic: a step between far-apart values
+                // can exceed INT64_MAX. Saturating there is exact enough —
+                // no packed delta width is that wide.
+                const uint64_t step = static_cast<uint64_t>(iv) -
+                                      static_cast<uint64_t>(prev[c]);
+                max_step[c] = std::max(
+                    max_step[c],
+                    static_cast<int64_t>(std::min<uint64_t>(
+                        step, std::numeric_limits<int64_t>::max())));
               }
             }
             prev[c] = iv;

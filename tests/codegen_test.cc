@@ -141,6 +141,21 @@ TEST_F(CodegenTest, SortedOutputSkipsFinalSort) {
   EXPECT_EQ(src.find("_out(const uint8_t* a"), std::string::npos);
 }
 
+TEST_F(CodegenTest, SortedOutputUsesOnlyBulkPageProtocol) {
+  std::string src =
+      GenerateFor("select r_k, r_v from r where r_v < 500 order by r_v, r_k");
+  size_t begin = src.find("_output(HqQueryCtx* ctx");
+  ASSERT_NE(begin, std::string::npos) << src;
+  size_t end = src.find("\n}\n", begin);
+  ASSERT_NE(end, std::string::npos);
+  std::string output_fn = src.substr(begin, end - begin);
+  // The executor always provides the bulk result-page hooks, so the sorted
+  // output needs no serial per-slot writer.
+  EXPECT_NE(output_fn.find("result_alloc_pages"), std::string::npos)
+      << output_fn;
+  EXPECT_EQ(output_fn.find("HqResultWriter"), std::string::npos) << output_fn;
+}
+
 TEST_F(CodegenTest, DescendingSortComparatorFlipsSign) {
   std::string out;
   codegen::AppendFieldCompare(&out, "a", "b", 8, Type::Double(),

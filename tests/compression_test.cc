@@ -183,6 +183,30 @@ TEST(CompressionCodecTest, HighEntropyTableDeclined) {
   EXPECT_EQ(TableRows(t), before);
 }
 
+TEST(CompressionCodecTest, SortedColumnWithHugeStepIsNotDeltaEncoded) {
+  // A sorted int64 column with one step wider than INT64_MAX: no packed
+  // delta width can hold that step, so the chooser must not pick kDelta,
+  // and the rows must round-trip byte-exactly.
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("j_k", Type::Int64());
+  schema.AddColumn("j_v", Type::Int32());
+  Table* t = catalog.CreateTable("jump", schema).value();
+  const int64_t base = -5000000000000000000;
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t k = (i < 1000 ? base : -base) + i;
+    (void)t->AppendRow({Value::Int64(k), Value::Int32(i % 10)});
+  }
+  ASSERT_TRUE(t->ComputeStats().ok());
+  EXPECT_TRUE(t->stats().columns[0].sorted_asc);
+  std::vector<std::string> before = TableRows(t);
+  ASSERT_TRUE(t->Compress().ok());
+  if (t->codec().enabled) {
+    EXPECT_NE(t->codec().cols[0].enc, ColEncoding::kDelta);
+  }
+  EXPECT_EQ(TableRows(t), before);
+}
+
 TEST(CompressionCodecTest, AppendDecompressesTransparently) {
   // Writes to a compressed table decompress it first (like dropping an
   // index on write): appends must never fail or corrupt existing rows.

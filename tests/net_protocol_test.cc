@@ -3,17 +3,21 @@
 // storage::Value / Schema serde round trips across every column type —
 // NULL markers, empty and max-length CHAR strings included. The server
 // must survive arbitrary bytes from the network, so every malformed-input
-// path returns a Status instead of walking off a buffer.
+// path returns a Status instead of walking off a buffer — and so must the
+// client, which a scripted peer feeds truncated frames.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "net/client.h"
 #include "net/protocol.h"
 #include "net/serde.h"
+#include "net/socket.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -290,6 +294,81 @@ TEST(SchemaSerdeTest, UnknownColumnTypeRejected) {
   WireReader r(w.buffer());
   Schema out;
   EXPECT_FALSE(ReadSchema(&r, &out).ok());
+}
+
+Status RecvRawFrame(Socket* sock, Frame* frame) {
+  uint8_t header[kFrameHeaderSize];
+  HQ_RETURN_IF_ERROR(sock->RecvAll(header, sizeof(header)));
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(header[i]) << (8 * i);
+  }
+  frame->type = static_cast<MsgType>(header[4]);
+  frame->payload.resize(len);
+  return len > 0 ? sock->RecvAll(frame->payload.data(), len) : Status::OK();
+}
+
+Status SendRawFrame(Socket* sock, MsgType type, const WireWriter& w) {
+  std::vector<uint8_t> wire;
+  EncodeFrame(type, w.buffer(), &wire);
+  return sock->SendAll(wire.data(), wire.size());
+}
+
+// Both ends speak exactly one protocol version, so a ResultDone without
+// its rows_affected field can only be a truncated frame: the client must
+// end the stream with a typed IoError rather than report zero rows
+// affected.
+TEST(ClientFrameTest, ShortResultDoneEndsStreamWithIoError) {
+  uint16_t port = 0;
+  auto listener = Socket::Listen("127.0.0.1", 0, 1, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  Status peer = Status::OK();
+  std::thread server([&] {
+    auto accepted = listener.value().Accept();
+    if (!accepted.ok()) {
+      peer = accepted.status();
+      return;
+    }
+    Socket sock = std::move(accepted).value();
+    Frame frame;
+    peer = RecvRawFrame(&sock, &frame);  // Hello
+    WireWriter ack;
+    ack.U16(kProtocolVersion);
+    ack.Str("scripted peer");
+    if (peer.ok()) peer = SendRawFrame(&sock, MsgType::kHelloAck, ack);
+    if (peer.ok()) peer = RecvRawFrame(&sock, &frame);  // Query
+    WireWriter header;
+    Schema schema;
+    schema.AddColumn("c", Type::Int64());
+    WriteSchema(schema, &header);
+    header.Str("sig");
+    header.U8(0);
+    header.I32(0);
+    if (peer.ok()) peer = SendRawFrame(&sock, MsgType::kResultSchema, header);
+    WireWriter done;  // every ResultDone field but the trailing rows_affected
+    done.U64(0);
+    done.F64(0);
+    done.U64(0);
+    done.U64(0);
+    done.U32(1);
+    done.U8(0);
+    if (peer.ok()) peer = SendRawFrame(&sock, MsgType::kResultDone, done);
+    // Hold the connection until the client hangs up.
+    if (peer.ok()) (void)RecvRawFrame(&sock, &frame);
+  });
+
+  auto connected = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Client client = std::move(connected).value();
+  auto rs = client.Query("select c from t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  RemoteResultSet cursor = std::move(rs).value();
+  EXPECT_FALSE(cursor.Next());
+  EXPECT_EQ(cursor.status().code(), StatusCode::kIoError)
+      << cursor.status().ToString();
+  client.Abort();
+  server.join();
+  EXPECT_TRUE(peer.ok()) << peer.ToString();
 }
 
 }  // namespace

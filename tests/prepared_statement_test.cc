@@ -237,6 +237,24 @@ TEST(PreparedOverflowTest, MapOverflowFallsBackToHybridOnce) {
   EXPECT_TRUE(second.ok()) << second.ToString();
 }
 
+TEST(PreparedStalePlanTest, LayoutChangeAfterPrepareReplansTransparently) {
+  Catalog catalog;
+  Table* t = testing::MakeIntTable(&catalog, "t", 2000, 16, 9);
+  HiqueEngine engine(&catalog);
+  auto stmt = engine.Prepare(
+      "select t_k, count(*) from t where t_v < ? group by t_k");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  // Compressing rewrites the page encoding the statement was compiled
+  // against: the execution meets the stale-plan signal and re-prepares the
+  // statement (placeholders included) against the new layout.
+  ASSERT_TRUE(t->Compress().ok());
+  ASSERT_TRUE(t->codec().enabled);
+  Status st = CheckExecuteAgainstReference(
+      &engine, stmt.value(), {Value::Int64(500)},
+      "select t_k, count(*) from t where t_v < 500 group by t_k");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(ParamModeTest, PlaceholdersOnlyHoistsJustPlaceholders) {
   Catalog catalog;
   testing::MakeIntTable(&catalog, "t", 100, 8, 33);

@@ -2,12 +2,14 @@
 // bit-identical to the materialized Query() rows at every thread count,
 // peak result-page residency must stay bounded regardless of result
 // cardinality, early cursor close must cancel the rest of the query
-// cleanly (no leaked pages, engine stays healthy), and the map-overflow
-// restart must work through the streaming path.
+// cleanly (no leaked pages, engine stays healthy), and every blocking,
+// cursor and async entry point must share one statement pipeline.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/engine.h"
@@ -245,38 +247,168 @@ TEST_F(SessionStreamTest, ExecuteStreamMatchesExecute) {
   }
 }
 
-TEST_F(SessionStreamTest, MapOverflowRestartsStreamTransparently) {
-  Catalog catalog;
-  Table* t = testing::MakeIntTable(&catalog, "t", 200, 4, 5);
-  // Stale statistics: claim 4 distinct keys, then insert many new ones so
-  // map aggregation's directories overflow at run time.
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(t->AppendRow({Value::Int32(1000 + i), Value::Int32(i),
-                              Value::Double(i), Value::Char("x", 8)})
-                    .ok());
+/// What one statement returned through some entry point.
+struct Outcome {
+  Schema schema;
+  std::vector<ref::Row> rows;
+  bool cache_hit = false;
+  int64_t rows_affected = 0;
+};
+
+Outcome FromResult(const QueryResult& r) {
+  Outcome out;
+  out.schema = r.schema;
+  out.rows = r.Rows();
+  out.cache_hit = r.cache_hit;
+  out.rows_affected = r.rows_affected;
+  return out;
+}
+
+/// Drains a cursor row by row, or page by page through the non-blocking
+/// TryTakePage pump the wire server runs.
+Result<Outcome> FromCursor(Result<ResultSet> opened, bool pump) {
+  if (!opened.ok()) return opened.status();
+  ResultSet cursor = std::move(opened).value();
+  Outcome out;
+  out.schema = cursor.schema();
+  if (pump) {
+    const uint32_t tuple_size = out.schema.TupleSize();
+    for (;;) {
+      Page* page = nullptr;
+      ResultSet::PagePoll poll = cursor.TryTakePage(&page);
+      if (poll == ResultSet::PagePoll::kEnd) break;
+      if (poll == ResultSet::PagePoll::kPending) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (uint32_t i = 0; i < page->num_tuples; ++i) {
+        const uint8_t* tuple = page->TupleAt(i, tuple_size);
+        ref::Row row;
+        for (size_t c = 0; c < out.schema.NumColumns(); ++c) {
+          row.push_back(out.schema.GetValue(tuple, c));
+        }
+        out.rows.push_back(std::move(row));
+      }
+      cursor.RecyclePage(page);
+    }
+  } else {
+    while (cursor.Next()) out.rows.push_back(cursor.Row());
   }
-  t->mutable_stats().valid = true;  // keep the stale statistics
+  if (!cursor.status().ok()) return cursor.status();
+  out.cache_hit = cursor.cache_hit();
+  out.rows_affected = cursor.rows_affected();
+  return out;
+}
 
+Result<Outcome> FromBlocking(Result<QueryResult> r) {
+  if (!r.ok()) return r.status();
+  return FromResult(r.value());
+}
+
+struct EntryPoint {
+  const char* name;
+  bool prepared;  // runs the statement through Prepare first
+  std::function<Result<Outcome>(Session*, const std::string&)> run;
+};
+
+std::vector<EntryPoint> EntryPoints() {
+  auto prepared = [](const std::function<Result<Outcome>(
+                         Session*, const PreparedStatement&)>& exec) {
+    return [exec](Session* s, const std::string& sql) -> Result<Outcome> {
+      auto stmt = s->Prepare(sql);
+      if (!stmt.ok()) return stmt.status();
+      return exec(s, stmt.value());
+    };
+  };
+  return {
+      {"Query", false,
+       [](Session* s, const std::string& sql) {
+         return FromBlocking(s->Query(sql));
+       }},
+      {"Execute", true,
+       prepared([](Session* s, const PreparedStatement& stmt) {
+         return FromBlocking(s->Execute(stmt));
+       })},
+      {"QueryStream", false,
+       [](Session* s, const std::string& sql) {
+         return FromCursor(s->QueryStream(sql), /*pump=*/false);
+       }},
+      {"ExecuteStream", true,
+       prepared([](Session* s, const PreparedStatement& stmt) {
+         return FromCursor(s->ExecuteStream(stmt), /*pump=*/false);
+       })},
+      {"TryTakePage pump", false,
+       [](Session* s, const std::string& sql) {
+         return FromCursor(s->QueryStream(sql), /*pump=*/true);
+       }},
+      {"SubmitAsync(sql)", false,
+       [](Session* s, const std::string& sql) {
+         return FromBlocking(s->SubmitAsync(sql).Wait());
+       }},
+      {"SubmitAsync(stmt)", true,
+       prepared([](Session* s, const PreparedStatement& stmt) {
+         return FromBlocking(s->SubmitAsync(stmt).Wait());
+       })},
+  };
+}
+
+// Every entry point reaches the same pipeline: a map-overflow restart is
+// transparent, the restart's alias serves the repeat from the cache, DML
+// reports rows affected, and EXPLAIN answers with its plan column.
+TEST_F(SessionStreamTest, EveryEntryPointRestartsOverflowAndAnswersDml) {
   const std::string sql = "select t_k, count(*), sum(t_v) from t group by t_k";
-  auto expected = ref::ExecuteSql(sql, catalog);
-  ASSERT_TRUE(expected.ok());
+  for (const EntryPoint& entry : EntryPoints()) {
+    SCOPED_TRACE(entry.name);
+    Catalog catalog;
+    Table* t = testing::MakeIntTable(&catalog, "t", 200, 4, 5);
+    // Stale statistics: claim 4 distinct keys, then insert many new ones so
+    // map aggregation's directories overflow at run time.
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(t->AppendRow({Value::Int32(1000 + i), Value::Int32(i),
+                                Value::Double(i), Value::Char("x", 8)})
+                      .ok());
+    }
+    t->mutable_stats().valid = true;  // keep the stale statistics
+    auto expected = ref::ExecuteSql(sql, catalog);
+    ASSERT_TRUE(expected.ok());
 
-  HiqueEngine engine(&catalog, FastOptions(1));
-  Session session = engine.OpenSession({});
-  auto rs = session.QueryStream(sql);
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  ResultSet cursor = std::move(rs).value();
-  std::vector<ref::Row> actual;
-  while (cursor.Next()) actual.push_back(cursor.Row());
-  ASSERT_TRUE(cursor.status().ok()) << cursor.status().ToString();
-  Status cmp = ref::CompareRowSets(expected.value(), actual, false);
-  EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+    HiqueEngine engine(&catalog, FastOptions(1));
+    Session session = engine.OpenSession({});
+    auto first = entry.run(&session, sql);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    Status cmp = ref::CompareRowSets(expected.value(), first.value().rows,
+                                     false);
+    EXPECT_TRUE(cmp.ok()) << cmp.ToString();
 
-  // The restart aliased the hybrid library under the overflowing plan's
-  // signature: repeating the query (blocking path) hits the cache.
-  auto repeat = engine.Query(sql);
-  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
-  EXPECT_TRUE(repeat.value().cache_hit);
+    // The restart aliased the hybrid library under the overflowing plan's
+    // signature (or cached it in the prepared statement): the repeat hits.
+    auto repeat = entry.run(&session, sql);
+    ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+    EXPECT_TRUE(repeat.value().cache_hit);
+    cmp = ref::CompareRowSets(expected.value(), repeat.value().rows, false);
+    EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+    if (!entry.prepared) {
+      // The alias serves the blocking path too, whichever path restarted.
+      auto blocking = engine.Query(sql);
+      ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+      EXPECT_TRUE(blocking.value().cache_hit);
+    }
+
+    auto insert = entry.run(&session, "insert into t values (7, 7, 7.0, 'y')");
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    EXPECT_EQ(insert.value().rows_affected, 1);
+    EXPECT_TRUE(insert.value().rows.empty());
+
+    auto explained = entry.run(&session, "explain " + sql);
+    if (entry.prepared) {
+      EXPECT_FALSE(explained.ok());  // EXPLAIN cannot be prepared
+      continue;
+    }
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    ASSERT_EQ(explained.value().schema.NumColumns(), 1u);
+    EXPECT_EQ(explained.value().schema.ColumnAt(0).name, "plan");
+    EXPECT_FALSE(explained.value().rows.empty());
+  }
 }
 
 TEST_F(SessionStreamTest, SessionCloseCancelsOpenCursors) {
