@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       // code, not the production parameterized variant.
       eopts.hoist_constants = false;
       eopts.compile.opt_level = opt;
-      eopts.cache_compiled = false;
+      eopts.max_cached_queries = 0;
       HiqueEngine engine(&catalog, eopts);
       auto res = engine.Query(q.sql);
       if (!res.ok()) {
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
       {
         EngineOptions one_shot = eopts;
-        one_shot.cache_compiled = false;
+        one_shot.max_cached_queries = 0;
         HiqueEngine fresh(&catalog, one_shot);
         WallTimer full_timer;
         auto full = fresh.Query(q.sql);

@@ -2912,6 +2912,11 @@ class Generator {
          "_output(HqQueryCtx* ctx, const HqStream* in) {");
     Emit("  const uint8_t* d = in->data;");
     Emit("  int64_t n = in->n;");
+    Emit("  int64_t emit_n = " +
+         (op.limit >= 0 ? "(n < " + S(op.limit) + " ? n : " + S(op.limit) + ")"
+                        : std::string("n")) +
+         ";");
+    Emit("  const uint32_t tpp = ctx->result_tuples_per_page;");
     if (need_sort) {
       std::string A = "op" + S(k) + "_out_args";
       std::string RUN = S(run);
@@ -2950,16 +2955,10 @@ class Generator {
       Emit("  A.rows = SA.src;");
       Emit("  A.rw = w;");
       Emit("  A.R = n > 0 ? (uint32_t)((n + w - 1) / w) : 1;");
-      std::string lim = op.limit >= 0
-                            ? "(n < " + S(op.limit) + " ? n : " + S(op.limit) +
-                                  ")"
-                            : "n";
-      Emit("  int64_t emit_n = " + lim + ";");
       Emit("  A.emit_n = emit_n;");
       Emit("  if (emit_n > 0) {");
       Emit("    // splitter-partitioned k-way merge: disjoint tasks fill");
       Emit("    // fixed slots of the pre-allocated result pages");
-      Emit("    const uint32_t tpp = ctx->result_tuples_per_page;");
       Emit("    uint64_t npg = ((uint64_t)emit_n + tpp - 1) / tpp;");
       Emit("    A.pgs = (HqPage**)ctx->alloc(ctx->arena, "
            "npg * sizeof(HqPage*));");
@@ -2974,20 +2973,23 @@ class Generator {
            "(uint64_t)emit_n) != 0) return -1;");
       Emit("  }");
     } else {
-      std::string guard = op.limit >= 0
-                              ? "i < n && emitted < " + S(op.limit)
-                              : "i < n";
-      Emit("  HqResultWriter w; w.ctx = ctx; w.page = 0; w.n = 0;");
-      Emit("  int64_t emitted = 0; (void)emitted;");
-      Emit("  for (int64_t i = 0; " + guard + "; ++i) {");
-      Emit("    const uint8_t* rec = d + (uint64_t)i * " +
+      // One page in production at a time: allocate it, fill its rows,
+      // emit it (the sink's per-page cancellation window).
+      Emit("  for (int64_t i = 0; i < emit_n;) {");
+      Emit("    HqPage* pg;");
+      Emit("    if (ctx->result_alloc_pages(ctx->result_sink, &pg, 1) != 0) "
+           "return -1;");
+      Emit("    uint64_t m = (uint64_t)(emit_n - i) < tpp ? "
+           "(uint64_t)(emit_n - i) : tpp;");
+      Emit("    for (uint64_t j = 0; j < m; ++j, ++i) {");
+      Emit("      const uint8_t* rec = d + (uint64_t)i * " +
            S(in_layout.record_size) + ";");
-      Emit("    uint8_t* o = hq_result_slot(&w);");
-      Emit("    if (!o) return -1;");
-      emit_row_build("    ", "rec", "o");
-      Emit("    ++emitted;");
+      Emit("      uint8_t* o = pg->data + j * " + OSZ + ";");
+      emit_row_build("      ", "rec", "o");
+      Emit("    }");
+      Emit("    if (ctx->result_emit_pages(ctx->result_sink, 1, m) != 0) "
+           "return -1;");
       Emit("  }");
-      Emit("  hq_result_close(&w);");
     }
     Emit("  return (int64_t)ctx->tuples_emitted;");
     Emit("}");

@@ -139,31 +139,22 @@ typedef struct HqQueryCtx {
   void* (*alloc)(void* arena, uint64_t bytes);
   void* arena;
 
-  // Appends a fresh result page and returns it. The generated code fills
-  // tuples and sets num_tuples before requesting the next page.
-  HqPage* (*result_new_page)(void* result_sink);
   void* result_sink;
   uint32_t result_tuple_size;
   uint32_t result_tuples_per_page;
 
-  // Bulk result-page protocol for parallel final-output writers (the
-  // splitter-range ORDER BY merge): the generated code pre-allocates every
-  // output page up front, lets disjoint parallel tasks fill fixed slots
-  // (row r lives in pages[r / tuples_per_page]), and then seals + delivers
-  // the pages in order with one call. The sink retains ownership of
-  // undelivered pages, so an error between the two calls leaks nothing.
-  // Deliberately trades the streaming path's bounded result-page residency
-  // for write parallelism — ORDER BY already materializes the full sorted
-  // row buffer, so the query's footprint stays O(n) either way.
-  //
+  // The result-page protocol, the only way generated code emits rows.
   // result_alloc_pages fills `pages[0..count)` with zeroed pages and
-  // returns 0 (or -1 with ctx->error set on OOM). result_emit_pages sets
-  // num_tuples (tuples_per_page on all but the last page, the remainder on
-  // the last), delivers the pages sequentially, and accounts the same
-  // metrics the per-slot writer would (count helper calls, `rows` tuples);
-  // it returns -1 when the consumer cancelled mid-delivery. The executor
-  // always sets both hooks (and result_new_page), so generated code calls
-  // them without a null check.
+  // returns 0 (or -1 with ctx->error set on OOM); the writer fills fixed
+  // slots (row r of a batch lives in pages[r / tuples_per_page]).
+  // result_emit_pages sets num_tuples (tuples_per_page on all but the last
+  // page, the remainder on the last), delivers the pages in order with a
+  // cancellation check before each, and counts one helper call per page and
+  // `rows` tuples; it returns -1 when the consumer cancelled. The sink owns
+  // the pages until they are delivered, so an error in between leaks
+  // nothing. Serial writers go one page at a time (allocate 1, fill, emit
+  // 1), keeping one page in production; the parallel ORDER BY merge
+  // allocates all of its pages up front. Both hooks are always set.
   int32_t (*result_alloc_pages)(void* result_sink, HqPage** pages,
                                 uint64_t count);
   int32_t (*result_emit_pages)(void* result_sink, uint64_t count,
@@ -365,42 +356,6 @@ static inline uint8_t* hq_vec_slot(HqVec* v) {
     if (hq_vec_grow(v) != 0) return 0;
   }
   return v->data + (uint64_t)v->n++ * v->rec;
-}
-
-// Paged result writer. One function call per page boundary — the paper's
-// "unavoidable" calls for loading pages and generating the output.
-typedef struct HqResultWriter {
-  HqQueryCtx* ctx;
-  HqPage* page;
-  uint32_t n;
-} HqResultWriter;
-
-static inline uint8_t* hq_result_slot(HqResultWriter* w) {
-  HqQueryCtx* ctx = w->ctx;
-  if (!w->page || w->n == ctx->result_tuples_per_page) {
-    if (w->page) w->page->num_tuples = w->n;
-    // Page boundary: the natural cancellation point of the streaming
-    // result protocol — a closed cursor stops the query within one page.
-    if (hq_cancelled(ctx)) {
-      if (ctx->error == HQ_OK) ctx->error = HQ_ERR_CANCELLED;
-      return 0;
-    }
-    w->page = ctx->result_new_page(ctx->result_sink);
-    ++ctx->helper_calls;
-    w->n = 0;
-    if (!w->page) {
-      // The sink records its own cause (a streaming sink reports
-      // HQ_ERR_CANCELLED when the consumer closed); default to OOM.
-      if (ctx->error == HQ_OK) ctx->error = HQ_ERR_OOM;
-      return 0;
-    }
-  }
-  ++ctx->tuples_emitted;
-  return w->page->data + (uint64_t)(w->n++) * ctx->result_tuple_size;
-}
-
-static inline void hq_result_close(HqResultWriter* w) {
-  if (w->page) w->page->num_tuples = w->n;
 }
 
 // 64-bit hash (murmur3 fmix64) — must match util/hash.h HashMix64.

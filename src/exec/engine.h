@@ -87,19 +87,20 @@ struct EngineOptions {
   exec::CompileOptions compile;
   bool keep_source = false;      // retain generated source text in results
                                  // AND on-disk artefacts after library unload
-  bool cache_compiled = true;    // reuse compiled queries by plan signature
   // Hoist literal constants into a runtime parameter block so queries that
   // differ only in literals share one compiled library. Disabling restores
   // the paper's fully specialized per-literal code (and per-literal cache
   // entries, since inlined literals then appear in the signature). `?`
   // placeholders are always hoisted — they have no value to inline.
   bool hoist_constants = true;
-  size_t max_cached_queries = 64;  // LRU bound on distinct compiled plans
+  // LRU bound on distinct compiled plans; 0 turns the cache (and with it
+  // tiered compilation) off.
+  size_t max_cached_queries = 64;
   // Tiered compilation (paper Table II: -O0 compiles ~3x faster, -O2 runs
   // faster): cacheable queries first compile at tier0_opt_level for low
   // first-execution latency, then a background worker recompiles at
   // compile.opt_level and atomically swaps the library under the same
-  // signature. Uncacheable queries (QueryWithPlanner, caching disabled)
+  // signature. Uncacheable queries (QueryWithPlanner, max_cached_queries 0)
   // compile directly at compile.opt_level.
   bool tiered_compilation = true;
   int tier0_opt_level = 0;

@@ -1,7 +1,5 @@
 #include "exec/executor.h"
 
-#include <dlfcn.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -31,21 +29,18 @@ constexpr const char* kStalePlanMsg =
     "plan is stale: table layout changed since preparation";
 constexpr const char* kCancelledMsg = "query cancelled";
 
-/// The streaming result sink behind ctx->result_new_page. The generated
-/// code fills one page at a time and only requests the next page after
-/// setting num_tuples on the current one, so the previous page is complete
-/// (and immutable) the moment a new one is requested — that is when it is
-/// handed to the consumer. The final page is delivered by the executor
-/// after the entry returns (hq_result_close sealed it).
+/// The result sink behind the page protocol (ctx->result_alloc_pages /
+/// result_emit_pages). Allocated pages stay owned by the sink until
+/// EmitPages hands them to the consumer, so an error in between leaks
+/// nothing.
 struct StreamSink {
   const ResultPageFn* on_page = nullptr;
   const PageAllocFn* alloc_page = nullptr;  // null/empty => posix_memalign
   HqQueryCtx* ctx = nullptr;
-  Page* current = nullptr;
-  // Bulk-protocol pages (parallel ORDER BY merge): allocated up front,
-  // owned by the sink until result_emit_pages delivers them, so an error
-  // in between leaks nothing.
-  std::vector<Page*> bulk;
+  // The engine side reads the cancellation flag atomically; ctx->cancel is
+  // the generated code's plain view of the same flag.
+  const std::atomic<int32_t>* cancel = nullptr;
+  std::vector<Page*> pending;  // allocated, not yet delivered
 
   Page* AllocOnePage() {
     Page* page = nullptr;
@@ -67,55 +62,45 @@ struct StreamSink {
     return page;
   }
 
-  static HqPage* NewPage(void* self) {
-    auto* sink = static_cast<StreamSink*>(self);
-    if (!sink->Flush()) return nullptr;
-    Page* page = sink->AllocOnePage();
-    if (page == nullptr) return nullptr;
-    sink->current = page;
-    return reinterpret_cast<HqPage*>(page);
-  }
-
-  /// ctx->result_alloc_pages: pre-allocates `count` zeroed pages for the
-  /// parallel final-output writer. The sink keeps ownership.
+  /// ctx->result_alloc_pages: allocates `count` zeroed pages. The sink
+  /// keeps ownership until EmitPages delivers them.
   static int32_t AllocPages(void* self, HqPage** pages, uint64_t count) {
     auto* sink = static_cast<StreamSink*>(self);
-    if (!sink->Flush()) return -1;  // never interleaves in practice
-    sink->bulk.reserve(sink->bulk.size() + count);
+    sink->pending.reserve(sink->pending.size() + count);
     for (uint64_t i = 0; i < count; ++i) {
       Page* page = sink->AllocOnePage();
       if (page == nullptr) {
         if (sink->ctx->error == HQ_OK) sink->ctx->error = HQ_ERR_OOM;
         return -1;
       }
-      sink->bulk.push_back(page);
+      sink->pending.push_back(page);
       pages[i] = reinterpret_cast<HqPage*>(page);
     }
     return 0;
   }
 
   /// ctx->result_emit_pages: seals tuple counts and delivers the first
-  /// `count` bulk pages in order, with the same per-page cancellation
-  /// window and metric accounting (one helper call per page, `rows`
-  /// tuples) as the incremental hq_result_slot path — so serial and
-  /// parallel executions of one query report identical counters.
+  /// `count` pending pages in order, checking for cancellation before each
+  /// and counting one helper call per page and `rows` tuples — the same
+  /// counters whether a writer emits page by page or all at once.
   static int32_t EmitPages(void* self, uint64_t count, uint64_t rows) {
     auto* sink = static_cast<StreamSink*>(self);
     HqQueryCtx* ctx = sink->ctx;
-    HQ_CHECK_MSG(count <= sink->bulk.size(),
+    HQ_CHECK_MSG(count <= sink->pending.size(),
                  "emitting result pages that were never allocated");
     uint32_t tpp = ctx->result_tuples_per_page;
     HQ_CHECK_MSG(count == (rows + tpp - 1) / tpp,
-                 "bulk page count disagrees with the emitted row count");
+                 "result page count disagrees with the emitted row count");
     uint64_t delivered = 0;
     int32_t rc = 0;
     for (uint64_t i = 0; i < count; ++i) {
-      if (ctx->cancel != nullptr && *ctx->cancel != 0) {
+      if (sink->cancel != nullptr &&
+          sink->cancel->load(std::memory_order_acquire) != 0) {
         if (ctx->error == HQ_OK) ctx->error = HQ_ERR_CANCELLED;
         rc = -1;
         break;
       }
-      Page* page = sink->bulk[i];
+      Page* page = sink->pending[i];
       uint64_t remaining = rows - i * tpp;
       reinterpret_cast<HqPage*>(page)->num_tuples =
           static_cast<uint32_t>(remaining < tpp ? remaining : tpp);
@@ -126,45 +111,18 @@ struct StreamSink {
         break;
       }
     }
-    sink->bulk.erase(sink->bulk.begin(),
-                     sink->bulk.begin() + static_cast<int64_t>(delivered));
+    sink->pending.erase(
+        sink->pending.begin(),
+        sink->pending.begin() + static_cast<int64_t>(delivered));
     ctx->helper_calls += delivered;
     if (rc == 0) ctx->tuples_emitted += rows;
     return rc;
   }
 
-  /// Hands the completed current page to the consumer. False when the
-  /// consumer declined it (closed cursor): the cancellation is recorded in
-  /// the query context so the generated code unwinds cleanly.
-  bool Flush() {
-    if (current == nullptr) return true;
-    Page* page = current;
-    current = nullptr;
-    if (!(*on_page)(page)) {  // ownership passed regardless of the verdict
-      if (ctx->error == HQ_OK) ctx->error = HQ_ERR_CANCELLED;
-      return false;
-    }
-    return true;
+  void DiscardPending() {
+    for (Page* p : pending) std::free(p);
+    pending.clear();
   }
-
-  void DiscardCurrent() {
-    std::free(current);
-    current = nullptr;
-    for (Page* p : bulk) std::free(p);
-    bulk.clear();
-  }
-};
-
-class DlHandle {
- public:
-  explicit DlHandle(void* h) : handle_(h) {}
-  ~DlHandle() {
-    if (handle_ != nullptr) dlclose(handle_);
-  }
-  void* get() const { return handle_; }
-
- private:
-  void* handle_;
 };
 
 /// Engine-side listener behind the operator-boundary marks the generated
@@ -448,32 +406,6 @@ Status BindParamValues(const plan::ParamTable& params,
   return Status::OK();
 }
 
-Result<std::unique_ptr<Table>> ExecuteCompiled(const plan::PhysicalPlan& plan,
-                                               HqEntryFn entry,
-                                               const HqParams* params,
-                                               ExecStats* stats,
-                                               const ParallelRuntime& par) {
-  return ExecuteEntryOnTables(plan.query->tables, plan.output_schema, entry,
-                              params, stats, par);
-}
-
-Result<std::unique_ptr<Table>> ExecuteLibraryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    const std::string& library_path, const std::string& entry_symbol,
-    const HqParams* params, ExecStats* stats, const ParallelRuntime& par) {
-  DlHandle handle(dlopen(library_path.c_str(), RTLD_NOW | RTLD_LOCAL));
-  if (handle.get() == nullptr) {
-    return Status::ExecError(std::string("dlopen failed: ") + dlerror());
-  }
-  auto entry =
-      reinterpret_cast<HqEntryFn>(dlsym(handle.get(), entry_symbol.c_str()));
-  if (entry == nullptr) {
-    return Status::ExecError("entry symbol not found: " + entry_symbol);
-  }
-  return ExecuteEntryOnTables(tables, output_schema, entry, params, stats,
-                              par);
-}
-
 Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const Schema& output_schema,
                                       HqEntryFn entry, const HqParams* params,
@@ -591,7 +523,7 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
   sink.on_page = &on_page;
   sink.alloc_page = &alloc_page;
   sink.ctx = &ctx;
-  ctx.result_new_page = &StreamSink::NewPage;
+  sink.cancel = par.cancel;
   ctx.result_alloc_pages = &StreamSink::AllocPages;
   ctx.result_emit_pages = &StreamSink::EmitPages;
   ctx.result_sink = &sink;
@@ -621,7 +553,7 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
   double elapsed = timer.ElapsedSeconds();
 
   if (rows < 0 || ctx.error != HQ_OK) {
-    sink.DiscardCurrent();
+    sink.DiscardPending();
     switch (ctx.error) {
       case HQ_ERR_MAP_OVERFLOW:
         return Status::ExecError(kMapOverflowMsg);
@@ -639,9 +571,6 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                  std::to_string(ctx.error));
     }
   }
-
-  // Hand over the final page (hq_result_close sealed its tuple count).
-  if (!sink.Flush()) return Status::ExecError(kCancelledMsg);
 
   if (stats != nullptr) {
     stats->rows = rows;
@@ -672,27 +601,6 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     }
   }
   return rows;
-}
-
-Result<std::unique_ptr<Table>> ExecuteEntryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    HqEntryFn entry, const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par) {
-  auto result = std::make_unique<Table>("result", output_schema);
-  Status adopt_status;
-  auto on_page = [&](Page* page) {
-    adopt_status = result->AdoptPage(page);
-    if (!adopt_status.ok()) {
-      std::free(page);
-      return false;  // cancel the rest of the query
-    }
-    return true;
-  };
-  auto rows = ExecuteEntryStreaming(tables, output_schema, entry, params,
-                                    stats, par, on_page);
-  if (!adopt_status.ok()) return adopt_status;
-  if (!rows.ok()) return rows.status();
-  return result;
 }
 
 }  // namespace hique::exec

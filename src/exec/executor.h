@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "codegen/runtime_abi.h"
@@ -135,32 +133,6 @@ void BindParams(const plan::ParamTable& params, BoundParams* out);
 Status BindParamValues(const plan::ParamTable& params,
                        const std::vector<Value>& values, BoundParams* out);
 
-/// Runs an already-resolved query entry point (see exec::CompiledLibrary)
-/// with the given parameter block (may be null): pins all base tables in
-/// memory, executes, and returns the result as an in-memory table with the
-/// plan's output schema. The cache-hit hot path — no dlopen/dlsym. `par`
-/// selects the worker pool / thread budget; the default runs serially.
-Result<std::unique_ptr<Table>> ExecuteCompiled(const plan::PhysicalPlan& plan,
-                                               HqEntryFn entry,
-                                               const HqParams* params,
-                                               ExecStats* stats,
-                                               const ParallelRuntime& par = {});
-
-/// Lower-level entry points: run a compiled query against an explicit table
-/// list (used by the §VI-A microbenchmark variants, which bypass the SQL
-/// front end). The library_path variant dlopens per call; the HqEntryFn
-/// variant executes a preloaded entry.
-Result<std::unique_ptr<Table>> ExecuteLibraryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    const std::string& library_path, const std::string& entry_symbol,
-    const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par = {});
-
-Result<std::unique_ptr<Table>> ExecuteEntryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    HqEntryFn entry, const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par = {});
-
 /// Receives ownership of one completed, zeroed, page-aligned result page
 /// (free with std::free, or hand to Table::AdoptPage). Invoked on the
 /// executing thread, in emission order. Return false to cancel the query:
@@ -174,12 +146,13 @@ using ResultPageFn = std::function<bool(Page*)>;
 /// StreamCore free-list in here so drained cursor pages are reused.
 using PageAllocFn = std::function<Page*()>;
 
-/// The streaming execution core: pins the base tables, runs the compiled
-/// entry, and hands each result page to `on_page` as soon as the generated
-/// code completes it — the full result is never materialized inside the
-/// executor, so peak result memory is the pages the consumer holds plus the
-/// single page being filled. Returns the row count. All other Execute*
-/// entry points are wrappers that collect the delivered pages into a Table.
+/// The one way to run a compiled entry (see exec::CompiledLibrary): pins
+/// the base tables, runs the entry with the given parameter block (may be
+/// null), and hands each result page to `on_page` as soon as the generated
+/// code emits it — the full result is never materialized inside the
+/// executor, so outside ORDER BY peak result memory is the pages the
+/// consumer holds plus the single page being filled. Returns the row count.
+/// `par` selects the worker pool and thread budget; `{}` runs serially.
 ///
 /// `expected_layouts`, when non-null, carries the per-table physical-layout
 /// versions the plan was prepared against (same order as `tables`); if a

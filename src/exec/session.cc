@@ -281,7 +281,7 @@ StatementSource TextSource(const Session::State& session,
   StatementSource source;
   source.sql = sql;
   source.planner = session.planner;
-  source.cacheable = session.engine->options().cache_compiled;
+  source.cacheable = true;
   return source;
 }
 
@@ -835,7 +835,7 @@ Result<PreparedStatement> SessionImpl::Prepare(
   }
   HQ_ASSIGN_OR_RETURN(
       auto state,
-      engine->PrepareState(sql, planner, engine->options().cache_compiled,
+      engine->PrepareState(sql, planner, /*cacheable=*/true,
                            /*force_hybrid_agg=*/false,
                            /*allow_placeholders=*/true));
   PreparedStatement prepared;

@@ -1,9 +1,12 @@
 #include "variants/variants.h"
 
+#include <cstdlib>
+#include <utility>
+
 #include "codegen/abi_embed.h"
+#include "exec/compiled_library.h"
 #include "exec/compiler.h"
 #include "util/macros.h"
-#include "util/timer.h"
 
 namespace hique::variants {
 namespace {
@@ -411,13 +414,11 @@ static void agg_scan(const uint8_t* d, int64_t lo, int64_t hi, int64_t* cnt,
 std::string EmitResult() {
   return R"(
 static int64_t emit_result(HqQueryCtx* ctx, int64_t cnt, double checksum) {
-  HqResultWriter w; w.ctx = ctx; w.page = 0; w.n = 0;
-  uint8_t* o = hq_result_slot(&w);
-  if (!o) return -1;
-  *(int64_t*)(o + 0) = cnt;
-  *(double*)(o + 8) = checksum;
-  hq_result_close(&w);
-  return 1;
+  HqPage* pg;
+  if (ctx->result_alloc_pages(ctx->result_sink, &pg, 1) != 0) return -1;
+  *(int64_t*)(pg->data + 0) = cnt;
+  *(double*)(pg->data + 8) = checksum;
+  return ctx->result_emit_pages(ctx->result_sink, 1, 1) != 0 ? -1 : 1;
 }
 )";
 }
@@ -657,23 +658,34 @@ Result<VariantRun> RunVariant(MicroQuery query, Style style,
   run.compile_seconds = compiled.compile_seconds;
   run.source_bytes = compiled.source_bytes;
   run.library_bytes = compiled.library_bytes;
+  // Unloading the library removes its .cc/.so from `work_dir`.
+  HQ_ASSIGN_OR_RETURN(
+      auto library,
+      exec::CompiledLibrary::Load(std::move(compiled), "hique_query_main",
+                                  std::move(source), opt_level,
+                                  /*unlink_on_unload=*/true, HQ_SIMD_SCALAR));
 
   Schema out_schema = VariantOutputSchema();
+  int64_t result_rows = 0;
+  auto on_page = [&](Page* page) {
+    if (page->num_tuples > 0) {
+      const uint8_t* tuple = page->TupleAt(0, out_schema.TupleSize());
+      run.count = out_schema.GetValue(tuple, 0).AsInt64();
+      run.checksum = out_schema.GetValue(tuple, 1).AsDouble();
+    }
+    result_rows += page->num_tuples;
+    std::free(page);
+    return true;
+  };
   exec::ExecStats stats;
-  WallTimer timer;
-  HQ_ASSIGN_OR_RETURN(auto result, exec::ExecuteLibraryOnTables(
-                                       tables, out_schema,
-                                       compiled.library_path,
-                                       "hique_query_main", nullptr, &stats));
+  HQ_RETURN_IF_ERROR(exec::ExecuteEntryStreaming(tables, out_schema,
+                                                 library->entry(), nullptr,
+                                                 &stats, {}, on_page)
+                         .status());
   run.execute_seconds = stats.execute_seconds;
-  if (result->NumTuples() != 1) {
+  if (result_rows != 1) {
     return Status::Internal("variant produced no checksum row");
   }
-  HQ_RETURN_IF_ERROR(result->ForEachTuple([&](const uint8_t* tuple) {
-    run.count = result->schema().GetValue(tuple, 0).AsInt64();
-    run.checksum = result->schema().GetValue(tuple, 1).AsDouble();
-  }));
-  (void)timer;
   return run;
 }
 

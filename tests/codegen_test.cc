@@ -141,19 +141,32 @@ TEST_F(CodegenTest, SortedOutputSkipsFinalSort) {
   EXPECT_EQ(src.find("_out(const uint8_t* a"), std::string::npos);
 }
 
-TEST_F(CodegenTest, SortedOutputUsesOnlyBulkPageProtocol) {
-  std::string src =
-      GenerateFor("select r_k, r_v from r where r_v < 500 order by r_v, r_k");
-  size_t begin = src.find("_output(HqQueryCtx* ctx");
-  ASSERT_NE(begin, std::string::npos) << src;
-  size_t end = src.find("\n}\n", begin);
-  ASSERT_NE(end, std::string::npos);
-  std::string output_fn = src.substr(begin, end - begin);
-  // The executor always provides the bulk result-page hooks, so the sorted
-  // output needs no serial per-slot writer.
-  EXPECT_NE(output_fn.find("result_alloc_pages"), std::string::npos)
-      << output_fn;
-  EXPECT_EQ(output_fn.find("HqResultWriter"), std::string::npos) << output_fn;
+TEST_F(CodegenTest, EveryOutputUsesOnlyBulkPageProtocol) {
+  // Result rows leave generated code one way: result pages allocated and
+  // emitted through the bulk hooks, whatever the output's shape.
+  for (const char* sql : {
+           "select r_k, r_v from r where r_v < 500 order by r_v, r_k",
+           "select r_k, r_v from r where r_v < 500",
+           "select r_k, r_v from r where r_v < 500 limit 7",
+           "select count(*), sum(r_v) from r",
+       }) {
+    SCOPED_TRACE(sql);
+    std::string src = GenerateFor(sql);
+    size_t begin = src.find("_output(HqQueryCtx* ctx");
+    ASSERT_NE(begin, std::string::npos) << src;
+    size_t end = src.find("\n}\n", begin);
+    ASSERT_NE(end, std::string::npos);
+    std::string output_fn = src.substr(begin, end - begin);
+    EXPECT_NE(output_fn.find("result_alloc_pages"), std::string::npos)
+        << output_fn;
+    EXPECT_NE(output_fn.find("result_emit_pages"), std::string::npos)
+        << output_fn;
+    // No per-slot writer anywhere, the embedded runtime ABI included.
+    for (const char* gone : {"hq_result_slot", "HqResultWriter",
+                             "result_new_page"}) {
+      EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    }
+  }
 }
 
 TEST_F(CodegenTest, DescendingSortComparatorFlipsSign) {

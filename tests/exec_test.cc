@@ -155,6 +155,21 @@ TEST(EngineTest, UncachedArtefactsDeletedAfterExecution) {
   auto files = env::ListDir(gen_dir);
   ASSERT_TRUE(files.ok());
   EXPECT_TRUE(files.value().empty());
+
+  // max_cached_queries = 0 turns the cache off for Query too: nothing is
+  // kept, nothing is tiered, and the artefacts go with the query.
+  EngineOptions uncached;
+  uncached.gen_dir = gen_dir;
+  uncached.max_cached_queries = 0;
+  HiqueEngine engine(&catalog, uncached);
+  auto r = engine.Query("select count(*) from t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().cache_stats.entries, 0u);
+  EXPECT_EQ(r.value().library_opt_level, uncached.compile.opt_level);
+  files = env::ListDir(gen_dir);
+  ASSERT_TRUE(files.ok());
+  EXPECT_TRUE(files.value().empty())
+      << files.value().size() << " artefacts left behind";
 }
 
 TEST(EngineTest, KeepSourceRetainsArtefacts) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "exec/engine.h"
 #include "exec/executor.h"
 #include "ref/reference.h"
+#include "storage/page.h"
 #include "tests/test_util.h"
 #include "util/env.h"
 
@@ -76,6 +78,8 @@ class SessionStreamTest : public ::testing::Test {
         // Map aggregation, order by + limit.
         "select big_k, count(*) as c from big group by big_k "
         "order by c desc, big_k limit 17",
+        // LIMIT without ORDER BY: the projection's own output loop stops.
+        "select big_k, big_v, big_d from big where big_v >= 0 limit 5000",
     };
   }
 };
@@ -100,6 +104,42 @@ TEST_F(SessionStreamTest, StreamedRowsBitIdenticalToQueryAcrossThreads) {
       EXPECT_EQ(cursor.plan_signature(),
                 materialized.value().plan_signature);
       cursor.Close();
+    }
+  }
+}
+
+// LIMIT without ORDER BY keeps exactly the first min(limit, n) rows of the
+// unlimited result — at zero, on a page boundary, one row past it and past
+// the row count — through the blocking and the cursor path alike.
+TEST_F(SessionStreamTest, LimitWithoutOrderByKeepsThePrefix) {
+  Catalog& catalog = SharedCatalog();
+  const std::string sql = "select big_k, big_v, big_d from big "
+                          "where big_v >= 0";
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    HiqueEngine engine(&catalog, FastOptions(threads));
+    Session session = engine.OpenSession({});
+    auto unlimited = engine.Query(sql);
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+    const std::vector<std::string> all = ResultTuples(unlimited.value());
+    const int64_t n = static_cast<int64_t>(all.size());
+    const int64_t tpp =
+        Page::TuplesPerPage(unlimited.value().schema.TupleSize());
+    ASSERT_GT(n, tpp + 1);
+    for (int64_t limit : {int64_t{0}, tpp, tpp + 1, n + 1000}) {
+      const std::string limited = sql + " limit " + std::to_string(limit);
+      const std::vector<std::string> expected(
+          all.begin(), all.begin() + std::min(limit, n));
+      auto blocking = engine.Query(limited);
+      ASSERT_TRUE(blocking.ok()) << limited << ": "
+                                 << blocking.status().ToString();
+      EXPECT_EQ(ResultTuples(blocking.value()), expected)
+          << "threads=" << threads << " query: " << limited;
+      auto rs = session.QueryStream(limited);
+      ASSERT_TRUE(rs.ok()) << limited << ": " << rs.status().ToString();
+      ResultSet cursor = std::move(rs).value();
+      EXPECT_EQ(StreamTuples(&cursor), expected)
+          << "threads=" << threads << " query: " << limited;
+      EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
     }
   }
 }

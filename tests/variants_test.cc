@@ -127,6 +127,11 @@ TEST_P(VariantsTest, MatchesEngineTruth) {
   auto run = variants::RunVariant(c.query, c.style, params, tables,
                                   c.opt_level, dir);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  // The variant's .cc/.so go with its library: nothing piles up in `dir`.
+  auto files = env::ListDir(dir);
+  ASSERT_TRUE(files.ok()) << files.status().ToString();
+  EXPECT_TRUE(files.value().empty())
+      << files.value().size() << " artefacts left behind";
   auto [cnt, checksum] = EngineTruth(c.query);
   EXPECT_EQ(run.value().count, cnt);
   EXPECT_NEAR(run.value().checksum, checksum,
