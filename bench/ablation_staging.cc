@@ -25,10 +25,16 @@ int main(int argc, char** argv) {
   Catalog catalog;
   EngineOptions eopts;
   eopts.gen_dir = env::ProcessTempDir() + "/ablation";
-  // Paper-reproduction runs measure the fully specialized per-literal
-  // code, not the production parameterized variant.
-  eopts.hoist_constants = false;
+  // Each sweep point pins its plan and compiles it fresh, uncached.
+  eopts.max_cached_queries = 0;
   HiqueEngine hique(&catalog, eopts);
+  auto query_with = [&](const std::string& sql,
+                        const plan::PlannerOptions& popts) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = popts;
+    return hique.OpenSession(so).Query(sql);
+  };
 
   // Dense domain so both fine and coarse partitioning apply.
   int64_t domain = static_cast<int64_t>(rows / 10) + 1;
@@ -56,7 +62,7 @@ int main(int argc, char** argv) {
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;
       popts.force_partitions = parts;
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = query_with(sql, popts);
       if (!r.ok()) {
         std::printf("M=%u: %s\n", parts, r.status().ToString().c_str());
         return 1;
@@ -76,7 +82,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = domain + 1;  // allow fine
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = query_with(sql, popts);
       if (!r.ok()) {
         std::printf("fine: %s\n", r.status().ToString().c_str());
         return 1;
@@ -88,7 +94,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;  // force coarse
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = query_with(sql, popts);
       if (!r.ok()) {
         std::printf("coarse: %s\n", r.status().ToString().c_str());
         return 1;
@@ -107,7 +113,7 @@ int main(int argc, char** argv) {
     {
       plan::PlannerOptions popts;
       popts.fine_partition_max_domain = 0;
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = query_with(sql, popts);
       if (!r.ok()) {
         std::printf("fused: %s\n", r.status().ToString().c_str());
         return 1;
@@ -124,7 +130,7 @@ int main(int argc, char** argv) {
           "where ao_k = ai_k group by ao_v";
       plan::PlannerOptions popts;
       popts.fine_partition_max_domain = 0;
-      auto r = hique.QueryWithPlanner(sql2, popts);
+      auto r = query_with(sql2, popts);
       if (!r.ok()) {
         std::printf("unfused: %s\n", r.status().ToString().c_str());
         return 1;

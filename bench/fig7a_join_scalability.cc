@@ -29,9 +29,8 @@ namespace {
 EngineOptions BaseOptions(const std::string& gen_tag, uint32_t threads) {
   EngineOptions eopts;
   eopts.gen_dir = env::ProcessTempDir() + "/" + gen_tag;
-  // Paper-reproduction runs measure the fully specialized per-literal
-  // code, not the production parameterized variant.
-  eopts.hoist_constants = false;
+  // Each sweep point pins its plan and compiles it fresh, uncached.
+  eopts.max_cached_queries = 0;
   eopts.threads = threads;
   return eopts;
 }
@@ -39,9 +38,13 @@ EngineOptions BaseOptions(const std::string& gen_tag, uint32_t threads) {
 // Best-of-`repeat` execute-only seconds for `sql` under `popts`.
 double TimeQuery(HiqueEngine* engine, const std::string& sql,
                  const plan::PlannerOptions& popts, int repeat) {
+  SessionOptions so;
+  so.override_planner = true;
+  so.planner = popts;
+  Session session = engine->OpenSession(so);
   double best = 0.0;
   for (int r = 0; r < repeat; ++r) {
-    auto qr = engine->QueryWithPlanner(sql, popts);
+    auto qr = session.Query(sql);
     if (!qr.ok()) {
       std::printf("query failed: %s\n", qr.status().ToString().c_str());
       std::exit(1);

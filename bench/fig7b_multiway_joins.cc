@@ -47,10 +47,16 @@ int main(int argc, char** argv) {
 
   EngineOptions eopts;
   eopts.gen_dir = env::ProcessTempDir() + "/fig7b";
-  // Paper-reproduction runs measure the fully specialized per-literal
-  // code, not the production parameterized variant.
-  eopts.hoist_constants = false;
+  // Each sweep point pins its plan and compiles it fresh, uncached.
+  eopts.max_cached_queries = 0;
   HiqueEngine hique(&catalog, eopts);
+  auto query_with = [&](const std::string& sql,
+                        const plan::PlannerOptions& popts) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = popts;
+    return hique.OpenSession(so).Query(sql);
+  };
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
   bench::ResultPrinter table({"tables", "Merge-Iterators",
@@ -85,7 +91,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.enable_join_teams = false;
       popts.force_join_algo = plan::JoinAlgo::kMerge;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = query_with(sql, popts);
       if (!hr.ok()) {
         std::printf("hique binary: %s\n", hr.status().ToString().c_str());
         return 1;
@@ -96,7 +102,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.enable_join_teams = true;
       popts.force_join_algo = plan::JoinAlgo::kMerge;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = query_with(sql, popts);
       if (!hr.ok()) {
         std::printf("hique team merge: %s\n", hr.status().ToString().c_str());
         return 1;
@@ -108,7 +114,7 @@ int main(int argc, char** argv) {
       popts.enable_join_teams = true;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = query_with(sql, popts);
       if (!hr.ok()) {
         std::printf("hique team hybrid: %s\n", hr.status().ToString().c_str());
         return 1;

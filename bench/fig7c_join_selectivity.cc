@@ -37,10 +37,16 @@ int main(int argc, char** argv) {
   Catalog catalog;
   EngineOptions eopts;
   eopts.gen_dir = env::ProcessTempDir() + "/fig7c";
-  // Paper-reproduction runs measure the fully specialized per-literal
-  // code, not the production parameterized variant.
-  eopts.hoist_constants = false;
+  // Each sweep point pins its plan and compiles it fresh, uncached.
+  eopts.max_cached_queries = 0;
   HiqueEngine hique(&catalog, eopts);
+  auto query_with = [&](const std::string& sql,
+                        const plan::PlannerOptions& popts) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = popts;
+    return hique.OpenSession(so).Query(sql);
+  };
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
   for (int64_t match : matches) {
@@ -78,7 +84,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = algo;
       popts.fine_partition_max_domain = 0;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = query_with(sql, popts);
       if (!hr.ok()) {
         std::printf("hique: %s\n", hr.status().ToString().c_str());
         return 1;

@@ -34,10 +34,16 @@ int main(int argc, char** argv) {
   Catalog catalog;
   EngineOptions eopts;
   eopts.gen_dir = env::ProcessTempDir() + "/fig7d";
-  // Paper-reproduction runs measure the fully specialized per-literal
-  // code, not the production parameterized variant.
-  eopts.hoist_constants = false;
+  // Each sweep point pins its plan and compiles it fresh, uncached.
+  eopts.max_cached_queries = 0;
   HiqueEngine hique(&catalog, eopts);
+  auto query_with = [&](const std::string& sql,
+                        const plan::PlannerOptions& popts) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = popts;
+    return hique.OpenSession(so).Query(sql);
+  };
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
   for (int64_t groups : cardinalities) {
@@ -62,7 +68,7 @@ int main(int argc, char** argv) {
       // Match the paper: hybrid partitions on hash, not dense values.
       popts.fine_partition_max_domain = 0;
       if (use_hique) {
-        auto r = hique.QueryWithPlanner(sql, popts);
+        auto r = query_with(sql, popts);
         if (!r.ok()) return r.status();
         return r.value().exec_stats.execute_seconds;
       }

@@ -56,9 +56,6 @@ int main(int argc, char** argv) {
     for (int opt : {0, 2}) {
       EngineOptions eopts;
       eopts.gen_dir = env::ProcessTempDir() + "/table3";
-      // Paper-reproduction runs measure the fully specialized per-literal
-      // code, not the production parameterized variant.
-      eopts.hoist_constants = false;
       eopts.compile.opt_level = opt;
       eopts.max_cached_queries = 0;
       HiqueEngine engine(&catalog, eopts);
@@ -83,12 +80,12 @@ int main(int argc, char** argv) {
     // then Execute runs the pinned entry point with zero parse/optimize/
     // generate/compile and no dlopen. `full query (ms)` is the end-to-end
     // latency of a cache-disabled Query() (the paper's one-shot regime);
-    // `exec-only (ms)` is the best repeated Execute on a prepared handle.
+    // `exec-only (ms)` is the best repeated Execute on a prepared handle,
+    // timed once the -O2 tier has been swapped in.
     {
       EngineOptions eopts;
       eopts.gen_dir = env::ProcessTempDir() + "/table3";
       eopts.compile.opt_level = 2;
-      eopts.tiered_compilation = false;  // measure the -O2 tier directly
       HiqueEngine engine(&catalog, eopts);
 
       {
@@ -110,7 +107,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       exec_only_ms = 1e30;
-      for (int rep = 0; rep < 3; ++rep) {
+      // Rep -1 is the untimed warm-up; the -O2 upgrade lands after it.
+      for (int rep = -1; rep < 3; ++rep) {
         // Wall-clock around the whole Execute call: parameter binding +
         // execution (the engine's execute_ms alone excludes binding).
         WallTimer exec_timer;
@@ -118,6 +116,15 @@ int main(int argc, char** argv) {
         double elapsed_ms = exec_timer.ElapsedMillis();
         if (!r.ok()) {
           std::printf("%s: %s\n", q.name, r.status().ToString().c_str());
+          return 1;
+        }
+        if (rep < 0) {
+          engine.WaitForTierUpgrades();
+          continue;
+        }
+        if (r.value().library_opt_level != eopts.compile.opt_level) {
+          std::printf("%s: timed Execute ran at -O%d\n", q.name,
+                      r.value().library_opt_level);
           return 1;
         }
         exec_only_ms = std::min(exec_only_ms, elapsed_ms);

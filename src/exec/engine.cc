@@ -1,5 +1,6 @@
 #include "exec/engine.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -50,6 +51,15 @@ struct PlanCacheMetrics {
     return m;
   }
 };
+
+/// Artefact base name, unique across every engine in the process: engines
+/// share the default gen dir, and dlopen of a path that is already loaded
+/// returns the existing handle, so a per-engine counter would let one
+/// engine run another's library.
+std::string NextArtefactName() {
+  static std::atomic<uint64_t> next_id{0};
+  return "q" + std::to_string(next_id++);
+}
 
 }  // namespace
 
@@ -312,7 +322,7 @@ Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::CompilePlan(
   HQ_ASSIGN_OR_RETURN(auto generated, codegen::Generate(plan));
   timings->generate_ms = timer.ElapsedMillis();
 
-  std::string name = "q" + std::to_string(next_query_id_++);
+  std::string name = NextArtefactName();
   exec::CompileOptions copts = options_.compile;
   copts.opt_level = opt_level;
   HQ_ASSIGN_OR_RETURN(auto compiled,
@@ -372,9 +382,10 @@ std::shared_ptr<exec::CompiledLibrary> HiqueEngine::PeekLibrary(
 
 Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::GetOrCompile(
     const std::string& signature, const plan::PhysicalPlan& plan,
-    bool cacheable, QueryTimings* timings, bool* cache_hit) {
+    QueryTimings* timings, bool* cache_hit) {
   *cache_hit = false;
-  if (cacheable) {
+  const bool cached = options_.max_cached_queries > 0;
+  if (cached) {
     std::lock_guard<std::mutex> lk(mu_);
     if (auto lib = LookupCacheLocked(signature)) {
       ++stats_.hits;
@@ -386,18 +397,18 @@ Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::GetOrCompile(
     PlanCacheMetrics::Get().misses->Increment();
   }
 
-  int opt_level = options_.compile.opt_level;
-  bool tiered = cacheable && options_.tiered_compilation &&
-                options_.tier0_opt_level < opt_level;
-  if (tiered) opt_level = options_.tier0_opt_level;
-
+  // A cached miss starts at -O0 and tiers up in the background; an
+  // uncached statement runs once, so it compiles at the final level.
+  const int opt_level = cached ? 0 : options_.compile.opt_level;
   HQ_ASSIGN_OR_RETURN(auto library, CompilePlan(plan, opt_level, timings));
-  if (cacheable) {
+  if (cached) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       InsertCacheLocked(signature, library);
     }
-    if (tiered) ScheduleTierUpgrade(signature, library);
+    if (opt_level < options_.compile.opt_level) {
+      ScheduleTierUpgrade(signature, library);
+    }
   }
   return library;
 }
@@ -431,7 +442,7 @@ void HiqueEngine::TierWorkerLoop() {
 
     // Compile at the final tier outside the lock — queries keep flowing
     // through the -O0 library meanwhile.
-    std::string name = "q" + std::to_string(next_query_id_++) + "_tier";
+    std::string name = NextArtefactName() + "_tier";
     auto compiled = exec::CompileToSharedLibrary(job.source, options_.gen_dir,
                                                  name, options_.compile);
     std::shared_ptr<exec::CompiledLibrary> fresh;
@@ -516,14 +527,11 @@ bool SameParamLayout(const plan::ParamTable& a, const plan::ParamTable& b) {
 
 Result<std::shared_ptr<const PreparedStatement::State>>
 HiqueEngine::PrepareState(const std::string& sql,
-                          const plan::PlannerOptions& planner, bool cacheable,
+                          const plan::PlannerOptions& planner,
                           bool force_hybrid_agg, bool allow_placeholders) {
-  // max_cached_queries == 0 disables caching outright.
-  cacheable = cacheable && options_.max_cached_queries > 0;
   auto state = std::make_shared<PreparedStatement::State>();
   state->sql = sql;
   state->planner = planner;
-  state->cacheable = cacheable;
 
   WallTimer timer;
   HQ_ASSIGN_OR_RETURN(auto stmt, sql::Parse(sql));
@@ -550,12 +558,7 @@ HiqueEngine::PrepareState(const std::string& sql,
   HQ_ASSIGN_OR_RETURN(auto plan, plan::Optimize(std::move(bound), effective));
   // Hoist literal constants into the plan's parameter table, then key the
   // compiled-query cache on the literal-free structural signature.
-  // Placeholders must live in the parameter block even when constant
-  // hoisting is off — they have no value to inline at prepare time.
-  plan::ParameterizePlan(plan.get(),
-                         options_.hoist_constants
-                             ? plan::ParamMode::kAllLiterals
-                             : plan::ParamMode::kPlaceholdersOnly);
+  plan::ParameterizePlan(plan.get());
   // The catalog statistics version prefixes the structural signature: a
   // stats refresh re-keys every plan, so stale compiled libraries (whose
   // partition counts / directory geometry baked in the old stats) stop
@@ -576,7 +579,7 @@ HiqueEngine::PrepareState(const std::string& sql,
 
   bool hit = false;
   HQ_ASSIGN_OR_RETURN(state->library,
-                      GetOrCompile(state->signature, *plan, cacheable,
+                      GetOrCompile(state->signature, *plan,
                                    &state->prepare_timings, &hit));
   state->cache_hit = hit;
   state->plan = std::move(plan);
@@ -592,7 +595,7 @@ void HiqueEngine::InstallOverflowAlias(
   // signature too — they then skip the failing execution entirely. Safe
   // only when both plans bind identical parameter banks, which the layout
   // check guarantees for every future literal variant.
-  if (!fallback.cacheable || failed_signature.empty() ||
+  if (options_.max_cached_queries == 0 || failed_signature.empty() ||
       !SameParamLayout(failed_params, fallback.plan->params)) {
     return;
   }
@@ -606,8 +609,7 @@ void HiqueEngine::InstallOverflowAlias(
     std::lock_guard<std::mutex> lk(mu_);
     InsertCacheLocked(failed_signature, alias);
   }
-  if (options_.tiered_compilation &&
-      alias->opt_level() < options_.compile.opt_level) {
+  if (alias->opt_level() < options_.compile.opt_level) {
     ScheduleTierUpgrade(failed_signature, alias);
   }
 }

@@ -1,7 +1,6 @@
 #ifndef HIQUE_EXEC_ENGINE_H_
 #define HIQUE_EXEC_ENGINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <list>
@@ -87,23 +86,14 @@ struct EngineOptions {
   exec::CompileOptions compile;
   bool keep_source = false;      // retain generated source text in results
                                  // AND on-disk artefacts after library unload
-  // Hoist literal constants into a runtime parameter block so queries that
-  // differ only in literals share one compiled library. Disabling restores
-  // the paper's fully specialized per-literal code (and per-literal cache
-  // entries, since inlined literals then appear in the signature). `?`
-  // placeholders are always hoisted — they have no value to inline.
-  bool hoist_constants = true;
-  // LRU bound on distinct compiled plans; 0 turns the cache (and with it
-  // tiered compilation) off.
-  size_t max_cached_queries = 64;
-  // Tiered compilation (paper Table II: -O0 compiles ~3x faster, -O2 runs
-  // faster): cacheable queries first compile at tier0_opt_level for low
-  // first-execution latency, then a background worker recompiles at
+  // LRU bound on distinct compiled plans; 0 turns the cache off, and every
+  // statement then compiles a private library at compile.opt_level that is
+  // deleted after execution. With the cache on, a miss compiles at -O0 for
+  // low first-execution latency (paper Table II: -O0 compiles ~3x faster)
+  // and, when compile.opt_level > 0, a background worker recompiles at
   // compile.opt_level and atomically swaps the library under the same
-  // signature. Uncacheable queries (QueryWithPlanner, max_cached_queries 0)
-  // compile directly at compile.opt_level.
-  bool tiered_compilation = true;
-  int tier0_opt_level = 0;
+  // signature.
+  size_t max_cached_queries = 64;
   std::string gen_dir;           // defaults to a process temp dir
   // Intra-query parallelism: partition-parallel staging/joins/aggregation
   // over a shared exec::WorkerPool. 0 resolves to the HQ_THREADS
@@ -210,6 +200,8 @@ struct SessionStats {
 struct SessionOptions {
   /// When set, replaces the engine's planner options for every statement
   /// this session plans (Query, Prepare, streaming and async variants).
+  /// Benchmarks pin algorithms this way, as the paper's §VI-B sweeps do;
+  /// the pinned plan is cached under its own signature.
   bool override_planner = false;
   plan::PlannerOptions planner;
   /// Intra-query parallelism: 0 inherits the engine setting; 1 forces
@@ -475,11 +467,11 @@ class Session {
 /// canonical plan signature, so `... WHERE l_quantity < 24` and `... < 25`
 /// share one compiled library and only the parameter block differs.
 ///
-/// Thread-safe: Query / QueryWithPlanner / Prepare / Execute may be called
-/// concurrently. The cache holds shared_ptr<CompiledLibrary> entries, so an
-/// eviction or tier swap never unloads a library mid-execution; concurrent
-/// misses on one signature may compile twice (both results are valid, the
-/// later insert wins). Base tables must not be mutated during queries;
+/// Thread-safe: Query / Prepare / Execute may be called concurrently. The
+/// cache holds shared_ptr<CompiledLibrary> entries, so an eviction or tier
+/// swap never unloads a library mid-execution; concurrent misses on one
+/// signature may compile twice (both results are valid, the later insert
+/// wins). Base tables must not be mutated during queries;
 /// file-backed tables share a mutex-protected BufferManager, so they can
 /// be pinned from concurrent and parallel executions too.
 class HiqueEngine {
@@ -531,13 +523,6 @@ class HiqueEngine {
   /// bit-identical to the streaming path.
   Result<QueryResult> Query(const std::string& sql);
 
-  /// Same, with per-query planner overrides (used by the benchmarks to pin
-  /// specific algorithms, as the paper's §VI-B sweeps do). Bypasses the
-  /// compiled-query cache so sweeps always measure a fresh compile; the
-  /// artefacts are deleted after execution unless keep_source is set.
-  Result<QueryResult> QueryWithPlanner(const std::string& sql,
-                                       const plan::PlannerOptions& planner);
-
   /// Executes one DML statement (INSERT INTO ... VALUES / UPDATE ... SET /
   /// DELETE FROM) through the interpreted write path: the row lands in (or
   /// is masked out of) the target table's delta store, concurrent compiled
@@ -582,8 +567,9 @@ class HiqueEngine {
   size_t CompiledCacheSize() const;
 
   /// Blocks until every scheduled background tier recompilation has been
-  /// processed (swapped in or abandoned). Benchmarks and tests use this to
-  /// observe the -O2 tier deterministically.
+  /// processed (swapped in or abandoned). Benchmarks time the -O2 tier
+  /// after one untimed warm-up and this call; tests use it to observe the
+  /// tier deterministically.
   void WaitForTierUpgrades();
 
   /// The engine's slow-query log (EngineOptions::slow_query_ms /
@@ -636,7 +622,7 @@ class HiqueEngine {
   /// instead of being served.
   Result<std::shared_ptr<const PreparedStatement::State>> PrepareState(
       const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, bool force_hybrid_agg, bool allow_placeholders);
+      bool force_hybrid_agg, bool allow_placeholders);
 
   /// Stale-statistics repair: after a map-overflow restart succeeded, alias
   /// the working hybrid-aggregation library under the overflowing plan's
@@ -651,13 +637,13 @@ class HiqueEngine {
       const plan::PhysicalPlan& plan, int opt_level, QueryTimings* timings);
 
   /// Cache lookup / compile-on-miss. On a hit the entry moves to the LRU
-  /// front and `cache_hit` is set; on a miss the plan is compiled (at the
-  /// tier-0 level when tiered compilation applies), inserted, and a
-  /// background tier upgrade is scheduled. With `cacheable` false, compiles
-  /// a private library at full opt level without touching the cache.
+  /// front and `cache_hit` is set; on a miss the plan is compiled at -O0,
+  /// inserted, and a background upgrade to compile.opt_level is scheduled
+  /// when that level is above 0. With max_cached_queries 0, compiles a
+  /// private library at compile.opt_level without touching the cache.
   Result<std::shared_ptr<exec::CompiledLibrary>> GetOrCompile(
       const std::string& signature, const plan::PhysicalPlan& plan,
-      bool cacheable, QueryTimings* timings, bool* cache_hit);
+      QueryTimings* timings, bool* cache_hit);
 
   /// Returns the cached library for `signature` (moving it to the LRU
   /// front), or null. Does not count a hit/miss.
@@ -701,8 +687,6 @@ class HiqueEngine {
   std::deque<TierJob> tier_queue_;
   uint64_t tier_jobs_pending_ = 0;
   bool shutdown_ = false;
-
-  std::atomic<uint64_t> next_query_id_{0};
 
   // Admission-control scheduler for SubmitAsync (lazily created, guarded
   // by admission_mu_; destroyed — queued jobs settled as cancelled, runner

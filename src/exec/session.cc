@@ -281,7 +281,6 @@ StatementSource TextSource(const Session::State& session,
   StatementSource source;
   source.sql = sql;
   source.planner = session.planner;
-  source.cacheable = true;
   return source;
 }
 
@@ -454,7 +453,6 @@ Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
     const PreparedStatement::State& prepared = *source.stmt->state_;
     source.sql = prepared.sql;
     source.planner = prepared.planner;
-    source.cacheable = prepared.cacheable;
     kind = prepared.is_dml ? StatementKind::kDml : StatementKind::kSelect;
   } else {
     kind = Classify(source.sql, &inner);
@@ -517,7 +515,6 @@ Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
   } else {
     HQ_ASSIGN_OR_RETURN(state, engine->PrepareState(
                                    source.sql, source.planner,
-                                   source.cacheable,
                                    /*force_hybrid_agg=*/false,
                                    /*allow_placeholders=*/false));
   }
@@ -650,7 +647,6 @@ Status SessionImpl::Replan(StatementRun* run, bool hybrid) {
     if (prepared.fallback == nullptr) {
       HQ_ASSIGN_OR_RETURN(prepared.fallback,
                           engine->PrepareState(source.sql, source.planner,
-                                               source.cacheable,
                                                /*force_hybrid_agg=*/true,
                                                /*allow_placeholders=*/true));
     }
@@ -658,8 +654,7 @@ Status SessionImpl::Replan(StatementRun* run, bool hybrid) {
   } else {
     const bool placeholders = source.stmt.has_value();
     HQ_ASSIGN_OR_RETURN(next, engine->PrepareState(source.sql, source.planner,
-                                                   source.cacheable, hybrid,
-                                                   placeholders));
+                                                   hybrid, placeholders));
   }
   return Adopt(run, std::move(next));
 }
@@ -835,8 +830,7 @@ Result<PreparedStatement> SessionImpl::Prepare(
   }
   HQ_ASSIGN_OR_RETURN(
       auto state,
-      engine->PrepareState(sql, planner, /*cacheable=*/true,
-                           /*force_hybrid_agg=*/false,
+      engine->PrepareState(sql, planner, /*force_hybrid_agg=*/false,
                            /*allow_placeholders=*/true));
   PreparedStatement prepared;
   prepared.state_ = std::move(state);
@@ -1218,17 +1212,6 @@ Session HiqueEngine::OpenSession(SessionOptions options) {
 
 Result<QueryResult> HiqueEngine::Query(const std::string& sql) {
   return default_session_.Query(sql);
-}
-
-Result<QueryResult> HiqueEngine::QueryWithPlanner(
-    const std::string& sql, const plan::PlannerOptions& planner) {
-  // Per-query planner override, bypassing the compiled-query cache so
-  // sweeps always measure a fresh compile.
-  StatementSource source;
-  source.sql = sql;
-  source.planner = planner;
-  return SessionImpl::Blocking(default_session_.state_, std::move(source),
-                               nullptr);
 }
 
 Result<PreparedStatement> HiqueEngine::Prepare(const std::string& sql) {

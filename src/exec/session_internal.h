@@ -36,7 +36,6 @@ struct PreparedStatement::State {
   // How this statement was planned — the map-overflow fallback re-plans
   // with the same settings.
   plan::PlannerOptions planner;
-  bool cacheable = false;
   // Prepared DML: no plan/library — Execute routes `sql` to the DML
   // executor and returns rows-affected through the result.
   bool is_dml = false;
@@ -186,7 +185,6 @@ struct QueryHandle::AsyncState {
 struct StatementSource {
   std::string sql;
   plan::PlannerOptions planner;
-  bool cacheable = false;
   std::optional<PreparedStatement> stmt;
   std::vector<Value> values;
 };
@@ -196,7 +194,7 @@ struct StatementSource {
 /// cursor, only the producer thread touches it once Open has returned.
 struct StatementRun {
   std::shared_ptr<Session::State> session;
-  // For a prepared statement, sql/planner/cacheable are the statement's.
+  // For a prepared statement, sql/planner are the statement's.
   StatementSource source;
   // EXPLAIN ANALYZE forces per-operator span collection (and cycle
   // counters) regardless of EngineOptions::trace_spans. Neither changes the

@@ -19,8 +19,7 @@ using sql::ScalarKind;
 /// agree on every slot id.
 class Parameterizer {
  public:
-  Parameterizer(PhysicalPlan* plan, ParamMode mode)
-      : plan_(plan), mode_(mode) {}
+  explicit Parameterizer(PhysicalPlan* plan) : plan_(plan) {}
 
   void Run() {
     for (auto& op : plan_->ops) {
@@ -72,7 +71,6 @@ class Parameterizer {
 
   void AssignFilter(Filter* f) {
     if (f->rhs_is_column || f->param >= 0) return;
-    if (mode_ == ParamMode::kPlaceholdersOnly && f->placeholder < 0) return;
     f->param = AddEntry(f->literal, f->placeholder);
   }
 
@@ -81,8 +79,7 @@ class Parameterizer {
   /// *filter* literals are hoisted through AssignFilter into the byte bank).
   void AssignExpr(ScalarExpr* e) {
     if (e->kind == ScalarKind::kLiteral && e->param < 0 &&
-        e->type.id != TypeId::kChar &&
-        (mode_ == ParamMode::kAllLiterals || e->placeholder >= 0)) {
+        e->type.id != TypeId::kChar) {
       e->param = AddEntry(e->literal, e->placeholder);
     }
     if (e->left) AssignExpr(e->left.get());
@@ -114,7 +111,6 @@ class Parameterizer {
   }
 
   PhysicalPlan* plan_;
-  ParamMode mode_;
 };
 
 // ---- signature serialization ----------------------------------------------
@@ -259,8 +255,8 @@ void SigCodec(std::ostream& out, const TableCodec& tc) {
 
 }  // namespace
 
-void ParameterizePlan(PhysicalPlan* plan, ParamMode mode) {
-  Parameterizer(plan, mode).Run();
+void ParameterizePlan(PhysicalPlan* plan) {
+  Parameterizer(plan).Run();
 }
 
 std::string PlanSignature(const PhysicalPlan& plan) {

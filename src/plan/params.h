@@ -7,17 +7,6 @@
 
 namespace hique::plan {
 
-/// What ParameterizePlan hoists into the runtime parameter block.
-enum class ParamMode {
-  /// Every comparison/arithmetic literal (the plan-signature cache default).
-  kAllLiterals,
-  /// Only `?` placeholder literals. Used when constant hoisting is disabled:
-  /// ordinary literals stay inlined (per-literal specialization), but
-  /// placeholders have no value at prepare time and must go through the
-  /// parameter block regardless.
-  kPlaceholdersOnly,
-};
-
 /// Hoists literal constants out of the plan: walks the operator list in
 /// canonical order, assigns every eligible literal a slot in the plan's
 /// ParamTable (mutating Filter::param / ScalarExpr::param), and records the
@@ -32,8 +21,7 @@ enum class ParamMode {
 /// Structural constants — record sizes, field offsets, partition counts,
 /// directory capacities, LIMIT — stay inlined so the compiler can still
 /// specialize layouts. Idempotent: slots already assigned are kept.
-void ParameterizePlan(PhysicalPlan* plan,
-                      ParamMode mode = ParamMode::kAllLiterals);
+void ParameterizePlan(PhysicalPlan* plan);
 
 /// Canonical structural signature of a plan: a string that is identical for
 /// two plans that differ only in hoisted literal values, and different

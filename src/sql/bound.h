@@ -54,8 +54,8 @@ struct ScalarExpr {
   /// `?` placeholder ordinal when this literal stands for a user-supplied
   /// value (prepared statements); -1 for ordinary literals. The binder infers
   /// the type from the arithmetic context and stores a zero value of that
-  /// type in `literal`; ParameterizePlan must hoist placeholder literals even
-  /// when constant hoisting is off, since they have no value to inline.
+  /// type in `literal`; ParameterizePlan hoists it into the parameter block,
+  /// where each execution binds the user's value.
   int placeholder = -1;
 
   static ScalarExprPtr Column(ColRef ref, Type t) {

@@ -12,7 +12,6 @@
 #include "exec/engine.h"
 #include "exec/executor.h"
 #include "tests/test_util.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -28,12 +27,9 @@ std::vector<std::string> ResultTuples(const QueryResult& r) {
 }
 
 EngineOptions FastOptions(uint32_t async_slots) {
-  static int instance = 0;
   EngineOptions o;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
   o.async_slots = async_slots;
-  o.gen_dir = env::ProcessTempDir() + "/async_e" + std::to_string(instance++);
   return o;
 }
 

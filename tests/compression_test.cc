@@ -22,7 +22,6 @@
 #include "storage/compress.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace hique {
@@ -296,13 +295,10 @@ class CompressedExecTest : public ::testing::Test {
   }
 
   static EngineOptions Options(uint32_t threads, bool compression) {
-    static int instance = 0;
     EngineOptions o;
     o.threads = threads;
     o.compression = compression;
     o.compile.opt_level = 0;
-    o.tiered_compilation = false;
-    o.gen_dir = env::ProcessTempDir() + "/comp_e" + std::to_string(instance++);
     return o;
   }
 

@@ -243,10 +243,15 @@ TEST_P(ForcedAlgoTest, JoinAggAgainstReference) {
       "group by r_k";
   auto expected = ref::ExecuteSql(sql, catalog_);
   ASSERT_TRUE(expected.ok());
-  // HIQUE.
+  // HIQUE: one uncached run through a planner-override session.
   {
-    HiqueEngine engine(&catalog_);
-    auto r = engine.QueryWithPlanner(sql, opts);
+    EngineOptions uncached;
+    uncached.max_cached_queries = 0;
+    HiqueEngine engine(&catalog_, uncached);
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = opts;
+    auto r = engine.OpenSession(so).Query(sql);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     std::vector<ref::Row> actual;
     for (auto& row : r.value().Rows()) actual.push_back(row);
@@ -318,8 +323,13 @@ TEST_P(TeamJoinTest, MatchesReference) {
   opts.fine_partition_max_domain = 0;
   auto expected = ref::ExecuteSql(sql, catalog);
   ASSERT_TRUE(expected.ok());
-  HiqueEngine engine(&catalog);
-  auto r = engine.QueryWithPlanner(sql, opts);
+  EngineOptions uncached;
+  uncached.max_cached_queries = 0;
+  HiqueEngine engine(&catalog, uncached);
+  SessionOptions so;
+  so.override_planner = true;
+  so.planner = opts;
+  auto r = engine.OpenSession(so).Query(sql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::vector<ref::Row> actual;
   for (auto& row : r.value().Rows()) actual.push_back(row);

@@ -139,14 +139,6 @@ TEST(EngineTest, UncachedArtefactsDeletedAfterExecution) {
     EngineOptions opts;
     opts.gen_dir = gen_dir;
     HiqueEngine engine(&catalog, opts);
-    // QueryWithPlanner bypasses the cache (benchmark sweeps): its .cc/.so
-    // must not pile up in the gen dir run after run.
-    ASSERT_TRUE(
-        engine.QueryWithPlanner("select count(*) from t", {}).ok());
-    auto files = env::ListDir(gen_dir);
-    ASSERT_TRUE(files.ok());
-    EXPECT_TRUE(files.value().empty())
-        << files.value().size() << " artefacts left behind";
     // Cached artefacts live exactly as long as a library holds them.
     ASSERT_TRUE(engine.Query("select count(*) from t").ok());
     engine.WaitForTierUpgrades();
@@ -156,20 +148,38 @@ TEST(EngineTest, UncachedArtefactsDeletedAfterExecution) {
   ASSERT_TRUE(files.ok());
   EXPECT_TRUE(files.value().empty());
 
-  // max_cached_queries = 0 turns the cache off for Query too: nothing is
-  // kept, nothing is tiered, and the artefacts go with the query.
+  // max_cached_queries = 0 turns the cache off: nothing is kept, nothing is
+  // tiered, and the artefacts go with the query instead of piling up in
+  // the gen dir run after run.
   EngineOptions uncached;
   uncached.gen_dir = gen_dir;
   uncached.max_cached_queries = 0;
-  HiqueEngine engine(&catalog, uncached);
+  {
+    HiqueEngine engine(&catalog, uncached);
+    auto r = engine.Query("select count(*) from t");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().cache_stats.entries, 0u);
+    EXPECT_EQ(r.value().library_opt_level, uncached.compile.opt_level);
+    files = env::ListDir(gen_dir);
+    ASSERT_TRUE(files.ok());
+    EXPECT_TRUE(files.value().empty())
+        << files.value().size() << " artefacts left behind";
+  }
+
+  // A cached engine at opt_level 0 is already at its final tier: a miss
+  // compiles once at -O0 and schedules no upgrade.
+  EngineOptions o0;
+  o0.gen_dir = gen_dir;
+  o0.compile.opt_level = 0;
+  HiqueEngine engine(&catalog, o0);
   auto r = engine.Query("select count(*) from t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().cache_stats.entries, 0u);
-  EXPECT_EQ(r.value().library_opt_level, uncached.compile.opt_level);
-  files = env::ListDir(gen_dir);
-  ASSERT_TRUE(files.ok());
-  EXPECT_TRUE(files.value().empty())
-      << files.value().size() << " artefacts left behind";
+  engine.WaitForTierUpgrades();
+  EXPECT_EQ(engine.CacheStats().tier_upgrades, 0u);
+  auto again = engine.Query("select count(*) from t");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.value().cache_hit);
+  EXPECT_EQ(again.value().library_opt_level, 0);
 }
 
 TEST(EngineTest, KeepSourceRetainsArtefacts) {
@@ -180,13 +190,34 @@ TEST(EngineTest, KeepSourceRetainsArtefacts) {
     EngineOptions opts;
     opts.gen_dir = gen_dir;
     opts.keep_source = true;
+    opts.max_cached_queries = 0;
     HiqueEngine engine(&catalog, opts);
-    ASSERT_TRUE(
-        engine.QueryWithPlanner("select count(*) from t", {}).ok());
+    ASSERT_TRUE(engine.Query("select count(*) from t").ok());
   }
   auto files = env::ListDir(gen_dir);
   ASSERT_TRUE(files.ok());
   EXPECT_FALSE(files.value().empty());
+}
+
+TEST(EngineTest, EnginesSharingAGenDirRunTheirOwnLibraries) {
+  Catalog catalog;
+  testing::MakeIntTable(&catalog, "t", 100, 5, 12);
+  // Default options: both engines write their artefacts into the process's
+  // one default gen dir. dlopen of a path that is already loaded returns
+  // the loaded library, so artefact names must not repeat across engines.
+  HiqueEngine a(&catalog);
+  HiqueEngine b(&catalog);
+  // The prepared statement pins `a`'s first library (through a tier swap
+  // too) while `b` compiles and loads its own first library.
+  auto count = a.Prepare("select count(*) from t");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  Status s = testing::CheckAgainstReference(
+      &b, "select t_k, t_v from t where t_v < 500");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  auto n = a.Execute(count.value());
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(n.value().NumRows(), 1);
+  EXPECT_EQ(n.value().Rows()[0][0].AsInt64(), 100);
 }
 
 TEST(EngineTest, KeepSourceExposesGeneratedCode) {

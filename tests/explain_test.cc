@@ -16,18 +16,14 @@
 #include "net/server.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
 
 EngineOptions FastOptions(uint32_t threads) {
-  static int instance = 0;
   EngineOptions o;
   o.threads = threads;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
-  o.gen_dir = env::ProcessTempDir() + "/explain_e" + std::to_string(instance++);
   return o;
 }
 

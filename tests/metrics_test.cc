@@ -166,7 +166,6 @@ TEST(MetricsTest, EngineFeedsStatementMetricsAndPlanCache) {
   EngineOptions o;
   o.threads = 2;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
   o.gen_dir = env::ProcessTempDir() + "/metrics_e";
   HiqueEngine engine(catalog, o);
   const std::string sql = "select mt_k, count(*) as c from mt group by mt_k";
@@ -187,7 +186,6 @@ TEST(MetricsTest, SlowQueryLogTriggersOnThreshold) {
   EngineOptions o;
   o.threads = 2;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
   o.gen_dir = env::ProcessTempDir() + "/metrics_slow_e";
   // Any statement that takes at least a microsecond-ish qualifies: the
   // first compile alone crosses this.

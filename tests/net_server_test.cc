@@ -19,7 +19,6 @@
 #include "net/server.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -44,12 +43,9 @@ std::vector<std::string> RemoteTuples(net::RemoteResultSet* rs) {
 }
 
 EngineOptions FastOptions(uint32_t threads) {
-  static int instance = 0;
   EngineOptions o;
   o.threads = threads;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
-  o.gen_dir = env::ProcessTempDir() + "/net_e" + std::to_string(instance++);
   return o;
 }
 

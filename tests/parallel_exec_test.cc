@@ -18,7 +18,6 @@
 #include "exec/worker_pool.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -82,15 +81,11 @@ class ParallelExecTest : public ::testing::Test {
   static EngineOptions Options(uint32_t threads) {
     // Each engine gets a private gen dir: artifact names restart at q0 per
     // engine, so two engines sharing a directory would collide.
-    static int instance = 0;
     EngineOptions o;
     o.threads = threads;
-    // -O0, no tiering: each matrix point compiles once, quickly; parallel
-    // correctness is independent of the compiler opt level.
+    // -O0, so nothing tiers up: each matrix point compiles once, quickly;
+    // parallel correctness is independent of the compiler opt level.
     o.compile.opt_level = 0;
-    o.tiered_compilation = false;
-    o.gen_dir = env::ProcessTempDir() + "/par_e" + std::to_string(instance++) +
-                "_t" + std::to_string(threads);
     return o;
   }
 

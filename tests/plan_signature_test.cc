@@ -206,24 +206,47 @@ TEST_F(ParamCacheTest, StatsRefreshInvalidatesCachedLibraries) {
   EXPECT_TRUE(rewarm.value().cache_hit);
 }
 
-TEST_F(ParamCacheTest, HoistingDisabledRestoresPerLiteralCaching) {
-  EngineOptions opts;
-  opts.hoist_constants = false;
-  HiqueEngine engine(&catalog_, opts);
-  ASSERT_TRUE(engine.Query("select t_k from t where t_v < 100").ok());
-  ASSERT_TRUE(engine.Query("select t_k from t where t_v < 200").ok());
-  // Inlined literals appear in the signature: per-literal specialization.
-  EXPECT_EQ(engine.CacheStats().entries, 2u);
+TEST_F(ParamCacheTest, PlannerOverrideSessionsCacheTheirOwnPlans) {
+  // Sessions that pin an algorithm plan the same SQL into structurally
+  // different plans: each gets its own signature and its own cache entry.
+  const std::string sql =
+      "select t_k, count(*) as c, sum(t_d) as s from t group by t_k";
+  auto expected = ref::ExecuteSql(sql, catalog_);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  std::vector<std::string> signatures;
+  for (plan::AggAlgo algo : {plan::AggAlgo::kSort, plan::AggAlgo::kMap}) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner.force_agg_algo = algo;
+    Session session = engine_->OpenSession(so);
+    auto first = session.Query(sql);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_FALSE(first.value().cache_hit);
+    std::vector<ref::Row> rows;
+    for (auto& row : first.value().Rows()) rows.push_back(row);
+    Status cmp = ref::CompareRowSets(expected.value(), rows, false);
+    EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+    signatures.push_back(first.value().plan_signature);
 
-  // Inlined doubles must key at full precision: values that round to the
-  // same display string are still distinct queries.
+    auto repeat = session.Query(sql);
+    ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+    EXPECT_TRUE(repeat.value().cache_hit);
+    EXPECT_EQ(repeat.value().plan_signature, first.value().plan_signature);
+  }
+  EXPECT_NE(signatures[0], signatures[1]);
+  EXPECT_EQ(engine_->CacheStats().entries, 2u);
+}
+
+TEST_F(ParamCacheTest, DoubleLiteralVariantsBindAtFullPrecision) {
+  // Doubles that round to the same display string share one library, and
+  // each execution binds its own value at full precision.
   Status a = testing::CheckAgainstReference(
-      &engine, "select t_k from t where t_d < 250.004");
+      engine_.get(), "select t_k from t where t_d < 250.004");
   EXPECT_TRUE(a.ok()) << a.ToString();
   Status b = testing::CheckAgainstReference(
-      &engine, "select t_k from t where t_d < 250.0041");
+      engine_.get(), "select t_k from t where t_d < 250.0041");
   EXPECT_TRUE(b.ok()) << b.ToString();
-  EXPECT_EQ(engine.CacheStats().entries, 4u);
+  EXPECT_EQ(engine_->CacheStats().entries, 1u);
 }
 
 }  // namespace

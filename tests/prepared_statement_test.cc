@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "plan/params.h"
 #include "ref/reference.h"
-#include "sql/binder.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 
@@ -138,18 +136,6 @@ TEST_F(PreparedStatementTest, SharesCacheWithLiteralQueries) {
   EXPECT_EQ(engine_->CacheStats().entries, 1u);
 }
 
-TEST_F(PreparedStatementTest, WorksWithHoistingDisabled) {
-  EngineOptions opts;
-  opts.hoist_constants = false;
-  HiqueEngine engine(&catalog_, opts);
-  auto stmt = engine.Prepare("select t_k from t where t_v < ?");
-  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  Status s = CheckExecuteAgainstReference(
-      &engine, stmt.value(), {Value::Int64(250)},
-      "select t_k from t where t_v < 250");
-  EXPECT_TRUE(s.ok()) << s.ToString();
-}
-
 TEST_F(PreparedStatementTest, SurvivesEviction) {
   EngineOptions opts;
   opts.max_cached_queries = 1;
@@ -253,24 +239,6 @@ TEST(PreparedStalePlanTest, LayoutChangeAfterPrepareReplansTransparently) {
       &engine, stmt.value(), {Value::Int64(500)},
       "select t_k, count(*) from t where t_v < 500 group by t_k");
   EXPECT_TRUE(st.ok()) << st.ToString();
-}
-
-TEST(ParamModeTest, PlaceholdersOnlyHoistsJustPlaceholders) {
-  Catalog catalog;
-  testing::MakeIntTable(&catalog, "t", 100, 8, 33);
-  auto stmt = sql::Parse("select t_k from t where t_v < ? and t_k < 3");
-  ASSERT_TRUE(stmt.ok());
-  auto bound = sql::Bind(*stmt.value(), catalog);
-  ASSERT_TRUE(bound.ok());
-  auto plan = plan::Optimize(std::move(bound).value(), {});
-  ASSERT_TRUE(plan.ok());
-  plan::ParameterizePlan(plan.value().get(),
-                         plan::ParamMode::kPlaceholdersOnly);
-  const plan::ParamTable& params = plan.value()->params;
-  ASSERT_EQ(params.entries.size(), 1u);  // only the `?`, not the 3
-  EXPECT_EQ(params.entries[0].placeholder, 0);
-  ASSERT_EQ(params.placeholder_entries.size(), 1u);
-  EXPECT_EQ(params.placeholder_entries[0], 0);
 }
 
 }  // namespace

@@ -120,11 +120,22 @@ TEST_P(PropertyTest, FilterPartitioning) {
 TEST_P(PropertyTest, AggregationAlgorithmsAgree) {
   std::string sql =
       "select r_k, count(*) as c, sum(r_d) as s from r group by r_k";
+  // Each forced algorithm runs once, uncached, through a planner-override
+  // session.
+  EngineOptions uncached;
+  uncached.max_cached_queries = 0;
+  HiqueEngine engine(&catalog_, uncached);
+  auto query_with = [&](const plan::PlannerOptions& planner) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = planner;
+    return engine.OpenSession(so).Query(sql);
+  };
   std::map<int32_t, std::pair<int64_t, double>> expected;
   {
     plan::PlannerOptions opts;
     opts.force_agg_algo = plan::AggAlgo::kHybridHashSort;
-    auto rows = engine_->QueryWithPlanner(sql, opts);
+    auto rows = query_with(opts);
     ASSERT_TRUE(rows.ok());
     for (const auto& row : rows.value().Rows()) {
       expected[row[0].AsInt32()] = {row[1].AsInt64(), row[2].AsDouble()};
@@ -134,7 +145,7 @@ TEST_P(PropertyTest, AggregationAlgorithmsAgree) {
     plan::PlannerOptions opts;
     opts.force_agg_algo = algo;
     opts.map_agg_max_cells = 1u << 16;
-    auto rows = engine_->QueryWithPlanner(sql, opts);
+    auto rows = query_with(opts);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     size_t seen = 0;
     for (const auto& row : rows.value().Rows()) {

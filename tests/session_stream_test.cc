@@ -18,7 +18,6 @@
 #include "ref/reference.h"
 #include "storage/page.h"
 #include "tests/test_util.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -43,12 +42,9 @@ std::vector<std::string> StreamTuples(ResultSet* rs) {
 }
 
 EngineOptions FastOptions(uint32_t threads) {
-  static int instance = 0;
   EngineOptions o;
   o.threads = threads;
   o.compile.opt_level = 0;
-  o.tiered_compilation = false;
-  o.gen_dir = env::ProcessTempDir() + "/stream_e" + std::to_string(instance++);
   return o;
 }
 

@@ -22,7 +22,6 @@
 #include "exec/engine.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -63,18 +62,12 @@ class SimdCodegenTest : public ::testing::Test {
   }
 
   static EngineOptions Options(uint32_t threads, bool simd) {
-    // Each engine gets a private gen dir: artifact names restart at q0 per
-    // engine, so two engines sharing a directory would collide.
-    static int instance = 0;
     EngineOptions o;
     o.threads = threads;
     o.simd = simd;
-    // -O0, no tiering: the SIMD/scalar equivalence must hold at the tier-0
-    // opt level every first execution actually runs at.
+    // -O0, so nothing tiers up: the SIMD/scalar equivalence must hold at
+    // the tier-0 opt level every first execution actually runs at.
     o.compile.opt_level = 0;
-    o.tiered_compilation = false;
-    o.gen_dir = env::ProcessTempDir() + "/simd_e" + std::to_string(instance++) +
-                "_t" + std::to_string(threads);
     return o;
   }
 
