@@ -2,15 +2,17 @@
 //   - generic Volcano iterators (PostgreSQL stand-in, NSM + interpretation)
 //   - optimized Volcano iterators (System X stand-in, NSM + typed iterators)
 //   - column-at-a-time engine (MonetDB stand-in, DSM + materialization)
-//   - HIQUE (generated code over NSM), scalar and SIMD kernel versions
+//   - HIQUE (generated code over NSM)
 // Expected shape (paper): Q1 — HIQUE beats the column engine ~4x and the
 // NSM iterator engines by 1-2 orders of magnitude; Q3/Q10 — HIQUE and the
 // column engine trade places (wide tuples favour DSM), both well ahead of
 // the NSM iterator engines. Q6 (not in the paper's figure) is the
-// selection-dominated query where the SIMD bitmap kernels matter most.
+// selection-dominated query where the batched bitmap scans matter most.
 //
-// --json=FILE writes the measurements as the repo's tracked perf datapoint
-// (BENCH_fig8.json in CI): the scalar-vs-SIMD delta per query.
+// HIQUE runs the kernel version the host supports (simd_level in the
+// JSON); to time the portable kernels, run the whole bench under
+// HQ_SIMD=off. --json=FILE writes the measurements as the repo's tracked
+// perf datapoint (BENCH_fig8.json in CI).
 
 #include <cstdio>
 #include <thread>
@@ -65,9 +67,7 @@ int main(int argc, char** argv) {
   std::printf("systems: generic iterators (PostgreSQL stand-in), optimized "
               "iterators (System X stand-in),\n"
               "         column engine (MonetDB stand-in), HIQUE generated "
-              "code — see DESIGN.md for the substitutions\n"
-              "HIQUE-scalar forces the scalar kernel versions; HIQUE runs "
-              "the widest SIMD level this host supports\n\n");
+              "code — see DESIGN.md for the substitutions\n\n");
 
   Catalog catalog;
   tpch::TpchOptions topts;
@@ -90,10 +90,6 @@ int main(int argc, char** argv) {
   eopts.compile.opt_level = 2;
   eopts.threads = 1;
   HiqueEngine hique(&catalog, eopts);
-  EngineOptions sopts = eopts;
-  sopts.gen_dir = env::ProcessTempDir() + "/fig8_scalar";
-  sopts.simd = false;
-  HiqueEngine hique_scalar(&catalog, sopts);
   EngineOptions mopts = eopts;
   mopts.gen_dir = env::ProcessTempDir() + "/fig8_mt";
   mopts.threads = threads;
@@ -143,13 +139,12 @@ int main(int argc, char** argv) {
 
   bench::ResultPrinter table({"query", "Generic iterators",
                               "Optimized iterators", "Column engine",
-                              "HIQUE-scalar", "HIQUE", "HIQUE-comp",
+                              "HIQUE", "HIQUE-comp",
                               "HIQUE-x" + std::to_string(threads),
-                              "simd speedup", "HIQUE rows"});
-  // Each system runs its repeats back-to-back (system-major order): the
-  // scalar-vs-SIMD comparison is cache-sensitive, and interleaving systems
-  // per repeat lets the column engine's DSM copies evict the shared table
-  // pages between the two HIQUE runs being compared.
+                              "HIQUE rows"});
+  // Each system runs its repeats back-to-back (system-major order):
+  // interleaving systems per repeat would let the column engine's DSM
+  // copies evict the shared table pages between HIQUE's runs.
   bool failed = false;
   std::string cur_sql;
   auto best = [&](const char* qname, const char* sys, auto& engine,
@@ -232,9 +227,6 @@ int main(int argc, char** argv) {
                          [](const auto& r) { return r.stats.execute_seconds; });
     double t_col = best(q.name, "column", monet,
                         [](const auto& r) { return r.total_seconds; });
-    double t_scalar =
-        best(q.name, "hique-scalar", hique_scalar,
-             [](const auto& r) { return r.exec_stats.execute_seconds; });
     double t_hq = best(q.name, "hique", hique, [&rows](const auto& r) {
       rows = r.NumRows();
       return r.exec_stats.execute_seconds;
@@ -254,23 +246,17 @@ int main(int argc, char** argv) {
                   static_cast<long long>(rows));
       return 1;
     }
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  t_hq > 0 ? t_scalar / t_hq : 0.0);
     table.AddRow({q.name, bench::Sec(t_pg), bench::Sec(t_sysx),
-                  bench::Sec(t_col), bench::Sec(t_scalar), bench::Sec(t_hq),
-                  bench::Sec(t_comp), bench::Sec(t_mt), speedup,
-                  std::to_string(rows)});
+                  bench::Sec(t_col), bench::Sec(t_hq), bench::Sec(t_comp),
+                  bench::Sec(t_mt), std::to_string(rows)});
     json_queries.Add(bench::JsonObj()
                          .Str("name", q.name)
                          .Num("generic_s", t_pg)
                          .Num("optimized_s", t_sysx)
                          .Num("column_s", t_col)
-                         .Num("hique_scalar_s", t_scalar)
                          .Num("hique_simd_s", t_hq)
                          .Num("hique_comp_s", t_comp)
                          .Num("hique_mt_s", t_mt)
-                         .Num("simd_speedup", t_hq > 0 ? t_scalar / t_hq : 0)
                          .Num("comp_speedup", t_comp > 0 ? t_hq / t_comp : 0)
                          .Num("mt_speedup", t_mt > 0 ? t_hq / t_mt : 0)
                          .Int("rows", rows)
@@ -280,13 +266,12 @@ int main(int argc, char** argv) {
   table.Print();
 
   // Kernel microbenchmarks on the §VI 72-byte-tuple micro tables: the
-  // fig7c-style selective join (SIMD predicate kernel ahead of the join)
-  // and the fig6-style large-domain group-by (vectorized partition hash).
-  // These isolate the scalar-vs-SIMD kernel delta that the TPC-H mix
-  // dilutes; tracked in BENCH_fig8.json alongside the queries.
-  // Sized to stay LLC-resident (600k x 72 B = ~43 MB): the kernels target
-  // the paper's cache-conscious regime, and at DRAM-bound sizes both code
-  // versions converge on memory bandwidth.
+  // fig7c-style selective join (predicate kernel ahead of the join) and
+  // the fig6-style large-domain group-by (vectorized partition hash).
+  // These isolate the kernels that the TPC-H mix dilutes; tracked in
+  // BENCH_fig8.json alongside the queries. Sized to stay LLC-resident
+  // (600k x 72 B = ~43 MB): the kernels target the paper's cache-conscious
+  // regime.
   bench::MicroTableSpec mspec;
   mspec.rows = 600000;
   mspec.key_domain = 100000;
@@ -304,51 +289,25 @@ int main(int argc, char** argv) {
       {"fig6_groupby",
        "select mr_k, count(*) as c, sum(mr_a) as sa "
        "from mr group by mr_k"}};
-  bench::ResultPrinter ktable({"kernel micro", "HIQUE-scalar", "HIQUE",
-                               "HIQUE-x" + std::to_string(threads),
-                               "simd speedup", "rows"});
+  bench::ResultPrinter ktable({"kernel micro", "HIQUE",
+                               "HIQUE-x" + std::to_string(threads), "rows"});
   bench::JsonArr json_micro;
   for (const auto& q : micro) {
     int64_t rows = 0;
-    double t_scalar = 1e100, t_hq = 1e100;
-    for (int r = -1; r < repeat; ++r) {
-      auto rs = hique_scalar.Query(q.sql);
-      auto rv = hique.Query(q.sql);
-      if (!rs.ok() || !rv.ok()) {
-        std::printf("%s hique: %s\n", q.name,
-                    (rs.ok() ? rv : rs).status().ToString().c_str());
-        return 1;
-      }
-      if (r < 0) {
-        hique_scalar.WaitForTierUpgrades();
-        hique.WaitForTierUpgrades();
-        continue;
-      }
-      if (!AtOptLevel(rs.value(), eopts.compile.opt_level) ||
-          !AtOptLevel(rv.value(), eopts.compile.opt_level)) {
-        std::printf("%s hique: timed run below -O%d\n", q.name,
-                    eopts.compile.opt_level);
-        return 1;
-      }
-      t_scalar = std::min(t_scalar, rs.value().exec_stats.execute_seconds);
-      t_hq = std::min(t_hq, rv.value().exec_stats.execute_seconds);
-      rows = rv.value().NumRows();
-    }
     cur_sql = q.sql;
+    double t_hq = best(q.name, "hique", hique, [&rows](const auto& r) {
+      rows = r.NumRows();
+      return r.exec_stats.execute_seconds;
+    });
     double t_mt = best(q.name, "hique-mt", hique_mt,
                        [](const auto& r) { return r.exec_stats.execute_seconds; });
     if (failed) return 1;
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  t_hq > 0 ? t_scalar / t_hq : 0.0);
-    ktable.AddRow({q.name, bench::Sec(t_scalar), bench::Sec(t_hq),
-                   bench::Sec(t_mt), speedup, std::to_string(rows)});
+    ktable.AddRow({q.name, bench::Sec(t_hq), bench::Sec(t_mt),
+                   std::to_string(rows)});
     json_micro.Add(bench::JsonObj()
                        .Str("name", q.name)
-                       .Num("hique_scalar_s", t_scalar)
                        .Num("hique_simd_s", t_hq)
                        .Num("hique_mt_s", t_mt)
-                       .Num("simd_speedup", t_hq > 0 ? t_scalar / t_hq : 0)
                        .Num("mt_speedup", t_mt > 0 ? t_hq / t_mt : 0)
                        .Int("rows", rows)
                        .Add("op_spans", op_spans_json(q.sql).Render())
@@ -386,7 +345,6 @@ int main(int argc, char** argv) {
     }
     EngineOptions bopts = eopts;
     bopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_plain_gen";
-    bopts.buffer_pool_pages = buffer_pages;
     HiqueEngine bp_plain(&cat_plain, bopts);
     EngineOptions bcopts = bopts;
     bcopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_comp_gen";

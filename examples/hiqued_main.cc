@@ -63,12 +63,11 @@ void DumpStats(hique::HiqueEngine* engine, hique::net::Server* server) {
 int main(int argc, char** argv) {
   using namespace hique;
 
-  std::string address = "127.0.0.1";
-  int port = 5433;
+  net::ServerOptions server_options;
+  server_options.port = 5433;
   std::string port_file;
   double scale_factor = 0.01;
   uint32_t threads = 0;
-  uint32_t max_connections = 64;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -80,9 +79,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--address") {
-      address = next("--address");
+      server_options.address = next("--address");
     } else if (arg == "--port") {
-      port = std::atoi(next("--port"));
+      server_options.port = static_cast<uint16_t>(std::atoi(next("--port")));
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--sf") {
@@ -90,7 +89,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = static_cast<uint32_t>(std::atoi(next("--threads")));
     } else if (arg == "--max-conn") {
-      max_connections = static_cast<uint32_t>(std::atoi(next("--max-conn")));
+      server_options.max_connections =
+          static_cast<uint32_t>(std::atoi(next("--max-conn")));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -110,12 +110,9 @@ int main(int argc, char** argv) {
 
   EngineOptions options;
   options.threads = threads;
-  options.listen_address = address;
-  options.listen_port = static_cast<uint16_t>(port);
-  options.max_connections = max_connections;
   HiqueEngine engine(&catalog, options);
 
-  net::Server server(&engine);
+  net::Server server(&engine, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",

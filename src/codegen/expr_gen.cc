@@ -184,6 +184,26 @@ bool IsIntLane(TypeId id) {
   return id == TypeId::kInt32 || id == TypeId::kDate || id == TypeId::kInt64;
 }
 
+/// How a conjunct lowers to 64-bit lanes: kI64 when its C arithmetic
+/// conversions can be replicated exactly by int64 lanes (int-vs-int
+/// comparisons promote both sides to int64; sign-extension is order- and
+/// value-preserving), kF64 when anything involves a double (both sides
+/// promote to double, precisely what the scalar expression does), kNone
+/// for CHAR memcmp and column-vs-column conjuncts.
+enum class Lane { kNone, kI64, kF64 };
+
+Lane LaneOf(const Schema& schema, const sql::Filter& f,
+            const plan::ParamTable* params) {
+  if (f.rhs_is_column) return Lane::kNone;
+  const TypeId lid = schema.ColumnAt(f.column.column).type.id;
+  const bool hoisted = params != nullptr && f.param >= 0;
+  const TypeId rid =
+      hoisted ? params->entries[f.param].type.id : f.literal.type_id();
+  if (IsIntLane(lid) && IsIntLane(rid)) return Lane::kI64;
+  if (lid != TypeId::kChar && rid != TypeId::kChar) return Lane::kF64;
+  return Lane::kNone;
+}
+
 /// `{f(t0), f(t1), f(t2), f(t3)}` — a four-lane gather initializer.
 std::string Lanes4(const std::function<std::string(const std::string&)>& f) {
   return "{" + f("t0") + ", " + f("t1") + ", " + f("t2") + ", " + f("t3") +
@@ -192,199 +212,135 @@ std::string Lanes4(const std::function<std::string(const std::string&)>& f) {
 
 }  // namespace
 
+bool BatchedScan(const Schema& schema, const std::vector<sql::Filter>& filters,
+                 double filter_selectivity, const plan::ParamTable* params) {
+  return !filters.empty() &&
+         filter_selectivity <= kBatchedSelectMaxSelectivity &&
+         LaneOf(schema, filters[0], params) != Lane::kNone;
+}
+
 void EmitPredicateKernel(std::string* out, const std::string& name,
                          const Schema& schema,
                          const std::vector<sql::Filter>& filters,
                          const plan::ParamTable* params) {
-  HQ_CHECK_MSG(!filters.empty(), "predicate kernel needs filters");
   const std::string R = std::to_string(schema.TupleSize());
-
-  // The exact scalar conjunction: the scalar version, the vector tail, and
-  // per-lane fallbacks all reuse this text, which is what guarantees every
-  // version computes the same predicate.
-  auto conj_for = [&](const std::string& rec) {
-    std::string c;
-    for (size_t j = 0; j < filters.size(); ++j) {
-      if (j != 0) c += " && ";
-      c += FilterCondition(rec, schema, filters[j], params);
-    }
-    return c;
-  };
-  const std::string conj = conj_for("r");
 
   // Split the conjunction into a *vectorized prefix* and a *scalar
   // refinement suffix*. The prefix is the maximal leading run of conjuncts
-  // that lower to 64-bit lanes; the rest (CHAR memcmp, column-vs-column)
-  // run scalar on surviving bits only, in the original order. Lane
-  // evaluation is branchless — no data-dependent branch to mispredict —
-  // and each distinct column is gathered once no matter how many
-  // comparisons read it, so evaluating the whole lane-compatible run
-  // eagerly beats scalar short-circuit even when the leading conjuncts
-  // are selective.
-  //
-  // A conjunct lowers to 64-bit lanes when its C arithmetic conversions
-  // can be replicated exactly: int-vs-int comparisons promote both sides
-  // to int64 (sign-extension is order- and value-preserving), anything
-  // involving a double promotes both sides to double — precisely what the
-  // scalar expression does.
+  // that lower to 64-bit lanes; the rest run scalar on surviving bits
+  // only, in the original order. Lane evaluation is branchless — no
+  // data-dependent branch to mispredict — and each distinct column is
+  // gathered once no matter how many comparisons read it, so evaluating
+  // the whole lane-compatible run eagerly beats scalar short-circuit even
+  // when the leading conjuncts are selective.
   size_t prefix = 0;
-  std::vector<int> kind(filters.size(), -1);  // 0 = i64 lanes, 1 = f64
-  for (size_t j = 0; j < filters.size(); ++j) {
-    const sql::Filter& f = filters[j];
-    if (f.rhs_is_column) break;
-    const Type lt = schema.ColumnAt(f.column.column).type;
-    const bool hoisted = params != nullptr && f.param >= 0;
-    const TypeId rid = hoisted ? params->entries[f.param].type.id
-                               : f.literal.type_id();
-    if (IsIntLane(lt.id) && IsIntLane(rid)) {
-      kind[j] = 0;
-    } else if (lt.id != TypeId::kChar && rid != TypeId::kChar) {
-      kind[j] = 1;
-    } else {
-      break;
-    }
-    prefix = j + 1;
+  std::vector<Lane> lane;
+  for (const sql::Filter& f : filters) {
+    lane.push_back(LaneOf(schema, f, params));
+    if (lane.back() == Lane::kNone) break;
+    prefix = lane.size();
   }
+  HQ_CHECK_MSG(prefix >= 1, "predicate kernel needs a lane-mappable lead");
 
-  // The prefix conjunction alone, for the vector loop's scalar tail.
-  auto prefix_conj = [&] {
+  // The exact scalar conjunction of filters [b, e): the portable body, the
+  // vector tail and the refinement suffix all reuse this text, which is
+  // what guarantees both versions compute the same predicate.
+  auto conj = [&](size_t b, size_t e) {
     std::string c;
-    for (size_t j = 0; j < prefix; ++j) {
-      if (j != 0) c += " && ";
+    for (size_t j = b; j < e; ++j) {
+      if (j != b) c += " && ";
       c += FilterCondition("r", schema, filters[j], params);
     }
     return c;
-  }();
-
-  // The vector body is emitted once per ISA because the mask-to-bitmap
-  // reduction differs: AVX extracts the four lane sign bits in a single
-  // instruction, while under SSE2 a weighted-lane sum compiles to clean
-  // 128-bit code (the single-instruction form does not exist for 4 x i64).
-  auto make_vec_body = [&](bool avx) {
-    std::string vec_body;
-    vec_body += "  (void)ctx;\n";
-    vec_body += "  uint64_t bm = 0;\n";
-    if (prefix > 0) {
-      std::string splats;
-      std::string gathers;
-      std::string lanes;
-      // One gather per (column, lane kind): conjuncts over the same column
-      // share the strided loads — the expensive part of a vectorized NSM
-      // predicate.
-      std::vector<std::pair<uint32_t, int>> gathered;
-      for (size_t j = 0; j < prefix; ++j) {
-        const sql::Filter& f = filters[j];
-        const bool hoisted = params != nullptr && f.param >= 0;
-        const std::string rhs =
-            hoisted ? ParamRef(*params, f.param) : LiteralToC(f.literal);
-        const std::string js = std::to_string(j);
-        const uint32_t col = f.column.column;
-        const Type lt = schema.ColumnAt(col).type;
-        const uint32_t loff = schema.OffsetAt(col);
-        const std::string g =
-            (kind[j] == 0 ? "gi" : "gf") + std::to_string(col);
-        if (std::find(gathered.begin(), gathered.end(),
-                      std::make_pair(col, kind[j])) == gathered.end()) {
-          gathered.emplace_back(col, kind[j]);
-          if (kind[j] == 0) {
-            gathers += "    hq_i64x4 " + g + " = " +
-                       Lanes4([&](const std::string& t) {
-                         return "(int64_t)" + FieldAccess(t, loff, lt);
-                       }) +
-                       ";\n";
-          } else {
-            gathers += "    hq_f64x4 " + g + " = " +
-                       Lanes4([&](const std::string& t) {
-                         return "(double)" + FieldAccess(t, loff, lt);
-                       }) +
-                       ";\n";
-          }
-        }
-        if (kind[j] == 0) {
-          splats += "  const hq_i64x4 c" + js +
-                    " = (hq_i64x4){0, 0, 0, 0} + (int64_t)" + rhs + ";\n";
-        } else {
-          splats += "  const hq_f64x4 c" + js +
-                    " = (hq_f64x4){0, 0, 0, 0} + (double)" + rhs + ";\n";
-        }
-        lanes += "    m &= (hq_i64x4)(" + g + " " +
-                 std::string(sql::CmpOpToC(f.op)) + " c" + js + ");\n";
-      }
-      vec_body += splats;
-      if (!avx) vec_body += "  const hq_i64x4 w = {1, 2, 4, 8};\n";
-      vec_body += "  const uint8_t* t0 = tup;\n";
-      vec_body += "  uint32_t i = 0;\n";
-      vec_body += "  for (; i + 4 <= n; i += 4, t0 += 4u * " + R + ") {\n";
-      vec_body += "    const uint8_t* t1 = t0 + " + R + ";\n";
-      vec_body += "    const uint8_t* t2 = t0 + 2u * " + R + ";\n";
-      vec_body += "    const uint8_t* t3 = t0 + 3u * " + R + ";\n";
-      vec_body += gathers;
-      vec_body += "    hq_i64x4 m = {-1LL, -1LL, -1LL, -1LL};\n";
-      vec_body += lanes;
-      if (avx) {
-        vec_body +=
-            "    bm |= (uint64_t)__builtin_ia32_movmskpd256((hq_f64x4)m) "
-            "<< i;\n";
-      } else {
-        vec_body += "    hq_i64x4 b = m & w;\n";
-        vec_body += "    bm |= (uint64_t)(b[0] + b[1] + b[2] + b[3]) << i;\n";
-      }
-      vec_body += "  }\n";
-      vec_body += "  for (; i < n; ++i, t0 += " + R + ") {\n";
-      vec_body += "    const uint8_t* r = t0;\n";
-      vec_body += "    if (" + prefix_conj + ") bm |= 1ull << i;\n";
-      vec_body += "  }\n";
-    } else {
-      // No vectorizable leading conjunct: start from all-ones and let the
-      // refinement walk apply the whole conjunction.
-      vec_body += "  bm = n >= 64u ? ~0ull : ((1ull << n) - 1);\n";
-    }
-    if (prefix < filters.size()) {
-      std::string suffix_conj;
-      for (size_t j = prefix; j < filters.size(); ++j) {
-        if (j != prefix) suffix_conj += " && ";
-        suffix_conj += FilterCondition("r", schema, filters[j], params);
-      }
-      vec_body += "  uint64_t scan = bm;\n";
-      vec_body += "  while (scan) {\n";
-      vec_body += "    uint32_t bi = (uint32_t)__builtin_ctzll(scan);\n";
-      vec_body += "    scan &= scan - 1;\n";
-      vec_body += "    const uint8_t* r = tup + (uint64_t)bi * " + R + ";\n";
-      vec_body += "    if (!(" + suffix_conj + ")) bm &= ~(1ull << bi);\n";
-      vec_body += "  }\n";
-    }
-    vec_body += "  return bm;\n";
-    return vec_body;
   };
 
-  std::string scalar_body;
-  scalar_body += "  (void)ctx;\n";
-  scalar_body += "  uint64_t bm = 0;\n";
-  scalar_body += "  for (uint32_t i = 0; i < n; ++i, tup += " + R + ") {\n";
-  scalar_body += "    const uint8_t* r = tup;\n";
-  scalar_body += "    if (" + conj + ") bm |= 1ull << i;\n";
-  scalar_body += "  }\n";
-  scalar_body += "  return bm;\n";
+  std::string splats;
+  std::string gathers;
+  std::string lanes;
+  // One gather per (column, lane kind): conjuncts over the same column
+  // share the strided loads — the expensive part of a vectorized NSM
+  // predicate.
+  std::vector<std::pair<uint32_t, Lane>> gathered;
+  for (size_t j = 0; j < prefix; ++j) {
+    const sql::Filter& f = filters[j];
+    const bool hoisted = params != nullptr && f.param >= 0;
+    const std::string rhs =
+        hoisted ? ParamRef(*params, f.param) : LiteralToC(f.literal);
+    const std::string js = std::to_string(j);
+    const uint32_t col = f.column.column;
+    const Type lt = schema.ColumnAt(col).type;
+    const uint32_t loff = schema.OffsetAt(col);
+    const bool i64 = lane[j] == Lane::kI64;
+    const std::string vt = i64 ? "hq_i64x4" : "hq_f64x4";
+    const std::string st = i64 ? "(int64_t)" : "(double)";
+    const std::string g = (i64 ? "gi" : "gf") + std::to_string(col);
+    if (std::find(gathered.begin(), gathered.end(),
+                  std::make_pair(col, lane[j])) == gathered.end()) {
+      gathered.emplace_back(col, lane[j]);
+      gathers += "    " + vt + " " + g + " = " +
+                 Lanes4([&](const std::string& t) {
+                   return st + FieldAccess(t, loff, lt);
+                 }) +
+                 ";\n";
+    }
+    splats += "  const " + vt + " c" + js + " = (" + vt + "){0, 0, 0, 0} + " +
+              st + rhs + ";\n";
+    lanes += "    m &= (hq_i64x4)(" + g + " " +
+             std::string(sql::CmpOpToC(f.op)) + " c" + js + ");\n";
+  }
+
+  std::string vec_body;
+  vec_body += "  (void)ctx;\n";
+  vec_body += "  uint64_t bm = 0;\n";
+  vec_body += splats;
+  vec_body += "  const uint8_t* t0 = tup;\n";
+  vec_body += "  uint32_t i = 0;\n";
+  vec_body += "  for (; i + 4 <= n; i += 4, t0 += 4u * " + R + ") {\n";
+  vec_body += "    const uint8_t* t1 = t0 + " + R + ";\n";
+  vec_body += "    const uint8_t* t2 = t0 + 2u * " + R + ";\n";
+  vec_body += "    const uint8_t* t3 = t0 + 3u * " + R + ";\n";
+  vec_body += gathers;
+  vec_body += "    hq_i64x4 m = {-1LL, -1LL, -1LL, -1LL};\n";
+  vec_body += lanes;
+  // AVX extracts the four lane sign bits in a single instruction.
+  vec_body +=
+      "    bm |= (uint64_t)__builtin_ia32_movmskpd256((hq_f64x4)m) << i;\n";
+  vec_body += "  }\n";
+  vec_body += "  for (; i < n; ++i, t0 += " + R + ") {\n";
+  vec_body += "    const uint8_t* r = t0;\n";
+  vec_body += "    if (" + conj(0, prefix) + ") bm |= 1ull << i;\n";
+  vec_body += "  }\n";
+  if (prefix < filters.size()) {
+    vec_body += "  uint64_t scan = bm;\n";
+    vec_body += "  while (scan) {\n";
+    vec_body += "    uint32_t bi = (uint32_t)__builtin_ctzll(scan);\n";
+    vec_body += "    scan &= scan - 1;\n";
+    vec_body += "    const uint8_t* r = tup + (uint64_t)bi * " + R + ";\n";
+    vec_body += "    if (!(" + conj(prefix, filters.size()) +
+                ")) bm &= ~(1ull << bi);\n";
+    vec_body += "  }\n";
+  }
+  vec_body += "  return bm;\n";
 
   const std::string sig = "(HqQueryCtx* ctx, const uint8_t* tup, uint32_t n)";
   *out += "// Selection bitmap over <= HQ_SIMD_BLOCK tuples (stride " + R +
           "): bit i set iff tuple i passes.\n";
   *out += "#if HQ_SIMD_X86\n";
-  *out += "__attribute__((target(\"sse2\"))) static uint64_t " + name +
-          "_sse2" + sig + " {\n" + make_vec_body(false) + "}\n";
   *out += "__attribute__((target(\"avx2\"))) static uint64_t " + name +
-          "_avx2" + sig + " {\n" + make_vec_body(true) + "}\n";
+          "_avx2" + sig + " {\n" + vec_body + "}\n";
   *out += "#endif  // HQ_SIMD_X86\n";
-  *out += "static uint64_t " + name + "_scalar" + sig + " {\n" + scalar_body +
-          "}\n";
   *out += "static uint64_t " + name + sig + " {\n";
   *out += "#if HQ_SIMD_X86\n";
   *out += "  if (hq_simd_level == HQ_SIMD_AVX2) return " + name +
           "_avx2(ctx, tup, n);\n";
-  *out += "  if (hq_simd_level == HQ_SIMD_SSE2) return " + name +
-          "_sse2(ctx, tup, n);\n";
   *out += "#endif  // HQ_SIMD_X86\n";
-  *out += "  return " + name + "_scalar(ctx, tup, n);\n";
+  *out += "  (void)ctx;\n";
+  *out += "  uint64_t bm = 0;\n";
+  *out += "  for (uint32_t i = 0; i < n; ++i, tup += " + R + ") {\n";
+  *out += "    const uint8_t* r = tup;\n";
+  *out += "    if (" + conj(0, filters.size()) + ") bm |= 1ull << i;\n";
+  *out += "  }\n";
+  *out += "  return bm;\n";
   *out += "}\n\n";
 }
 

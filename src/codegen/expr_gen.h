@@ -53,23 +53,41 @@ void AppendFieldCompare(std::string* out, const std::string& a,
 std::string FieldEquals(const std::string& a, const std::string& b,
                         uint32_t offset, Type type);
 
-/// Emits a multiversioned selection-bitmap kernel for a conjunction of
-/// filters over base-table tuples:
+/// Batched bitmap selection costs a separate predicate pass plus a set-bit
+/// walk per block; when nearly every tuple survives the filters, that is
+/// pure overhead over the fused tuple-at-a-time loop. Above this estimated
+/// combined selectivity a scan keeps the fused loop.
+constexpr double kBatchedSelectMaxSelectivity = 0.7;
+
+/// The one batching rule: true iff a base-table scan with `filters` runs
+/// the bitmap-block loop over an EmitPredicateKernel kernel instead of the
+/// paper's Listing-1 tuple-at-a-time loop. That holds when there are
+/// filters, `filter_selectivity <= kBatchedSelectMaxSelectivity`, and the
+/// leading conjunct lowers to 64-bit lanes — a CHAR-led conjunction gains
+/// nothing from a bitmap but an extra pass. The inputs are catalogue
+/// statistics and the plan, never runtime data, so generated source stays
+/// identical across hosts and HQ_SIMD settings.
+bool BatchedScan(const Schema& schema, const std::vector<sql::Filter>& filters,
+                 double filter_selectivity,
+                 const plan::ParamTable* params = nullptr);
+
+/// Emits a selection-bitmap kernel for a conjunction of filters over
+/// base-table tuples, for scans where BatchedScan holds:
 ///
 ///   static uint64_t <name>(HqQueryCtx* ctx, const uint8_t* tup, uint32_t n)
 ///
 /// returns bit i set iff tuple `tup + i*TupleSize()` (i < n <=
-/// HQ_SIMD_BLOCK) passes every filter. Four versions are emitted:
-/// `<name>_scalar` (plain loop), `<name>_sse2` / `<name>_avx2` (identical
-/// vector-extension bodies under per-function target attributes, guarded
-/// by HQ_SIMD_X86 so the SAME source compiles on any host), and `<name>`
-/// itself, which dispatches on the load-time `hq_simd_level`. Numeric
-/// filters evaluate four tuples per step through 64-bit lanes whose C
-/// arithmetic conversions match the scalar condition exactly (int lanes
-/// sign-extend; double lanes apply the same promotions), so the bitmap is
-/// bit-identical across versions. CHAR and other non-lane-mappable filters
-/// evaluate the exact scalar condition per lane (fixed-length memcmp,
-/// which the compiler inlines to SIMD compares under the target).
+/// HQ_SIMD_BLOCK) passes every filter. Two versions are emitted:
+/// `<name>_avx2`, a vector-extension body under a per-function target
+/// attribute, guarded by HQ_SIMD_X86 so the SAME source compiles on any
+/// host, and `<name>` itself, which calls `_avx2` when the load-time
+/// `hq_simd_level` is HQ_SIMD_AVX2 and otherwise runs a portable
+/// tuple-at-a-time body. The leading run of lane-mappable conjuncts
+/// evaluates four tuples per step through 64-bit lanes whose C arithmetic
+/// conversions match the scalar condition exactly (int lanes sign-extend;
+/// double lanes apply the same promotions), so the bitmap is bit-identical
+/// across versions. The remaining conjuncts (CHAR memcmp, column-vs-column)
+/// refine the surviving bits with the exact scalar condition.
 void EmitPredicateKernel(std::string* out, const std::string& name,
                          const Schema& schema,
                          const std::vector<sql::Filter>& filters,

@@ -29,15 +29,6 @@ std::string S(int v) { return std::to_string(v); }
 
 bool IsPow2(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-/// Batched bitmap selection costs a separate predicate pass plus a set-bit
-/// walk per block; when nearly every tuple survives the filters, that is
-/// pure overhead over the fused tuple-at-a-time loop (which then has no
-/// branches worth removing). Above this estimated combined selectivity the
-/// generator emits only the fused loop. The decision uses catalogue
-/// statistics, never runtime data, so generated source stays identical
-/// across hosts and SIMD settings.
-constexpr double kBatchedSelectMaxSelectivity = 0.7;
-
 /// Generates the query-specific source file by instantiating the holistic
 /// templates for each operator descriptor (paper Fig. 3).
 class Generator {
@@ -317,26 +308,20 @@ class Generator {
     Emit("  uint64_t pb, pe;");
     Emit("  hq_task_range(A->T->page_count, A->nt, t, &pb, &pe);");
     Emit("  int64_t n = 0;");
-    const bool batched =
-        !op.filters.empty() &&
-        op.filter_selectivity <= kBatchedSelectMaxSelectivity;
+    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
+                                     &plan_.params);
+    const std::string TS = S(schema.TupleSize());
     if (op.input_codec.enabled && !op.filters.empty()) {
       // Compressed input: the count pass must decode the filter columns.
       // Without filters the page header alone counts, handled below.
-      const std::string TS = S(schema.TupleSize());
       Emit("  const HqTableRef* T = A->T;");
-      if (batched) {
-        Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
-        Emit("  // batched: one popcount per selection-bitmap block");
-        EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", "",
-                           /*prefetch=*/true, [&] {
+      EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", "",
+                         /*prefetch=*/batched, [&] {
+        if (batched) {
           Emit("      n += __builtin_popcountll(op" + S(k) +
                "_pred(ctx, dbuf, bn));");
-        });
-        Emit("  } else {");
-      }
-      EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", "",
-                         /*prefetch=*/false, [&] {
+          return;
+        }
         Emit("      for (uint32_t bi = 0; bi < bn; ++bi) {");
         Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS +
              ";");
@@ -348,38 +333,32 @@ class Generator {
         Emit("        ++n;");
         Emit("      }");
       });
-      if (batched) Emit("  }");
     } else {
     Emit("  for (uint64_t p = pb; p < pe; ++p) {");
     Emit("    const uint8_t* page = A->T->pages[p];");
     Emit("    uint32_t nt = *(const uint32_t*)page;");
     if (op.filters.empty()) {
       Emit("    n += nt;");
+    } else if (batched) {
+      Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
+      Emit("    // one popcount per selection-bitmap block");
+      EmitNextPagePrefetch("A->T->pages", "p", "pe", "    ");
+      Emit("    for (uint32_t ti = 0; ti < nt; ) {");
+      Emit("      uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
+           "HQ_SIMD_BLOCK;");
+      Emit("      n += __builtin_popcountll(op" + S(k) +
+           "_pred(ctx, tup, bn));");
+      Emit("      ti += bn; tup += (uint64_t)bn * " + TS + ";");
+      Emit("    }");
     } else {
       Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-      if (batched) {
-        Emit("    if (hq_simd_level != HQ_SIMD_SCALAR) {");
-        Emit("      // batched: one popcount per selection-bitmap block");
-        EmitNextPagePrefetch("A->T->pages", "p", "pe", "      ");
-        Emit("      for (uint32_t ti = 0; ti < nt; ) {");
-        Emit("        uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
-             "HQ_SIMD_BLOCK;");
-        Emit("        n += __builtin_popcountll(op" + S(k) +
-             "_pred(ctx, tup, bn));");
-        Emit("        ti += bn; tup += (uint64_t)bn * " +
-             S(schema.TupleSize()) + ";");
-        Emit("      }");
-        Emit("    } else {");
-      }
-      Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " +
-           S(schema.TupleSize()) + ") {");
+      Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " + TS + ") {");
       for (const auto& f : op.filters) {
         Emit("      if (!" + FilterCondition("tup", schema, f, &plan_.params) +
              ") continue;");
       }
       Emit("      ++n;");
       Emit("    }");
-      if (batched) Emit("    }");
     }
     Emit("  }");
     }
@@ -406,9 +385,8 @@ class Generator {
   /// prefetcher resets at every page boundary; touching the first 1 KB of
   /// page p+2 (one line per 256 B — the adjacent-line prefetcher pairs
   /// them) re-trains the stream early without flooding the load ports
-  /// (prefetching the whole page measurably hurts). Only the batched
-  /// (SIMD-dispatched) loops do this — the scalar branch keeps the
-  /// paper's plain loop.
+  /// (prefetching the whole page measurably hurts). Only batched loops do
+  /// this — unbatched scans keep the paper's plain loop.
   void EmitNextPagePrefetch(const std::string& pages, const std::string& p,
                             const std::string& pe, const std::string& ind) {
     Emit(ind + "if (" + p + " + 2 < " + pe + ") {");
@@ -449,10 +427,10 @@ class Generator {
   /// compile-time constant baked from the plan's codec (which the plan
   /// signature carries), so generated source stays host-independent. Only
   /// `needed` columns are decoded — untouched columns' segments are never
-  /// read, which is the point of the columnar page layout. The decoders are
-  /// deliberately NOT multiversioned: every SIMD level runs the identical
-  /// scalar decode into the block buffer, so compressed results are
-  /// bit-identical across HQ_SIMD settings by construction.
+  /// read, which is the point of the columnar page layout. The decoders
+  /// have one version: every HQ_SIMD setting runs the identical decode
+  /// into the block buffer, so compressed results are bit-identical across
+  /// settings by construction.
   void EmitDecodeHelpers(int k, const TableCodec& tc, const Schema& schema,
                          const std::vector<char>& needed) {
     const std::string ST = "op" + S(k) + "_decst";
@@ -573,7 +551,7 @@ class Generator {
   /// `block_body` is emitted to consume [dbuf, dbuf + bn * tuple_size).
   /// The existing predicate kernels and projection code run over dbuf
   /// unchanged — decode replaces only the "where tuples live" part of the
-  /// scan, keeping SIMD dispatch and selection-order semantics untouched.
+  /// scan, keeping kernel dispatch and selection-order semantics untouched.
   void EmitCompressedScan(int k, uint32_t tuple_size, const std::string& pb,
                           const std::string& pe,
                           const std::string& pages_counter, bool prefetch,
@@ -644,9 +622,9 @@ class Generator {
     Emit("  }");
   }
 
-  /// EmitScanSelectLoop for a compressed base input: same batched/scalar
-  /// split and the same projection code, but both branches walk decoded
-  /// 64-tuple blocks instead of raw page bytes.
+  /// EmitScanSelectLoop for a compressed base input: the same batching rule
+  /// and the same projection code, but the loop walks decoded 64-tuple
+  /// blocks instead of raw page bytes.
   void EmitScanSelectLoopCompressed(int k, const StageOp& op,
                                     const std::string& pages_counter) {
     int t = Stream(op.input_stream).base_table_index;
@@ -664,11 +642,9 @@ class Generator {
       }
       Emit(ind + "dst += " + R + ";");
     };
-    const bool batched =
-        !op.filters.empty() &&
-        op.filter_selectivity <= kBatchedSelectMaxSelectivity;
+    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
+                                     &plan_.params);
     if (batched) {
-      Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
       Emit("  // batched select over fused-decoded blocks");
       EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", pages_counter,
                          /*prefetch=*/true, [&] {
@@ -681,7 +657,7 @@ class Generator {
         emit_project("rtup", "        ");
         Emit("      }");
       });
-      Emit("  } else {");
+      return;
     }
     Emit("  // loop over fused-decoded blocks");
     EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", pages_counter,
@@ -696,16 +672,15 @@ class Generator {
       emit_project("tup", "        ");
       Emit("      }");
     });
-    if (batched) Emit("  }");
   }
 
   /// The Listing-1 scan-select-project loop over pages [pb, pe) of `T`,
   /// writing staged records at the (pre-positioned) `dst` cursor. Shared
-  /// by the parallel fill task and the serial single-pass fast path. With
-  /// filters, a SIMD branch evaluates the predicate kernel per block and
-  /// projects survivors by iterating set bits; the scalar branch keeps the
-  /// paper's original tuple-at-a-time loop. A compressed base input swaps
-  /// in the fused-decode block loop.
+  /// by the parallel fill task and the serial single-pass fast path. A
+  /// batched scan (BatchedScan) evaluates the predicate kernel per block
+  /// and projects survivors by iterating set bits; any other scan is the
+  /// paper's tuple-at-a-time loop. A compressed base input swaps in the
+  /// fused-decode block loop.
   void EmitScanSelectLoop(int k, const StageOp& op,
                           const std::string& pages_counter) {
     if (op.input_codec.enabled) {
@@ -729,12 +704,10 @@ class Generator {
       }
       Emit(ind + "dst += " + R + ";");
     };
-    const bool batched =
-        !op.filters.empty() &&
-        op.filter_selectivity <= kBatchedSelectMaxSelectivity;
+    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
+                                     &plan_.params);
     if (batched) {
-      Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
-      Emit("  // batched select: bitmap per block, then project survivors");
+      Emit("  // loop over pages: bitmap per block, then project survivors");
       Emit("  for (uint64_t p = pb; p < pe; ++p) {");
       Emit("    const uint8_t* page = T->pages[p];");
       EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
@@ -754,7 +727,7 @@ class Generator {
       Emit("      ti += bn; tup += (uint64_t)bn * " + TS + ";");
       Emit("    }");
       Emit("  }");
-      Emit("  } else {");
+      return;
     }
     Emit("  // loop over pages");
     Emit("  for (uint64_t p = pb; p < pe; ++p) {");
@@ -771,7 +744,6 @@ class Generator {
     emit_project("tup", "      ");
     Emit("    }");
     Emit("  }");
-    if (batched) Emit("  }");
   }
 
   Status EmitStage(int k, const StageOp& op) {
@@ -805,12 +777,13 @@ class Generator {
       for (const auto& f : op.output.fields) needed[f.source.column] = 1;
       EmitDecodeHelpers(k, op.input_codec, schema, needed);
     }
-    if (base && !op.filters.empty() &&
-        op.filter_selectivity <= kBatchedSelectMaxSelectivity) {
-      EmitPredicateKernel(
-          &out_, "op" + S(k) + "_pred",
-          plan_.query->tables[in.base_table_index]->schema(), op.filters,
-          &plan_.params);
+    if (base) {
+      const Schema& schema = plan_.query->tables[in.base_table_index]->schema();
+      if (BatchedScan(schema, op.filters, op.filter_selectivity,
+                      &plan_.params)) {
+        EmitPredicateKernel(&out_, "op" + S(k) + "_pred", schema, op.filters,
+                            &plan_.params);
+      }
     }
     if (base) EmitBaseStageTasks(k, op, rec);
     Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
@@ -926,12 +899,13 @@ class Generator {
     }
   }
 
-  /// Multiversioned partition-id batch kernel for coarse (hash)
-  /// partitioning: `op<k>_pids(d, bn, pid)` computes the partition of `bn`
-  /// consecutive records. Numeric keys hash four records per step through
-  /// hq_hash64x4 (lane-identical to hq_hash64, so the scatter order is
-  /// bit-identical to scalar); CHAR keys keep the byte hash scalar — the
-  /// batching alone is what enables the prefetched scatter.
+  /// Partition-id batch kernel for coarse (hash) partitioning:
+  /// `op<k>_pids(d, bn, pid)` computes the partition of `bn` consecutive
+  /// records. Numeric keys get an `_avx2` version that hashes four records
+  /// per step through hq_hash64x4 (lane-identical to hq_hash64, so the
+  /// scatter order is bit-identical to the portable body); CHAR keys keep
+  /// the byte hash scalar — the batching alone is what enables the
+  /// prefetched scatter.
   void EmitPartitionPidKernel(int k, const StageOp& op,
                               const RecordLayout& layout) {
     uint32_t M = op.num_partitions;
@@ -978,21 +952,15 @@ class Generator {
     vec_body += "  }\n";
 
     Emit("#if HQ_SIMD_X86");
-    Emit("__attribute__((target(\"sse2\"))) static void " + name + "_sse2" +
-         sig + " {\n" + vec_body + "}");
     Emit("__attribute__((target(\"avx2\"))) static void " + name + "_avx2" +
          sig + " {\n" + vec_body + "}");
     Emit("#endif  // HQ_SIMD_X86");
-    Emit("static void " + name + "_scalar" + sig + " {\n" + scalar_body + "}");
     Emit("static void " + name + sig + " {");
     Emit("#if HQ_SIMD_X86");
     Emit("  if (hq_simd_level == HQ_SIMD_AVX2) { " + name +
          "_avx2(d, bn, pid); return; }");
-    Emit("  if (hq_simd_level == HQ_SIMD_SSE2) { " + name +
-         "_sse2(d, bn, pid); return; }");
     Emit("#endif  // HQ_SIMD_X86");
-    Emit("  " + name + "_scalar(d, bn, pid);");
-    Emit("}");
+    Emit(scalar_body + "}");
     Emit("");
   }
 
@@ -1001,10 +969,11 @@ class Generator {
   /// where every task owns a private cursor row — the classic parallel
   /// radix partition. Record order within each partition equals the serial
   /// scatter order, so partitioned streams are thread-count-invariant.
-  /// Coarse partitioning gains a SIMD branch: partition ids are computed a
-  /// block at a time (vectorized hashing), and the scatter prefetches each
+  /// Coarse partitioning computes partition ids a block at a time
+  /// (op<k>_pids, vectorized hashing), and the scatter prefetches each
   /// destination line a few records ahead — the M write cursors land in
-  /// random frames, the dominant DRAM cost of this pass (Table I).
+  /// random frames, the dominant DRAM cost of this pass (Table I). Fine
+  /// partitioning keeps the per-record loop with its domain guard.
   void EmitPartitionTasks(int k, const StageOp& op,
                           const RecordLayout& layout) {
     uint32_t rec = layout.record_size;
@@ -1040,7 +1009,6 @@ class Generator {
       Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
       Emit("  int64_t* cnt = A->cnts + (uint64_t)t * M;");
       if (batched) {
-        Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
         Emit("  int32_t pid[HQ_SIMD_BLOCK];");
         Emit("  for (uint64_t i = rb; i < re; ) {");
         Emit("    uint32_t bn = re - i < HQ_SIMD_BLOCK ? (uint32_t)(re - i) "
@@ -1060,21 +1028,18 @@ class Generator {
         }
         Emit("    i += bn;");
         Emit("  }");
-        Emit("  } else {");
-      }
-      Emit("  for (uint64_t i = rb; i < re; ++i) {");
-      Emit("    const uint8_t* r = A->d + i * " + R + ";");
-      Emit("    int64_t p = " + pk.pid + ";");
-      EmitPartitionGuard(pk, "    ");
-      if (count) {
-        Emit("    ++cnt[p];");
       } else {
-        Emit("    memcpy(A->buf2 + (uint64_t)cnt[p] * " + R + ", r, " + R +
-             ");");
+        Emit("  for (uint64_t i = rb; i < re; ++i) {");
+        Emit("    const uint8_t* r = A->d + i * " + R + ";");
+        Emit("    int64_t p = " + pk.pid + ";");
+        EmitPartitionGuard(pk, "    ");
+        if (!count) {
+          Emit("    memcpy(A->buf2 + (uint64_t)cnt[p] * " + R + ", r, " + R +
+               ");");
+        }
         Emit("    ++cnt[p];");
+        Emit("  }");
       }
-      Emit("  }");
-      if (batched) Emit("  }");
       Emit("  return 0;");
       Emit("}");
       Emit("");
@@ -1517,7 +1482,7 @@ class Generator {
     Emit("  for (uint64_t m = mb; m < me; ++m) {");
     Emit("    // the next partition's records live in random frames of the");
     Emit("    // scattered buffers: start their lines early (Table I)");
-    Emit("    if (hq_simd_level != HQ_SIMD_SCALAR && m + 1 < me) {");
+    Emit("    if (m + 1 < me) {");
     for (size_t t = 0; t < nin; ++t) {
       Emit("      HQ_PREFETCH_R(A->d" + S(t) + " + (uint64_t)A->pb" + S(t) +
            "[m + 1] * " + S(keys[t].rec) + ");");
@@ -2337,19 +2302,19 @@ class Generator {
       Emit(ind + "++cellcnt[cell];");
     };
 
-    // Base-table scans with inline filters get a multiversioned predicate
-    // kernel; the SIMD branch below walks its selection bitmaps while the
-    // scalar branch keeps the original tuple-at-a-time loop.
+    // A batched base-table scan (BatchedScan) walks the selection bitmaps
+    // of a predicate kernel; any other scan inlines its filters into the
+    // tuple-at-a-time loop.
     std::vector<sql::Filter> base_filters;
+    bool batched = false;
     if (in.is_base_table) {
       int bt = in.base_table_index;
       for (const auto& f : plan_.query->filters) {
         if (f.column.table == bt) base_filters.push_back(f);
       }
+      batched = BatchedScan(plan_.query->tables[bt]->schema(), base_filters,
+                            op.filter_selectivity, &plan_.params);
     }
-    const bool batched =
-        !base_filters.empty() &&
-        op.filter_selectivity <= kBatchedSelectMaxSelectivity;
     if (in.is_base_table && op.input_codec.enabled) {
       // Needed columns: inline filters, grouping keys, aggregate arguments.
       const Schema& schema = plan_.query->tables[in.base_table_index]->schema();
@@ -2421,7 +2386,6 @@ class Generator {
       Emit("  uint64_t te = pge * " + VTPP + ";");
       Emit("  if (te > T->tuple_count) te = T->tuple_count;");
       if (batched) {
-        Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
         Emit("  // batched select: aggregate the set bits of each bitmap");
         EmitCompressedScanTupleRange(k, schema.TupleSize(), op.input_codec,
                                      "wk->pages_touched", /*prefetch=*/true,
@@ -2440,23 +2404,22 @@ class Generator {
           emit_body("btup", &schema);
           Emit("      }");
         });
-        Emit("  } else {");
+      } else {
+        EmitCompressedScanTupleRange(k, schema.TupleSize(), op.input_codec,
+                                     "wk->pages_touched", /*prefetch=*/false,
+                                     [&] {
+          Emit("      for (uint32_t bi = lo; bi < hi; ++bi) {");
+          Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS +
+               ";");
+          for (const auto& f : base_filters) {
+            Emit("        if (!" +
+                 FilterCondition("tup", schema, f, &plan_.params) +
+                 ") continue;");
+          }
+          emit_body("tup", &schema);
+          Emit("      }");
+        });
       }
-      EmitCompressedScanTupleRange(k, schema.TupleSize(), op.input_codec,
-                                   "wk->pages_touched", /*prefetch=*/false,
-                                   [&] {
-        Emit("      for (uint32_t bi = lo; bi < hi; ++bi) {");
-        Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS +
-             ";");
-        for (const auto& f : base_filters) {
-          Emit("        if (!" +
-               FilterCondition("tup", schema, f, &plan_.params) +
-               ") continue;");
-        }
-        emit_body("tup", &schema);
-        Emit("      }");
-      });
-      if (batched) Emit("  }");
     } else if (in.is_base_table) {
       int t = in.base_table_index;
       const Schema& schema = plan_.query->tables[t]->schema();
@@ -2466,7 +2429,6 @@ class Generator {
       Emit("  uint64_t pgb, pge;");
       Emit("  hq_task_range(T->page_count, A->nt, t, &pgb, &pge);");
       if (batched) {
-        Emit("  if (hq_simd_level != HQ_SIMD_SCALAR) {");
         Emit("  // batched select: aggregate the set bits of each bitmap");
         Emit("  for (uint64_t p = pgb; p < pge; ++p) {");
         Emit("    const uint8_t* page = T->pages[p];");
@@ -2489,24 +2451,25 @@ class Generator {
              ";");
         Emit("    }");
         Emit("  }");
-        Emit("  } else {");
+      } else {
+        Emit("  for (uint64_t p = pgb; p < pge; ++p) {");
+        Emit("    const uint8_t* page = T->pages[p];");
+        Emit("    uint32_t nt = *(const uint32_t*)page;");
+        Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
+        Emit("    ++wk->pages_touched;");
+        Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " +
+             S(schema.TupleSize()) + ") {");
+        // Filters come from the query (this AggOp consumed the base
+        // directly).
+        for (const auto& f : base_filters) {
+          Emit("      if (!" +
+               FilterCondition("tup", schema, f, &plan_.params) +
+               ") continue;");
+        }
+        emit_body("tup", &schema);
+        Emit("    }");
+        Emit("  }");
       }
-      Emit("  for (uint64_t p = pgb; p < pge; ++p) {");
-      Emit("    const uint8_t* page = T->pages[p];");
-      Emit("    uint32_t nt = *(const uint32_t*)page;");
-      Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-      Emit("    ++wk->pages_touched;");
-      Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " +
-           S(schema.TupleSize()) + ") {");
-      // Filters come from the query (this AggOp consumed the base directly).
-      for (const auto& f : base_filters) {
-        Emit("      if (!" + FilterCondition("tup", schema, f, &plan_.params) +
-             ") continue;");
-      }
-      emit_body("tup", &schema);
-      Emit("    }");
-      Emit("  }");
-      if (batched) Emit("  }");
     } else {
       Emit("  uint64_t rb, re;");
       Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
@@ -3001,17 +2964,14 @@ class Generator {
 
   void EmitMain() {
     // Load-time dispatch hook: exec::CompiledLibrary calls this once,
-    // right after dlopen, with the CPUID-resolved level (clamped here so a
-    // hostile/stale caller cannot select a version the library lacks).
-    // Dispatch state is per-library, not per-execution: one process never
-    // mixes kernel versions within a query.
+    // right after dlopen, with the resolved level. Anything but AVX2 on an
+    // x86 build selects the portable kernels, so a stale caller cannot
+    // select a version the library lacks. Dispatch state is per-library,
+    // not per-execution: one process never mixes kernel versions within a
+    // query.
     Emit("extern \"C\" void hique_set_simd(int32_t level) {");
-    Emit("  if (level < HQ_SIMD_SCALAR) level = HQ_SIMD_SCALAR;");
-    Emit("  if (level > HQ_SIMD_AVX2) level = HQ_SIMD_AVX2;");
-    Emit("#if !HQ_SIMD_X86");
-    Emit("  level = HQ_SIMD_SCALAR;");
-    Emit("#endif");
-    Emit("  hq_simd_level = level;");
+    Emit("  hq_simd_level = HQ_SIMD_X86 && level == HQ_SIMD_AVX2 ? "
+         "HQ_SIMD_AVX2 : HQ_SIMD_SCALAR;");
     Emit("}");
     Emit("");
     Emit("extern \"C\" int64_t hique_query_main(HqQueryCtx* ctx, "

@@ -397,21 +397,22 @@ static inline uint64_t hq_unpack_bits(const uint8_t* seg, uint64_t idx,
   return (w >> (bo & 7u)) & mask;
 }
 
-// ---- SIMD multiversioning & software prefetch -------------------------------
+// ---- SIMD kernel versions & software prefetch -------------------------------
 //
-// Generated hot-loop kernels (selection bitmaps, partition-id batches) are
-// emitted in up to three versions from ONE byte-identical source: a scalar
-// reference, an SSE2 version and an AVX2 version. Versioning uses
-// per-function `__attribute__((target(...)))` plus the GCC vector
-// extensions below — never -m compiler flags — so the same source text
-// compiles on any host and the plan cache / persisted artefacts stay
+// Generated hot-loop kernels (selection bitmaps, partition-id batches)
+// come in two versions from ONE byte-identical source: an AVX2 version
+// under a per-function avx2 target attribute, built from the GCC vector
+// extensions below and compiled only on x86, and a portable body every
+// host runs. Versioning never uses -m compiler flags, so the
+// same source text compiles on any host and the plan cache stays
 // host-independent. The engine resolves the active version ONCE per
-// library, at dlopen time (CPUID in exec::CompiledLibrary::Load, forced
-// scalar by HQ_SIMD=off or EngineOptions::simd=false), through the
-// exported hique_set_simd symbol; execution never re-dispatches.
+// library, at dlopen time (CPUID in exec::CompiledLibrary::Load; HQ_SIMD=off
+// selects the portable version on an AVX2 host), through the exported
+// hique_set_simd symbol; execution never re-dispatches.
 
+// AVX2 stays 2 so the simd_level recorded in benchmark JSON files keeps
+// its meaning.
 #define HQ_SIMD_SCALAR 0
-#define HQ_SIMD_SSE2 1
 #define HQ_SIMD_AVX2 2
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -423,18 +424,16 @@ static inline uint64_t hq_unpack_bits(const uint8_t* seg, uint64_t idx,
 
 // Active kernel version of this translation unit (one slot per dlopen'd
 // query library). Written exactly once, before the first execution, by
-// hique_set_simd; all later reads are race-free by construction. Level
-// HQ_SIMD_SCALAR selects the paper's original tuple-at-a-time loops.
+// hique_set_simd; all later reads are race-free by construction.
 static int32_t hq_simd_level __attribute__((unused)) = HQ_SIMD_SCALAR;
 
 // Tuples per batch-kernel block: one uint64_t selection bitmap per block.
 #define HQ_SIMD_BLOCK 64u
 
 #if HQ_SIMD_X86
-// ISA-neutral vector types: the compiler lowers them to whatever the
-// enclosing function's target allows (two 128-bit halves under SSE2, one
-// 256-bit op under AVX2). Comparisons yield lane masks of -1/0, so masks
-// combine with & and reduce to selection bits via lane weights.
+// Four-lane vector types, one 256-bit register each inside the AVX2
+// kernels. Comparisons yield lane masks of -1/0, so masks combine with &
+// and reduce to selection bits through the lane sign bits.
 typedef int64_t hq_i64x4 __attribute__((vector_size(32)));
 typedef uint64_t hq_u64x4 __attribute__((vector_size(32)));
 typedef double hq_f64x4 __attribute__((vector_size(32)));
@@ -446,7 +445,7 @@ typedef double hq_f64x4 __attribute__((vector_size(32)));
 #pragma GCC diagnostic ignored "-Wpsabi"
 
 // Four-lane fmix64 — must stay value-identical to hq_hash64, lane by lane,
-// so a vectorized partition pass scatters records exactly like the scalar
+// so a vectorized partition pass scatters records exactly like the portable
 // one (bit-identity across HQ_SIMD settings depends on it). always_inline
 // is load-bearing, not an optimization: an out-of-line copy would be
 // compiled WITHOUT avx2 while its callers pass the 32-byte argument per

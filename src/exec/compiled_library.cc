@@ -2,7 +2,6 @@
 
 #include <dlfcn.h>
 
-#include <algorithm>
 #include <utility>
 
 #include "util/env.h"
@@ -12,23 +11,13 @@ namespace hique::exec {
 int32_t DetectSimdLevel() {
 #if HQ_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return HQ_SIMD_AVX2;
-  if (__builtin_cpu_supports("sse2")) return HQ_SIMD_SSE2;
 #endif
   return HQ_SIMD_SCALAR;
 }
 
-int32_t ResolveSimdLevel(bool enable_simd) {
-  if (!enable_simd) return HQ_SIMD_SCALAR;
-  const int32_t detected = DetectSimdLevel();
-  const std::string knob = env::EnvString("HQ_SIMD", "on");
-  if (knob == "off" || knob == "0" || knob == "scalar" || knob == "false") {
-    return HQ_SIMD_SCALAR;
-  }
-  if (knob == "sse2" || knob == "1") return std::min(HQ_SIMD_SSE2, detected);
-  if (knob == "avx2" || knob == "2") return std::min(HQ_SIMD_AVX2, detected);
-  // "on" / anything else: trust CPUID. The knob can only narrow, never
-  // widen past what the host executes.
-  return detected;
+int32_t ResolveSimdLevel() {
+  if (env::EnvString("HQ_SIMD", "") == "off") return HQ_SIMD_SCALAR;
+  return DetectSimdLevel();
 }
 
 Result<std::shared_ptr<CompiledLibrary>> CompiledLibrary::Load(
@@ -44,16 +33,12 @@ Result<std::shared_ptr<CompiledLibrary>> CompiledLibrary::Load(
     dlclose(handle);
     return Status::ExecError("entry symbol not found: " + entry_symbol);
   }
-  if (simd_level < 0) simd_level = ResolveSimdLevel(true);
-  simd_level = std::clamp<int32_t>(simd_level, HQ_SIMD_SCALAR, HQ_SIMD_AVX2);
   // Pin the kernel version before any execution can observe it. The symbol
-  // is emitted by every generated library; its absence (a pre-SIMD artefact
-  // cached on disk) simply means the library is scalar-only.
+  // is emitted by every generated library; without it the library runs its
+  // portable kernels.
   using SetSimdFn = void (*)(int32_t);
   if (auto set = reinterpret_cast<SetSimdFn>(dlsym(handle, "hique_set_simd"))) {
-    set(simd_level);
-  } else {
-    simd_level = HQ_SIMD_SCALAR;
+    set(simd_level < 0 ? ResolveSimdLevel() : simd_level);
   }
   // make_shared needs a public constructor; the destructor is the only
   // cleanup path, so construct directly.
@@ -64,7 +49,6 @@ Result<std::shared_ptr<CompiledLibrary>> CompiledLibrary::Load(
   lib->entry_symbol_ = entry_symbol;
   lib->source_ = std::move(source);
   lib->opt_level_ = opt_level;
-  lib->simd_level_ = simd_level;
   lib->unlink_on_unload_ = unlink_on_unload;
   return lib;
 }

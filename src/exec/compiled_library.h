@@ -18,16 +18,16 @@ namespace hique::exec {
 /// another thread is still executing. The last owner dlcloses and, when
 /// `unlink_on_unload` was requested, removes the on-disk .so/.cc artefacts
 /// (keeping the gen dir from growing without bound).
-/// Widest SIMD kernel version this host can execute: HQ_SIMD_AVX2 /
-/// HQ_SIMD_SSE2 / HQ_SIMD_SCALAR (non-x86 hosts). Pure CPUID — no env.
+/// Kernel version this host can execute: HQ_SIMD_AVX2 on an AVX2 host,
+/// HQ_SIMD_SCALAR (the portable kernels) otherwise. Pure CPUID — no env.
 int32_t DetectSimdLevel();
 
-/// The SIMD level libraries should be loaded at: DetectSimdLevel() capped
-/// by the HQ_SIMD environment knob ("off"/"0"/"scalar" → scalar,
-/// "sse2"/"1", "avx2"/"2", "on"/unset → full detection) and forced to
-/// scalar when `enable_simd` (EngineOptions::simd) is false. Resolved once
-/// per engine; dispatch is per-library-load, never per-execution.
-int32_t ResolveSimdLevel(bool enable_simd);
+/// The kernel version libraries should be loaded at: DetectSimdLevel(),
+/// or HQ_SIMD_SCALAR when the HQ_SIMD environment variable is "off" — the
+/// test seam that runs an AVX2 host's queries on the portable kernels, as
+/// a non-AVX2 or non-x86 host does. Any other value is ignored. Resolved
+/// once per engine; dispatch is per-library-load, never per-execution.
+int32_t ResolveSimdLevel();
 
 class CompiledLibrary {
  public:
@@ -36,8 +36,8 @@ class CompiledLibrary {
   /// `opt_level` records the -O tier this artefact was built at.
   /// `simd_level` selects the generated kernel version (HQ_SIMD_* constant)
   /// via the library's `hique_set_simd` export before any execution; pass
-  /// -1 for ResolveSimdLevel(true). Libraries predating the SIMD ABI (no
-  /// such export) load fine and stay scalar.
+  /// -1 for ResolveSimdLevel(). Libraries without that export load fine
+  /// and run their portable kernels.
   static Result<std::shared_ptr<CompiledLibrary>> Load(
       CompileResult compiled, const std::string& entry_symbol,
       std::string source, int opt_level, bool unlink_on_unload,
@@ -52,8 +52,6 @@ class CompiledLibrary {
   const std::string& entry_symbol() const { return entry_symbol_; }
   const std::string& source() const { return source_; }
   int opt_level() const { return opt_level_; }
-  /// The kernel version this library was pinned to at load time.
-  int32_t simd_level() const { return simd_level_; }
 
  private:
   CompiledLibrary() = default;
@@ -64,7 +62,6 @@ class CompiledLibrary {
   std::string entry_symbol_;
   std::string source_;
   int opt_level_ = 0;
-  int32_t simd_level_ = HQ_SIMD_SCALAR;
   bool unlink_on_unload_ = false;
 };
 

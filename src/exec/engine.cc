@@ -141,17 +141,13 @@ HiqueEngine::HiqueEngine(Catalog* catalog, EngineOptions options)
   threads_ = ClampThreads(options_.threads != 0
                               ? static_cast<int64_t>(options_.threads)
                               : env::EnvInt("HQ_THREADS", 1));
-  simd_level_ = exec::ResolveSimdLevel(options_.simd);
+  simd_level_ = exec::ResolveSimdLevel();
   if (threads_ > 1) {
     worker_pool_ = std::make_unique<exec::WorkerPool>(threads_ - 1);
   }
   if (!options_.compression) {
     std::string env = env::EnvString("HQ_COMPRESS", "");
     options_.compression = (env == "1" || env == "on");
-  }
-  if (options_.buffer_pool_pages == 0) {
-    options_.buffer_pool_pages =
-        static_cast<uint64_t>(env::EnvInt("HQ_BUFFER_PAGES", 0));
   }
   if (!options_.trace_spans) {
     std::string env = env::EnvString("HQ_TRACE_SPANS", "");

@@ -102,13 +102,6 @@ struct EngineOptions {
   // so one cached library serves all settings and parallel results are
   // bit-identical to serial ones.
   uint32_t threads = 0;
-  // SIMD kernel dispatch: generated libraries carry scalar + SSE2 + AVX2
-  // versions of their hot-loop kernels under one plan signature; the widest
-  // version the host supports is selected once per library load (CPUID in
-  // exec::CompiledLibrary). `false` forces the scalar (paper-original)
-  // loops, as does HQ_SIMD=off in the environment; the generated source is
-  // identical either way, so caching and bit-identity are unaffected.
-  bool simd = true;
   // Per-execution scratch-memory budget shared by the query arena and all
   // worker arenas (0 = unlimited). Exhaustion fails the query with a clean
   // OOM error; in a parallel run the failing worker cancels the remaining
@@ -140,21 +133,6 @@ struct EngineOptions {
   // compression-off engine. Appending to a compressed table transparently
   // decompresses it first (like dropping an index on write).
   bool compression = false;
-  // Buffer-pool frame cap for file-backed tables opened through
-  // Catalog::OpenFileBackedBufferManager-style setups owned by the caller;
-  // the engine itself only *reads* this — benchmarks (bench/fig8_tpch) use
-  // it to size the pool for the beyond-memory regime. 0 resolves to the
-  // HQ_BUFFER_PAGES environment variable, then to "unlimited" (pool sized
-  // by its owner).
-  uint64_t buffer_pool_pages = 0;
-  // Server-facing defaults consumed by the hiqued wire front-end
-  // (net::Server): where to listen and how many concurrent client
-  // connections to accept. listen_port 0 binds an ephemeral port (the
-  // server reports the resolved one). The engine itself never opens a
-  // socket; these only seed net::ServerOptions.
-  std::string listen_address = "127.0.0.1";
-  uint16_t listen_port = 0;
-  uint32_t max_connections = 64;
   // Observability. trace_spans records a per-operator span breakdown
   // (ExecStats::ops) for every statement, not just EXPLAIN ANALYZE ones —
   // false resolves through HQ_TRACE_SPANS. Purely an engine-side listener
@@ -488,9 +466,9 @@ class HiqueEngine {
   /// HQ_THREADS); 1 means serial execution.
   uint32_t threads() const { return threads_; }
 
-  /// Resolved SIMD dispatch level (HQ_SIMD_* constant): CPUID capped by
-  /// EngineOptions::simd and the HQ_SIMD environment knob. Every library
-  /// this engine loads is pinned to this level.
+  /// Resolved kernel version (HQ_SIMD_* constant, exec::ResolveSimdLevel):
+  /// HQ_SIMD_AVX2 on an AVX2 host unless HQ_SIMD=off, else HQ_SIMD_SCALAR.
+  /// Every library this engine loads is pinned to this level.
   int32_t simd_level() const { return simd_level_; }
 
   /// Clamps a requested worker count to what the host can actually run —

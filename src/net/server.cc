@@ -59,13 +59,7 @@ struct Server::Connection {
 };
 
 Server::Server(HiqueEngine* engine, ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {
-  const EngineOptions& eo = engine_->options();
-  address_ = options_.address.empty() ? eo.listen_address : options_.address;
-  max_connections_ = options_.max_connections != 0 ? options_.max_connections
-                                                   : eo.max_connections;
-  if (max_connections_ == 0) max_connections_ = 64;
-}
+    : engine_(engine), options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
@@ -74,11 +68,9 @@ Status Server::Start() {
     return Status::AlreadyExists("server already running");
   }
   if (!wake_.valid()) return Status::IoError("wake pipe creation failed");
-  uint16_t port = options_.port >= 0 ? static_cast<uint16_t>(options_.port)
-                                     : engine_->options().listen_port;
   HQ_ASSIGN_OR_RETURN(listener_,
-                      Socket::Listen(address_, port, options_.backlog,
-                                     &port_));
+                      Socket::Listen(options_.address, options_.port,
+                                     options_.backlog, &port_));
   HQ_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -185,11 +177,12 @@ void Server::AcceptPending() {
     (void)sock.SetNoDelay(true);
     auto conn = std::make_unique<Connection>();
     conn->sock = std::move(sock);
-    if (conns_.size() >= max_connections_) {
+    if (conns_.size() >= options_.max_connections) {
       // Over capacity: tell the client why, flush, drop.
-      SendError(conn.get(),
-                Status::ExecError("server at max_connections (" +
-                                  std::to_string(max_connections_) + ")"));
+      SendError(conn.get(), Status::ExecError(
+                                "server at max_connections (" +
+                                std::to_string(options_.max_connections) +
+                                ")"));
       conn->closing = true;
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++stats_.connections_rejected;

@@ -17,13 +17,13 @@
 
 namespace hique::net {
 
-/// Overrides for the wire front-end. Unset fields (empty address, port
-/// -1, max_connections 0) inherit the engine's server-facing
-/// EngineOptions (listen_address / listen_port / max_connections).
+/// Wire front-end settings: where to listen and how many concurrent
+/// client connections to accept. Port 0 binds an ephemeral port (port()
+/// reports the resolved one).
 struct ServerOptions {
-  std::string address;
-  int port = -1;
-  uint32_t max_connections = 0;
+  std::string address = "127.0.0.1";
+  uint16_t port = 0;
+  uint32_t max_connections = 64;
   int backlog = 64;
   /// Per-connection session settings (priority, threads cap, stream
   /// buffer bound — the stream buffer is also the backpressure window a
@@ -77,7 +77,7 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   uint16_t port() const { return port_; }
-  const std::string& address() const { return address_; }
+  const std::string& address() const { return options_.address; }
   ServerStats stats() const;
 
  private:
@@ -102,9 +102,7 @@ class Server {
 
   HiqueEngine* engine_;
   ServerOptions options_;
-  std::string address_;
   uint16_t port_ = 0;
-  uint32_t max_connections_ = 0;
 
   Socket listener_;
   WakePipe wake_;

@@ -35,12 +35,14 @@ class CodegenTest : public ::testing::Test {
 };
 
 TEST_F(CodegenTest, ScanSelectMatchesListing1Shape) {
-  std::string src = GenerateFor("select r_k from r where r_v < 100");
-  // Paper Listing 1: page loop, tuple loop, inlined predicate, no function
-  // calls in the inner loop.
+  // A non-selective filter (~90% pass) does not batch (see
+  // EachScanHasOneLoopShape), so the scan is the paper's Listing 1: page
+  // loop, tuple loop, inlined predicate, no function calls in the inner
+  // loop.
+  std::string src = GenerateFor("select r_k from r where r_v < 900");
   EXPECT_NE(src.find("loop over pages"), std::string::npos);
   EXPECT_NE(src.find("loop over tuples"), std::string::npos);
-  EXPECT_NE(src.find("(*(const int32_t*)(tup + 4)) < 100"),
+  EXPECT_NE(src.find("(*(const int32_t*)(tup + 4)) < 900"),
             std::string::npos)
       << src;
   EXPECT_NE(src.find("extern \"C\" int64_t hique_query_main"),
@@ -48,8 +50,9 @@ TEST_F(CodegenTest, ScanSelectMatchesListing1Shape) {
 }
 
 TEST_F(CodegenTest, PredicatesAreInlinedNotCalls) {
+  // CHAR-led, so the scan keeps the tuple-at-a-time loop.
   std::string src = GenerateFor(
-      "select r_k from r where r_v >= 10 and r_v < 90 and r_pad = 'p1'");
+      "select r_k from r where r_pad = 'p1' and r_v >= 10 and r_v < 90");
   // CHAR predicates become memcmp against the padded literal.
   EXPECT_NE(src.find("memcmp"), std::string::npos);
   EXPECT_NE(src.find("'"), 0u);
@@ -165,6 +168,72 @@ TEST_F(CodegenTest, EveryOutputUsesOnlyBulkPageProtocol) {
     for (const char* gone : {"hq_result_slot", "HqResultWriter",
                              "result_new_page"}) {
       EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    }
+  }
+}
+
+/// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(CodegenTest, EachScanHasOneLoopShape) {
+  // The loop shape of every scan is decided at generation time: a scan
+  // whose leading conjunct lowers to 64-bit lanes runs batched over a
+  // predicate kernel with exactly one AVX2 copy; a CHAR-led scan keeps the
+  // tuple-at-a-time loop and gets no kernel; hash partitioning always
+  // computes partition ids a block at a time. No runtime fork remains.
+  plan::PlannerOptions hash_join;
+  hash_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
+  hash_join.fine_partition_max_domain = 0;
+  struct Case {
+    const char* sql;
+    plan::PlannerOptions opts;
+    const char* kernel;  // the one kernel the source defines, or nullptr
+    size_t avx2_copies;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"select r_k, r_v from r where r_v < 100 and r_pad = 'p1'", {},
+            "_pred(", 1},
+           {"select r_k, count(*) from r where r_v < 100 group by r_k", {},
+            "_mpred(", 1},
+           {"select r_k, r_v from r where r_pad = 'p1' and r_v < 100", {},
+            nullptr, 0},
+           {"select r_k, count(*) from r where r_pad = 'p1' and r_v < 100 "
+            "group by r_k",
+            {}, nullptr, 0},
+           {"select r_k, s_v from r, s where r_k = s_k", hash_join, "_pids(",
+            2},
+       }) {
+    SCOPED_TRACE(c.sql);
+    std::string src = GenerateFor(c.sql, c.opts);
+    for (const char* gone : {"hq_simd_level !=", "sse2", "SSE2"}) {
+      EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    }
+    EXPECT_EQ(CountOf(src, "__attribute__((target(\"avx2\")))"),
+              c.avx2_copies)
+        << src;
+    for (const char* kernel : {"_pred(", "_mpred(", "_pids("}) {
+      bool want = c.kernel != nullptr && std::string(c.kernel) == kernel;
+      EXPECT_EQ(src.find(kernel) != std::string::npos, want) << kernel;
+    }
+    if (c.kernel == nullptr) {
+      // CHAR-led: the paper's loop with early-continue guards.
+      EXPECT_NE(src.find("++ti, tup += "), std::string::npos) << src;
+    } else if (std::string(c.kernel) != "_pids(") {
+      // Batched: the bitmap-block loop only.
+      EXPECT_NE(src.find("__builtin_ctzll(bm)"), std::string::npos) << src;
+      EXPECT_EQ(src.find("++ti, tup += "), std::string::npos) << src;
+    } else {
+      // Hash partitioning: block-at-a-time ids, no per-record pass.
+      EXPECT_EQ(src.find("for (uint64_t i = rb; i < re; ++i)"),
+                std::string::npos)
+          << src;
     }
   }
 }
