@@ -1,6 +1,7 @@
 #include "codegen/generator.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "codegen/abi_embed.h"
@@ -36,12 +37,6 @@ class Generator {
   explicit Generator(const plan::PhysicalPlan& plan) : plan_(plan) {}
 
   Result<GeneratedQuery> Run() {
-    Emit("// Generated by HIQUE, the Holistic Integrated Query Engine.");
-    Emit("// One function per staged input / operator; composed by");
-    Emit("// hique_query_main at the bottom (paper ICDE'10, Fig. 3).");
-    Emit(kAbiHeaderSource);
-    Emit("");
-
     for (size_t k = 0; k < plan_.ops.size(); ++k) {
       const plan::Op& op = plan_.ops[k];
       if (const auto* stage = std::get_if<StageOp>(&op)) {
@@ -56,11 +51,32 @@ class Generator {
     }
     EmitMain();
     GeneratedQuery result;
-    result.source = std::move(out_);
+    result.source =
+        "// Generated by HIQUE, the Holistic Integrated Query Engine.\n"
+        "// One function per staged input / operator; composed by\n"
+        "// hique_query_main at the bottom (paper ICDE'10, Fig. 3).\n" +
+        EmbeddedAbi() + "\n\n" + out_;
     return result;
   }
 
  private:
+  /// runtime_abi.h without the driver groups this query does not use
+  /// (see the header's operator-driver section).
+  std::string EmbeddedAbi() const {
+    std::set<std::string> used = drivers_;
+    if (used.count("sort")) used.insert("record_sort");  // the run sorts
+    std::string abi = kAbiHeaderSource;
+    for (const char* group : {"record_sort", "sort", "partition"}) {
+      if (used.count(group)) continue;
+      std::string end = "// [end driver group " + std::string(group) + "]\n";
+      size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
+      size_t e = abi.find(end, b);
+      HQ_CHECK(b != std::string::npos && e != std::string::npos);
+      abi.erase(b, e + end.size() - b);
+    }
+    return abi;
+  }
+
   // ---- low-level emission helpers -------------------------------------
 
   void Emit(const std::string& line) {
@@ -94,192 +110,10 @@ class Generator {
     Emit("");
   }
 
-  /// Emits an in-place record quicksort `static void NAME(uint8_t*, int64_t)`
-  /// (median-of-three, insertion sort below 24, explicit stack with the
-  /// larger side pushed so depth stays logarithmic).
-  void EmitRecordSort(const std::string& name, uint32_t rec,
-                      const std::string& cmp) {
-    std::string R = S(rec);
-    auto at = [&](const std::string& i) { return "base + (" + i + ") * " + R; };
-    Emit("static void " + name + "(uint8_t* base, int64_t n) {");
-    Emit("  if (n < 2) return;");
-    Emit("  uint8_t tmp[" + R + "]; uint8_t pivot[" + R + "];");
-    Emit("  int64_t stk[128][2]; int sp = 0;");
-    Emit("  int64_t lo = 0, hi = n - 1;");
-    Emit("  for (;;) {");
-    Emit("    if (hi - lo < 24) {");
-    Emit("      for (int64_t x = lo + 1; x <= hi; ++x) {");
-    Emit("        memcpy(tmp, " + at("x") + ", " + R + ");");
-    Emit("        int64_t y = x - 1;");
-    Emit("        while (y >= lo && " + cmp + "(" + at("y") + ", tmp) > 0) {");
-    Emit("          memcpy(" + at("y + 1") + ", " + at("y") + ", " + R + ");");
-    Emit("          --y;");
-    Emit("        }");
-    Emit("        memcpy(" + at("y + 1") + ", tmp, " + R + ");");
-    Emit("      }");
-    Emit("      if (sp == 0) break;");
-    Emit("      --sp; lo = stk[sp][0]; hi = stk[sp][1];");
-    Emit("      continue;");
-    Emit("    }");
-    Emit("    int64_t mid = lo + ((hi - lo) >> 1);");
-    // Median-of-three: order lo, mid, hi and leave the median at mid.
-    auto swap = [&](const std::string& x, const std::string& y) {
-      Emit("      memcpy(tmp, " + at(x) + ", " + R + ");");
-      Emit("      memcpy(" + at(x) + ", " + at(y) + ", " + R + ");");
-      Emit("      memcpy(" + at(y) + ", tmp, " + R + ");");
-    };
-    Emit("    if (" + cmp + "(" + at("mid") + ", " + at("lo") + ") < 0) {");
-    swap("mid", "lo");
-    Emit("    }");
-    Emit("    if (" + cmp + "(" + at("hi") + ", " + at("mid") + ") < 0) {");
-    swap("hi", "mid");
-    Emit("      if (" + cmp + "(" + at("mid") + ", " + at("lo") + ") < 0) {");
-    swap("mid", "lo");
-    Emit("      }");
-    Emit("    }");
-    Emit("    memcpy(pivot, " + at("mid") + ", " + R + ");");
-    Emit("    int64_t i = lo, j = hi;");
-    Emit("    while (i <= j) {");
-    Emit("      while (" + cmp + "(" + at("i") + ", pivot) < 0) ++i;");
-    Emit("      while (" + cmp + "(" + at("j") + ", pivot) > 0) --j;");
-    Emit("      if (i <= j) {");
-    Emit("        if (i != j) {");
-    Emit("          memcpy(tmp, " + at("i") + ", " + R + ");");
-    Emit("          memcpy(" + at("i") + ", " + at("j") + ", " + R + ");");
-    Emit("          memcpy(" + at("j") + ", tmp, " + R + ");");
-    Emit("        }");
-    Emit("        ++i; --j;");
-    Emit("      }");
-    Emit("    }");
-    Emit("    if (j - lo < hi - i) {");
-    Emit("      if (i < hi) { stk[sp][0] = i; stk[sp][1] = hi; ++sp; }");
-    Emit("      hi = j;");
-    Emit("    } else {");
-    Emit("      if (lo < j) { stk[sp][0] = lo; stk[sp][1] = j; ++sp; }");
-    Emit("      lo = i;");
-    Emit("    }");
-    Emit("    if (lo >= hi) {");
-    Emit("      if (sp == 0) break;");
-    Emit("      --sp; lo = stk[sp][0]; hi = stk[sp][1];");
-    Emit("    }");
-    Emit("  }");
-    Emit("}");
-    Emit("");
-  }
-
   /// L2-sized quicksort run length for `rec`-byte records (paper §V-B).
   static int64_t SortRunLen(uint32_t rec) {
     uint64_t l2 = HostCacheInfo().l2_bytes;
     return std::max<int64_t>(64, static_cast<int64_t>(l2 / 2 / rec));
-  }
-
-  /// Emits the reusable sort-phase task functions: `name_runs` quicksorts
-  /// independent L2-sized runs, `name_merge` merges adjacent run pairs of
-  /// width `w` into disjoint destination ranges. Both full sorts and the
-  /// ORDER BY output pipeline (which stops the cascade early and finishes
-  /// with a splitter-partitioned k-way merge) orchestrate these.
-  void EmitSortTasks(const std::string& name, const std::string& sort_fn,
-                     const std::string& cmp, uint32_t rec, int64_t run) {
-    std::string R = S(rec);
-    std::string RUN = S(run);
-    std::string A = name + "_args";
-    Emit("typedef struct {");
-    Emit("  uint8_t* src;");
-    Emit("  uint8_t* dst;");
-    Emit("  int64_t n;");
-    Emit("  int64_t w;");
-    Emit("  uint32_t nt;");
-    Emit("} " + A + ";");
-    Emit("");
-    Emit("static int32_t " + name +
-         "_runs(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-    Emit("  uint64_t runs = ((uint64_t)A->n + " + RUN + " - 1) / " + RUN +
-         ";");
-    Emit("  uint64_t rb, re;");
-    Emit("  hq_task_range(runs, A->nt, t, &rb, &re);");
-    Emit("  for (uint64_t r = rb; r < re; ++r) {");
-    Emit("    int64_t i = (int64_t)r * " + RUN + ";");
-    Emit("    int64_t e = i + " + RUN + " < A->n ? i + " + RUN + " : A->n;");
-    Emit("    " + sort_fn + "(A->src + (uint64_t)i * " + R + ", e - i);");
-    Emit("  }");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-    Emit("static int32_t " + name +
-         "_merge(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-    Emit("  int64_t n = A->n, w = A->w;");
-    Emit("  uint8_t* src = A->src; uint8_t* dst = A->dst;");
-    Emit("  uint64_t pairs = ((uint64_t)n + 2 * w - 1) / (uint64_t)(2 * w);");
-    Emit("  uint64_t jb, je;");
-    Emit("  hq_task_range(pairs, A->nt, t, &jb, &je);");
-    Emit("  for (uint64_t j = jb; j < je; ++j) {");
-    Emit("    int64_t i = (int64_t)j * 2 * w;");
-    Emit("    int64_t m = i + w < n ? i + w : n;");
-    Emit("    int64_t e = i + 2 * w < n ? i + 2 * w : n;");
-    Emit("    int64_t a = i, b = m, o = i;");
-    Emit("    while (a < m && b < e) {");
-    Emit("      if (" + cmp + "(src + (uint64_t)a * " + R +
-         ", src + (uint64_t)b * " + R + ") <= 0) {");
-    Emit("        memcpy(dst + (uint64_t)o * " + R +
-         ", src + (uint64_t)a * " + R + ", " + R + "); ++a;");
-    Emit("      } else {");
-    Emit("        memcpy(dst + (uint64_t)o * " + R +
-         ", src + (uint64_t)b * " + R + ", " + R + "); ++b;");
-    Emit("      }");
-    Emit("      ++o;");
-    Emit("    }");
-    Emit("    if (a < m) memcpy(dst + (uint64_t)o * " + R +
-         ", src + (uint64_t)a * " + R + ", (uint64_t)(m - a) * " + R + ");");
-    Emit("    else if (b < e) memcpy(dst + (uint64_t)o * " + R +
-         ", src + (uint64_t)b * " + R + ", (uint64_t)(e - b) * " + R + ");");
-    Emit("  }");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-  }
-
-  /// Full sort: quicksort L2/2-sized runs, then bottom-up two-way merging
-  /// (paper §V-B "Input staging": quicksort over L2-cache-fitting partitions
-  /// and then merging them). Both phases are partition-parallel: every run
-  /// sort is independent, and within one merge level every pair merge
-  /// writes a disjoint destination range. The level barrier between merge
-  /// rounds is a hq_parallel_for join.
-  void EmitFullSort(const std::string& name, const std::string& sort_fn,
-                    const std::string& cmp, uint32_t rec) {
-    int64_t run = SortRunLen(rec);
-    std::string R = S(rec);
-    std::string RUN = S(run);
-    std::string A = name + "_args";
-    EmitSortTasks(name, sort_fn, cmp, rec, run);
-    Emit("static int " + name + "(HqQueryCtx* ctx, HqStream* s) {");
-    Emit("  const int64_t run = " + RUN + ";");
-    Emit("  int64_t n = s->n;");
-    Emit("  if (n < 2) return 0;");
-    Emit("  " + A + " A;");
-    Emit("  A.src = s->data; A.dst = 0; A.n = n; A.w = 0;");
-    Emit("  A.nt = hq_task_count(((uint64_t)n + run - 1) / run, 1, "
-         "HQ_PAR_MAX_TASKS);");
-    Emit("  if (hq_parallel_for(ctx, A.nt, " + name +
-         "_runs, &A) != HQ_OK) return -1;");
-    Emit("  if (n <= run) return 0;");
-    Emit("  uint8_t* buf = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)n * " +
-         R + ");");
-    Emit("  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("  A.dst = buf;");
-    Emit("  for (int64_t w = run; w < n; w *= 2) {");
-    Emit("    A.w = w;");
-    Emit("    A.nt = hq_task_count(((uint64_t)n + 2 * w - 1) / "
-         "(uint64_t)(2 * w), 1, HQ_PAR_MAX_TASKS);");
-    Emit("    if (hq_parallel_for(ctx, A.nt, " + name +
-         "_merge, &A) != HQ_OK) return -1;");
-    Emit("    uint8_t* tmpp = A.src; A.src = A.dst; A.dst = tmpp;");
-    Emit("  }");
-    Emit("  s->data = A.src;");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
   }
 
   // ---- staging (paper Listing 1 + §V-B "Input staging") ----------------
@@ -752,16 +586,13 @@ class Generator {
     uint32_t rec = out_layout.record_size;
     std::string fn = "op" + S(k) + "_stage";
 
-    // Comparator + sorters as needed.
+    // The type-specific kernel the sort / partition driver instantiates.
     if (op.action == StageAction::kSort) {
       EmitComparator("cmp_op" + S(k), out_layout, op.key_fields, {});
-      EmitRecordSort("sortrec_op" + S(k), rec, "cmp_op" + S(k));
-      EmitFullSort("fullsort_op" + S(k), "sortrec_op" + S(k), "cmp_op" + S(k),
-                   rec);
-    }
-    if (op.action == StageAction::kPartition ||
-        op.action == StageAction::kPartitionFine) {
-      EmitPartitionTasks(k, op, out_layout);
+    } else if (op.action == StageAction::kPartition) {
+      EmitPartitionPidKernel(k, op, out_layout);
+    } else if (op.action == StageAction::kPartitionFine) {
+      EmitFinePid(k, op, out_layout);
     }
 
     bool base = in.is_base_table;
@@ -847,11 +678,23 @@ class Generator {
       case StageAction::kNone:
         break;
       case StageAction::kSort:
-        Emit("  if (fullsort_op" + S(k) + "(ctx, out) != 0) return -1;");
+        drivers_.insert("sort");
+        Emit("  if (hq_sort_cascade<" + S(rec) + ", cmp_op" + S(k) +
+             ">(ctx, &out->data, out->n, " + S(SortRunLen(rec)) +
+             ", 1, 0) != 0) return -1;");
         break;
       case StageAction::kPartition:
+        drivers_.insert("partition");
+        Emit("  if (hq_partition_coarse<" + S(rec) + ", " +
+             S(op.num_partitions) + ", op" + S(k) +
+             "_pids>(ctx, out) != 0) return -1;");
+        break;
       case StageAction::kPartitionFine:
-        EmitPartitionBody(k, op, out_layout);
+        drivers_.insert("partition");
+        Emit("  if (hq_partition_fine<" + S(rec) + ", " +
+             S(op.num_partitions) + ", op" + S(k) + "_pid, " +
+             (op.fine_clamp ? "true" : "false") +
+             ">(ctx, out) != 0) return -1;");
         break;
     }
     Emit("  return 0;");
@@ -860,43 +703,32 @@ class Generator {
     return Status::OK();
   }
 
-  /// Partition-id expression over record pointer `r`, plus the
-  /// out-of-domain policy for fine partitioning.
-  struct PartitionKey {
-    std::string pid;
-    bool may_drop = false;
-    bool clamp = false;
-  };
-
-  PartitionKey PartitionPid(const StageOp& op, const RecordLayout& layout) {
+  /// Coarse (hash) partition-id expression over record pointer `r`.
+  static std::string HashPid(const StageOp& op, const RecordLayout& layout) {
     uint32_t M = op.num_partitions;
     int key = op.key_fields[0];
     Type kt = layout.fields[key].type;
     uint32_t koff = layout.OffsetOf(key);
-    PartitionKey pk;
-    if (op.action == StageAction::kPartitionFine) {
-      // Fine: dense value -> partition map (paper: value-partition map).
-      pk.pid = "(int64_t)" + FieldAccess("r", koff, kt) + " - (" +
-               S(op.fine_min) + ")";
-      pk.may_drop = !op.fine_clamp;
-      pk.clamp = op.fine_clamp;
-    } else if (kt.id == TypeId::kChar) {
-      pk.pid = "(int64_t)(hq_hash_bytes(r + " + S(koff) + ", " +
-               S(kt.length) + ") " +
-               (IsPow2(M) ? "& " + S(M - 1) : "% " + S(M)) + ")";
-    } else {
-      pk.pid = "(int64_t)(hq_hash64((uint64_t)" + FieldAccess("r", koff, kt) +
-               ") " + (IsPow2(M) ? "& " + S(M - 1) : "% " + S(M)) + ")";
+    std::string mod = IsPow2(M) ? "& " + S(M - 1) : "% " + S(M);
+    if (kt.id == TypeId::kChar) {
+      return "(int64_t)(hq_hash_bytes(r + " + S(koff) + ", " +
+             S(kt.length) + ") " + mod + ")";
     }
-    return pk;
+    return "(int64_t)(hq_hash64((uint64_t)" + FieldAccess("r", koff, kt) +
+           ") " + mod + ")";
   }
 
-  void EmitPartitionGuard(const PartitionKey& pk, const std::string& ind) {
-    if (pk.may_drop) {
-      Emit(ind + "if ((uint64_t)p >= M) continue;  // cannot match: drop");
-    } else if (pk.clamp) {
-      Emit(ind + "if (p < 0) p = 0; else if (p >= (int64_t)M) p = M - 1;");
-    }
+  /// Fine partitioning's dense value -> partition map (paper:
+  /// value-partition map) `op<k>_pid(r)`; hq_partition_fine applies the
+  /// drop or clamp guard to ids outside [0, M).
+  void EmitFinePid(int k, const StageOp& op, const RecordLayout& layout) {
+    int key = op.key_fields[0];
+    Emit("static inline int64_t op" + S(k) + "_pid(const uint8_t* r) {");
+    Emit("  return (int64_t)" +
+         FieldAccess("r", layout.OffsetOf(key), layout.fields[key].type) +
+         " - (" + S(op.fine_min) + ");");
+    Emit("}");
+    Emit("");
   }
 
   /// Partition-id batch kernel for coarse (hash) partitioning:
@@ -914,12 +746,12 @@ class Generator {
     std::string R = S(layout.record_size);
     std::string name = "op" + S(k) + "_pids";
     std::string sig = "(const uint8_t* d, uint32_t bn, int32_t* pid)";
-    PartitionKey pk = PartitionPid(op, layout);
+    std::string pid = HashPid(op, layout);
 
     std::string scalar_body;
     scalar_body += "  for (uint32_t i = 0; i < bn; ++i, d += " + R + ") {\n";
     scalar_body += "    const uint8_t* r = d;\n";
-    scalar_body += "    pid[i] = (int32_t)(" + pk.pid + ");\n";
+    scalar_body += "    pid[i] = (int32_t)(" + pid + ");\n";
     scalar_body += "  }\n";
 
     if (kt.id == TypeId::kChar) {
@@ -948,7 +780,7 @@ class Generator {
     vec_body += "  }\n";
     vec_body += "  for (; i < bn; ++i, d += " + R + ") {\n";
     vec_body += "    const uint8_t* r = d;\n";
-    vec_body += "    pid[i] = (int32_t)(" + pk.pid + ");\n";
+    vec_body += "    pid[i] = (int32_t)(" + pid + ");\n";
     vec_body += "  }\n";
 
     Emit("#if HQ_SIMD_X86");
@@ -962,134 +794,6 @@ class Generator {
     Emit("#endif  // HQ_SIMD_X86");
     Emit(scalar_body + "}");
     Emit("");
-  }
-
-  /// Parallel two-pass scatter partitioning: per-task histogram over a
-  /// record chunk, one global (partition, task) prefix sum, then a scatter
-  /// where every task owns a private cursor row — the classic parallel
-  /// radix partition. Record order within each partition equals the serial
-  /// scatter order, so partitioned streams are thread-count-invariant.
-  /// Coarse partitioning computes partition ids a block at a time
-  /// (op<k>_pids, vectorized hashing), and the scatter prefetches each
-  /// destination line a few records ahead — the M write cursors land in
-  /// random frames, the dominant DRAM cost of this pass (Table I). Fine
-  /// partitioning keeps the per-record loop with its domain guard.
-  void EmitPartitionTasks(int k, const StageOp& op,
-                          const RecordLayout& layout) {
-    uint32_t rec = layout.record_size;
-    uint32_t M = op.num_partitions;
-    std::string R = S(rec);
-    std::string A = "op" + S(k) + "_part_args";
-    PartitionKey pk = PartitionPid(op, layout);
-    bool batched = op.action == StageAction::kPartition;
-    if (batched) EmitPartitionPidKernel(k, op, layout);
-    // Prefetch distance: far enough that the line arrives before the
-    // store, near enough to stay in this block — wider records need fewer
-    // in-flight lines.
-    int pf = 512 / static_cast<int>(rec == 0 ? 1 : rec);
-    if (pf < 4) pf = 4;
-    if (pf > 16) pf = 16;
-
-    Emit("typedef struct {");
-    Emit("  uint8_t* d;");
-    Emit("  uint8_t* buf2;");
-    Emit("  int64_t n;");
-    Emit("  int64_t* cnts;");
-    Emit("  uint32_t nt;");
-    Emit("} " + A + ";");
-    Emit("");
-    for (int pass = 0; pass < 2; ++pass) {
-      bool count = pass == 0;
-      Emit("static int32_t op" + S(k) +
-           (count ? "_part_count" : "_part_scatter") +
-           "(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-      Emit("  const uint32_t M = " + S(M) + ";");
-      Emit("  uint64_t rb, re;");
-      Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
-      Emit("  int64_t* cnt = A->cnts + (uint64_t)t * M;");
-      if (batched) {
-        Emit("  int32_t pid[HQ_SIMD_BLOCK];");
-        Emit("  for (uint64_t i = rb; i < re; ) {");
-        Emit("    uint32_t bn = re - i < HQ_SIMD_BLOCK ? (uint32_t)(re - i) "
-             ": HQ_SIMD_BLOCK;");
-        Emit("    op" + S(k) + "_pids(A->d + i * " + R + ", bn, pid);");
-        if (count) {
-          Emit("    for (uint32_t j = 0; j < bn; ++j) ++cnt[pid[j]];");
-        } else {
-          Emit("    for (uint32_t j = 0; j < bn; ++j) {");
-          Emit("      if (j + " + S(pf) +
-               " < bn) HQ_PREFETCH_W(A->buf2 + (uint64_t)cnt[pid[j + " +
-               S(pf) + "]] * " + R + ");");
-          Emit("      memcpy(A->buf2 + (uint64_t)cnt[pid[j]] * " + R +
-               ", A->d + (i + j) * " + R + ", " + R + ");");
-          Emit("      ++cnt[pid[j]];");
-          Emit("    }");
-        }
-        Emit("    i += bn;");
-        Emit("  }");
-      } else {
-        Emit("  for (uint64_t i = rb; i < re; ++i) {");
-        Emit("    const uint8_t* r = A->d + i * " + R + ";");
-        Emit("    int64_t p = " + pk.pid + ";");
-        EmitPartitionGuard(pk, "    ");
-        if (!count) {
-          Emit("    memcpy(A->buf2 + (uint64_t)cnt[p] * " + R + ", r, " + R +
-               ");");
-        }
-        Emit("    ++cnt[p];");
-        Emit("  }");
-      }
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-    }
-  }
-
-  /// Orchestration of the parallel partition passes over the staged buffer
-  /// held in `out` (emitted inside the stage wrapper).
-  void EmitPartitionBody(int k, const StageOp& op,
-                         const RecordLayout& layout) {
-    uint32_t rec = layout.record_size;
-    uint32_t M = op.num_partitions;
-    std::string R = S(rec);
-    std::string A = "op" + S(k) + "_part_args";
-
-    Emit("  // coarse/fine partitioning: count, prefix-sum, scatter");
-    Emit("  {");
-    Emit("    const uint32_t M = " + S(M) + ";");
-    Emit("    " + A + " A;");
-    Emit("    A.d = out->data; A.n = out->n; A.buf2 = 0;");
-    Emit("    A.nt = hq_task_count((uint64_t)out->n, HQ_PAR_REC_GRAIN, "
-         "HQ_PAR_PART_TASKS);");
-    Emit("    int64_t* pb = (int64_t*)ctx->alloc(ctx->arena, "
-         "(uint64_t)(M + 1) * 8);");
-    Emit("    A.cnts = (int64_t*)ctx->alloc(ctx->arena, "
-         "(uint64_t)A.nt * M * 8);");
-    Emit("    if (!pb || !A.cnts) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("    memset(A.cnts, 0, (uint64_t)A.nt * M * 8);");
-    Emit("    if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-         "_part_count, &A) != HQ_OK) return -1;");
-    Emit("    // (partition, task) prefix: task cursors reproduce the");
-    Emit("    // serial scatter order exactly");
-    Emit("    int64_t pos = 0;");
-    Emit("    for (uint32_t m = 0; m < M; ++m) {");
-    Emit("      pb[m] = pos;");
-    Emit("      for (uint32_t t2 = 0; t2 < A.nt; ++t2) {");
-    Emit("        int64_t c = A.cnts[(uint64_t)t2 * M + m];");
-    Emit("        A.cnts[(uint64_t)t2 * M + m] = pos;");
-    Emit("        pos += c;");
-    Emit("      }");
-    Emit("    }");
-    Emit("    pb[M] = pos;");
-    Emit("    A.buf2 = (uint8_t*)ctx->alloc(ctx->arena, "
-         "(uint64_t)(pos ? pos : 1) * " + R + ");");
-    Emit("    if (!A.buf2) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("    if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-         "_part_scatter, &A) != HQ_OK) return -1;");
-    Emit("    out->data = A.buf2; out->n = pos;");
-    Emit("    out->part_begin = pb; out->num_parts = M;");
-    Emit("  }");
   }
 
   static bool SameLayout(const RecordLayout& a, const RecordLayout& b) {
@@ -1151,11 +855,9 @@ class Generator {
 
     if (need_sort) {
       for (size_t t = 0; t < nin; ++t) {
-        const RecordLayout& lay = Stream(op.input_streams[t]).layout;
-        std::string cmp = "cmp_op" + S(k) + "_in" + S(t);
-        EmitComparator(cmp, lay, {op.key_fields[t]}, {});
-        EmitRecordSort("sortrec_op" + S(k) + "_in" + S(t), lay.record_size,
-                       cmp);
+        EmitComparator("cmp_op" + S(k) + "_in" + S(t),
+                       Stream(op.input_streams[t]).layout,
+                       {op.key_fields[t]}, {});
       }
     }
 
@@ -1312,40 +1014,10 @@ class Generator {
       Emit("  A.nt = hq_task_count((uint64_t)A.n0, HQ_PAR_JOIN_GRAIN, " +
            S(op.par_tasks) + ");");
       if (op.fuse_scalar_agg) {
-        Emit("  A.accs = (" + accs_t + "*)ctx->alloc(ctx->arena, "
-             "(uint64_t)A.nt * sizeof(" + accs_t + "));");
-        Emit("  if (!A.accs) { ctx->error = HQ_ERR_OOM; return -1; }");
-        Emit("  memset(A.accs, 0, (uint64_t)A.nt * sizeof(" + accs_t +
-             "));");
-        Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-             "_mr_task, &A) != HQ_OK) return -1;");
-        EmitFusedAccFold(k, op, vec_rec);
+        EmitFusedAccFold(k, op, "op" + S(k) + "_mr_task", vec_rec);
       } else {
-        Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
-             "(uint64_t)A.nt * sizeof(HqVec));");
-        Emit("  A.offs = (int64_t*)ctx->alloc(ctx->arena, "
-             "((uint64_t)A.nt + 1) * 8);");
-        Emit("  if (!A.vs || !A.offs) { ctx->error = HQ_ERR_OOM; "
-             "return -1; }");
-        Emit("  A.outbuf = 0;");
-        Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-             "_mr_task, &A) != HQ_OK) return -1;");
-        Emit("  // concatenate per-task outputs in task (= key-range) order:");
-        Emit("  // byte-identical to the single full-range merge");
-        Emit("  A.offs[0] = 0;");
-        Emit("  for (uint32_t t2 = 0; t2 < A.nt; ++t2) "
-             "A.offs[t2 + 1] = A.offs[t2] + A.vs[t2].n;");
-        Emit("  int64_t total = A.offs[A.nt];");
-        Emit("  A.outbuf = (uint8_t*)ctx->alloc(ctx->arena, "
-             "(uint64_t)(total ? total : 1) * " + S(vec_rec) + ");");
-        Emit("  if (!A.outbuf) { ctx->error = HQ_ERR_OOM; return -1; }");
-        Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-             "_mr_copy, &A) != HQ_OK) return -1;");
-        Emit("  out->data = A.outbuf; out->n = total; out->rec_size = " +
-             S(vec_rec) + ";");
+        EmitPerTaskOutputs("op" + S(k) + "_mr_task", vec_rec);
       }
-      Emit("  out->part_begin = 0; out->num_parts = 0;");
-      Emit("  return 0;");
       Emit("}");
       Emit("");
       return Status::OK();
@@ -1402,46 +1074,30 @@ class Generator {
     Emit("  A.nt = hq_task_count(" + S(op.num_partitions) +
          ", 1, HQ_PAR_MAX_TASKS);");
     if (op.fuse_scalar_agg) {
-      Emit("  A.accs = (" + accs_t + "*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * sizeof(" + accs_t + "));");
-      Emit("  if (!A.accs) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  memset(A.accs, 0, (uint64_t)A.nt * sizeof(" + accs_t + "));");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_join_part, &A) != HQ_OK) return -1;");
-      EmitFusedAccFold(k, op, vec_rec);
+      EmitFusedAccFold(k, op, "op" + S(k) + "_join_part", vec_rec);
     } else {
-      Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * sizeof(HqVec));");
-      Emit("  A.offs = (int64_t*)ctx->alloc(ctx->arena, "
-           "((uint64_t)A.nt + 1) * 8);");
-      Emit("  if (!A.vs || !A.offs) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  A.outbuf = 0;");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_join_part, &A) != HQ_OK) return -1;");
-      Emit("  // concatenate per-task outputs in task (= partition) order");
-      Emit("  A.offs[0] = 0;");
-      Emit("  for (uint32_t t2 = 0; t2 < A.nt; ++t2) "
-           "A.offs[t2 + 1] = A.offs[t2] + A.vs[t2].n;");
-      Emit("  int64_t total = A.offs[A.nt];");
-      Emit("  A.outbuf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(total ? total : 1) * " + S(vec_rec) + ");");
-      Emit("  if (!A.outbuf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_join_copy, &A) != HQ_OK) return -1;");
-      Emit("  out->data = A.outbuf; out->n = total; out->rec_size = " +
-           S(vec_rec) + ";");
+      EmitPerTaskOutputs("op" + S(k) + "_join_part", vec_rec);
     }
-    Emit("  out->part_begin = 0; out->num_parts = 0;");
-    Emit("  return 0;");
     Emit("}");
     Emit("");
     return Status::OK();
   }
 
+  /// The tail of a wrapper whose parallel task `task` appends each task's
+  /// output to its own vec `A.vs[t]`: run the tasks, then concatenate the
+  /// vecs in task order into `out` (hq_concat).
+  void EmitPerTaskOutputs(const std::string& task, uint32_t rec) {
+    Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
+         "(uint64_t)A.nt * sizeof(HqVec));");
+    Emit("  if (!A.vs) { ctx->error = HQ_ERR_OOM; return -1; }");
+    Emit("  if (hq_parallel_for(ctx, A.nt, " + task +
+         ", &A) != HQ_OK) return -1;");
+    Emit("  return hq_concat(ctx, A.vs, A.nt, " + S(rec) + ", out);");
+  }
+
   /// Per-task join machinery for partitioned (hybrid / fine) joins: the
-  /// args block, the per-partition-range task (JIT partition sort + merge
-  /// into a per-task vec or accumulator block), and — for materializing
-  /// joins — the ordered copy-out task.
+  /// args block and the per-partition-range task (JIT partition sort +
+  /// merge into a per-task vec or accumulator block).
   void EmitJoinTasks(int k, const JoinOp& op,
                      const std::vector<KeyAccess>& keys, bool need_sort,
                      uint32_t vec_rec, uint64_t est) {
@@ -1458,8 +1114,6 @@ class Generator {
       Emit("  " + accs_t + "* accs;");
     } else {
       Emit("  HqVec* vs;");
-      Emit("  uint8_t* outbuf;");
-      Emit("  int64_t* offs;");
     }
     Emit("  uint32_t nt;");
     Emit("} " + A + ";");
@@ -1499,11 +1153,12 @@ class Generator {
     }
     Emit("    if (" + nonempty + ") continue;");
     if (need_sort) {
+      drivers_.insert("record_sort");
       Emit("    // sort corresponding partitions just before joining them");
       for (size_t t = 0; t < nin; ++t) {
-        Emit("    sortrec_op" + S(k) + "_in" + S(t) + "(A->d" + S(t) +
-             " + (uint64_t)b" + S(t) + " * " + S(keys[t].rec) + ", e" + S(t) +
-             " - b" + S(t) + ");");
+        Emit("    hq_record_sort<" + S(keys[t].rec) + ", cmp_op" + S(k) +
+             "_in" + S(t) + ">(A->d" + S(t) + " + (uint64_t)b" + S(t) +
+             " * " + S(keys[t].rec) + ", e" + S(t) + " - b" + S(t) + ");");
       }
     }
     std::string call = "    if (op" + S(k) + "_merge_range(ctx";
@@ -1516,17 +1171,6 @@ class Generator {
     Emit("  return 0;");
     Emit("}");
     Emit("");
-    if (!fused) {
-      Emit("static int32_t op" + S(k) +
-           "_join_copy(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-      Emit("  memcpy(A->outbuf + (uint64_t)A->offs[t] * " + S(vec_rec) +
-           ", A->vs[t].data, (uint64_t)A->vs[t].n * " + S(vec_rec) + ");");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-    }
   }
 
   /// Range-split machinery for the merge join over globally sorted inputs:
@@ -1552,8 +1196,6 @@ class Generator {
       Emit("  " + accs_t + "* accs;");
     } else {
       Emit("  HqVec* vs;");
-      Emit("  uint8_t* outbuf;");
-      Emit("  int64_t* offs;");
     }
     Emit("  uint32_t nt;");
     Emit("} " + A + ";");
@@ -1623,26 +1265,22 @@ class Generator {
     Emit("  return 0;");
     Emit("}");
     Emit("");
-    if (!fused) {
-      Emit("static int32_t op" + S(k) +
-           "_mr_copy(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-      Emit("  memcpy(A->outbuf + (uint64_t)A->offs[t] * " + S(vec_rec) +
-           ", A->vs[t].data, (uint64_t)A->vs[t].n * " + S(vec_rec) + ");");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-    }
   }
 
-  /// Emits the task-ordered fold of the per-task accumulator partials
-  /// (`A.accs` / `A.nt` in scope) into the single fused aggregate record,
-  /// leaving the one-row stream in `out`. The fixed decomposition makes the
-  /// fold order (and hence every floating-point sum) identical at any
-  /// thread count.
-  void EmitFusedAccFold(int k, const JoinOp& op, uint32_t vec_rec) {
+  /// The tail of a fused-aggregation wrapper: run `task` over per-task
+  /// accumulator blocks `A.accs[t]`, then fold the partials in task order
+  /// into the single fused aggregate record, leaving the one-row stream in
+  /// `out`. The fixed decomposition makes the fold order (and hence every
+  /// floating-point sum) identical at any thread count.
+  void EmitFusedAccFold(int k, const JoinOp& op, const std::string& task,
+                        uint32_t vec_rec) {
     std::string accs_t = "op" + S(k) + "_accs";
+    Emit("  A.accs = (" + accs_t + "*)ctx->alloc(ctx->arena, "
+         "(uint64_t)A.nt * sizeof(" + accs_t + "));");
+    Emit("  if (!A.accs) { ctx->error = HQ_ERR_OOM; return -1; }");
+    Emit("  memset(A.accs, 0, (uint64_t)A.nt * sizeof(" + accs_t + "));");
+    Emit("  if (hq_parallel_for(ctx, A.nt, " + task +
+         ", &A) != HQ_OK) return -1;");
     Emit("  HqVec v;");
     Emit("  if (hq_vec_init(&v, ctx, " + S(vec_rec) + ", 1) != 0) return -1;");
     Emit("  // merge the per-task partials in task order: the fixed");
@@ -1671,6 +1309,8 @@ class Generator {
     Emit("  }");
     Emit("  out->data = v.data; out->n = v.n; out->rec_size = " +
          S(vec_rec) + ";");
+    Emit("  out->part_begin = 0; out->num_parts = 0;");
+    Emit("  return 0;");
   }
 
   /// Statements folding one task's accumulator partial (`src` prefix) into
@@ -1889,9 +1529,7 @@ class Generator {
 
     if (hybrid) {
       // JIT sort of each partition on all group keys.
-      std::string cmp = "cmp_op" + S(k);
-      EmitComparator(cmp, in_layout, op.group_fields, {});
-      EmitRecordSort("sortrec_op" + S(k), irec, cmp);
+      EmitComparator("cmp_op" + S(k), in_layout, op.group_fields, {});
     }
 
     // The sorted-group scan: single pass, registers per aggregate.
@@ -1942,15 +1580,13 @@ class Generator {
                                       1u << 22);
     if (hybrid) {
       // Partition-parallel: each task JIT-sorts and scans a range of
-      // partitions into a per-task vec; the copy-out concatenates them in
-      // partition order, matching the serial wrapper's emission order.
+      // partitions into a per-task vec; concatenating them in partition
+      // order matches the serial wrapper's emission order.
       std::string A = "op" + S(k) + "_agg_args";
       Emit("typedef struct {");
       Emit("  uint8_t* d;");
       Emit("  const int64_t* pb;");
       Emit("  HqVec* vs;");
-      Emit("  uint8_t* outbuf;");
-      Emit("  int64_t* offs;");
       Emit("  uint32_t nt;");
       Emit("} " + A + ";");
       Emit("");
@@ -1968,19 +1604,11 @@ class Generator {
       Emit("  for (uint64_t m = mb; m < me; ++m) {");
       Emit("    int64_t b = A->pb[m], e = A->pb[m + 1];");
       Emit("    if (b >= e) continue;");
-      Emit("    sortrec_op" + S(k) + "(A->d + (uint64_t)b * " + S(irec) +
-           ", e - b);");
+      drivers_.insert("record_sort");
+      Emit("    hq_record_sort<" + S(irec) + ", cmp_op" + S(k) +
+           ">(A->d + (uint64_t)b * " + S(irec) + ", e - b);");
       Emit("    if (" + scan_fn + "(ctx, A->d, b, e, v) != 0) return -1;");
       Emit("  }");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_agg_copy(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-      Emit("  memcpy(A->outbuf + (uint64_t)A->offs[t] * " + S(orec) +
-           ", A->vs[t].data, (uint64_t)A->vs[t].n * " + S(orec) + ");");
       Emit("  return 0;");
       Emit("}");
       Emit("");
@@ -1990,25 +1618,7 @@ class Generator {
       Emit("  A.d = in->data; A.pb = in->part_begin;");
       Emit("  A.nt = hq_task_count(" + S(op.num_partitions) +
            ", 1, HQ_PAR_MAX_TASKS);");
-      Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * sizeof(HqVec));");
-      Emit("  A.offs = (int64_t*)ctx->alloc(ctx->arena, "
-           "((uint64_t)A.nt + 1) * 8);");
-      Emit("  if (!A.vs || !A.offs) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  A.outbuf = 0;");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_agg_part, &A) != HQ_OK) return -1;");
-      Emit("  A.offs[0] = 0;");
-      Emit("  for (uint32_t t2 = 0; t2 < A.nt; ++t2) "
-           "A.offs[t2 + 1] = A.offs[t2] + A.vs[t2].n;");
-      Emit("  int64_t total = A.offs[A.nt];");
-      Emit("  A.outbuf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(total ? total : 1) * " + S(orec) + ");");
-      Emit("  if (!A.outbuf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_agg_copy, &A) != HQ_OK) return -1;");
-      Emit("  out->data = A.outbuf; out->n = total; out->rec_size = " +
-           S(orec) + ";");
+      EmitPerTaskOutputs("op" + S(k) + "_agg_part", orec);
     } else if (!op.group_fields.empty()) {
       // Globally sorted input: split the scan at group boundaries found by
       // binary search — each boundary is the lower bound (group-key
@@ -2023,8 +1633,6 @@ class Generator {
       Emit("  const uint8_t* d;");
       Emit("  int64_t n;");
       Emit("  HqVec* vs;");
-      Emit("  uint8_t* outbuf;");
-      Emit("  int64_t* offs;");
       Emit("  uint32_t nt;");
       Emit("} " + A + ";");
       Emit("");
@@ -2058,40 +1666,13 @@ class Generator {
       Emit("  return 0;");
       Emit("}");
       Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_sagg_copy(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-      Emit("  memcpy(A->outbuf + (uint64_t)A->offs[t] * " + S(orec) +
-           ", A->vs[t].data, (uint64_t)A->vs[t].n * " + S(orec) + ");");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
       Emit("static int op" + S(k) +
            "_agg(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
       Emit("  " + A + " A;");
       Emit("  A.d = in->data; A.n = in->n;");
       Emit("  A.nt = hq_task_count((uint64_t)A.n, HQ_PAR_JOIN_GRAIN, " +
            S(op.par_tasks) + ");");
-      Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * sizeof(HqVec));");
-      Emit("  A.offs = (int64_t*)ctx->alloc(ctx->arena, "
-           "((uint64_t)A.nt + 1) * 8);");
-      Emit("  if (!A.vs || !A.offs) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  A.outbuf = 0;");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_sagg_task, &A) != HQ_OK) return -1;");
-      Emit("  A.offs[0] = 0;");
-      Emit("  for (uint32_t t2 = 0; t2 < A.nt; ++t2) "
-           "A.offs[t2 + 1] = A.offs[t2] + A.vs[t2].n;");
-      Emit("  int64_t total = A.offs[A.nt];");
-      Emit("  A.outbuf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(total ? total : 1) * " + S(orec) + ");");
-      Emit("  if (!A.outbuf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_sagg_copy, &A) != HQ_OK) return -1;");
-      Emit("  out->data = A.outbuf; out->n = total; out->rec_size = " +
-           S(orec) + ";");
+      EmitPerTaskOutputs("op" + S(k) + "_sagg_task", orec);
     } else {
       // Scalar (ungrouped) aggregation over sorted input: one record out,
       // the single scan stays serial.
@@ -2104,9 +1685,9 @@ class Generator {
            "-1;");
       Emit("  out->data = v.data; out->n = v.n; out->rec_size = " + S(orec) +
            ";");
+      Emit("  out->part_begin = 0; out->num_parts = 0;");
+      Emit("  return 0;");
     }
-    Emit("  out->part_begin = 0; out->num_parts = 0;");
-    Emit("  return 0;");
     Emit("}");
     Emit("");
     return Status::OK();
@@ -2705,40 +2286,39 @@ class Generator {
   // ---- output -----------------------------------------------------------
 
   Status EmitOutput(int k, const OutputOp& op) {
-    const StreamInfo& in = Stream(op.input_stream);
-    const RecordLayout& in_layout = in.layout;
+    const RecordLayout& in_layout = Stream(op.input_stream).layout;
     const Schema& os = plan_.output_schema.NumColumns() > 0
                            ? plan_.output_schema
                            : plan_.query->OutputSchema();
     uint32_t osz = os.TupleSize();
     bool need_sort = !op.order_by.empty() && !op.already_sorted;
+    std::string row_fn = "op" + S(k) + "_row";
+    std::string cmp_fn = "cmp_op" + S(k) + "_out";
 
     // Row construction into `o` from input record `rec`.
-    auto emit_row_build = [&](const std::string& ind, const std::string& rec,
-                              const std::string& o) {
-      for (size_t i = 0; i < op.items.size(); ++i) {
-        const auto& item = op.items[i];
-        uint32_t dst = os.OffsetAt(i);
-        if (item.field_index >= 0) {
-          uint32_t src = in_layout.OffsetOf(item.field_index);
-          Emit(ind + "memcpy(" + o + " + " + S(dst) + ", " + rec + " + " +
-               S(src) + ", " + S(item.type.ByteSize()) + ");");
-        } else {
-          std::string expr = ScalarToC(rec, in_layout, *item.expr, &plan_.params);
-          std::string ct = item.type.CType();
-          Emit(ind + "*(" + ct + "*)(" + o + " + " + S(dst) + ") = (" + ct +
-               ")" + expr + ";");
-        }
+    Emit("static inline void " + row_fn +
+         "(HqQueryCtx* ctx, const uint8_t* rec, uint8_t* o) {");
+    Emit("  (void)ctx;");
+    for (size_t i = 0; i < op.items.size(); ++i) {
+      const auto& item = op.items[i];
+      uint32_t dst = os.OffsetAt(i);
+      if (item.field_index >= 0) {
+        uint32_t src = in_layout.OffsetOf(item.field_index);
+        Emit("  memcpy(o + " + S(dst) + ", rec + " + S(src) + ", " +
+             S(item.type.ByteSize()) + ");");
+      } else {
+        std::string expr =
+            ScalarToC("rec", in_layout, *item.expr, &plan_.params);
+        std::string ct = item.type.CType();
+        Emit("  *(" + ct + "*)(o + " + S(dst) + ") = (" + ct + ")" + expr +
+             ";");
       }
-    };
-
-    std::string OSZ = S(osz);
-    std::string PT = S(op.par_tasks);
-    int64_t run = 0;
+    }
+    Emit("}");
+    Emit("");
     if (need_sort) {
-      std::string cmp_name = "cmp_op" + S(k) + "_out";
-      // Build a comparator over the *output* record layout.
-      Emit("static inline int " + cmp_name +
+      // A comparator over the *output* record layout.
+      Emit("static inline int " + cmp_fn +
            "(const uint8_t* a, const uint8_t* b) {");
       for (const auto& spec : op.order_by) {
         const auto& item = op.items[spec.output_index];
@@ -2748,213 +2328,24 @@ class Generator {
       Emit("  return 0;");
       Emit("}");
       Emit("");
-      EmitRecordSort("sortrec_op" + S(k) + "_out", osz, cmp_name);
-      run = SortRunLen(osz);
-      EmitSortTasks("op" + S(k) + "_osort", "sortrec_op" + S(k) + "_out",
-                    cmp_name, osz, run);
-
-      // The parallel ORDER BY output pipeline: build rows in parallel,
-      // quicksort runs + pair-merge until at most 8 sorted runs remain,
-      // then one splitter-partitioned k-way merge writes disjoint
-      // destination ranges straight into pre-allocated result pages. Every
-      // decomposition below depends only on the data and plan constants,
-      // so the emitted bytes — including the permutation of rows with
-      // equal sort keys — are identical at every thread count.
-      std::string A = "op" + S(k) + "_out_args";
-      Emit("typedef struct {");
-      Emit("  const uint8_t* d;");
-      Emit("  uint8_t* rows;");
-      Emit("  int64_t n;");
-      Emit("  int64_t emit_n;");
-      Emit("  int64_t rw;    // sorted-run width after the cascade");
-      Emit("  uint32_t R;    // number of sorted runs (<= 8)");
-      Emit("  uint32_t nt;");
-      Emit("  HqPage** pgs;");
-      Emit("} " + A + ";");
-      Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_out_build(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp;");
-      Emit("  uint64_t rb, re;");
-      Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
-      // Zero first: whole sorted records are memcpy'd into result pages,
-      // so record padding must not leak arena garbage (byte-deterministic
-      // results at every thread count).
-      Emit("  memset(A->rows + rb * " + OSZ + ", 0, (re - rb) * " + OSZ +
-           ");");
-      Emit("  for (uint64_t i = rb; i < re; ++i) {");
-      // The row-build pass sees no result-page boundary, so an
-      // early-closed cursor must be noticed here: poll the cancellation
-      // flag every 64Ki rows.
-      Emit("    if ((i & 0xFFFF) == 0 && hq_cancelled(ctx)) { "
-           "wk->error = HQ_ERR_CANCELLED; return -1; }");
-      Emit("    const uint8_t* rec = A->d + i * " +
-           S(in_layout.record_size) + ";");
-      Emit("    uint8_t* o = A->rows + i * " + OSZ + ";");
-      emit_row_build("    ", "rec", "o");
-      Emit("  }");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-      // Splitter boundary t: the record at rank t*|run0|/nt of run 0 is
-      // the splitter; its lower bound in every run (full comparator, so a
-      // block of equal keys lands entirely in one task) fixes both the
-      // per-run cursor ranges and — summed — the task's destination rank.
-      Emit("static void op" + S(k) + "_out_bounds(const " + A +
-           "* A, uint32_t t, int64_t* b) {");
-      Emit("  uint32_t r;");
-      Emit("  if (t == 0) {");
-      Emit("    for (r = 0; r < A->R; ++r) b[r] = (int64_t)r * A->rw;");
-      Emit("    return;");
-      Emit("  }");
-      Emit("  if (t >= A->nt) {");
-      Emit("    for (r = 0; r < A->R; ++r) {");
-      Emit("      int64_t e = ((int64_t)r + 1) * A->rw;");
-      Emit("      b[r] = e < A->n ? e : A->n;");
-      Emit("    }");
-      Emit("    return;");
-      Emit("  }");
-      Emit("  int64_t r0n = A->rw < A->n ? A->rw : A->n;");
-      Emit("  const uint8_t* sp = A->rows + "
-           "(uint64_t)((int64_t)t * r0n / (int64_t)A->nt) * " + OSZ + ";");
-      Emit("  for (r = 0; r < A->R; ++r) {");
-      Emit("    int64_t lo = (int64_t)r * A->rw;");
-      Emit("    int64_t hi = lo + A->rw;");
-      Emit("    if (hi > A->n) hi = A->n;");
-      Emit("    while (lo < hi) {");
-      Emit("      int64_t mid = lo + ((hi - lo) >> 1);");
-      Emit("      if (cmp_op" + S(k) + "_out(A->rows + (uint64_t)mid * " +
-           OSZ + ", sp) < 0) lo = mid + 1; else hi = mid;");
-      Emit("    }");
-      Emit("    b[r] = lo;");
-      Emit("  }");
-      Emit("}");
-      Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_out_merge(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp; (void)wk;");
-      Emit("  int64_t cur[8]; int64_t stop[8];");
-      Emit("  op" + S(k) + "_out_bounds(A, t, cur);");
-      Emit("  op" + S(k) + "_out_bounds(A, t + 1, stop);");
-      Emit("  int64_t d = 0, de = 0;");
-      Emit("  uint32_t r;");
-      Emit("  for (r = 0; r < A->R; ++r) {");
-      Emit("    d += cur[r] - (int64_t)r * A->rw;");
-      Emit("    de += stop[r] - (int64_t)r * A->rw;");
-      Emit("  }");
-      Emit("  if (de > A->emit_n) de = A->emit_n;");
-      Emit("  const uint32_t tpp = ctx->result_tuples_per_page;");
-      Emit("  while (d < de) {");
-      // Lowest-run-index tie-break keeps this merge stable, matching what
-      // the full two-way cascade (take-left on equal) would produce.
-      Emit("    int best = -1;");
-      Emit("    for (r = 0; r < A->R; ++r) {");
-      Emit("      if (cur[r] >= stop[r]) continue;");
-      Emit("      if (best < 0 || cmp_op" + S(k) +
-           "_out(A->rows + (uint64_t)cur[r] * " + OSZ +
-           ", A->rows + (uint64_t)cur[best] * " + OSZ + ") < 0) best = "
-           "(int)r;");
-      Emit("    }");
-      Emit("    uint8_t* o = A->pgs[d / tpp]->data + (uint64_t)(d % tpp) * " +
-           OSZ + ";");
-      Emit("    memcpy(o, A->rows + (uint64_t)cur[best] * " + OSZ + ", " +
-           OSZ + ");");
-      Emit("    ++cur[best]; ++d;");
-      Emit("  }");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
     }
 
+    std::string recs = S(in_layout.record_size) + ", " + S(osz) + ", " +
+                       row_fn;
     Emit("// op" + S(k) + ": project" +
          (need_sort ? " + order by (parallel splitter merge)" : "") +
          (op.limit >= 0 ? " + limit" : "") + " -> result");
     Emit("static int64_t op" + S(k) +
          "_output(HqQueryCtx* ctx, const HqStream* in) {");
-    Emit("  const uint8_t* d = in->data;");
-    Emit("  int64_t n = in->n;");
-    Emit("  int64_t emit_n = " +
-         (op.limit >= 0 ? "(n < " + S(op.limit) + " ? n : " + S(op.limit) + ")"
-                        : std::string("n")) +
-         ";");
-    Emit("  const uint32_t tpp = ctx->result_tuples_per_page;");
     if (need_sort) {
-      std::string A = "op" + S(k) + "_out_args";
-      std::string RUN = S(run);
-      Emit("  " + A + " A;");
-      Emit("  A.d = d; A.n = n;");
-      Emit("  A.rows = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(n ? n : 1) * " + OSZ + ");");
-      Emit("  if (!A.rows) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  A.nt = hq_task_count((uint64_t)n, HQ_PAR_OUT_GRAIN, " + PT +
-           ");");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_out_build, &A) != HQ_OK) return -1;");
-      Emit("  // quicksort runs, then pair-merge rounds until <= 8 runs");
-      Emit("  op" + S(k) + "_osort_args SA;");
-      Emit("  SA.src = A.rows; SA.dst = 0; SA.n = n; SA.w = 0;");
-      Emit("  SA.nt = hq_task_count(((uint64_t)n + " + RUN + " - 1) / " +
-           RUN + ", 1, HQ_PAR_MAX_TASKS);");
-      Emit("  if (hq_parallel_for(ctx, SA.nt, op" + S(k) +
-           "_osort_runs, &SA) != HQ_OK) return -1;");
-      Emit("  int64_t w = " + RUN + ";");
-      Emit("  if (n > 0 && (n + w - 1) / w > 8) {");
-      Emit("    uint8_t* buf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)n * " + OSZ + ");");
-      Emit("    if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("    SA.dst = buf;");
-      Emit("    while ((n + w - 1) / w > 8) {");
-      Emit("      SA.w = w;");
-      Emit("      SA.nt = hq_task_count(((uint64_t)n + 2 * w - 1) / "
-           "(uint64_t)(2 * w), 1, HQ_PAR_MAX_TASKS);");
-      Emit("      if (hq_parallel_for(ctx, SA.nt, op" + S(k) +
-           "_osort_merge, &SA) != HQ_OK) return -1;");
-      Emit("      uint8_t* tmpp = SA.src; SA.src = SA.dst; SA.dst = tmpp;");
-      Emit("      w *= 2;");
-      Emit("    }");
-      Emit("  }");
-      Emit("  A.rows = SA.src;");
-      Emit("  A.rw = w;");
-      Emit("  A.R = n > 0 ? (uint32_t)((n + w - 1) / w) : 1;");
-      Emit("  A.emit_n = emit_n;");
-      Emit("  if (emit_n > 0) {");
-      Emit("    // splitter-partitioned k-way merge: disjoint tasks fill");
-      Emit("    // fixed slots of the pre-allocated result pages");
-      Emit("    uint64_t npg = ((uint64_t)emit_n + tpp - 1) / tpp;");
-      Emit("    A.pgs = (HqPage**)ctx->alloc(ctx->arena, "
-           "npg * sizeof(HqPage*));");
-      Emit("    if (!A.pgs) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("    if (ctx->result_alloc_pages(ctx->result_sink, A.pgs, npg) "
-           "!= 0) return -1;");
-      Emit("    A.nt = hq_task_count((uint64_t)emit_n, HQ_PAR_OUT_GRAIN, " +
-           PT + ");");
-      Emit("    if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_out_merge, &A) != HQ_OK) return -1;");
-      Emit("    if (ctx->result_emit_pages(ctx->result_sink, npg, "
-           "(uint64_t)emit_n) != 0) return -1;");
-      Emit("  }");
+      drivers_.insert("sort");
+      Emit("  return hq_order_by_output<" + recs + ", " + cmp_fn +
+           ">(ctx, in, " + S(op.limit) + ", " + S(SortRunLen(osz)) + ", " +
+           S(op.par_tasks) + ");");
     } else {
-      // One page in production at a time: allocate it, fill its rows,
-      // emit it (the sink's per-page cancellation window).
-      Emit("  for (int64_t i = 0; i < emit_n;) {");
-      Emit("    HqPage* pg;");
-      Emit("    if (ctx->result_alloc_pages(ctx->result_sink, &pg, 1) != 0) "
-           "return -1;");
-      Emit("    uint64_t m = (uint64_t)(emit_n - i) < tpp ? "
-           "(uint64_t)(emit_n - i) : tpp;");
-      Emit("    for (uint64_t j = 0; j < m; ++j, ++i) {");
-      Emit("      const uint8_t* rec = d + (uint64_t)i * " +
-           S(in_layout.record_size) + ";");
-      Emit("      uint8_t* o = pg->data + j * " + OSZ + ";");
-      emit_row_build("      ", "rec", "o");
-      Emit("    }");
-      Emit("    if (ctx->result_emit_pages(ctx->result_sink, 1, m) != 0) "
-           "return -1;");
-      Emit("  }");
+      Emit("  return hq_emit_rows<" + recs + ">(ctx, in, " + S(op.limit) +
+           ");");
     }
-    Emit("  return (int64_t)ctx->tuples_emitted;");
     Emit("}");
     Emit("");
     return Status::OK();
@@ -2987,6 +2378,9 @@ class Generator {
            StreamVar(static_cast<int>(s)) + "));");
     }
     Emit("  int64_t rows = 0;");
+    // Output cardinality of the operator that just finished, reported to
+    // the observability hook by the next mark.
+    std::string done = "-1";
     for (size_t k = 0; k < plan_.ops.size(); ++k) {
       // Operator boundaries are cancellation points: a closed cursor or an
       // async Cancel() stops the pipeline before the next operator starts
@@ -2997,9 +2391,10 @@ class Generator {
       // Observability mark: always emitted, so the generated source is
       // identical whether or not the engine installs a span recorder (one
       // cached library serves EXPLAIN ANALYZE and plain runs alike).
-      Emit("  hq_op_mark(ctx, " + S(k) + ");");
+      Emit("  hq_op_mark(ctx, " + S(k) + ", " + done + ");");
       const plan::Op& op = plan_.ops[k];
       if (const auto* stage = std::get_if<StageOp>(&op)) {
+        done = StreamVar(stage->out_stream) + ".n";
         if (Stream(stage->input_stream).is_base_table) {
           Emit("  if (op" + S(k) + "_stage(ctx, &" +
                StreamVar(stage->out_stream) + ") != 0) return -1;");
@@ -3009,11 +2404,13 @@ class Generator {
                StreamVar(stage->out_stream) + ") != 0) return -1;");
         }
       } else if (const auto* join = std::get_if<JoinOp>(&op)) {
+        done = StreamVar(join->out_stream) + ".n";
         std::string call = "  if (op" + S(k) + "_join(ctx";
         for (int s : join->input_streams) call += ", &" + StreamVar(s);
         call += ", &" + StreamVar(join->out_stream) + ") != 0) return -1;";
         Emit(call);
       } else if (const auto* agg = std::get_if<AggOp>(&op)) {
+        done = StreamVar(agg->out_stream) + ".n";
         if (Stream(agg->input_stream).is_base_table) {
           Emit("  if (op" + S(k) + "_agg(ctx, &" +
                StreamVar(agg->out_stream) + ") != 0) return -1;");
@@ -3023,18 +2420,21 @@ class Generator {
                StreamVar(agg->out_stream) + ") != 0) return -1;");
         }
       } else if (const auto* output = std::get_if<OutputOp>(&op)) {
+        done = "rows";
         Emit("  rows = op" + S(k) + "_output(ctx, &" +
              StreamVar(output->input_stream) + ");");
         Emit("  if (rows < 0) return -1;");
       }
     }
-    Emit("  hq_op_mark(ctx, -1);");
+    Emit("  hq_op_mark(ctx, -1, " + done + ");");
     Emit("  return rows;");
     Emit("}");
   }
 
   const plan::PhysicalPlan& plan_;
   std::string out_;
+  // Driver groups of runtime_abi.h the emitted operators instantiate.
+  std::set<std::string> drivers_;
 };
 
 }  // namespace

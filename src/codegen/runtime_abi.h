@@ -4,8 +4,10 @@
 // of every generated source file (see abi_embed.cc generated by CMake), so
 // the two views of these structures can never diverge.
 //
-// It must therefore stay self-contained: C-compatible layout, only
-// <stdint.h>/<string.h> dependencies, no engine headers.
+// It must therefore stay self-contained: only <stdint.h>/<string.h>
+// dependencies, no engine headers. The ABI structs keep a C-compatible
+// layout; the operator drivers at the bottom are C++ templates, which the
+// generator instantiates once per operator (both sides compile as C++).
 
 #ifndef HIQUE_CODEGEN_RUNTIME_ABI_H_
 #define HIQUE_CODEGEN_RUNTIME_ABI_H_
@@ -189,8 +191,9 @@ typedef struct HqQueryCtx {
   const volatile int32_t* cancel;
 
   // Observability hook (EXPLAIN ANALYZE / trace spans). Generated code
-  // announces every operator boundary through hq_op_mark; the engine may
-  // install a recorder behind `op_mark` to turn those marks into
+  // announces every operator boundary through hq_op_mark, together with
+  // the output cardinality of the operator that just finished; the engine
+  // may install a recorder behind `op_mark` to turn those marks into
   // per-operator spans. The emission is unconditional — whether the hook
   // is installed or not, the generated source is byte-identical, so
   // cached libraries serve traced and untraced executions alike. A null
@@ -198,7 +201,7 @@ typedef struct HqQueryCtx {
   // operator. `current_op` is the id of the operator currently running
   // (-1 outside any operator); the engine-side parallel_for reads it to
   // attribute barrier timing and skew to the right operator.
-  void (*op_mark)(void* obs, int32_t op_id);
+  void (*op_mark)(void* obs, int32_t op_id, int64_t done_rows);
   void* obs;
   int32_t current_op;
   int32_t obs_reserved_;
@@ -210,11 +213,14 @@ static inline int hq_cancelled(const HqQueryCtx* ctx) {
 }
 
 // Operator-boundary mark. op_id is the physical-plan operator index about
-// to run, or -1 when the pipeline finishes. Must stay cheap when no
-// recorder is installed (one store + one predictable branch).
-static inline void hq_op_mark(HqQueryCtx* ctx, int32_t op_id) {
+// to run, or -1 when the pipeline finishes; done_rows is the number of
+// records (result rows, for the output operator) the previous operator
+// produced, or -1 at the first mark. Must stay cheap when no recorder is
+// installed (one store + one predictable branch).
+static inline void hq_op_mark(HqQueryCtx* ctx, int32_t op_id,
+                              int64_t done_rows) {
   ctx->current_op = op_id;
-  if (ctx->op_mark != 0) ctx->op_mark(ctx->obs, op_id);
+  if (ctx->op_mark != 0) ctx->op_mark(ctx->obs, op_id, done_rows);
 }
 
 // Generated code calls the service through this helper. Hosts that leave
@@ -479,5 +485,503 @@ static inline __attribute__((always_inline)) hq_u64x4 hq_hash64x4(
 #define HQ_PREFETCH_W(p) ((void)(p))
 #define HQ_PREFETCH_R(p) ((void)(p))
 #endif
+
+// ---- operator drivers ------------------------------------------------------
+//
+// The type-independent halves of the operator templates (paper §V-B),
+// written once. The generator emits the type-specific halves — record
+// comparators, partition-id kernels, row builders — and instantiates a
+// driver with them. Record sizes and kernels are template arguments
+// (kernels as constant function pointers), so an instantiation is as
+// specialized as open-coded source: at -O2 the comparators inline, at -O0
+// the calls stay direct. The drivers keep the fixed task decomposition
+// above, so results are identical at every thread count.
+//
+// g++ parses every template of a cold query's source, used or not, so the
+// drivers come in groups, each between a "[driver group NAME]" and an
+// "[end driver group NAME]" comment line: the generator embeds a group
+// only in sources that use it (see codegen::Generator::EmbeddedAbi).
+
+typedef int (*HqRecCmp)(const uint8_t* a, const uint8_t* b);  // <0, 0, >0
+
+// [driver group record_sort]
+// In-place quicksort of n REC-byte records: median-of-three pivot,
+// insertion sort below 24 records, explicit stack with the larger side
+// pushed so its depth stays logarithmic. Every sort in the engine (and in
+// the per-style micro-benchmarks) is this one routine.
+template <uint32_t REC, HqRecCmp CMP>
+static void hq_record_sort(uint8_t* base, int64_t n) {
+  if (n < 2) return;
+  uint8_t tmp[REC]; uint8_t pivot[REC];
+  int64_t stk[128][2]; int sp = 0;
+  int64_t lo = 0, hi = n - 1;
+  for (;;) {
+    if (hi - lo < 24) {
+      for (int64_t x = lo + 1; x <= hi; ++x) {
+        memcpy(tmp, base + x * REC, REC);
+        int64_t y = x - 1;
+        while (y >= lo && CMP(base + y * REC, tmp) > 0) {
+          memcpy(base + (y + 1) * REC, base + y * REC, REC);
+          --y;
+        }
+        memcpy(base + (y + 1) * REC, tmp, REC);
+      }
+      if (sp == 0) break;
+      --sp; lo = stk[sp][0]; hi = stk[sp][1];
+      continue;
+    }
+    int64_t mid = lo + ((hi - lo) >> 1);
+    if (CMP(base + mid * REC, base + lo * REC) < 0) {
+      memcpy(tmp, base + mid * REC, REC);
+      memcpy(base + mid * REC, base + lo * REC, REC);
+      memcpy(base + lo * REC, tmp, REC);
+    }
+    if (CMP(base + hi * REC, base + mid * REC) < 0) {
+      memcpy(tmp, base + hi * REC, REC);
+      memcpy(base + hi * REC, base + mid * REC, REC);
+      memcpy(base + mid * REC, tmp, REC);
+      if (CMP(base + mid * REC, base + lo * REC) < 0) {
+        memcpy(tmp, base + mid * REC, REC);
+        memcpy(base + mid * REC, base + lo * REC, REC);
+        memcpy(base + lo * REC, tmp, REC);
+      }
+    }
+    memcpy(pivot, base + mid * REC, REC);
+    int64_t i = lo, j = hi;
+    while (i <= j) {
+      while (CMP(base + i * REC, pivot) < 0) ++i;
+      while (CMP(base + j * REC, pivot) > 0) --j;
+      if (i <= j) {
+        if (i != j) {
+          memcpy(tmp, base + i * REC, REC);
+          memcpy(base + i * REC, base + j * REC, REC);
+          memcpy(base + j * REC, tmp, REC);
+        }
+        ++i; --j;
+      }
+    }
+    if (j - lo < hi - i) {
+      if (i < hi) { stk[sp][0] = i; stk[sp][1] = hi; ++sp; }
+      hi = j;
+    } else {
+      if (lo < j) { stk[sp][0] = lo; stk[sp][1] = j; ++sp; }
+      lo = i;
+    }
+    if (lo >= hi) {
+      if (sp == 0) break;
+      --sp; lo = stk[sp][0]; hi = stk[sp][1];
+    }
+  }
+}
+
+// [end driver group record_sort]
+
+// Concatenates per-task outputs vs[0..nt) of rec-byte records, in task
+// order, into the unpartitioned stream out. Tasks cover consecutive key
+// ranges or partitions, so this is byte-identical to one serial pass.
+typedef struct HqConcatArgs {
+  const HqVec* vs; const int64_t* offs; uint8_t* out; uint32_t rec;
+} HqConcatArgs;
+
+static inline int32_t hq_concat_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                     uint32_t t, void* argp) {
+  HqConcatArgs* A = (HqConcatArgs*)argp; (void)ctx; (void)wk;
+  memcpy(A->out + (uint64_t)A->offs[t] * A->rec, A->vs[t].data,
+         (uint64_t)A->vs[t].n * A->rec);
+  return 0;
+}
+
+static inline int hq_concat(HqQueryCtx* ctx, const HqVec* vs, uint32_t nt,
+                            uint32_t rec, HqStream* out) {
+  int64_t* offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)nt + 1) * 8);
+  if (!offs) { ctx->error = HQ_ERR_OOM; return -1; }
+  offs[0] = 0;
+  for (uint32_t t = 0; t < nt; ++t) offs[t + 1] = offs[t] + vs[t].n;
+  int64_t total = offs[nt];
+  uint8_t* buf =
+      (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(total ? total : 1) * rec);
+  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqConcatArgs A = {vs, offs, buf, rec};
+  if (hq_parallel_for(ctx, nt, hq_concat_task, &A) != HQ_OK) return -1;
+  out->data = buf; out->n = total; out->rec_size = rec;
+  out->part_begin = 0; out->num_parts = 0;
+  return 0;
+}
+
+// Builds result row o from input record rec (ctx carries the literals).
+typedef void (*HqRowFn)(HqQueryCtx* ctx, const uint8_t* rec, uint8_t* o);
+
+// Output without ORDER BY, one page in production at a time: allocate,
+// fill, emit (the sink's per-page cancellation window). Returns the rows
+// emitted, or -1.
+template <uint32_t IREC, uint32_t OREC, HqRowFn ROW>
+static int64_t hq_emit_rows(HqQueryCtx* ctx, const HqStream* in,
+                            int64_t limit) {
+  int64_t emit_n = limit >= 0 && in->n > limit ? limit : in->n;
+  const uint32_t tpp = ctx->result_tuples_per_page;
+  for (int64_t i = 0; i < emit_n; ) {
+    HqPage* pg;
+    if (ctx->result_alloc_pages(ctx->result_sink, &pg, 1) != 0) return -1;
+    uint64_t m = (uint64_t)(emit_n - i) < tpp ? (uint64_t)(emit_n - i) : tpp;
+    for (uint64_t j = 0; j < m; ++j, ++i) {
+      ROW(ctx, in->data + (uint64_t)i * IREC, pg->data + j * OREC);
+    }
+    if (ctx->result_emit_pages(ctx->result_sink, 1, m) != 0) return -1;
+  }
+  return (int64_t)ctx->tuples_emitted;
+}
+
+// [driver group sort]
+// Sort cascade (paper §V-B "Input staging"): quicksort independent
+// L2-sized runs, then merge adjacent run pairs level by level. Every run
+// sort, and every pair merge of one level, is an independent task writing
+// a disjoint range; a level ends at its hq_parallel_for barrier.
+typedef struct HqSortArgs {
+  uint8_t* src; uint8_t* dst;
+  int64_t n, run, w;  // w: run width of the level being merged
+  uint32_t nt;
+} HqSortArgs;
+
+template <uint32_t REC, HqRecCmp CMP>
+static int32_t hq_sort_runs_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                 uint32_t t, void* argp) {
+  HqSortArgs* A = (HqSortArgs*)argp; (void)ctx; (void)wk;
+  uint64_t runs = ((uint64_t)A->n + A->run - 1) / A->run;
+  uint64_t rb, re;
+  hq_task_range(runs, A->nt, t, &rb, &re);
+  for (uint64_t r = rb; r < re; ++r) {
+    int64_t i = (int64_t)r * A->run;
+    int64_t e = i + A->run < A->n ? i + A->run : A->n;
+    hq_record_sort<REC, CMP>(A->src + (uint64_t)i * REC, e - i);
+  }
+  return 0;
+}
+
+// Equal keys take the left run first: the cascade is stable across runs.
+template <uint32_t REC, HqRecCmp CMP>
+static int32_t hq_sort_merge_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                  uint32_t t, void* argp) {
+  HqSortArgs* A = (HqSortArgs*)argp; (void)ctx; (void)wk;
+  int64_t n = A->n, w = A->w;
+  const uint8_t* src = A->src; uint8_t* dst = A->dst;
+  uint64_t pairs = ((uint64_t)n + 2 * w - 1) / (uint64_t)(2 * w);
+  uint64_t jb, je;
+  hq_task_range(pairs, A->nt, t, &jb, &je);
+  for (uint64_t j = jb; j < je; ++j) {
+    int64_t i = (int64_t)j * 2 * w;
+    int64_t m = i + w < n ? i + w : n;
+    int64_t e = i + 2 * w < n ? i + 2 * w : n;
+    int64_t a = i, b = m, o = i;
+    while (a < m && b < e) {
+      if (CMP(src + (uint64_t)a * REC, src + (uint64_t)b * REC) <= 0) {
+        memcpy(dst + (uint64_t)o * REC, src + (uint64_t)a * REC, REC); ++a;
+      } else {
+        memcpy(dst + (uint64_t)o * REC, src + (uint64_t)b * REC, REC); ++b;
+      }
+      ++o;
+    }
+    if (a < m) {
+      memcpy(dst + (uint64_t)o * REC, src + (uint64_t)a * REC,
+             (uint64_t)(m - a) * REC);
+    } else if (b < e) {
+      memcpy(dst + (uint64_t)o * REC, src + (uint64_t)b * REC,
+             (uint64_t)(e - b) * REC);
+    }
+  }
+  return 0;
+}
+
+// Sorts the n records at *data into at most max_runs sorted runs of width
+// *width (the last may be shorter; width may be NULL): a full sort asks
+// for 1, ORDER BY stops at 8 and finishes with its splitter merge. *data
+// may move to the merge buffer. Returns 0, or -1 with ctx->error set.
+template <uint32_t REC, HqRecCmp CMP>
+static int hq_sort_cascade(HqQueryCtx* ctx, uint8_t** data, int64_t n,
+                           int64_t run, int64_t max_runs, int64_t* width) {
+  int64_t w = run;
+  if (n >= 2) {
+    HqSortArgs A;
+    A.src = *data; A.dst = 0; A.n = n; A.run = run; A.w = 0;
+    A.nt = hq_task_count(((uint64_t)n + run - 1) / run, 1, HQ_PAR_MAX_TASKS);
+    HqTaskFn sort_runs = hq_sort_runs_task<REC, CMP>;
+    if (hq_parallel_for(ctx, A.nt, sort_runs, &A) != HQ_OK) return -1;
+    for (; (n + w - 1) / w > max_runs; w *= 2) {
+      if (!A.dst) {
+        A.dst = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)n * REC);
+        if (!A.dst) { ctx->error = HQ_ERR_OOM; return -1; }
+      }
+      A.w = w;
+      A.nt = hq_task_count(((uint64_t)n + 2 * w - 1) / (uint64_t)(2 * w), 1,
+                           HQ_PAR_MAX_TASKS);
+      HqTaskFn merge = hq_sort_merge_task<REC, CMP>;
+      if (hq_parallel_for(ctx, A.nt, merge, &A) != HQ_OK) return -1;
+      uint8_t* swap = A.src; A.src = A.dst; A.dst = swap;
+    }
+    *data = A.src;
+  }
+  if (width) *width = w;
+  return 0;
+}
+
+// The parallel ORDER BY pipeline: build rows in parallel, sort cascade
+// down to at most 8 runs, then a splitter-partitioned k-way merge writes
+// disjoint ranges straight into pre-allocated result pages. Decomposition
+// depends only on the data and plan constants, so the bytes (including the
+// order of rows with equal keys) are identical at every thread count.
+typedef struct HqOrderArgs {
+  const uint8_t* d;  // input records
+  uint8_t* rows;     // built result rows
+  int64_t n, emit_n;
+  int64_t rw;  // sorted-run width after the cascade
+  uint32_t R;  // number of sorted runs (<= 8)
+  uint32_t nt;
+  HqPage** pgs;
+} HqOrderArgs;
+
+template <uint32_t IREC, uint32_t OREC, HqRowFn ROW>
+static int32_t hq_order_build_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                   uint32_t t, void* argp) {
+  HqOrderArgs* A = (HqOrderArgs*)argp;
+  uint64_t rb, re;
+  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);
+  // Zero first: whole rows are copied into result pages, so padding must
+  // not leak arena garbage.
+  memset(A->rows + rb * OREC, 0, (re - rb) * OREC);
+  for (uint64_t i = rb; i < re; ++i) {
+    // No result-page boundary in this pass: poll cancellation every 64Ki.
+    if ((i & 0xFFFF) == 0 && hq_cancelled(ctx)) {
+      wk->error = HQ_ERR_CANCELLED;
+      return -1;
+    }
+    ROW(ctx, A->d + i * IREC, A->rows + i * OREC);
+  }
+  return 0;
+}
+
+// Splitter boundary t: the record at rank t*|run0|/nt of run 0 is the
+// splitter; its lower bound in every run (full comparator, so equal keys
+// land in one task) fixes the per-run cursor ranges and, summed, the
+// task's destination rank.
+template <uint32_t REC, HqRecCmp CMP>
+static void hq_order_bounds(const HqOrderArgs* A, uint32_t t, int64_t* b) {
+  uint32_t r;
+  if (t == 0) {
+    for (r = 0; r < A->R; ++r) b[r] = (int64_t)r * A->rw;
+    return;
+  }
+  if (t >= A->nt) {
+    for (r = 0; r < A->R; ++r) {
+      int64_t e = ((int64_t)r + 1) * A->rw;
+      b[r] = e < A->n ? e : A->n;
+    }
+    return;
+  }
+  int64_t r0n = A->rw < A->n ? A->rw : A->n;
+  const uint8_t* sp =
+      A->rows + (uint64_t)((int64_t)t * r0n / (int64_t)A->nt) * REC;
+  for (r = 0; r < A->R; ++r) {
+    int64_t lo = (int64_t)r * A->rw;
+    int64_t hi = lo + A->rw;
+    if (hi > A->n) hi = A->n;
+    while (lo < hi) {
+      int64_t mid = lo + ((hi - lo) >> 1);
+      if (CMP(A->rows + (uint64_t)mid * REC, sp) < 0) lo = mid + 1;
+      else hi = mid;
+    }
+    b[r] = lo;
+  }
+}
+
+template <uint32_t REC, HqRecCmp CMP>
+static int32_t hq_order_merge_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                   uint32_t t, void* argp) {
+  HqOrderArgs* A = (HqOrderArgs*)argp; (void)wk;
+  int64_t cur[8]; int64_t stop[8];
+  hq_order_bounds<REC, CMP>(A, t, cur);
+  hq_order_bounds<REC, CMP>(A, t + 1, stop);
+  int64_t d = 0, de = 0;
+  uint32_t r;
+  for (r = 0; r < A->R; ++r) {
+    d += cur[r] - (int64_t)r * A->rw;
+    de += stop[r] - (int64_t)r * A->rw;
+  }
+  if (de > A->emit_n) de = A->emit_n;
+  const uint32_t tpp = ctx->result_tuples_per_page;
+  while (d < de) {
+    // Lowest-run-index tie-break keeps the merge stable, like the cascade.
+    int best = -1;
+    for (r = 0; r < A->R; ++r) {
+      if (cur[r] >= stop[r]) continue;
+      if (best < 0 || CMP(A->rows + (uint64_t)cur[r] * REC,
+                          A->rows + (uint64_t)cur[best] * REC) < 0) {
+        best = (int)r;
+      }
+    }
+    uint8_t* o = A->pgs[d / tpp]->data + (uint64_t)(d % tpp) * REC;
+    memcpy(o, A->rows + (uint64_t)cur[best] * REC, REC);
+    ++cur[best]; ++d;
+  }
+  return 0;
+}
+
+// ORDER BY [LIMIT] output of stream in; run is the quicksort run length,
+// par_tasks the plan's cap on build and merge tasks. Returns the rows
+// emitted, or -1.
+template <uint32_t IREC, uint32_t OREC, HqRowFn ROW, HqRecCmp CMP>
+static int64_t hq_order_by_output(HqQueryCtx* ctx, const HqStream* in,
+                                  int64_t limit, int64_t run,
+                                  uint32_t par_tasks) {
+  const int64_t n = in->n;
+  HqOrderArgs A;
+  A.d = in->data; A.n = n;
+  A.emit_n = limit >= 0 && n > limit ? limit : n;
+  A.rows = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(n ? n : 1) * OREC);
+  if (!A.rows) { ctx->error = HQ_ERR_OOM; return -1; }
+  A.nt = hq_task_count((uint64_t)n, HQ_PAR_OUT_GRAIN, par_tasks);
+  HqTaskFn build = hq_order_build_task<IREC, OREC, ROW>;
+  if (hq_parallel_for(ctx, A.nt, build, &A) != HQ_OK) return -1;
+  if (hq_sort_cascade<OREC, CMP>(ctx, &A.rows, n, run, 8, &A.rw) != 0) {
+    return -1;
+  }
+  A.R = n > 0 ? (uint32_t)((n + A.rw - 1) / A.rw) : 1;
+  if (A.emit_n > 0) {
+    const uint32_t tpp = ctx->result_tuples_per_page;
+    uint64_t npg = ((uint64_t)A.emit_n + tpp - 1) / tpp;
+    A.pgs = (HqPage**)ctx->alloc(ctx->arena, npg * sizeof(HqPage*));
+    if (!A.pgs) { ctx->error = HQ_ERR_OOM; return -1; }
+    if (ctx->result_alloc_pages(ctx->result_sink, A.pgs, npg) != 0) return -1;
+    A.nt = hq_task_count((uint64_t)A.emit_n, HQ_PAR_OUT_GRAIN, par_tasks);
+    HqTaskFn merge = hq_order_merge_task<OREC, CMP>;
+    if (hq_parallel_for(ctx, A.nt, merge, &A) != HQ_OK) return -1;
+    if (ctx->result_emit_pages(ctx->result_sink, npg, (uint64_t)A.emit_n)) {
+      return -1;
+    }
+  }
+  return (int64_t)ctx->tuples_emitted;
+}
+// [end driver group sort]
+
+// [driver group partition]
+// Parallel two-pass scatter partitioning into M partitions: per-task
+// histograms over record chunks, one (partition, task) prefix sum, then a
+// scatter in which every task owns a private cursor row. Record order
+// within a partition equals the serial scatter order at any thread count.
+typedef struct HqPartArgs {
+  const uint8_t* d; uint8_t* buf2;
+  int64_t n;
+  int64_t* cnts;  // nt x M: per-task histograms, then per-task cursors
+  uint32_t nt;
+} HqPartArgs;
+
+// Partitions stream s in place: s->data moves to the scattered copy and
+// s->part_begin[0..M] receives the partition boundaries.
+static inline int hq_partition_run(HqQueryCtx* ctx, HqStream* s,
+                                   uint32_t rec, uint32_t M, HqTaskFn count,
+                                   HqTaskFn scatter) {
+  HqPartArgs A;
+  A.d = s->data; A.n = s->n; A.buf2 = 0;
+  A.nt = hq_task_count((uint64_t)s->n, HQ_PAR_REC_GRAIN, HQ_PAR_PART_TASKS);
+  int64_t* pb = (int64_t*)ctx->alloc(ctx->arena, (uint64_t)(M + 1) * 8);
+  A.cnts = (int64_t*)ctx->alloc(ctx->arena, (uint64_t)A.nt * M * 8);
+  if (!pb || !A.cnts) { ctx->error = HQ_ERR_OOM; return -1; }
+  memset(A.cnts, 0, (uint64_t)A.nt * M * 8);
+  if (hq_parallel_for(ctx, A.nt, count, &A) != HQ_OK) return -1;
+  int64_t pos = 0;
+  for (uint32_t m = 0; m < M; ++m) {
+    pb[m] = pos;
+    for (uint32_t t = 0; t < A.nt; ++t) {
+      int64_t c = A.cnts[(uint64_t)t * M + m];
+      A.cnts[(uint64_t)t * M + m] = pos;
+      pos += c;
+    }
+  }
+  pb[M] = pos;
+  A.buf2 = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(pos ? pos : 1) * rec);
+  if (!A.buf2) { ctx->error = HQ_ERR_OOM; return -1; }
+  if (hq_parallel_for(ctx, A.nt, scatter, &A) != HQ_OK) return -1;
+  s->data = A.buf2; s->n = pos; s->part_begin = pb; s->num_parts = M;
+  return 0;
+}
+
+// Coarse (hash) ids of bn consecutive records.
+typedef void (*HqPidBlockFn)(const uint8_t* d, uint32_t bn, int32_t* pid);
+
+// Scatter prefetch distance: the destination line must arrive before its
+// store while staying inside one id block — wider records, fewer lines.
+static constexpr uint32_t hq_scatter_prefetch(uint32_t rec) {
+  return 512 / rec < 4 ? 4 : 512 / rec > 16 ? 16 : 512 / rec;
+}
+
+// Coarse pass: ids a block at a time, then a count or a prefetched
+// scatter (the M cursors land in random frames: Table I's DRAM cost).
+template <uint32_t REC, uint32_t M, HqPidBlockFn PIDS, bool SCATTER>
+static int32_t hq_part_block_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                  uint32_t t, void* argp) {
+  HqPartArgs* A = (HqPartArgs*)argp; (void)ctx; (void)wk;
+  const uint32_t pf = hq_scatter_prefetch(REC);
+  uint64_t rb, re;
+  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);
+  int64_t* cnt = A->cnts + (uint64_t)t * M;
+  int32_t pid[HQ_SIMD_BLOCK];
+  for (uint64_t i = rb; i < re; ) {
+    uint32_t bn = re - i < HQ_SIMD_BLOCK ? (uint32_t)(re - i) : HQ_SIMD_BLOCK;
+    PIDS(A->d + i * REC, bn, pid);
+    if (SCATTER) {
+      for (uint32_t j = 0; j < bn; ++j) {
+        if (j + pf < bn) {
+          HQ_PREFETCH_W(A->buf2 + (uint64_t)cnt[pid[j + pf]] * REC);
+        }
+        memcpy(A->buf2 + (uint64_t)cnt[pid[j]] * REC, A->d + (i + j) * REC,
+               REC);
+        ++cnt[pid[j]];
+      }
+    } else {
+      for (uint32_t j = 0; j < bn; ++j) ++cnt[pid[j]];
+    }
+    i += bn;
+  }
+  return 0;
+}
+
+template <uint32_t REC, uint32_t M, HqPidBlockFn PIDS>
+static int hq_partition_coarse(HqQueryCtx* ctx, HqStream* s) {
+  return hq_partition_run(ctx, s, REC, M,
+                          hq_part_block_task<REC, M, PIDS, false>,
+                          hq_part_block_task<REC, M, PIDS, true>);
+}
+
+// Fine (value) id of one record, before the domain guard.
+typedef int64_t (*HqPidFn)(const uint8_t* r);
+
+// Fine pass: one id per record; out-of-domain ids are clamped into the
+// edge partitions (CLAMP) or cannot match and are dropped.
+template <uint32_t REC, uint32_t M, HqPidFn PID, bool CLAMP, bool SCATTER>
+static int32_t hq_part_rec_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                uint32_t t, void* argp) {
+  HqPartArgs* A = (HqPartArgs*)argp; (void)ctx; (void)wk;
+  uint64_t rb, re;
+  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);
+  int64_t* cnt = A->cnts + (uint64_t)t * M;
+  for (uint64_t i = rb; i < re; ++i) {
+    const uint8_t* r = A->d + i * REC;
+    int64_t p = PID(r);
+    if (CLAMP) {
+      if (p < 0) p = 0; else if (p >= (int64_t)M) p = M - 1;
+    } else if ((uint64_t)p >= M) {
+      continue;
+    }
+    if (SCATTER) memcpy(A->buf2 + (uint64_t)cnt[p] * REC, r, REC);
+    ++cnt[p];
+  }
+  return 0;
+}
+
+template <uint32_t REC, uint32_t M, HqPidFn PID, bool CLAMP>
+static int hq_partition_fine(HqQueryCtx* ctx, HqStream* s) {
+  return hq_partition_run(ctx, s, REC, M,
+                          hq_part_rec_task<REC, M, PID, CLAMP, false>,
+                          hq_part_rec_task<REC, M, PID, CLAMP, true>);
+}
+// [end driver group partition]
 
 #endif  // HIQUE_CODEGEN_RUNTIME_ABI_H_

@@ -305,17 +305,14 @@ class ResultSet {
   /// access and row access (Next) must not be mixed on one cursor.
   enum class PagePoll {
     kPage,     // *page holds the next completed page (ownership transfers)
-    kPending,  // producer still computing; try again (non-blocking only)
+    kPending,  // producer still computing; try again
     kEnd,      // stream over — status() tells success from failure
   };
 
-  /// Blocking page pull: the next completed result page (ownership to the
-  /// caller — hand it back through RecyclePage, or std::free it), or null
-  /// at end of stream.
-  Page* TakePage();
-
-  /// Non-blocking variant for event-loop servers: never waits on the
-  /// producer. kPending means the socket side should poll again shortly.
+  /// Non-blocking page pull for event-loop servers: never waits on the
+  /// producer. On kPage the caller owns the page — hand it back through
+  /// RecyclePage, or std::free it. kPending means the socket side should
+  /// poll again shortly.
   PagePoll TryTakePage(Page** page);
 
   /// Returns a drained page to the stream's free-list so the producer

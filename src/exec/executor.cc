@@ -128,7 +128,8 @@ struct StreamSink {
 /// Engine-side listener behind the operator-boundary marks the generated
 /// code always emits (hq_op_mark). Every mark closes the span of the
 /// operator that just finished: wall time is the steady-clock delta since
-/// the previous mark, counter columns are deltas of the context counters
+/// the previous mark, tuples is the operator's output cardinality the mark
+/// carries, the other counter columns are deltas of the context counters
 /// (which the barrier fold keeps current), and cycles come from an optional
 /// perf_event counter. Marks run on the single orchestrating thread — the
 /// same thread that folds worker counters — so no synchronization is
@@ -157,7 +158,7 @@ struct OpSpanRecorder {
     last_cycles_ok = perf != nullptr && perf->ReadCycles(&last_cycles);
   }
 
-  static void Mark(void* obs, int32_t op_id) {
+  static void Mark(void* obs, int32_t op_id, int64_t done_rows) {
     auto* r = static_cast<OpSpanRecorder*>(obs);
     auto now = std::chrono::steady_clock::now();
     uint64_t cycles = 0;
@@ -167,7 +168,9 @@ struct OpSpanRecorder {
       s.op_id = r->open_op;
       s.wall_seconds =
           std::chrono::duration<double>(now - r->last).count();
-      s.tuples = r->ctx->tuples_emitted - r->last_tuples;
+      // An operator that failed mid-way reports what it emitted.
+      s.tuples = done_rows >= 0 ? static_cast<uint64_t>(done_rows)
+                                : r->ctx->tuples_emitted - r->last_tuples;
       s.pages = r->ctx->pages_touched - r->last_pages;
       s.helper_calls = r->ctx->helper_calls - r->last_helpers;
       s.barriers = r->open_barriers;
@@ -195,7 +198,7 @@ struct OpSpanRecorder {
   /// Closes a span an error path left open (the terminal mark only runs on
   /// success), so a failed operator still shows up with its partial span.
   void Finalize() {
-    if (open) Mark(this, -1);
+    if (open) Mark(this, -1, -1);
   }
 };
 

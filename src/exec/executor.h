@@ -25,7 +25,7 @@ namespace hique::exec {
 struct OpStat {
   int32_t op_id = -1;          // index into the physical plan's op list
   double wall_seconds = 0;
-  uint64_t tuples = 0;         // tuples this operator emitted
+  uint64_t tuples = 0;         // its output cardinality (records/rows)
   uint64_t pages = 0;          // pages it touched
   uint64_t helper_calls = 0;
   uint64_t barriers = 0;       // hq_parallel_for barriers it ran

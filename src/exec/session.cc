@@ -890,16 +890,6 @@ bool ResultSet::Next() {
   }
 }
 
-Page* ResultSet::TakePage() {
-  if (!valid()) return nullptr;
-  Stream* s = stream_.get();
-  HQ_CHECK_MSG(!s->iterating, "page access on a row-iterating cursor");
-  s->page_mode = true;
-  Page* page = PullPage(s);
-  if (page != nullptr) s->rows_read += page->num_tuples;
-  return page;
-}
-
 ResultSet::PagePoll ResultSet::TryTakePage(Page** page) {
   *page = nullptr;
   if (!valid()) return PagePoll::kEnd;

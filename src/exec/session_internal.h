@@ -232,7 +232,7 @@ struct ResultSet::Stream {
   bool row_valid = false;     // row_in_page addresses a consumed row
   int64_t rows_read = 0;
   bool iterating = false;     // a row was consumed (Materialize forbidden)
-  bool page_mode = false;     // Take/TryTakePage used (row access forbidden)
+  bool page_mode = false;     // TryTakePage used (row access forbidden)
   bool done = false;
   Status end_status = Status::OK();
 

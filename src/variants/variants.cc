@@ -43,8 +43,10 @@ constexpr const char* kLayout = R"(
 
 // Style helper functions. `key_cmp` drives join/group comparisons; `GET_A`/
 // `GET_B` read the aggregated doubles. The *sort* comparator is always the
-// same inlined type-specific code: the paper gives every implementation the
-// same quicksort so that staging costs are identical across styles.
+// same inlined type-specific code, instantiating the engine's own
+// hq_record_sort from the embedded runtime ABI: the paper gives every
+// implementation the same quicksort so that staging costs are identical
+// across styles.
 std::string StyleHelpers(const Knobs& k) {
   std::string out;
   out += R"(
@@ -113,73 +115,6 @@ static inline int key_cmp(const uint8_t* x, const uint8_t* y) {
   }
   return out;
 }
-
-// Shared record quicksort (72-byte records, sort_cmp).
-constexpr const char* kSort = R"(
-static void rec_sort(uint8_t* base, int64_t n) {
-  if (n < 2) return;
-  uint8_t tmp[REC]; uint8_t pivot[REC];
-  int64_t stk[128][2]; int sp = 0;
-  int64_t lo = 0, hi = n - 1;
-  for (;;) {
-    if (hi - lo < 24) {
-      for (int64_t x = lo + 1; x <= hi; ++x) {
-        memcpy(tmp, base + x * REC, REC);
-        int64_t y = x - 1;
-        while (y >= lo && sort_cmp(base + y * REC, tmp) > 0) {
-          memcpy(base + (y + 1) * REC, base + y * REC, REC);
-          --y;
-        }
-        memcpy(base + (y + 1) * REC, tmp, REC);
-      }
-      if (sp == 0) break;
-      --sp; lo = stk[sp][0]; hi = stk[sp][1];
-      continue;
-    }
-    int64_t mid = lo + ((hi - lo) >> 1);
-    if (sort_cmp(base + mid * REC, base + lo * REC) < 0) {
-      memcpy(tmp, base + mid * REC, REC);
-      memcpy(base + mid * REC, base + lo * REC, REC);
-      memcpy(base + lo * REC, tmp, REC);
-    }
-    if (sort_cmp(base + hi * REC, base + mid * REC) < 0) {
-      memcpy(tmp, base + hi * REC, REC);
-      memcpy(base + hi * REC, base + mid * REC, REC);
-      memcpy(base + mid * REC, tmp, REC);
-      if (sort_cmp(base + mid * REC, base + lo * REC) < 0) {
-        memcpy(tmp, base + mid * REC, REC);
-        memcpy(base + mid * REC, base + lo * REC, REC);
-        memcpy(base + lo * REC, tmp, REC);
-      }
-    }
-    memcpy(pivot, base + mid * REC, REC);
-    int64_t i = lo, j = hi;
-    while (i <= j) {
-      while (sort_cmp(base + i * REC, pivot) < 0) ++i;
-      while (sort_cmp(base + j * REC, pivot) > 0) --j;
-      if (i <= j) {
-        if (i != j) {
-          memcpy(tmp, base + i * REC, REC);
-          memcpy(base + i * REC, base + j * REC, REC);
-          memcpy(base + j * REC, tmp, REC);
-        }
-        ++i; --j;
-      }
-    }
-    if (j - lo < hi - i) {
-      if (i < hi) { stk[sp][0] = i; stk[sp][1] = hi; ++sp; }
-      hi = j;
-    } else {
-      if (lo < j) { stk[sp][0] = lo; stk[sp][1] = j; ++sp; }
-      lo = i;
-    }
-    if (lo >= hi) {
-      if (sp == 0) break;
-      --sp; lo = stk[sp][0]; hi = stk[sp][1];
-    }
-  }
-}
-)";
 
 // Virtual scan iterator (iterator styles only) and input loading. In
 // iterator styles tuples flow through a virtual next() per tuple; in
@@ -474,7 +409,6 @@ std::string EmitVariantSource(MicroQuery query, Style style,
   src += codegen::kAbiHeaderSource;
   src += kLayout;
   src += StyleHelpers(knobs);
-  src += kSort;
   if (knobs.iterators) src += kIterDefs;
   src += LoadInput(knobs);
   src += EmitResult();
@@ -492,8 +426,8 @@ extern "C" int64_t hique_query_main(HqQueryCtx* ctx, const HqParams* params) {
   if (!L || !R) { ctx->error = HQ_ERR_OOM; return -1; }
   int64_t nL = load_input(ctx, 0, L);
   int64_t nR = load_input(ctx, 1, R);
-  rec_sort(L, nL);
-  rec_sort(R, nR);
+  hq_record_sort<REC, sort_cmp>(L, nL);
+  hq_record_sort<REC, sort_cmp>(R, nR);
   int64_t cnt = 0; double sum = 0;
   join_range(L, 0, nL, R, 0, nR, &cnt, &sum);
   return emit_result(ctx, cnt, sum);
@@ -527,8 +461,8 @@ extern "C" int64_t hique_query_main(HqQueryCtx* ctx, const HqParams* params) {
     int64_t br = pbR[m], er = pbR[m + 1];
     if (bl >= el || br >= er) continue;
     // sort corresponding partitions just before joining them
-    rec_sort(L + (uint64_t)bl * REC, el - bl);
-    rec_sort(R + (uint64_t)br * REC, er - br);
+    hq_record_sort<REC, sort_cmp>(L + (uint64_t)bl * REC, el - bl);
+    hq_record_sort<REC, sort_cmp>(R + (uint64_t)br * REC, er - br);
     join_range(L, bl, el, R, br, er, &cnt, &sum);
   }
   return emit_result(ctx, cnt, sum);
@@ -555,7 +489,7 @@ extern "C" int64_t hique_query_main(HqQueryCtx* ctx, const HqParams* params) {
   for (uint32_t m = 0; m < M; ++m) {
     int64_t b = pb[m], e = pb[m + 1];
     if (b >= e) continue;
-    rec_sort(B + (uint64_t)b * REC, e - b);
+    hq_record_sort<REC, sort_cmp>(B + (uint64_t)b * REC, e - b);
     agg_scan(B, b, e, &cnt, &checksum);
   }
   return emit_result(ctx, cnt, checksum);

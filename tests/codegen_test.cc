@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "codegen/abi_embed.h"
 #include "codegen/expr_gen.h"
 #include "codegen/generator.h"
 #include "plan/optimizer.h"
@@ -30,6 +34,21 @@ class CodegenTest : public ::testing::Test {
     HQ_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
     return gen.value().source;
   }
+
+  /// The generated part of a source file: everything after the embedded
+  /// runtime ABI header and its operator drivers. Checks for what the
+  /// generator emitted (or did not) look here, so a driver name matches
+  /// only where an operator instantiates it.
+  std::string BodyFor(const std::string& sql,
+                      const plan::PlannerOptions& opts = {}) {
+    std::string src = GenerateFor(sql, opts);
+    size_t at = src.find(kAbiEnd);
+    HQ_CHECK(at != std::string::npos);
+    return src.substr(at + std::strlen(kAbiEnd));
+  }
+
+  static constexpr const char* kAbiEnd =
+      "#endif  // HIQUE_CODEGEN_RUNTIME_ABI_H_";
 
   Catalog catalog_;
 };
@@ -64,10 +83,12 @@ TEST_F(CodegenTest, HybridJoinEmitsJitPartitionSort) {
   plan::PlannerOptions opts;
   opts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   opts.fine_partition_max_domain = 0;
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   EXPECT_NE(src.find("sort corresponding partitions just before joining"),
             std::string::npos);
+  EXPECT_NE(src.find("hq_record_sort<"), std::string::npos);
+  EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos);
   EXPECT_NE(src.find("hybrid hash-sort-merge join"), std::string::npos);
   EXPECT_NE(src.find("nested-loops template, Listing 2"), std::string::npos);
 }
@@ -76,20 +97,23 @@ TEST_F(CodegenTest, FineJoinSkipsSorting) {
   plan::PlannerOptions opts;
   opts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   opts.fine_partition_max_domain = 64;  // domain is 10: fine applies
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   EXPECT_NE(src.find("fine-partition join"), std::string::npos);
   EXPECT_EQ(src.find("sort corresponding partitions"), std::string::npos);
+  EXPECT_EQ(src.find("hq_record_sort<"), std::string::npos);
+  EXPECT_NE(src.find("hq_partition_fine<"), std::string::npos);
+  EXPECT_EQ(src.find("hq_partition_coarse<"), std::string::npos);
 }
 
 TEST_F(CodegenTest, MergeJoinHasNoPartitioning) {
   plan::PlannerOptions opts;
   opts.force_join_algo = plan::JoinAlgo::kMerge;
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   EXPECT_NE(src.find("merge join"), std::string::npos);
-  EXPECT_EQ(src.find("coarse/fine partitioning"), std::string::npos);
-  EXPECT_NE(src.find("fullsort_op"), std::string::npos);  // sort staging
+  EXPECT_EQ(src.find("hq_partition_"), std::string::npos);
+  EXPECT_NE(src.find("hq_sort_cascade<"), std::string::npos);  // sort staging
 }
 
 TEST_F(CodegenTest, MapAggUsesDenseDirectoryForDenseDomain) {
@@ -122,14 +146,14 @@ TEST_F(CodegenTest, OperatorsRunThroughParallelForService) {
   plan::PlannerOptions opts;
   opts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   opts.fine_partition_max_domain = 0;
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   // Staging, partitioning and the per-partition join all dispatch through
-  // the runtime parallel-for service; the thread count is a pure runtime
-  // knob, never baked into the source.
+  // the runtime parallel-for service (partitioning inside its driver); the
+  // thread count is a pure runtime knob, never baked into the source.
   EXPECT_NE(src.find("hq_parallel_for(ctx"), std::string::npos);
   EXPECT_NE(src.find("_stage_count"), std::string::npos);
-  EXPECT_NE(src.find("_part_scatter"), std::string::npos);
+  EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos);
   EXPECT_NE(src.find("_join_part"), std::string::npos);
   EXPECT_EQ(src.find("HQ_THREADS"), std::string::npos);
 }
@@ -137,37 +161,102 @@ TEST_F(CodegenTest, OperatorsRunThroughParallelForService) {
 TEST_F(CodegenTest, SortedOutputSkipsFinalSort) {
   plan::PlannerOptions opts;
   opts.force_agg_algo = plan::AggAlgo::kSort;
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, count(*) from r group by r_k order by r_k", opts);
-  // No output comparator is emitted when the interesting order covers the
-  // ORDER BY (paper §IV: interesting orders).
+  // No output comparator or sort is emitted when the interesting order
+  // covers the ORDER BY (paper §IV: interesting orders).
   EXPECT_EQ(src.find("_out(const uint8_t* a"), std::string::npos);
+  EXPECT_EQ(src.find("hq_order_by_output<"), std::string::npos);
+  EXPECT_NE(src.find("hq_emit_rows<"), std::string::npos);
+}
+
+/// The text of the function whose signature contains `signature`, from
+/// the signature to its closing brace at column 0.
+std::string FunctionText(const std::string& src, const std::string& signature) {
+  size_t begin = src.find(signature);
+  if (begin == std::string::npos) return "";
+  size_t end = src.find("\n}\n", begin);
+  return end == std::string::npos ? "" : src.substr(begin, end - begin);
 }
 
 TEST_F(CodegenTest, EveryOutputUsesOnlyBulkPageProtocol) {
-  // Result rows leave generated code one way: result pages allocated and
-  // emitted through the bulk hooks, whatever the output's shape.
-  for (const char* sql : {
-           "select r_k, r_v from r where r_v < 500 order by r_v, r_k",
-           "select r_k, r_v from r where r_v < 500",
-           "select r_k, r_v from r where r_v < 500 limit 7",
-           "select count(*), sum(r_v) from r",
+  // Result rows leave generated code one way: every output operator
+  // instantiates one of the two output drivers, and both drivers allocate
+  // and emit result pages through the bulk hooks.
+  const std::string abi = codegen::kAbiHeaderSource;
+  for (const char* driver : {"hq_emit_rows(", "hq_order_by_output("}) {
+    std::string fn = FunctionText(abi, driver);
+    ASSERT_FALSE(fn.empty()) << driver;
+    EXPECT_NE(fn.find("result_alloc_pages"), std::string::npos) << fn;
+    EXPECT_NE(fn.find("result_emit_pages"), std::string::npos) << fn;
+  }
+  struct Case {
+    const char* sql;
+    const char* driver;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"select r_k, r_v from r where r_v < 500 order by r_v, r_k",
+            "hq_order_by_output<"},
+           {"select r_k, r_v from r where r_v < 500", "hq_emit_rows<"},
+           {"select r_k, r_v from r where r_v < 500 limit 7",
+            "hq_emit_rows<"},
+           {"select count(*), sum(r_v) from r", "hq_emit_rows<"},
        }) {
-    SCOPED_TRACE(sql);
-    std::string src = GenerateFor(sql);
-    size_t begin = src.find("_output(HqQueryCtx* ctx");
-    ASSERT_NE(begin, std::string::npos) << src;
-    size_t end = src.find("\n}\n", begin);
-    ASSERT_NE(end, std::string::npos);
-    std::string output_fn = src.substr(begin, end - begin);
-    EXPECT_NE(output_fn.find("result_alloc_pages"), std::string::npos)
-        << output_fn;
-    EXPECT_NE(output_fn.find("result_emit_pages"), std::string::npos)
-        << output_fn;
+    SCOPED_TRACE(c.sql);
+    std::string src = GenerateFor(c.sql);
+    std::string output_fn =
+        FunctionText(BodyFor(c.sql), "_output(HqQueryCtx* ctx");
+    ASSERT_FALSE(output_fn.empty()) << src;
+    EXPECT_NE(output_fn.find(c.driver), std::string::npos) << output_fn;
     // No per-slot writer anywhere, the embedded runtime ABI included.
     for (const char* gone : {"hq_result_slot", "HqResultWriter",
                              "result_new_page"}) {
       EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    }
+  }
+}
+
+TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
+  // g++ parses every embedded template, so a source carries a driver group
+  // only when one of its operators instantiates it.
+  plan::PlannerOptions hash_join;
+  hash_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
+  hash_join.fine_partition_max_domain = 0;
+  plan::PlannerOptions merge_join;
+  merge_join.force_join_algo = plan::JoinAlgo::kMerge;
+  plan::PlannerOptions fine_join;
+  fine_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
+  fine_join.fine_partition_max_domain = 64;
+  struct Case {
+    const char* sql;
+    plan::PlannerOptions opts;
+    std::vector<std::string> groups;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"select r_k, r_v from r where r_v < 500", {}, {}},
+           {"select r_k, r_v from r order by r_v",
+            {},
+            {"record_sort", "sort"}},
+           {"select r_k, s_v from r, s where r_k = s_k",
+            merge_join,
+            {"record_sort", "sort"}},
+           {"select r_k, s_v from r, s where r_k = s_k",
+            hash_join,
+            {"record_sort", "partition"}},
+           {"select r_k, s_v from r, s where r_k = s_k",
+            fine_join,
+            {"partition"}},
+       }) {
+    SCOPED_TRACE(c.sql);
+    std::string src = GenerateFor(c.sql, c.opts);
+    for (const char* group : {"record_sort", "sort", "partition"}) {
+      bool want = std::find(c.groups.begin(), c.groups.end(), group) !=
+                  c.groups.end();
+      EXPECT_EQ(
+          src.find("// [driver group " + std::string(group) + "]\n") !=
+              std::string::npos,
+          want)
+          << group;
     }
   }
 }
@@ -211,10 +300,12 @@ TEST_F(CodegenTest, EachScanHasOneLoopShape) {
             2},
        }) {
     SCOPED_TRACE(c.sql);
-    std::string src = GenerateFor(c.sql, c.opts);
+    // No fork or SSE2 tier anywhere, the embedded runtime ABI included.
+    std::string whole = GenerateFor(c.sql, c.opts);
     for (const char* gone : {"hq_simd_level !=", "sse2", "SSE2"}) {
-      EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+      EXPECT_EQ(whole.find(gone), std::string::npos) << gone;
     }
+    std::string src = BodyFor(c.sql, c.opts);
     EXPECT_EQ(CountOf(src, "__attribute__((target(\"avx2\")))"),
               c.avx2_copies)
         << src;
@@ -230,7 +321,9 @@ TEST_F(CodegenTest, EachScanHasOneLoopShape) {
       EXPECT_NE(src.find("__builtin_ctzll(bm)"), std::string::npos) << src;
       EXPECT_EQ(src.find("++ti, tup += "), std::string::npos) << src;
     } else {
-      // Hash partitioning: block-at-a-time ids, no per-record pass.
+      // Hash partitioning: block-at-a-time ids through the coarse
+      // driver, no per-record pass.
+      EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos) << src;
       EXPECT_EQ(src.find("for (uint64_t i = rb; i < re; ++i)"),
                 std::string::npos)
           << src;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,50 @@ TEST_F(ExplainTest, AnalyzeSpansCoverExecuteAcrossThreads) {
       }
       EXPECT_EQ(spans, stats.ops.size());
     }
+  }
+}
+
+// Every span reports its operator's output cardinality — the records the
+// operator hands on — not just the output operator's: a filtered staging
+// op and a join op report the reference executor's counts, at every
+// thread count.
+TEST_F(ExplainTest, AnalyzeReportsEachOperatorsOutputTuples) {
+  Catalog& catalog = SharedCatalog();
+  const std::string sql =
+      "select xr_k, xs_v from xr, xs "
+      "where xr_k = xs_k and xr_v < 10 and xs_v < 500";
+  auto staged =
+      ref::ExecuteSql("select xr_k from xr where xr_v < 10", catalog);
+  auto joined = ref::ExecuteSql(sql, catalog);
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_GT(staged.value().size(), 0u);
+  ASSERT_GT(joined.value().size(), 0u);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    HiqueEngine engine(&catalog, FastOptions(threads));
+    auto r = engine.Query("explain analyze " + sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // Plan lines read "opK: stage <action> stream <in> -> <out> (...)";
+    // stream 0 is xr, the first table.
+    int stage_op = -1, join_op = -1;
+    for (const auto& line : PlanOnlyLines(ReportLines(r.value()))) {
+      int id = std::stoi(line.substr(2));
+      if (line.find(": stage ") != std::string::npos &&
+          line.find(" stream 0 -> ") != std::string::npos) {
+        EXPECT_NE(line.find("1 filters"), std::string::npos) << line;
+        stage_op = id;
+      }
+      if (line.find(": join ") != std::string::npos) join_op = id;
+    }
+    ASSERT_GE(stage_op, 0);
+    ASSERT_GE(join_op, 0);
+    std::map<int32_t, uint64_t> tuples;
+    for (const auto& op : r.value().exec_stats.ops) {
+      tuples[op.op_id] = op.tuples;
+    }
+    EXPECT_EQ(tuples[stage_op], staged.value().size());
+    EXPECT_EQ(tuples[join_op], joined.value().size());
   }
 }
 

@@ -1,0 +1,410 @@
+// The operator drivers of codegen/runtime_abi.h, instantiated in process
+// with hand-written kernels — no runtime compiler involved. The sort is
+// checked against std::sort, the partition driver against a serial
+// reference scatter, the concatenation for task order, and the ORDER BY
+// pipeline against a sorted copy. Each runs both on the header's serial
+// fallback and on a multi-threaded parallel_for over exec::WorkerPool, and
+// the two must agree byte for byte (under TSan this race-checks the
+// disjoint per-task cursors of the scatter and the merges).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <mutex>
+#include <vector>
+
+#include "codegen/runtime_abi.h"
+#include "exec/worker_pool.h"
+#include "util/rng.h"
+
+namespace hique {
+namespace {
+
+// 16-byte test record: sort/partition key, unique id, payload.
+struct Rec {
+  int32_t key;
+  uint32_t id;
+  uint64_t payload;
+};
+constexpr uint32_t kRec = sizeof(Rec);
+static_assert(kRec == 16, "record layout");
+
+Rec At(const uint8_t* p) {
+  Rec r;
+  std::memcpy(&r, p, kRec);
+  return r;
+}
+
+int CmpKey(const uint8_t* a, const uint8_t* b) {
+  int32_t x = At(a).key, y = At(b).key;
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+// A total order (key, then id): its sorted output is unique.
+int CmpKeyId(const uint8_t* a, const uint8_t* b) {
+  int c = CmpKey(a, b);
+  if (c != 0) return c;
+  uint32_t x = At(a).id, y = At(b).id;
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
+bool LessKeyId(const Rec& a, const Rec& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+}
+
+enum class Keys { kAllEqual, kSorted, kReverse, kRandom };
+
+std::vector<Rec> MakeRecs(int64_t n, Keys keys, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Rec> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    int32_t k = 0;
+    switch (keys) {
+      case Keys::kAllEqual: k = 7; break;
+      case Keys::kSorted: k = static_cast<int32_t>(i); break;
+      case Keys::kReverse: k = static_cast<int32_t>(n - i); break;
+      case Keys::kRandom:
+        k = static_cast<int32_t>(rng.NextBounded(1000)) - 100;
+        break;
+    }
+    v[i] = {k, static_cast<uint32_t>(i), rng.Next()};
+  }
+  return v;
+}
+
+std::vector<uint8_t> Bytes(const std::vector<Rec>& v) {
+  std::vector<uint8_t> b(v.size() * kRec);
+  if (!v.empty()) std::memcpy(b.data(), v.data(), b.size());
+  return b;
+}
+
+/// A query context with a mutex-guarded malloc arena. With `threads` > 1,
+/// hq_parallel_for runs on a WorkerPool with one worker context per
+/// executor slot; with 1 it uses the header's serial fallback.
+class Harness {
+ public:
+  explicit Harness(uint32_t threads) {
+    std::memset(&ctx_, 0, sizeof(ctx_));
+    ctx_.alloc = &Harness::Alloc;
+    ctx_.arena = this;
+    ctx_.result_sink = this;
+    ctx_.result_tuple_size = kRec;
+    ctx_.result_tuples_per_page = HQ_PAGE_DATA / kRec;
+    ctx_.result_alloc_pages = &Harness::AllocPages;
+    ctx_.result_emit_pages = &Harness::EmitPages;
+    if (threads > 1) {
+      pool_ = std::make_unique<exec::WorkerPool>(threads - 1);
+      workers_.resize(pool_->num_executors());
+      ctx_.parallel_for = &Harness::ParallelFor;
+      ctx_.scheduler = this;
+      ctx_.num_workers = pool_->num_executors();
+    }
+  }
+  ~Harness() {
+    for (void* p : blocks_) std::free(p);
+  }
+
+  HqQueryCtx* ctx() { return &ctx_; }
+  uint32_t tasks_run() const { return tasks_run_; }
+
+  /// Rows delivered through result_emit_pages, in order.
+  std::vector<uint8_t> Emitted() const {
+    std::vector<uint8_t> out;
+    uint64_t left = emitted_rows_;
+    for (const HqPage* pg : pages_) {
+      if (left == 0) break;
+      uint64_t m = std::min<uint64_t>(left, ctx_.result_tuples_per_page);
+      out.insert(out.end(), pg->data, pg->data + m * kRec);
+      left -= m;
+    }
+    return out;
+  }
+
+ private:
+  static void* Alloc(void* arena, uint64_t bytes) {
+    auto* h = static_cast<Harness*>(arena);
+    void* p = std::aligned_alloc(64, (bytes + 63) / 64 * 64 + 64);
+    std::lock_guard<std::mutex> lock(h->mu_);
+    h->blocks_.push_back(p);
+    return p;
+  }
+
+  static int32_t AllocPages(void* sink, HqPage** pages, uint64_t count) {
+    auto* h = static_cast<Harness*>(sink);
+    for (uint64_t i = 0; i < count; ++i) {
+      pages[i] = static_cast<HqPage*>(Alloc(h, sizeof(HqPage)));
+      std::memset(pages[i], 0, sizeof(HqPage));
+      h->pending_.push_back(pages[i]);
+    }
+    return 0;
+  }
+
+  static int32_t EmitPages(void* sink, uint64_t count, uint64_t rows) {
+    auto* h = static_cast<Harness*>(sink);
+    h->pages_.insert(h->pages_.end(), h->pending_.begin(),
+                     h->pending_.begin() + static_cast<int64_t>(count));
+    h->pending_.erase(h->pending_.begin(),
+                      h->pending_.begin() + static_cast<int64_t>(count));
+    h->emitted_rows_ += rows;
+    h->ctx_.tuples_emitted += rows;
+    return 0;
+  }
+
+  static int32_t ParallelFor(void* scheduler, HqQueryCtx* ctx,
+                             uint32_t num_tasks, HqTaskFn fn, void* arg) {
+    auto* h = static_cast<Harness*>(scheduler);
+    for (HqWorkerCtx& w : h->workers_) {
+      std::memset(&w, 0, sizeof(w));
+      w.alloc = &Harness::Alloc;
+      w.arena = h;
+    }
+    bool ok = h->pool_->ParallelFor(
+        num_tasks, [&](uint32_t slot, uint32_t task) -> int32_t {
+          return fn(ctx, &h->workers_[slot], task, arg);
+        });
+    h->tasks_run_ += num_tasks;
+    for (const HqWorkerCtx& w : h->workers_) {
+      if (w.error != HQ_OK && ctx->error == HQ_OK) ctx->error = w.error;
+    }
+    if (!ok && ctx->error == HQ_OK) ctx->error = HQ_ERR_CANCELLED;
+    return ctx->error;
+  }
+
+  HqQueryCtx ctx_;
+  std::unique_ptr<exec::WorkerPool> pool_;
+  std::vector<HqWorkerCtx> workers_;
+  std::mutex mu_;
+  std::vector<void*> blocks_;
+  std::vector<HqPage*> pending_;
+  std::vector<HqPage*> pages_;
+  uint64_t emitted_rows_ = 0;
+  uint32_t tasks_run_ = 0;
+};
+
+TEST(OperatorDriverTest, RecordSortMatchesStdSort) {
+  for (int64_t n : {0, 1, 2, 23, 24, 25, 10000}) {
+    for (Keys keys :
+         {Keys::kAllEqual, Keys::kSorted, Keys::kReverse, Keys::kRandom}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " keys=" + std::to_string(static_cast<int>(keys)));
+      std::vector<Rec> in = MakeRecs(n, keys, 11 + static_cast<uint64_t>(n));
+      std::vector<Rec> want = in;
+      std::sort(want.begin(), want.end(), LessKeyId);
+
+      // Total order: exactly std::sort's output.
+      std::vector<uint8_t> total = Bytes(in);
+      hq_record_sort<kRec, CmpKeyId>(total.data(), n);
+      EXPECT_EQ(total, Bytes(want));
+
+      // Key-only order (ties unordered): a permutation of the input with
+      // std::sort's key sequence.
+      std::vector<uint8_t> by_key = Bytes(in);
+      hq_record_sort<kRec, CmpKey>(by_key.data(), n);
+      std::vector<Rec> got(static_cast<size_t>(n));
+      if (n > 0) std::memcpy(got.data(), by_key.data(), by_key.size());
+      for (int64_t i = 0; i < n; ++i) EXPECT_EQ(got[i].key, want[i].key);
+      std::sort(got.begin(), got.end(), LessKeyId);
+      EXPECT_EQ(Bytes(got), Bytes(want));
+    }
+  }
+}
+
+TEST(OperatorDriverTest, SortCascadeSortsFullyOrIntoAtMostMaxRuns) {
+  const int64_t n = 10000, run = 64;
+  std::vector<Rec> in = MakeRecs(n, Keys::kRandom, 5);
+  std::vector<Rec> want = in;
+  std::sort(want.begin(), want.end(), LessKeyId);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Harness h(threads);
+    std::vector<uint8_t> buf = Bytes(in);
+    uint8_t* data = buf.data();
+    int64_t width = 0;
+    ASSERT_EQ((hq_sort_cascade<kRec, CmpKeyId>(h.ctx(), &data, n, run, 1,
+                                               &width)),
+              0);
+    EXPECT_EQ(std::vector<uint8_t>(data, data + n * kRec), Bytes(want));
+    EXPECT_GE(width, n);
+
+    // Stopping at 8 runs: every run of `width` records is sorted.
+    buf = Bytes(in);
+    data = buf.data();
+    ASSERT_EQ((hq_sort_cascade<kRec, CmpKeyId>(h.ctx(), &data, n, run, 8,
+                                               &width)),
+              0);
+    EXPECT_LE((n + width - 1) / width, 8);
+    EXPECT_GT((n + width / 2 - 1) / (width / 2), 8);
+    for (int64_t b = 0; b < n; b += width) {
+      int64_t e = std::min(n, b + width);
+      for (int64_t i = b + 1; i < e; ++i) {
+        ASSERT_LT(CmpKeyId(data + (i - 1) * kRec, data + i * kRec), 0) << i;
+      }
+    }
+  }
+}
+
+constexpr uint32_t kParts = 16;
+
+int64_t HashPidOf(const uint8_t* r) {
+  return static_cast<int64_t>(
+      hq_hash64(static_cast<uint64_t>(At(r).key)) & (kParts - 1));
+}
+
+void HashPids(const uint8_t* d, uint32_t bn, int32_t* pid) {
+  for (uint32_t i = 0; i < bn; ++i) {
+    pid[i] = static_cast<int32_t>(HashPidOf(d + i * kRec));
+  }
+}
+
+// Fine partitioning over keys [-100, 900): partition = key - 40 maps only
+// part of that domain into [0, kParts).
+int64_t ValuePid(const uint8_t* r) { return At(r).key - 40; }
+
+/// The serial scatter every partition driver must reproduce: records in
+/// input order within each partition; `pid` < 0 drops a record.
+void ReferenceScatter(const std::vector<Rec>& in,
+                      int64_t (*pid)(const uint8_t*),
+                      std::vector<uint8_t>* data, std::vector<int64_t>* pb) {
+  std::vector<std::vector<Rec>> parts(kParts);
+  for (const Rec& r : in) {
+    int64_t p = pid(reinterpret_cast<const uint8_t*>(&r));
+    if (p >= 0) parts[static_cast<size_t>(p)].push_back(r);
+  }
+  data->clear();
+  pb->assign(1, 0);
+  for (const auto& part : parts) {
+    std::vector<uint8_t> b = Bytes(part);
+    data->insert(data->end(), b.begin(), b.end());
+    pb->push_back(pb->back() + static_cast<int64_t>(part.size()));
+  }
+}
+
+int64_t ClampedPid(const uint8_t* r) {
+  return std::min<int64_t>(std::max<int64_t>(ValuePid(r), 0), kParts - 1);
+}
+
+int64_t DroppingPid(const uint8_t* r) {
+  int64_t p = ValuePid(r);
+  return p >= 0 && p < kParts ? p : -1;
+}
+
+TEST(OperatorDriverTest, PartitionMatchesSerialScatterAtEveryTaskCount) {
+  using Driver = int (*)(HqQueryCtx*, HqStream*);
+  struct Case {
+    const char* name;
+    Driver driver;
+    int64_t (*reference_pid)(const uint8_t*);
+  };
+  const Case cases[] = {
+      {"coarse", hq_partition_coarse<kRec, kParts, HashPids>, HashPidOf},
+      {"fine-clamp", hq_partition_fine<kRec, kParts, ValuePid, true>,
+       ClampedPid},
+      {"fine-drop", hq_partition_fine<kRec, kParts, ValuePid, false>,
+       DroppingPid},
+  };
+  // One record count per task count 1..4 (HQ_PAR_REC_GRAIN records per
+  // task), plus the empty stream.
+  for (int64_t n : {0, 1000, 70000, 140000, 200000}) {
+    std::vector<Rec> in = MakeRecs(n, Keys::kRandom, 99);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " n=" + std::to_string(n));
+      std::vector<uint8_t> want;
+      std::vector<int64_t> want_pb;
+      ReferenceScatter(in, c.reference_pid, &want, &want_pb);
+      for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Harness h(threads);
+        std::vector<uint8_t> buf = Bytes(in);
+        HqStream s = {buf.data(), n, kRec, nullptr, 0};
+        ASSERT_EQ(c.driver(h.ctx(), &s), 0);
+        ASSERT_EQ(s.num_parts, kParts);
+        EXPECT_EQ(std::vector<int64_t>(s.part_begin,
+                                       s.part_begin + kParts + 1),
+                  want_pb);
+        EXPECT_EQ(std::vector<uint8_t>(s.data, s.data + s.n * kRec), want);
+        if (threads > 1) {
+          // Count and scatter each ran one task per record chunk.
+          EXPECT_EQ(h.tasks_run(),
+                    2 * hq_task_count(static_cast<uint64_t>(n),
+                                      HQ_PAR_REC_GRAIN, HQ_PAR_PART_TASKS));
+        }
+      }
+    }
+  }
+}
+
+TEST(OperatorDriverTest, ConcatKeepsTaskOrder) {
+  const uint32_t nt = 9;
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Harness h(threads);
+    std::vector<HqVec> vs(nt);
+    std::vector<Rec> want;
+    for (uint32_t t = 0; t < nt; ++t) {
+      // Task t contributes (t * 37) % 11 records (some tasks none).
+      ASSERT_EQ(hq_vec_init(&vs[t], h.ctx(), kRec, 1), 0);
+      for (uint32_t i = 0; i < (t * 37) % 11; ++i) {
+        Rec r = {static_cast<int32_t>(t), i, t * 1000ull + i};
+        std::memcpy(hq_vec_slot(&vs[t]), &r, kRec);
+        want.push_back(r);
+      }
+    }
+    HqStream out;
+    ASSERT_EQ(hq_concat(h.ctx(), vs.data(), nt, kRec, &out), 0);
+    EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
+    EXPECT_EQ(out.rec_size, kRec);
+    EXPECT_EQ(out.part_begin, nullptr);
+    EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
+              Bytes(want));
+  }
+}
+
+void CopyRow(HqQueryCtx* ctx, const uint8_t* rec, uint8_t* o) {
+  (void)ctx;
+  std::memcpy(o, rec, kRec);
+}
+
+TEST(OperatorDriverTest, OrderByOutputEmitsSortedPrefix) {
+  // Runs of 64 records: 20000 rows leave 313 runs, so the cascade merges
+  // down to 8 before the splitter merge.
+  const int64_t n = 20000;
+  std::vector<Rec> in = MakeRecs(n, Keys::kRandom, 3);
+  std::vector<Rec> want = in;
+  std::sort(want.begin(), want.end(), LessKeyId);
+  for (int64_t limit : {int64_t{-1}, int64_t{0}, int64_t{1000}}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    std::vector<Rec> prefix = want;
+    if (limit >= 0) prefix.resize(static_cast<size_t>(limit));
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      Harness h(threads);
+      std::vector<uint8_t> buf = Bytes(in);
+      HqStream s = {buf.data(), n, kRec, nullptr, 0};
+      int64_t rows = hq_order_by_output<kRec, kRec, CopyRow, CmpKeyId>(
+          h.ctx(), &s, limit, 64, HQ_PAR_MAX_TASKS);
+      EXPECT_EQ(rows, static_cast<int64_t>(prefix.size()));
+      EXPECT_EQ(h.Emitted(), Bytes(prefix));
+    }
+  }
+}
+
+TEST(OperatorDriverTest, EmitRowsAppliesLimitPageByPage) {
+  const int64_t n = 1000;
+  std::vector<Rec> in = MakeRecs(n, Keys::kRandom, 4);
+  for (int64_t limit : {int64_t{-1}, int64_t{0}, int64_t{300}}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    std::vector<Rec> prefix = in;
+    if (limit >= 0) prefix.resize(static_cast<size_t>(limit));
+    Harness h(1);
+    std::vector<uint8_t> buf = Bytes(in);
+    HqStream s = {buf.data(), n, kRec, nullptr, 0};
+    EXPECT_EQ((hq_emit_rows<kRec, kRec, CopyRow>(h.ctx(), &s, limit)),
+              static_cast<int64_t>(prefix.size()));
+    EXPECT_EQ(h.Emitted(), Bytes(prefix));
+  }
+}
+
+}  // namespace
+}  // namespace hique
