@@ -66,7 +66,7 @@ class Generator {
     std::set<std::string> used = drivers_;
     if (used.count("sort")) used.insert("record_sort");  // the run sorts
     std::string abi = kAbiHeaderSource;
-    for (const char* group : {"record_sort", "sort", "partition"}) {
+    for (const char* group : {"record_sort", "sort", "partition", "stage"}) {
       if (used.count(group)) continue;
       std::string end = "// [end driver group " + std::string(group) + "]\n";
       size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
@@ -116,103 +116,7 @@ class Generator {
     return std::max<int64_t>(64, static_cast<int64_t>(l2 / 2 / rec));
   }
 
-  // ---- staging (paper Listing 1 + §V-B "Input staging") ----------------
-
-  /// Base-table staging tasks: a count pass sizes the output exactly, a
-  /// fill pass scatters each page range to its prefix-summed offset. Both
-  /// run partition-parallel over fixed page chunks; the record order of
-  /// the staged buffer is the serial scan order regardless of threads.
-  void EmitBaseStageTasks(int k, const StageOp& op, uint32_t rec) {
-    int t = Stream(op.input_stream).base_table_index;
-    const Schema& schema = plan_.query->tables[t]->schema();
-    std::string A = "op" + S(k) + "_stage_args";
-    std::string R = S(rec);
-    Emit("typedef struct {");
-    Emit("  const HqTableRef* T;");
-    Emit("  uint8_t* buf;");
-    Emit("  int64_t* counts;");
-    Emit("  int64_t* offs;");
-    Emit("  uint32_t nt;");
-    Emit("} " + A + ";");
-    Emit("");
-    Emit("static int32_t op" + S(k) +
-         "_stage_count(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-         "void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx; (void)wk;");
-    Emit("  uint64_t pb, pe;");
-    Emit("  hq_task_range(A->T->page_count, A->nt, t, &pb, &pe);");
-    Emit("  int64_t n = 0;");
-    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
-                                     &plan_.params);
-    const std::string TS = S(schema.TupleSize());
-    if (op.input_codec.enabled && !op.filters.empty()) {
-      // Compressed input: the count pass must decode the filter columns.
-      // Without filters the page header alone counts, handled below.
-      Emit("  const HqTableRef* T = A->T;");
-      EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", "",
-                         /*prefetch=*/batched, [&] {
-        if (batched) {
-          Emit("      n += __builtin_popcountll(op" + S(k) +
-               "_pred(ctx, dbuf, bn));");
-          return;
-        }
-        Emit("      for (uint32_t bi = 0; bi < bn; ++bi) {");
-        Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS +
-             ";");
-        for (const auto& f : op.filters) {
-          Emit("        if (!" +
-               FilterCondition("tup", schema, f, &plan_.params) +
-               ") continue;");
-        }
-        Emit("        ++n;");
-        Emit("      }");
-      });
-    } else {
-    Emit("  for (uint64_t p = pb; p < pe; ++p) {");
-    Emit("    const uint8_t* page = A->T->pages[p];");
-    Emit("    uint32_t nt = *(const uint32_t*)page;");
-    if (op.filters.empty()) {
-      Emit("    n += nt;");
-    } else if (batched) {
-      Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-      Emit("    // one popcount per selection-bitmap block");
-      EmitNextPagePrefetch("A->T->pages", "p", "pe", "    ");
-      Emit("    for (uint32_t ti = 0; ti < nt; ) {");
-      Emit("      uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
-           "HQ_SIMD_BLOCK;");
-      Emit("      n += __builtin_popcountll(op" + S(k) +
-           "_pred(ctx, tup, bn));");
-      Emit("      ti += bn; tup += (uint64_t)bn * " + TS + ";");
-      Emit("    }");
-    } else {
-      Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-      Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " + TS + ") {");
-      for (const auto& f : op.filters) {
-        Emit("      if (!" + FilterCondition("tup", schema, f, &plan_.params) +
-             ") continue;");
-      }
-      Emit("      ++n;");
-      Emit("    }");
-    }
-    Emit("  }");
-    }
-    Emit("  A->counts[t] = n;");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-    Emit("static int32_t op" + S(k) +
-         "_stage_fill(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-         "void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)ctx;");
-    Emit("  const HqTableRef* T = A->T;");
-    Emit("  uint64_t pb, pe;");
-    Emit("  hq_task_range(T->page_count, A->nt, t, &pb, &pe);");
-    Emit("  uint8_t* dst = A->buf + (uint64_t)A->offs[t] * " + R + ";");
-    EmitScanSelectLoop(k, op, "wk->pages_touched");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-  }
+  // ---- base-table scans (paper Listing 1 + §V-B "Input staging") ------
 
   /// Prefetches a page two iterations ahead of the batched scan loops.
   /// Table pages are separate 4 KB allocations, so the hardware stream
@@ -380,24 +284,22 @@ class Generator {
   }
 
   /// Emits the compressed-scan skeleton over pages [pb, pe) of local
-  /// variable `T`: per page the decode state is initialized, then 64-tuple
-  /// blocks are decoded into a 64-aligned stack buffer (`dbuf`) and
-  /// `block_body` is emitted to consume [dbuf, dbuf + bn * tuple_size).
-  /// The existing predicate kernels and projection code run over dbuf
-  /// unchanged — decode replaces only the "where tuples live" part of the
-  /// scan, keeping kernel dispatch and selection-order semantics untouched.
-  void EmitCompressedScan(int k, uint32_t tuple_size, const std::string& pb,
-                          const std::string& pe,
-                          const std::string& pages_counter, bool prefetch,
+  /// variable `T`: per page, `page_head` runs once `nt` is read, then the
+  /// decode state is initialized and 64-tuple blocks are decoded into a
+  /// 64-aligned stack buffer (`dbuf`); `block_body` consumes
+  /// [dbuf, dbuf + bn * tuple_size). The predicate kernels and projection
+  /// code run over dbuf unchanged — decode replaces only the "where tuples
+  /// live" part of the scan, keeping selection-order semantics untouched.
+  void EmitCompressedScan(int k, uint32_t tuple_size, bool prefetch,
+                          const std::function<void()>& page_head,
                           const std::function<void()>& block_body) {
     Emit("  uint8_t dbuf[HQ_SIMD_BLOCK * " + S(tuple_size) +
          "] __attribute__((aligned(64)));");
-    Emit("  // loop over pages (compressed: fused block decode)");
-    Emit("  for (uint64_t p = " + pb + "; p < " + pe + "; ++p) {");
+    Emit("  for (uint64_t p = pb; p < pe; ++p) {");
     Emit("    const uint8_t* page = T->pages[p];");
-    if (prefetch) EmitNextPagePrefetch("T->pages", "p", pe, "    ");
+    if (prefetch) EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
     Emit("    uint32_t nt = *(const uint32_t*)page;");
-    if (!pages_counter.empty()) Emit("    ++" + pages_counter + ";");
+    page_head();
     Emit("    op" + S(k) + "_decst ds; op" + S(k) +
          "_dec_init(&ds, page, T);");
     Emit("    for (uint32_t ti = 0; ti < nt; ) {");
@@ -419,21 +321,19 @@ class Generator {
   /// tuple boundaries, not the (denser) compressed page boundaries:
   /// results stay bit-identical to NSM execution at every task count.
   void EmitCompressedScanTupleRange(int k, uint32_t tuple_size,
-                                    const TableCodec& tc,
-                                    const std::string& pages_counter,
-                                    bool prefetch,
+                                    const TableCodec& tc, bool prefetch,
+                                    const std::function<void()>& page_head,
                                     const std::function<void()>& block_body) {
     const std::string CTPP = S(tc.tuples_per_cpage);
     Emit("  uint8_t dbuf[HQ_SIMD_BLOCK * " + S(tuple_size) +
          "] __attribute__((aligned(64)));");
     Emit("  uint64_t cpb = ts / " + CTPP + ";");
     Emit("  uint64_t cpe = (te + " + CTPP + " - 1) / " + CTPP + ";");
-    Emit("  // loop over pages (compressed: fused block decode)");
     Emit("  for (uint64_t p = cpb; ts < te && p < cpe; ++p) {");
     Emit("    const uint8_t* page = T->pages[p];");
     if (prefetch) EmitNextPagePrefetch("T->pages", "p", "cpe", "    ");
     Emit("    uint32_t nt = *(const uint32_t*)page;");
-    if (!pages_counter.empty()) Emit("    ++" + pages_counter + ";");
+    page_head();
     Emit("    uint64_t pbase = p * " + CTPP + ";");
     Emit("    uint32_t ls = ts > pbase ? (uint32_t)(ts - pbase) : 0;");
     Emit("    uint32_t le = te - pbase < nt ? (uint32_t)(te - pbase) : nt;");
@@ -456,127 +356,109 @@ class Generator {
     Emit("  }");
   }
 
-  /// EmitScanSelectLoop for a compressed base input: the same batching rule
-  /// and the same projection code, but the loop walks decoded 64-tuple
-  /// blocks instead of raw page bytes.
-  void EmitScanSelectLoopCompressed(int k, const StageOp& op,
-                                    const std::string& pages_counter) {
-    int t = Stream(op.input_stream).base_table_index;
-    const Schema& schema = plan_.query->tables[t]->schema();
-    std::string R = S(op.output.record_size);
-    std::string TS = S(schema.TupleSize());
-    auto emit_project = [&](const std::string& rec, const std::string& ind) {
-      const RecordLayout& out_layout = op.output;
-      for (size_t i = 0; i < out_layout.fields.size(); ++i) {
-        const auto& f = out_layout.fields[i];
-        uint32_t src_off = schema.OffsetAt(f.source.column);
-        uint32_t dst_off = out_layout.OffsetOf(static_cast<int>(i));
-        Emit(ind + "memcpy(dst + " + S(dst_off) + ", " + rec + " + " +
-             S(src_off) + ", " + S(f.type.ByteSize()) + ");");
+  /// Emits the body for one qualifying tuple at `tup`, indented by `ind`.
+  using SurvivorFn =
+      std::function<void(const std::string& tup, const std::string& ind)>;
+
+  /// The page loop of every base-table scan, over pages [pb, pe) of the
+  /// caller's `T` — or tuples [ts, te) with `tuple_range` (compressed map
+  /// aggregation, see EmitCompressedScanTupleRange). A batched scan (`pred`
+  /// names its BatchedScan kernel) walks the set bits of one selection
+  /// bitmap per 64-tuple block; any other scan is the paper's
+  /// tuple-at-a-time loop with `filters` inlined. A compressed input runs
+  /// either shape over fused-decoded blocks. `survivor` emits the body for
+  /// one qualifying tuple and `pages` names the page counter.
+  ///
+  /// `staging` emits the loop of op<k>_scan<FILL>, which also counts its
+  /// survivors in `n`. The count version (FILL = false) takes a page's `nt`
+  /// when nothing filters, pops each bitmap instead of walking it, and
+  /// touches neither the survivor body nor the page counter.
+  void EmitBaseScan(int k, const Schema& schema, const TableCodec& codec,
+                    const std::vector<sql::Filter>& filters,
+                    const std::string& pred, const std::string& pages,
+                    bool staging, bool tuple_range,
+                    const SurvivorFn& survivor) {
+    const std::string TS = S(schema.TupleSize());
+    const std::string if_fill = staging ? "if constexpr (FILL) " : "";
+    const bool batched = !pred.empty();
+    auto page_head = [&] {
+      if (staging && filters.empty()) {
+        Emit("    n += nt;");
+        Emit("    if constexpr (!FILL) continue;");
+        Emit("    ++" + pages + ";");
+        return;
       }
-      Emit(ind + "dst += " + R + ";");
+      Emit("    " + if_fill + "++" + pages + ";");
     };
-    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
-                                     &plan_.params);
-    if (batched) {
-      Emit("  // batched select over fused-decoded blocks");
-      EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", pages_counter,
-                         /*prefetch=*/true, [&] {
-        Emit("      uint64_t bm = op" + S(k) + "_pred(ctx, dbuf, bn);");
-        Emit("      while (bm) {");
-        Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
-        Emit("        bm &= bm - 1;");
-        Emit("        const uint8_t* rtup = dbuf + (uint64_t)bi * " + TS +
-             ";");
-        emit_project("rtup", "        ");
-        Emit("      }");
-      });
-      return;
-    }
-    Emit("  // loop over fused-decoded blocks");
-    EmitCompressedScan(k, schema.TupleSize(), "pb", "pe", pages_counter,
-                       /*prefetch=*/false, [&] {
-      Emit("      for (uint32_t bi = 0; bi < bn; ++bi) {");
-      Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS + ";");
-      for (const auto& f : op.filters) {
-        Emit("        if (!" +
-             FilterCondition("tup", schema, f, &plan_.params) +
+    // One tuple of the tuple-at-a-time loop: filters, then the survivor.
+    auto tuple = [&](const std::string& ind) {
+      for (const auto& f : filters) {
+        Emit(ind + "if (!" + FilterCondition("tup", schema, f, &plan_.params) +
              ") continue;");
       }
-      emit_project("tup", "        ");
+      if (staging && !filters.empty()) {
+        Emit(ind + "++n;");
+        Emit(ind + "if constexpr (!FILL) continue;");
+      }
+      survivor("tup", ind);
+    };
+    // One batched block at `blk`: its bitmap, then the set bits in order.
+    auto bitmap = [&](const std::string& blk) {
+      Emit("      uint64_t bm = " + pred + "(ctx, " + blk + ", bn);");
+      if (tuple_range) {
+        // Mask out lanes outside the task's tuple range. The carry
+        // fast-forward loop leaves lo < HQ_SIMD_BLOCK, so `<< lo` is
+        // well-defined.
+        Emit("      if (lo) bm &= ~0ull << lo;");
+        Emit("      if (hi < 64) bm &= (1ull << hi) - 1;");
+      }
+      if (staging) Emit("      n += __builtin_popcountll(bm);");
+      Emit("      " + if_fill + "while (bm) {");
+      Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
+      Emit("        bm &= bm - 1;");
+      Emit("        const uint8_t* rtup = " + blk + " + (uint64_t)bi * " + TS +
+           ";");
+      survivor("rtup", "        ");
       Emit("      }");
-    });
-  }
-
-  /// The Listing-1 scan-select-project loop over pages [pb, pe) of `T`,
-  /// writing staged records at the (pre-positioned) `dst` cursor. Shared
-  /// by the parallel fill task and the serial single-pass fast path. A
-  /// batched scan (BatchedScan) evaluates the predicate kernel per block
-  /// and projects survivors by iterating set bits; any other scan is the
-  /// paper's tuple-at-a-time loop. A compressed base input swaps in the
-  /// fused-decode block loop.
-  void EmitScanSelectLoop(int k, const StageOp& op,
-                          const std::string& pages_counter) {
-    if (op.input_codec.enabled) {
-      EmitScanSelectLoopCompressed(k, op, pages_counter);
+    };
+    if (codec.enabled) {
+      auto block = [&] {
+        if (batched) {
+          bitmap("dbuf");
+          return;
+        }
+        Emit(std::string("      for (uint32_t bi = ") +
+             (tuple_range ? "lo; bi < hi" : "0; bi < bn") + "; ++bi) {");
+        Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS + ";");
+        tuple("        ");
+        Emit("      }");
+      };
+      if (tuple_range) {
+        EmitCompressedScanTupleRange(k, schema.TupleSize(), codec, batched,
+                                     page_head, block);
+      } else {
+        EmitCompressedScan(k, schema.TupleSize(), batched, page_head, block);
+      }
       return;
     }
-    int t = Stream(op.input_stream).base_table_index;
-    const Schema& schema = plan_.query->tables[t]->schema();
-    std::string R = S(op.output.record_size);
-    std::string TS = S(schema.TupleSize());
-    // Project: copy each kept field from the schema offset to the staged
-    // offset.
-    auto emit_project = [&](const std::string& rec, const std::string& ind) {
-      const RecordLayout& out_layout = op.output;
-      for (size_t i = 0; i < out_layout.fields.size(); ++i) {
-        const auto& f = out_layout.fields[i];
-        uint32_t src_off = schema.OffsetAt(f.source.column);
-        uint32_t dst_off = out_layout.OffsetOf(static_cast<int>(i));
-        Emit(ind + "memcpy(dst + " + S(dst_off) + ", " + rec + " + " +
-             S(src_off) + ", " + S(f.type.ByteSize()) + ");");
-      }
-      Emit(ind + "dst += " + R + ";");
-    };
-    const bool batched = BatchedScan(schema, op.filters, op.filter_selectivity,
-                                     &plan_.params);
+    Emit("  for (uint64_t p = pb; p < pe; ++p) {");
+    Emit("    const uint8_t* page = T->pages[p];");
+    if (batched) EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
+    Emit("    uint32_t nt = *(const uint32_t*)page;");
+    page_head();
+    Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
     if (batched) {
-      Emit("  // loop over pages: bitmap per block, then project survivors");
-      Emit("  for (uint64_t p = pb; p < pe; ++p) {");
-      Emit("    const uint8_t* page = T->pages[p];");
-      EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
-      Emit("    uint32_t nt = *(const uint32_t*)page;");
-      Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-      Emit("    ++" + pages_counter + ";");
       Emit("    for (uint32_t ti = 0; ti < nt; ) {");
       Emit("      uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
            "HQ_SIMD_BLOCK;");
-      Emit("      uint64_t bm = op" + S(k) + "_pred(ctx, tup, bn);");
-      Emit("      while (bm) {");
-      Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
-      Emit("        bm &= bm - 1;");
-      Emit("        const uint8_t* rtup = tup + (uint64_t)bi * " + TS + ";");
-      emit_project("rtup", "        ");
-      Emit("      }");
+      bitmap("tup");
       Emit("      ti += bn; tup += (uint64_t)bn * " + TS + ";");
       Emit("    }");
-      Emit("  }");
-      return;
+    } else {
+      Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " + TS + ") {");
+      tuple("      ");
+      Emit("    }");
     }
-    Emit("  // loop over pages");
-    Emit("  for (uint64_t p = pb; p < pe; ++p) {");
-    Emit("    const uint8_t* page = T->pages[p];");
-    Emit("    uint32_t nt = *(const uint32_t*)page;");
-    Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-    Emit("    ++" + pages_counter + ";");
-    Emit("    // loop over tuples");
-    Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " + TS + ") {");
-    for (const auto& f : op.filters) {
-      Emit("      if (!" + FilterCondition("tup", schema, f, &plan_.params) +
-           ") continue;");
-    }
-    emit_project("tup", "      ");
-    Emit("    }");
     Emit("  }");
   }
 
@@ -595,79 +477,59 @@ class Generator {
       EmitFinePid(k, op, out_layout);
     }
 
-    bool base = in.is_base_table;
-    if (base && op.input_codec.enabled) {
-      // Needed columns: filter inputs plus projected fields. Everything
-      // else stays encoded on the page.
+    if (in.is_base_table) {
       const Schema& schema = plan_.query->tables[in.base_table_index]->schema();
-      std::vector<char> needed(schema.NumColumns(), 0);
-      for (const auto& f : op.filters) {
-        needed[f.column.column] = 1;
-        if (f.rhs_is_column) needed[f.rhs_column.column] = 1;
+      if (op.input_codec.enabled) {
+        // Needed columns: filter inputs plus projected fields. Everything
+        // else stays encoded on the page.
+        std::vector<char> needed(schema.NumColumns(), 0);
+        for (const auto& f : op.filters) {
+          needed[f.column.column] = 1;
+          if (f.rhs_is_column) needed[f.rhs_column.column] = 1;
+        }
+        for (const auto& f : op.output.fields) needed[f.source.column] = 1;
+        EmitDecodeHelpers(k, op.input_codec, schema, needed);
       }
-      for (const auto& f : op.output.fields) needed[f.source.column] = 1;
-      EmitDecodeHelpers(k, op.input_codec, schema, needed);
-    }
-    if (base) {
-      const Schema& schema = plan_.query->tables[in.base_table_index]->schema();
+      std::string pred;
       if (BatchedScan(schema, op.filters, op.filter_selectivity,
                       &plan_.params)) {
-        EmitPredicateKernel(&out_, "op" + S(k) + "_pred", schema, op.filters,
-                            &plan_.params);
+        pred = "op" + S(k) + "_pred";
+        EmitPredicateKernel(&out_, pred, schema, op.filters, &plan_.params);
       }
-    }
-    if (base) EmitBaseStageTasks(k, op, rec);
-    Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
-         (base ? " (base table scan-select, Listing 1)" : " (intermediate)"));
-    if (base) {
-      int t = in.base_table_index;
-      std::string A = "op" + S(k) + "_stage_args";
+      // The scan both staging passes instantiate (hq_stage_base).
+      Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
+           " (base table scan-select, Listing 1)");
+      Emit("template <bool FILL>");
+      Emit("static int64_t op" + S(k) +
+           "_scan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb, "
+           "uint64_t pe, uint8_t* dst, uint64_t* pages) {");
+      Emit("  int64_t n = 0;");
+      EmitBaseScan(k, schema, op.input_codec, op.filters, pred, "*pages",
+                   /*staging=*/true, /*tuple_range=*/false,
+                   [&](const std::string& tup, const std::string& ind) {
+        // Project: copy each kept field to its staged offset.
+        for (size_t i = 0; i < out_layout.fields.size(); ++i) {
+          const auto& f = out_layout.fields[i];
+          Emit(ind + "memcpy(dst + " +
+               S(out_layout.OffsetOf(static_cast<int>(i))) + ", " + tup +
+               " + " + S(schema.OffsetAt(f.source.column)) + ", " +
+               S(f.type.ByteSize()) + ");");
+        }
+        Emit(ind + "dst += " + S(rec) + ";");
+      });
+      Emit("  return n;");
+      Emit("}");
+      Emit("");
+      drivers_.insert("stage");
       Emit("static int " + fn + "(HqQueryCtx* ctx, HqStream* out) {");
-      Emit("  " + A + " A;");
-      Emit("  A.T = &ctx->inputs[" + S(t) + "];");
-      Emit("  if (ctx->num_workers <= 1) {");
-      Emit("  // serial fast path: the seed's single scan-select pass over");
-      Emit("  // a tuple_count-bound buffer — no count pass, filters run");
-      Emit("  // once. Staged bytes and counters match the parallel plan.");
-      Emit("  const HqTableRef* T = A.T;");
-      Emit("  uint8_t* buf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(T->tuple_count ? T->tuple_count : 1) * " + S(rec) +
-           ");");
-      Emit("  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  uint64_t pb = 0, pe = T->page_count;");
-      Emit("  uint8_t* dst = buf;");
-      EmitScanSelectLoop(k, op, "ctx->pages_touched");
-      Emit("  out->data = buf; out->n = (int64_t)((dst - buf) / " + S(rec) +
-           "); out->rec_size = " + S(rec) + ";");
-      Emit("  out->part_begin = 0; out->num_parts = 0;");
-      Emit("  } else {");
-      Emit("  A.nt = hq_task_count(A.T->page_count, HQ_PAR_PAGE_GRAIN, "
-           "HQ_PAR_MAX_TASKS);");
-      Emit("  A.counts = (int64_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * 8);");
-      Emit("  A.offs = (int64_t*)ctx->alloc(ctx->arena, "
-           "((uint64_t)A.nt + 1) * 8);");
-      Emit("  if (!A.counts || !A.offs) { ctx->error = HQ_ERR_OOM; "
-           "return -1; }");
-      Emit("  A.buf = 0;");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_stage_count, &A) != HQ_OK) return -1;");
-      Emit("  A.offs[0] = 0;");
-      Emit("  for (uint32_t t2 = 0; t2 < A.nt; ++t2) "
-           "A.offs[t2 + 1] = A.offs[t2] + A.counts[t2];");
-      Emit("  int64_t n = A.offs[A.nt];");
-      Emit("  A.buf = (uint8_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)(n ? n : 1) * " + S(rec) + ");");
-      Emit("  if (!A.buf) { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  if (hq_parallel_for(ctx, A.nt, op" + S(k) +
-           "_stage_fill, &A) != HQ_OK) return -1;");
-      Emit("  out->data = A.buf; out->n = n; out->rec_size = " + S(rec) +
-           ";");
-      Emit("  out->part_begin = 0; out->num_parts = 0;");
-      Emit("  }");
+      Emit("  if (hq_stage_base<" + S(rec) + ", op" + S(k) + "_scan<false>, op" +
+           S(k) + "_scan<true>>(ctx, &ctx->inputs[" +
+           S(in.base_table_index) + "], out) != 0) return -1;");
     } else {
       // Intermediate streams carry identical layouts: alias, then act.
       HQ_CHECK(SameLayout(in.layout, out_layout));
+      Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
+           " (intermediate)");
       Emit("static int " + fn +
            "(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
       Emit("  *out = *in;");
@@ -1807,9 +1669,8 @@ class Generator {
     Emit("} " + At + ";");
     Emit("");
 
-    // The single scan: filters inline when reading a base table directly.
-    auto emit_body = [&](const std::string& rec, const Schema* base_schema) {
-      std::string ind = base_schema ? "      " : "    ";
+    // One input record `rec`: look up its cell, fold in the aggregates.
+    auto emit_body = [&](const std::string& rec, const std::string& ind) {
       // Key extraction per grouping attribute.
       for (size_t g = 0; g < nkeys; ++g) {
         int f = op.group_fields[g];
@@ -1883,39 +1744,39 @@ class Generator {
       Emit(ind + "++cellcnt[cell];");
     };
 
-    // A batched base-table scan (BatchedScan) walks the selection bitmaps
-    // of a predicate kernel; any other scan inlines its filters into the
-    // tuple-at-a-time loop.
+    // Base-table input: the query's filters on it run inside the scan,
+    // batched over a predicate kernel when BatchedScan says so.
     std::vector<sql::Filter> base_filters;
-    bool batched = false;
+    std::string pred;
     if (in.is_base_table) {
       int bt = in.base_table_index;
+      const Schema& schema = plan_.query->tables[bt]->schema();
       for (const auto& f : plan_.query->filters) {
         if (f.column.table == bt) base_filters.push_back(f);
       }
-      batched = BatchedScan(plan_.query->tables[bt]->schema(), base_filters,
-                            op.filter_selectivity, &plan_.params);
-    }
-    if (in.is_base_table && op.input_codec.enabled) {
-      // Needed columns: inline filters, grouping keys, aggregate arguments.
-      const Schema& schema = plan_.query->tables[in.base_table_index]->schema();
-      std::vector<char> needed(schema.NumColumns(), 0);
-      for (const auto& f : base_filters) {
-        needed[f.column.column] = 1;
-        if (f.rhs_is_column) needed[f.rhs_column.column] = 1;
+      if (op.input_codec.enabled) {
+        // Needed columns: inline filters, grouping keys, aggregate
+        // arguments.
+        std::vector<char> needed(schema.NumColumns(), 0);
+        for (const auto& f : base_filters) {
+          needed[f.column.column] = 1;
+          if (f.rhs_is_column) needed[f.rhs_column.column] = 1;
+        }
+        std::vector<sql::ColRef> refs;
+        for (int g : op.group_fields) {
+          refs.push_back(in_layout.fields[g].source);
+        }
+        for (const sql::AggSpec& spec : aggs) {
+          if (spec.arg) spec.arg->CollectColumns(&refs);
+        }
+        for (sql::ColRef r : refs) needed[r.column] = 1;
+        EmitDecodeHelpers(k, op.input_codec, schema, needed);
       }
-      std::vector<sql::ColRef> refs;
-      for (int g : op.group_fields) refs.push_back(in_layout.fields[g].source);
-      for (const sql::AggSpec& spec : aggs) {
-        if (spec.arg) spec.arg->CollectColumns(&refs);
+      if (BatchedScan(schema, base_filters, op.filter_selectivity,
+                      &plan_.params)) {
+        pred = "op" + S(k) + "_mpred";
+        EmitPredicateKernel(&out_, pred, schema, base_filters, &plan_.params);
       }
-      for (sql::ColRef r : refs) needed[r.column] = 1;
-      EmitDecodeHelpers(k, op.input_codec, schema, needed);
-    }
-    if (batched) {
-      EmitPredicateKernel(&out_, "op" + S(k) + "_mpred",
-                          plan_.query->tables[in.base_table_index]->schema(),
-                          base_filters, &plan_.params);
     }
 
     // The scan task: each worker aggregates its page/record range into its
@@ -1946,118 +1807,40 @@ class Generator {
            S(caps[g]) + ";");
       Emit("  int32_t* dn" + S(g) + " = &A->dn" + S(g) + "[t];");
     }
-    if (in.is_base_table && op.input_codec.enabled) {
+    if (in.is_base_table) {
       int t = in.base_table_index;
       const Schema& schema = plan_.query->tables[t]->schema();
-      const std::string TS = S(schema.TupleSize());
-      // Map aggregation over a compressed base table: single pass of
-      // fused-decoded blocks, selection still inlined. Tasks partition
-      // *virtual NSM pages* (the page count the table would have
-      // uncompressed) rather than the denser compressed pages, so every
-      // task accumulates exactly the tuple range its uncompressed twin
-      // would — floating-point aggregates fold in the same order and the
-      // results are bit-identical to the uncompressed plan.
-      const std::string VTPP = S(Page::TuplesPerPage(schema.TupleSize()));
+      // Map aggregation reads the base table in place, selection inlined —
+      // no staging (paper §V-B).
       Emit("  const HqTableRef* T = &ctx->inputs[" + S(t) + "];");
-      Emit("  uint64_t vpages = (T->tuple_count + " + VTPP + " - 1) / " +
-           VTPP + ";");
-      Emit("  uint64_t pgb, pge;");
-      Emit("  hq_task_range(vpages, A->nt, t, &pgb, &pge);");
-      Emit("  uint64_t ts = pgb * " + VTPP + ";");
-      Emit("  uint64_t te = pge * " + VTPP + ";");
-      Emit("  if (te > T->tuple_count) te = T->tuple_count;");
-      if (batched) {
-        Emit("  // batched select: aggregate the set bits of each bitmap");
-        EmitCompressedScanTupleRange(k, schema.TupleSize(), op.input_codec,
-                                     "wk->pages_touched", /*prefetch=*/true,
-                                     [&] {
-          Emit("      uint64_t bm = op" + S(k) + "_mpred(ctx, dbuf, bn);");
-          // Mask out lanes outside the task's tuple range. The carry
-          // fast-forward loop leaves lo < HQ_SIMD_BLOCK, so `<< lo` is
-          // well-defined.
-          Emit("      if (lo) bm &= ~0ull << lo;");
-          Emit("      if (hi < 64) bm &= (1ull << hi) - 1;");
-          Emit("      while (bm) {");
-          Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
-          Emit("        bm &= bm - 1;");
-          Emit("        const uint8_t* btup = dbuf + (uint64_t)bi * " + TS +
-               ";");
-          emit_body("btup", &schema);
-          Emit("      }");
-        });
+      Emit("  uint64_t pb, pe;");
+      if (op.input_codec.enabled) {
+        // Compressed: tasks partition *virtual NSM pages* (the page count
+        // the table would have uncompressed) rather than the denser
+        // compressed pages, so every task accumulates exactly the tuple
+        // range its uncompressed twin would — floating-point aggregates
+        // fold in the same order and the results are bit-identical to the
+        // uncompressed plan.
+        const std::string VTPP = S(Page::TuplesPerPage(schema.TupleSize()));
+        Emit("  uint64_t vpages = (T->tuple_count + " + VTPP + " - 1) / " +
+             VTPP + ";");
+        Emit("  hq_task_range(vpages, A->nt, t, &pb, &pe);");
+        Emit("  uint64_t ts = pb * " + VTPP + ";");
+        Emit("  uint64_t te = pe * " + VTPP + ";");
+        Emit("  if (te > T->tuple_count) te = T->tuple_count;");
       } else {
-        EmitCompressedScanTupleRange(k, schema.TupleSize(), op.input_codec,
-                                     "wk->pages_touched", /*prefetch=*/false,
-                                     [&] {
-          Emit("      for (uint32_t bi = lo; bi < hi; ++bi) {");
-          Emit("        const uint8_t* tup = dbuf + (uint64_t)bi * " + TS +
-               ";");
-          for (const auto& f : base_filters) {
-            Emit("        if (!" +
-                 FilterCondition("tup", schema, f, &plan_.params) +
-                 ") continue;");
-          }
-          emit_body("tup", &schema);
-          Emit("      }");
-        });
+        Emit("  hq_task_range(T->page_count, A->nt, t, &pb, &pe);");
       }
-    } else if (in.is_base_table) {
-      int t = in.base_table_index;
-      const Schema& schema = plan_.query->tables[t]->schema();
-      // Map aggregation runs in a single pass over the raw input with the
-      // selection inlined — no staging (paper §V-B).
-      Emit("  const HqTableRef* T = &ctx->inputs[" + S(t) + "];");
-      Emit("  uint64_t pgb, pge;");
-      Emit("  hq_task_range(T->page_count, A->nt, t, &pgb, &pge);");
-      if (batched) {
-        Emit("  // batched select: aggregate the set bits of each bitmap");
-        Emit("  for (uint64_t p = pgb; p < pge; ++p) {");
-        Emit("    const uint8_t* page = T->pages[p];");
-        EmitNextPagePrefetch("T->pages", "p", "pge", "    ");
-        Emit("    uint32_t nt = *(const uint32_t*)page;");
-        Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-        Emit("    ++wk->pages_touched;");
-        Emit("    for (uint32_t ti = 0; ti < nt; ) {");
-        Emit("      uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
-             "HQ_SIMD_BLOCK;");
-        Emit("      uint64_t bm = op" + S(k) + "_mpred(ctx, tup, bn);");
-        Emit("      while (bm) {");
-        Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
-        Emit("        bm &= bm - 1;");
-        Emit("        const uint8_t* btup = tup + (uint64_t)bi * " +
-             S(schema.TupleSize()) + ";");
-        emit_body("btup", &schema);
-        Emit("      }");
-        Emit("      ti += bn; tup += (uint64_t)bn * " + S(schema.TupleSize()) +
-             ";");
-        Emit("    }");
-        Emit("  }");
-      } else {
-        Emit("  for (uint64_t p = pgb; p < pge; ++p) {");
-        Emit("    const uint8_t* page = T->pages[p];");
-        Emit("    uint32_t nt = *(const uint32_t*)page;");
-        Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-        Emit("    ++wk->pages_touched;");
-        Emit("    for (uint32_t ti = 0; ti < nt; ++ti, tup += " +
-             S(schema.TupleSize()) + ") {");
-        // Filters come from the query (this AggOp consumed the base
-        // directly).
-        for (const auto& f : base_filters) {
-          Emit("      if (!" +
-               FilterCondition("tup", schema, f, &plan_.params) +
-               ") continue;");
-        }
-        emit_body("tup", &schema);
-        Emit("    }");
-        Emit("  }");
-      }
+      EmitBaseScan(k, schema, op.input_codec, base_filters, pred,
+                   "wk->pages_touched", /*staging=*/false,
+                   /*tuple_range=*/op.input_codec.enabled, emit_body);
     } else {
       Emit("  uint64_t rb, re;");
       Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
       Emit("  for (uint64_t i = rb; i < re; ++i) {");
       Emit("    const uint8_t* rec = A->d + i * " +
            S(in_layout.record_size) + ";");
-      emit_body("rec", nullptr);
+      emit_body("rec", "    ");
       Emit("  }");
     }
     Emit("  return 0;");

@@ -178,7 +178,7 @@ typedef struct HqQueryCtx {
   int32_t (*parallel_for)(void* scheduler, struct HqQueryCtx* ctx,
                           uint32_t num_tasks, HqTaskFn fn, void* arg);
   void* scheduler;
-  uint32_t num_workers;   // executor slots (1 = serial fast paths apply)
+  uint32_t num_workers;   // executor slots (1: staging runs one pass)
 
   // Cooperative cancellation. The host may point this at a flag it sets
   // nonzero to abort the query (client closed a streaming cursor, async
@@ -631,6 +631,63 @@ static int64_t hq_emit_rows(HqQueryCtx* ctx, const HqStream* in,
   return (int64_t)ctx->tuples_emitted;
 }
 
+// [driver group stage]
+// Base-table staging (paper Listing 1). A scan loops over pages [pb, pe)
+// of T and returns the survivors; the fill scan also stages them at dst.
+typedef int64_t (*HqScanFn)(HqQueryCtx* ctx, const HqTableRef* T,
+                            uint64_t pb, uint64_t pe, uint8_t* dst,
+                            uint64_t* pages);
+
+typedef struct HqStageArgs {
+  const HqTableRef* T; uint8_t* buf; uint32_t nt;
+  int64_t* offs;  // nt + 1: task t counts into [t + 1], then starts at [t]
+} HqStageArgs;
+
+template <uint32_t REC, HqScanFn SCAN, bool FILL>
+static int32_t hq_stage_task(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t,
+                             void* argp) {
+  HqStageArgs* A = (HqStageArgs*)argp;
+  uint64_t pb, pe;
+  hq_task_range(A->T->page_count, A->nt, t, &pb, &pe);
+  if (FILL) {
+    SCAN(ctx, A->T, pb, pe, A->buf + A->offs[t] * REC, &wk->pages_touched);
+  } else {
+    A->offs[t + 1] = SCAN(ctx, A->T, pb, pe, 0, 0);
+  }
+  return 0;
+}
+
+// Stages T in scan order. One executor: one fill pass. More: count tasks
+// over fixed page chunks, a prefix sum, then fill tasks at the offsets.
+template <uint32_t REC, HqScanFn COUNT, HqScanFn FILL>
+static int hq_stage_base(HqQueryCtx* ctx, const HqTableRef* T,
+                         HqStream* out) {
+  out->rec_size = REC; out->part_begin = 0; out->num_parts = 0;
+  if (ctx->num_workers <= 1) {
+    out->data = (uint8_t*)ctx->alloc(
+        ctx->arena, (T->tuple_count ? T->tuple_count : 1) * REC);
+    if (!out->data) { ctx->error = HQ_ERR_OOM; return -1; }
+    out->n = FILL(ctx, T, 0, T->page_count, out->data, &ctx->pages_touched);
+    return 0;
+  }
+  HqStageArgs A = {T, 0, 0, 0};
+  A.nt = hq_task_count(T->page_count, HQ_PAR_PAGE_GRAIN, HQ_PAR_MAX_TASKS);
+  A.offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)A.nt + 1) * 8);
+  if (!A.offs) { ctx->error = HQ_ERR_OOM; return -1; }
+  A.offs[0] = 0;
+  HqTaskFn count = hq_stage_task<REC, COUNT, false>;
+  if (hq_parallel_for(ctx, A.nt, count, &A) != HQ_OK) return -1;
+  for (uint32_t t = 0; t < A.nt; ++t) A.offs[t + 1] += A.offs[t];
+  int64_t n = A.offs[A.nt];
+  A.buf = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(n ? n : 1) * REC);
+  if (!A.buf) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqTaskFn fill = hq_stage_task<REC, FILL, true>;
+  if (hq_parallel_for(ctx, A.nt, fill, &A) != HQ_OK) return -1;
+  out->data = A.buf; out->n = n;
+  return 0;
+}
+
+// [end driver group stage]
 // [driver group sort]
 // Sort cascade (paper §V-B "Input staging"): quicksort independent
 // L2-sized runs, then merge adjacent run pairs level by level. Every run

@@ -564,6 +564,17 @@ Status SessionImpl::Adopt(
 
 // ---- Stage 3: run ----------------------------------------------------------
 
+/// Locks the writer mutexes of `tables` in address order, the one order
+/// every reader uses, so two readers cannot deadlock.
+static std::vector<std::unique_lock<std::mutex>> LockWriters(
+    std::vector<Table*> tables) {
+  std::sort(tables.begin(), tables.end());
+  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (Table* t : tables) locks.emplace_back(t->writer_mutex());
+  return locks;
+}
+
 Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
                         const exec::PageAllocFn& alloc_page,
                         std::atomic<int32_t>* cancel) {
@@ -582,11 +593,26 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
   par.collect_op_stats = run->force_op_stats || engine->trace_spans();
   par.collect_op_cycles = run->force_op_stats;
 
+  // The last stale restart re-prepares and pins while holding the writer
+  // mutex of every table the statement reads. DML and compaction move a
+  // layout only under that mutex, so the pin matches the new plan: a
+  // compaction storm delays a reader but cannot starve it. The mutexes go
+  // at the first result page (the snapshot is pinned by then), so a slow
+  // consumer never holds up writers.
+  std::vector<std::unique_lock<std::mutex>> writers;
   uint64_t delivered = 0;
   const exec::ResultPageFn deliver = [&](Page* page) {
+    writers.clear();
     ++delivered;
     return on_page(page);
   };
+  exec::PageAllocFn alloc = alloc_page;
+  if (alloc_page) {
+    alloc = [&]() {
+      writers.clear();
+      return alloc_page();
+    };
+  }
   bool hybrid = false;
   uint32_t stale_replans = 0;
   std::string failed_signature;
@@ -595,13 +621,14 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
     exec::ExecStats stats;
     auto rows = exec::ExecuteEntryStreaming(
         run->state->plan->query->tables, run->state->plan->output_schema,
-        run->library->entry(), &run->bound.abi, &stats, par, deliver,
-        alloc_page, &run->state->table_layouts);
+        run->library->entry(), &run->bound.abi, &stats, par, deliver, alloc,
+        &run->state->table_layouts);
+    writers.clear();
     // The restart policy. Stale statistics overflowed map aggregation's
     // directories: re-plan once with hybrid aggregation. A compaction or
     // compression rewrite moved a table's pages between preparation and
-    // pinning: re-prepare against the new layout, at most three times so a
-    // compaction storm cannot starve the query. Either only while the
+    // pinning: re-prepare against the new layout, at most three times, the
+    // last under the writer mutexes (see `writers`). Either only while the
     // consumer has seen nothing.
     const bool overflow =
         !rows.ok() && !hybrid && exec::IsMapOverflow(rows.status());
@@ -612,8 +639,8 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
         hybrid = true;
         failed_signature = run->state->signature;
         failed_params = run->state->plan->params;
-      } else {
-        ++stale_replans;
+      } else if (++stale_replans == 3) {
+        writers = LockWriters(run->state->plan->query->tables);
       }
       Status replanned = Replan(run, overflow);
       if (replanned.ok()) continue;

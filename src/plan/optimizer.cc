@@ -669,6 +669,11 @@ class Planner {
             "map aggregation forced but directories do not fit / stats "
             "missing");
       }
+      if (algo == AggAlgo::kHybridHashSort && q_->group_by.empty()) {
+        return Status::PlanError(
+            "hybrid aggregation forced without GROUP BY: no key to "
+            "partition on");
+      }
     } else if (sorted_on_keys) {
       algo = AggAlgo::kSort;
     } else if (map_ok) {

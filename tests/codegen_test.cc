@@ -59,8 +59,10 @@ TEST_F(CodegenTest, ScanSelectMatchesListing1Shape) {
   // loop, tuple loop, inlined predicate, no function calls in the inner
   // loop.
   std::string src = GenerateFor("select r_k from r where r_v < 900");
-  EXPECT_NE(src.find("loop over pages"), std::string::npos);
-  EXPECT_NE(src.find("loop over tuples"), std::string::npos);
+  EXPECT_NE(src.find("for (uint64_t p = pb; p < pe; ++p) {"),
+            std::string::npos);
+  EXPECT_NE(src.find("for (uint32_t ti = 0; ti < nt; ++ti, tup += "),
+            std::string::npos);
   EXPECT_NE(src.find("(*(const int32_t*)(tup + 4)) < 900"),
             std::string::npos)
       << src;
@@ -152,7 +154,7 @@ TEST_F(CodegenTest, OperatorsRunThroughParallelForService) {
   // the runtime parallel-for service (partitioning inside its driver); the
   // thread count is a pure runtime knob, never baked into the source.
   EXPECT_NE(src.find("hq_parallel_for(ctx"), std::string::npos);
-  EXPECT_NE(src.find("_stage_count"), std::string::npos);
+  EXPECT_NE(src.find("hq_stage_base<"), std::string::npos);
   EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos);
   EXPECT_NE(src.find("_join_part"), std::string::npos);
   EXPECT_EQ(src.find("HQ_THREADS"), std::string::npos);
@@ -233,23 +235,24 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
     std::vector<std::string> groups;
   };
   for (const Case& c : std::vector<Case>{
-           {"select r_k, r_v from r where r_v < 500", {}, {}},
+           {"select r_k, r_v from r where r_v < 500", {}, {"stage"}},
+           {"select r_k, count(*) from r group by r_k", {}, {}},
            {"select r_k, r_v from r order by r_v",
             {},
-            {"record_sort", "sort"}},
+            {"stage", "record_sort", "sort"}},
            {"select r_k, s_v from r, s where r_k = s_k",
             merge_join,
-            {"record_sort", "sort"}},
+            {"stage", "record_sort", "sort"}},
            {"select r_k, s_v from r, s where r_k = s_k",
             hash_join,
-            {"record_sort", "partition"}},
+            {"stage", "record_sort", "partition"}},
            {"select r_k, s_v from r, s where r_k = s_k",
             fine_join,
-            {"partition"}},
+            {"stage", "partition"}},
        }) {
     SCOPED_TRACE(c.sql);
     std::string src = GenerateFor(c.sql, c.opts);
-    for (const char* group : {"record_sort", "sort", "partition"}) {
+    for (const char* group : {"stage", "record_sort", "sort", "partition"}) {
       bool want = std::find(c.groups.begin(), c.groups.end(), group) !=
                   c.groups.end();
       EXPECT_EQ(
@@ -327,6 +330,50 @@ TEST_F(CodegenTest, EachScanHasOneLoopShape) {
       EXPECT_EQ(src.find("for (uint64_t i = rb; i < re; ++i)"),
                 std::string::npos)
           << src;
+    }
+  }
+}
+
+TEST_F(CodegenTest, OnePageLoopPerBaseTableScan) {
+  // Every base-table scan is one generated page loop, compressed or not:
+  // staging's count and fill passes are the two instantiations of one
+  // op<k>_scan<FILL>, and hq_stage_base chooses between serial and
+  // parallel staging at run time, so the body names neither choice.
+  struct Case {
+    const char* sql;
+    size_t scans;     // base-table scans, each one page loop
+    size_t stagings;  // of which staging ops
+  };
+  const std::vector<Case> cases = {
+      // batched, unbatched and unfiltered staging
+      {"select r_k, r_v from r where r_v < 100 and r_pad = 'p1'", 1, 1},
+      {"select r_k, r_v from r where r_pad = 'p1' and r_v < 100", 1, 1},
+      {"select r_k, r_v from r order by r_v", 1, 1},
+      {"select r_k, s_v from r, s where r_k = s_k", 2, 2},
+      // batched and unbatched map aggregation
+      {"select r_k, count(*) from r where r_v < 100 group by r_k", 1, 0},
+      {"select r_k, count(*) from r where r_pad = 'p1' and r_v < 100 "
+       "group by r_k",
+       1, 0},
+  };
+  for (bool compressed : {false, true}) {
+    if (compressed) {
+      for (const char* t : {"r", "s"}) {
+        ASSERT_TRUE(catalog_.GetTable(t).value()->Compress().ok());
+      }
+    }
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.sql) +
+                   (compressed ? " (compressed)" : " (NSM)"));
+      std::string src = BodyFor(c.sql);
+      EXPECT_EQ(CountOf(src, "const uint8_t* page = T->pages[p];"), c.scans)
+          << src;
+      EXPECT_EQ(CountOf(src, "template <bool FILL>"), c.stagings);
+      EXPECT_EQ(CountOf(src, "hq_stage_base<"), c.stagings);
+      EXPECT_EQ(CountOf(src, "_dec_init(&ds"), compressed ? c.scans : 0);
+      for (const char* gone : {"_stage_count", "_stage_fill", "num_workers"}) {
+        EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+      }
     }
   }
 }

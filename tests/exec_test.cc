@@ -230,7 +230,7 @@ TEST(EngineTest, KeepSourceExposesGeneratedCode) {
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.value().generated_source.find("hique_query_main"),
             std::string::npos);
-  EXPECT_NE(r.value().generated_source.find("loop over pages"),
+  EXPECT_NE(r.value().generated_source.find("hq_stage_base<"),
             std::string::npos);
 }
 

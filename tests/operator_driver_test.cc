@@ -1,11 +1,12 @@
 // The operator drivers of codegen/runtime_abi.h, instantiated in process
-// with hand-written kernels — no runtime compiler involved. The sort is
-// checked against std::sort, the partition driver against a serial
-// reference scatter, the concatenation for task order, and the ORDER BY
-// pipeline against a sorted copy. Each runs both on the header's serial
-// fallback and on a multi-threaded parallel_for over exec::WorkerPool, and
-// the two must agree byte for byte (under TSan this race-checks the
-// disjoint per-task cursors of the scatter and the merges).
+// with hand-written kernels — no runtime compiler involved. Base-table
+// staging is checked against a serial reference scan, the sort against
+// std::sort, the partition driver against a serial reference scatter, the
+// concatenation for task order, and the ORDER BY pipeline against a sorted
+// copy. Each runs both on the header's serial fallback and on a
+// multi-threaded parallel_for over exec::WorkerPool, and the two must agree
+// byte for byte (under TSan this race-checks the disjoint per-task cursors
+// of the staging fill, the scatter and the merges).
 
 #include <gtest/gtest.h>
 
@@ -166,6 +167,7 @@ class Harness {
         });
     h->tasks_run_ += num_tasks;
     for (const HqWorkerCtx& w : h->workers_) {
+      ctx->pages_touched += w.pages_touched;
       if (w.error != HQ_OK && ctx->error == HQ_OK) ctx->error = w.error;
     }
     if (!ok && ctx->error == HQ_OK) ctx->error = HQ_ERR_CANCELLED;
@@ -182,6 +184,119 @@ class Harness {
   uint64_t emitted_rows_ = 0;
   uint32_t tasks_run_ = 0;
 };
+
+/// Synthetic base-table pages of Recs: page p holds (p * 37) % 256 tuples,
+/// so some pages are empty and every task's count differs.
+struct TablePages {
+  std::vector<std::vector<uint8_t>> pages;
+  std::vector<uint8_t*> ptrs;
+  std::vector<Rec> tuples;  // in scan order
+  HqTableRef ref;
+
+  explicit TablePages(uint64_t page_count) {
+    const uint32_t tpp = HQ_PAGE_DATA / kRec;
+    uint32_t id = 0;
+    for (uint64_t p = 0; p < page_count; ++p) {
+      uint32_t nt = static_cast<uint32_t>((p * 37) % (tpp + 1));
+      std::vector<uint8_t> page(HQ_PAGE_SIZE, 0);
+      std::memcpy(page.data(), &nt, 4);
+      for (uint32_t i = 0; i < nt; ++i, ++id) {
+        Rec r = {static_cast<int32_t>(id * 7 % 1000), id, id * 3ull};
+        std::memcpy(page.data() + HQ_PAGE_HEADER + i * kRec, &r, kRec);
+        tuples.push_back(r);
+      }
+      pages.push_back(std::move(page));
+    }
+    for (auto& page : pages) ptrs.push_back(page.data());
+    std::memset(&ref, 0, sizeof(ref));
+    ref.pages = ptrs.data();
+    ref.page_count = page_count;
+    ref.tuple_size = kRec;
+    ref.tuples_per_page = tpp;
+    ref.tuple_count = tuples.size();
+  }
+};
+
+enum class Keep { kAll, kNone, kOddKeys };
+
+bool Kept(Keep keep, const Rec& r) {
+  return keep == Keep::kAll || (keep == Keep::kOddKeys && r.key % 2 != 0);
+}
+
+/// The shape of a generated op<k>_scan<FILL>: the count version returns
+/// the survivors of pages [pb, pe) and touches nothing else.
+template <Keep KEEP, bool FILL>
+int64_t ScanPages(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
+                  uint64_t pe, uint8_t* dst, uint64_t* pages) {
+  (void)ctx;
+  int64_t n = 0;
+  for (uint64_t p = pb; p < pe; ++p) {
+    uint32_t nt;
+    std::memcpy(&nt, T->pages[p], 4);
+    if (FILL) ++*pages;
+    for (uint32_t i = 0; i < nt; ++i) {
+      const uint8_t* tup = T->pages[p] + HQ_PAGE_HEADER + i * kRec;
+      if (!Kept(KEEP, At(tup))) continue;
+      ++n;
+      if (FILL) {
+        std::memcpy(dst, tup, kRec);
+        dst += kRec;
+      }
+    }
+  }
+  return n;
+}
+
+TEST(OperatorDriverTest, StageBaseMatchesSerialScanOnEveryPath) {
+  using Driver = int (*)(HqQueryCtx*, const HqTableRef*, HqStream*);
+  struct Case {
+    Keep keep;
+    Driver driver;
+  };
+  const Case cases[] = {
+      {Keep::kAll, hq_stage_base<kRec, ScanPages<Keep::kAll, false>,
+                                 ScanPages<Keep::kAll, true>>},
+      {Keep::kNone, hq_stage_base<kRec, ScanPages<Keep::kNone, false>,
+                                  ScanPages<Keep::kNone, true>>},
+      {Keep::kOddKeys, hq_stage_base<kRec, ScanPages<Keep::kOddKeys, false>,
+                                     ScanPages<Keep::kOddKeys, true>>},
+  };
+  // Around one and several HQ_PAR_PAGE_GRAIN chunks, mostly not multiples.
+  for (uint64_t page_count : {0, 1, 63, 64, 65, 200}) {
+    TablePages table(page_count);
+    for (const Case& c : cases) {
+      SCOPED_TRACE("pages=" + std::to_string(page_count) +
+                   " keep=" + std::to_string(static_cast<int>(c.keep)));
+      std::vector<Rec> want;
+      for (const Rec& r : table.tuples) {
+        if (Kept(c.keep, r)) want.push_back(r);
+      }
+      // Serial single pass; count -> prefix -> fill on the header's serial
+      // parallel_for; the same on a 4-executor WorkerPool.
+      for (const char* path : {"serial", "fallback", "pool"}) {
+        SCOPED_TRACE(path);
+        Harness h(std::string(path) == "pool" ? 4 : 1);
+        if (std::string(path) == "fallback") h.ctx()->num_workers = 4;
+        HqStream out;
+        std::memset(&out, 0xAB, sizeof(out));
+        ASSERT_EQ(c.driver(h.ctx(), &table.ref, &out), 0);
+        EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
+        EXPECT_EQ(out.rec_size, kRec);
+        EXPECT_EQ(out.part_begin, nullptr);
+        EXPECT_EQ(out.num_parts, 0u);
+        EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
+                  Bytes(want));
+        // Only the fill pass counts pages, once each.
+        EXPECT_EQ(h.ctx()->pages_touched, page_count);
+        if (std::string(path) == "pool") {
+          EXPECT_EQ(h.tasks_run(), 2 * hq_task_count(page_count,
+                                                     HQ_PAR_PAGE_GRAIN,
+                                                     HQ_PAR_MAX_TASKS));
+        }
+      }
+    }
+  }
+}
 
 TEST(OperatorDriverTest, RecordSortMatchesStdSort) {
   for (int64_t n : {0, 1, 2, 23, 24, 25, 10000}) {

@@ -223,6 +223,18 @@ TEST_F(OptimizerTest, ForcedMapWithoutStatsFails) {
   EXPECT_FALSE(plan.ok());
 }
 
+TEST_F(OptimizerTest, ForcedHybridWithoutGroupByFails) {
+  PlannerOptions opts;
+  opts.force_agg_algo = AggAlgo::kHybridHashSort;
+  auto plan = Plan("select sum(big_v) from big", opts);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kPlanError)
+      << plan.status().ToString();
+  // With a key to partition on, the same forcing plans.
+  EXPECT_TRUE(
+      Plan("select big_k, sum(big_v) from big group by big_k", opts).ok());
+}
+
 TEST_F(OptimizerTest, RejectsCartesianProduct) {
   EXPECT_FALSE(Plan("select big_k from big, mid").ok());
 }
