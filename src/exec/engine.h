@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -311,9 +312,17 @@ class ResultSet {
 
   /// Non-blocking page pull for event-loop servers: never waits on the
   /// producer. On kPage the caller owns the page — hand it back through
-  /// RecyclePage, or std::free it. kPending means the socket side should
-  /// poll again shortly.
+  /// RecyclePage, or std::free it. After kPending the ready callback runs
+  /// once the next page or the end of stream arrives; call again then.
   PagePoll TryTakePage(Page** page);
+
+  /// Sets the wake-up an event-loop consumer sleeps on. It runs at most
+  /// once per kPending answer, on the producer thread, when that answer
+  /// goes stale (a page was queued or the stream ended); it must be cheap
+  /// and must not call back into this cursor. It never runs after Close()
+  /// or the destructor returns, because both join the producer first.
+  /// Set it before the first TryTakePage.
+  void SetReadyCallback(std::function<void()> ready);
 
   /// Returns a drained page to the stream's free-list so the producer
   /// reuses it instead of malloc'ing a fresh one (bounded; overflow frees).

@@ -458,15 +458,15 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     refs[t].tuple_size = tables[t]->tuple_size();
     // Compressed tables pack more tuples per page; the generated code's
     // decode constants were baked from the same codec at plan time.
-    refs[t].tuples_per_page = tables[t]->effective_tuples_per_page();
+    refs[t].tuples_per_page = pinned[t].tuples_per_page();
     // The snapshot's count, not the table's current one: with a delta store
     // attached the two can differ, and generated pre-sizing (hash directory
     // widths, sort buffers) must match what the pinned pages contain.
     refs[t].tuple_count = pinned[t].tuple_count();
-    refs[t].compressed = tables[t]->codec().enabled ? 1 : 0;
+    refs[t].compressed = pinned[t].codec().enabled ? 1 : 0;
     if (refs[t].compressed != 0) {
-      dict_ptrs[t].reserve(tables[t]->dicts().size());
-      for (const auto& d : tables[t]->dicts()) {
+      dict_ptrs[t].reserve(pinned[t].dicts().size());
+      for (const auto& d : pinned[t].dicts()) {
         dict_ptrs[t].push_back(d.empty() ? nullptr : d.data());
       }
       refs[t].col_dicts = dict_ptrs[t].data();

@@ -60,6 +60,12 @@ void StreamCore::Recycle(Page* page) {
   std::free(page);
 }
 
+std::function<void()> StreamCore::TakeReadyLocked() {
+  if (!ready_armed) return nullptr;
+  ready_armed = false;
+  return ready;
+}
+
 bool StreamCore::Push(Page* page) {
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&] { return closed || queue.size() < capacity; });
@@ -73,20 +79,26 @@ bool StreamCore::Push(Page* page) {
   // the page the consumer holds.
   uint32_t resident = static_cast<uint32_t>(queue.size()) + 2;
   if (resident > peak_resident) peak_resident = resident;
+  std::function<void()> wake = TakeReadyLocked();
+  lk.unlock();
   cv.notify_all();
+  if (wake) wake();
   return true;
 }
 
 void StreamCore::Finish(Status status, const exec::ExecStats& s,
                         StatementMeta m) {
+  std::function<void()> wake;
   {
     std::lock_guard<std::mutex> lk(mu);
     final_status = std::move(status);
     stats = s;
     meta = std::move(m);
     finished = true;
+    wake = TakeReadyLocked();
   }
   cv.notify_all();
+  if (wake) wake();
 }
 
 Page* StreamCore::Pop() {
@@ -115,6 +127,7 @@ bool StreamCore::TryPop(Page** out, bool* ended) {
     *ended = true;
     return true;
   }
+  ready_armed = true;
   return false;
 }
 
@@ -932,6 +945,12 @@ ResultSet::PagePoll ResultSet::TryTakePage(Page** page) {
   }
   s->rows_read += (*page)->num_tuples;
   return PagePoll::kPage;
+}
+
+void ResultSet::SetReadyCallback(std::function<void()> ready) {
+  if (!valid()) return;
+  std::lock_guard<std::mutex> lk(stream_->core->mu);
+  stream_->core->ready = std::move(ready);
 }
 
 void ResultSet::RecyclePage(Page* page) {

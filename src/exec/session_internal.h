@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,6 +72,13 @@ struct StatementMeta {
 /// blocks once `capacity` pages are buffered — that bound (plus the page
 /// being filled and the page the reader holds) is the cursor's peak
 /// result-page residency, independent of result cardinality.
+///
+/// An event-loop consumer is woken instead of re-polling: TryPop arms the
+/// `ready` callback when it finds nothing, and the next Push or Finish
+/// disarms it and calls it once, outside `mu`. Both run on the producer
+/// thread (or before the cursor exists, for a sealed core), and the
+/// ResultSet joins the producer in Close and on destruction, so `ready`
+/// never runs after either returns.
 struct StreamCore {
   explicit StreamCore(uint32_t cap) : capacity(cap < 1 ? 1 : cap) {}
   ~StreamCore();
@@ -100,6 +108,10 @@ struct StreamCore {
   // The flag the producer's executor polls.
   std::atomic<int32_t> cancel{0};
 
+  // Consumer wake-up (ResultSet::SetReadyCallback), guarded by `mu`.
+  std::function<void()> ready;
+  bool ready_armed = false;  // a TryPop found nothing since the last fire
+
   /// Producer side: enqueue a completed page (takes ownership). Blocks
   /// while the buffer is full; false once the consumer closed (the page is
   /// freed and the query unwinds with HQ_ERR_CANCELLED).
@@ -123,11 +135,16 @@ struct StreamCore {
 
   /// Non-blocking Pop for event-loop consumers: true with *out set when a
   /// page (or the end of stream, *out == null with `ended` true) is
-  /// available right now; false when the producer is still computing.
+  /// available right now; false when the producer is still computing, in
+  /// which case the next Push or Finish calls `ready`.
   bool TryPop(Page** out, bool* ended);
 
   /// Consumer/session side: request cancellation and wake both ends.
   void CancelAndClose();
+
+  /// Disarms the consumer wake-up and returns the callback to run once
+  /// `mu` is released (empty when nothing was armed). Caller holds `mu`.
+  std::function<void()> TakeReadyLocked();
 };
 
 struct Session::State {

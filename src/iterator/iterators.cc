@@ -138,11 +138,11 @@ class ScanIterator : public Iterator {
         // buffer then serves every slot of the page (the volcano model is
         // the paper's comparison baseline, so simplicity beats fusion
         // here — the generated-code path decodes in registers instead).
-        if (table_->codec().enabled) {
+        if (pinned_.codec().enabled) {
           if (decoded_page_ != page_) {
             decoded_.clear();
-            Status s = DecodePage(table_->codec(), table_->schema(), *p,
-                                  table_->dicts(), &decoded_);
+            Status s = DecodePage(pinned_.codec(), table_->schema(), *p,
+                                  pinned_.dicts(), &decoded_);
             if (!s.ok()) return nullptr;
             decoded_page_ = page_;
           }

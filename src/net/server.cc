@@ -23,11 +23,6 @@ namespace {
 /// the stream buffer.
 constexpr size_t kOutputHighWater = 16 * kPageSize;
 
-/// Poll period while at least one connection waits on its producer (the
-/// stream said kPending): the event loop re-polls the cursor this often.
-constexpr int kPendingPollMs = 2;
-constexpr int kIdlePollMs = 250;
-
 }  // namespace
 
 /// Per-connection state, owned by the event-loop thread. A connection is
@@ -47,7 +42,6 @@ struct Server::Connection {
 
   ResultSet cursor;          // valid while streaming
   bool streaming = false;
-  bool pending = false;      // producer still computing (poll again)
   uint32_t tuple_size = 0;
   uint64_t stream_pages = 0;
   uint64_t stream_rows = 0;
@@ -105,6 +99,7 @@ void Server::SyncServerGauges() {
     obs::Gauge* rows;
     obs::Gauge* bytes;
     obs::Gauge* scrapes;
+    obs::Gauge* wakeups;
     static const WireGauges& Get() {
       static WireGauges g = [] {
         auto& r = obs::Registry::Global();
@@ -131,6 +126,8 @@ void Server::SyncServerGauges() {
                              "Bytes written to client sockets");
         w.scrapes = r.GetGauge("hique_server_stats_requests",
                                "ServerStats scrapes served");
+        w.wakeups = r.GetGauge("hique_server_loop_wakeups",
+                               "Event-loop poll() returns");
         return w;
       }();
       return g;
@@ -153,6 +150,7 @@ void Server::SyncServerGauges() {
   g.rows->Set(static_cast<int64_t>(s.rows_streamed));
   g.bytes->Set(static_cast<int64_t>(s.bytes_sent));
   g.scrapes->Set(static_cast<int64_t>(s.stats_requests));
+  g.wakeups->Set(static_cast<int64_t>(s.loop_wakeups));
 }
 
 void Server::SendFrame(Connection* conn, uint8_t type,
@@ -361,7 +359,6 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
       if (conn->streaming) {
         conn->cancel_requested = true;
         conn->cursor.Close();  // cancels within one page
-        conn->pending = false;
       }
       return true;
     }
@@ -418,8 +415,8 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
 
 void Server::StartStream(Connection* conn, ResultSet cursor) {
   conn->cursor = std::move(cursor);
+  conn->cursor.SetReadyCallback([this] { wake_.Wake(); });
   conn->streaming = true;
-  conn->pending = false;
   conn->cancel_requested = false;
   conn->tuple_size = conn->cursor.schema().TupleSize();
   conn->stream_pages = 0;
@@ -437,17 +434,14 @@ void Server::StartStream(Connection* conn, ResultSet cursor) {
 /// Pulls completed pages from the cursor into the output buffer until the
 /// high-water mark, the stream ends, or the producer reports kPending.
 /// Never blocks on the producer — that is the whole trick that lets one
-/// thread serve every connection.
+/// thread serve every connection. After kPending the cursor's ready
+/// callback wakes the loop.
 void Server::PumpStream(Connection* conn) {
-  conn->pending = false;
   while (conn->streaming && conn->out.size() - conn->out_pos <
                                 kOutputHighWater) {
     Page* page = nullptr;
     ResultSet::PagePoll poll = conn->cursor.TryTakePage(&page);
-    if (poll == ResultSet::PagePoll::kPending) {
-      conn->pending = true;
-      return;
-    }
+    if (poll == ResultSet::PagePoll::kPending) return;
     if (poll == ResultSet::PagePoll::kPage) {
       // One RowPage frame per sealed page, serialized straight into the
       // output buffer: the raw NSM tuple bytes take exactly one copy from
@@ -562,21 +556,23 @@ void Server::Loop() {
     fds.reserve(conns_.size() + 2);
     fds.push_back({wake_.read_fd(), POLLIN, 0});
     fds.push_back({listener_.fd(), POLLIN, 0});
-    bool any_pending = false;
     for (auto& conn : conns_) {
       short events = POLLIN;
       if (conn->HasOutput()) events |= POLLOUT;
       fds.push_back({conn->sock.fd(), events, 0});
-      if (conn->pending && !conn->HasOutput()) any_pending = true;
     }
-    int timeout = any_pending ? kPendingPollMs : kIdlePollMs;
-    int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
+    // No timeout: a socket, the listener or the wake pipe ends each sleep.
+    int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
+    {
+      std::lock_guard<std::mutex> lk(stats_mu_);
+      ++stats_.loop_wakeups;
+    }
     if (stop_.load(std::memory_order_acquire)) break;
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;  // poll itself failed: shut down rather than spin
     }
-    wake_.Drain();
+    wake_.Drain();  // before servicing, so no wake-up is lost
     // Note: new connections append to conns_ AFTER fds was built, so only
     // the first `polled` entries have poll results this turn; fresh ones
     // are serviced next iteration.

@@ -44,17 +44,21 @@ struct ServerStats {
   uint64_t rows_streamed = 0;
   uint64_t bytes_sent = 0;
   uint64_t stats_requests = 0;     // v5 ServerStats scrapes served
+  uint64_t loop_wakeups = 0;       // event-loop poll() returns
 };
 
 /// hiqued: the wire-protocol front-end. One poll-driven event-loop thread
 /// multiplexes every client connection; each accepted connection gets its
 /// own engine::Session, and result pages stream from the session's
-/// ResultSet straight into socket frames. Backpressure is end-to-end by
-/// construction: a slow socket stalls the event loop's page pulls for
-/// that connection, the bounded StreamCore queue fills, and the producer
-/// (the compiled query) blocks at its next result-page boundary until the
-/// client catches up. A mid-stream disconnect closes the cursor, which
-/// cancels the query within one page.
+/// ResultSet straight into socket frames. The loop sleeps without a
+/// timeout until a socket, the listener or the wake pipe fires; a cursor
+/// that answered kPending writes the wake pipe from its producer thread
+/// once its next page or its end of stream is ready. Backpressure is
+/// end-to-end by construction: a connection stops pulling pages once its
+/// output buffer reaches the high-water mark, the bounded StreamCore queue
+/// fills, and the producer (the compiled query) blocks at its next
+/// result-page boundary until the client catches up. A mid-stream
+/// disconnect closes the cursor, which cancels the query within one page.
 ///
 /// Query execution itself is not on the event loop: every open cursor has
 /// its producer thread (and the engine's shared worker pool behind it),

@@ -65,7 +65,7 @@ class Socket {
 };
 
 /// A pipe whose read end can sit in a poll set so other threads can wake
-/// the event loop (stop requests).
+/// the event loop (result producers, stop requests).
 class WakePipe {
  public:
   WakePipe();

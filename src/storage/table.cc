@@ -22,6 +22,8 @@ PinnedPages& PinnedPages::operator=(PinnedPages&& other) noexcept {
     tuple_count_ = other.tuple_count_;
     stats_version_ = other.stats_version_;
     layout_version_ = other.layout_version_;
+    layout_ = std::move(other.layout_);
+    tuples_per_page_ = other.tuples_per_page_;
     hold_ = std::move(other.hold_);
     other.pages_.clear();
     other.hold_.clear();
@@ -138,7 +140,7 @@ Result<uint8_t*> Table::AppendTupleSlot() {
   }
   // Appending to a compressed table rebuilds NSM first (like dropping an
   // index on write): the NSM append path below assumes NSM page layout.
-  if (codec_.enabled) HQ_RETURN_IF_ERROR(Decompress());
+  if (layout_->codec.enabled) HQ_RETURN_IF_ERROR(Decompress());
   HQ_ASSIGN_OR_RETURN(Page * page, CurrentWritePage());
   uint8_t* slot = page->TupleAt(page->num_tuples, schema_.TupleSize());
   ++page->num_tuples;
@@ -155,7 +157,7 @@ Status Table::AdoptPage(Page* page) {
     return Status::InvalidArgument("AdoptPage on write-enabled table " +
                                    name_);
   }
-  if (codec_.enabled) HQ_RETURN_IF_ERROR(Decompress());
+  if (layout_->codec.enabled) HQ_RETURN_IF_ERROR(Decompress());
   if (page->num_tuples > tuples_per_page_) {
     return Status::InvalidArgument("adopted page overflows tuple capacity");
   }
@@ -217,11 +219,15 @@ Result<PinnedPages> Table::Pin() {
     pinned.hold_.push_back(gen_);
     pinned.stats_version_ = stats_version_.load(std::memory_order_acquire);
     pinned.layout_version_ = layout_version_.load(std::memory_order_acquire);
+    pinned.layout_ = layout_;
+    pinned.tuples_per_page_ = PageCapacity(*layout_);
     return pinned;
   }
   pinned.tuple_count_ = num_tuples_.load(std::memory_order_acquire);
   pinned.stats_version_ = stats_version_.load(std::memory_order_acquire);
   pinned.layout_version_ = layout_version_.load(std::memory_order_acquire);
+  pinned.layout_ = layout();
+  pinned.tuples_per_page_ = PageCapacity(*pinned.layout_);
   // Flush the tail write page state: it stays pinned by the table itself;
   // pin counts are per-fetch so double pinning is fine.
   if (num_pages_ < buffer_manager_->frame_capacity()) {
@@ -257,6 +263,8 @@ Result<PinnedPages> Table::Pin() {
   byp.tuple_count_ = pinned.tuple_count_;
   byp.stats_version_ = pinned.stats_version_;
   byp.layout_version_ = pinned.layout_version_;
+  byp.layout_ = pinned.layout_;
+  byp.tuples_per_page_ = pinned.tuples_per_page_;
   byp.pages_.reserve(num_pages_);
   for (uint64_t i = 0; i < num_pages_; ++i) {
     void* mem = nullptr;
@@ -278,7 +286,7 @@ Result<PinnedPages> Table::Pin() {
 Status Table::ForEachTuple(const std::function<void(const uint8_t*)>& fn) {
   HQ_ASSIGN_OR_RETURN(PinnedPages pinned, Pin());
   const uint32_t tuple_size = schema_.TupleSize();
-  if (!codec_.enabled) {
+  if (!pinned.codec().enabled) {
     for (const Page* page : pinned.pages()) {
       for (uint32_t t = 0; t < page->num_tuples; ++t) {
         fn(page->TupleAt(t, tuple_size));
@@ -289,7 +297,8 @@ Status Table::ForEachTuple(const std::function<void(const uint8_t*)>& fn) {
   std::vector<uint8_t> decoded;
   for (const Page* page : pinned.pages()) {
     decoded.clear();
-    HQ_RETURN_IF_ERROR(DecodePage(codec_, schema_, *page, dicts_, &decoded));
+    HQ_RETURN_IF_ERROR(DecodePage(pinned.codec(), schema_, *page,
+                                  pinned.dicts(), &decoded));
     for (uint32_t t = 0; t < page->num_tuples; ++t) {
       fn(decoded.data() + static_cast<size_t>(t) * tuple_size);
     }
@@ -311,7 +320,7 @@ Status Table::EnableWrites() {
   // A compressed base cannot interleave with NSM delta pages: rebuild NSM
   // first (in-flight snapshots keep the compressed generation alive and the
   // stats-version bump rolls compiled plans over).
-  if (codec_.enabled) HQ_RETURN_IF_ERROR(Decompress());
+  if (layout_->codec.enabled) HQ_RETURN_IF_ERROR(Decompress());
   auto delta =
       std::make_unique<txn::DeltaStore>(schema_.TupleSize(), tuples_per_page_);
   std::lock_guard<std::mutex> lk(state_mu_);
@@ -321,7 +330,7 @@ Status Table::EnableWrites() {
 
 Status Table::ForEachLiveRow(
     const std::function<void(uint64_t, const uint8_t*)>& fn) {
-  if (codec_.enabled) {
+  if (layout_->codec.enabled) {
     return Status::InvalidArgument("ForEachLiveRow on compressed table " +
                                    name_);
   }
@@ -433,7 +442,8 @@ Status Table::RewritePages(const std::vector<uint8_t>& flat,
                            const std::vector<std::vector<uint8_t>>& dicts) {
   const uint32_t ts = schema_.TupleSize();
   const uint64_t rows = flat.size() / ts;
-  const uint32_t cap = codec.enabled ? codec.tuples_per_cpage : tuples_per_page_;
+  auto layout = std::make_shared<const TableLayout>(TableLayout{codec, dicts});
+  const uint32_t cap = PageCapacity(*layout);
   HQ_CHECK(cap > 0);
   const uint64_t new_pages = (rows + cap - 1) / cap;
 
@@ -470,8 +480,7 @@ Status Table::RewritePages(const std::vector<uint8_t>& flat,
     std::lock_guard<std::mutex> lk(state_mu_);
     gen_ = std::move(fresh);
     num_pages_ = new_pages;
-    codec_ = codec;
-    dicts_ = dicts;
+    layout_ = std::move(layout);
     stats_version_.fetch_add(1, std::memory_order_acq_rel);
     // RewritePages only runs for codec transitions (Compress/Decompress),
     // so the encoding a compiled plan reads moved: retire in-flight plans.
@@ -497,15 +506,15 @@ Status Table::RewritePages(const std::vector<uint8_t>& flat,
   }
   file_ = nf;
   num_pages_ = new_pages;
-  codec_ = codec;
-  dicts_ = dicts;
+  std::lock_guard<std::mutex> lk(state_mu_);
+  layout_ = std::move(layout);
   stats_version_.fetch_add(1, std::memory_order_acq_rel);
   layout_version_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
 Status Table::Compress() {
-  if (codec_.enabled) return Status::OK();  // idempotent
+  if (layout_->codec.enabled) return Status::OK();  // idempotent
   if (NumTuples() == 0) return Status::OK();
   if (delta_ != nullptr &&
       (delta_->inserts() != 0 || delta_->deleted_base() != 0)) {
@@ -556,7 +565,7 @@ Status Table::Compress() {
 }
 
 Status Table::Decompress() {
-  if (!codec_.enabled) return Status::OK();
+  if (!layout_->codec.enabled) return Status::OK();
   HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> flat, GatherTuples());
   HQ_RETURN_IF_ERROR(RewritePages(flat, TableCodec{}, {}));
   return Status::OK();

@@ -42,6 +42,14 @@ struct TableStats {
   bool valid = false;
 };
 
+/// A table's page encoding: the compression codec and the sorted
+/// dictionaries its kDict columns decode through. Immutable once published;
+/// a layout rewrite (Compress/Decompress) installs a fresh one.
+struct TableLayout {
+  TableCodec codec;  // codec.enabled == false for plain NSM pages
+  std::vector<std::vector<uint8_t>> dicts;  // empty vectors off kDict
+};
+
 /// All pages of a table pinned in memory for the duration of a query
 /// (main-memory execution, paper §VI). Releases pins on destruction.
 ///
@@ -66,6 +74,16 @@ class PinnedPages {
   /// The table's physical-layout version at snapshot time (stale-plan
   /// checks: generated code is only invalid if the page *encoding* moved).
   uint64_t layout_version() const { return layout_version_; }
+  /// The encoding the pinned pages were written in, captured with them:
+  /// a concurrent Compress/Decompress cannot pair these pages with the
+  /// next layout's codec or dictionaries.
+  const TableCodec& codec() const { return layout_->codec; }
+  const std::vector<std::vector<uint8_t>>& dicts() const {
+    return layout_->dicts;
+  }
+  /// Tuple capacity of one pinned page (codec capacity when compressed,
+  /// NSM packing otherwise).
+  uint32_t tuples_per_page() const { return tuples_per_page_; }
   void Release();
 
  private:
@@ -79,6 +97,8 @@ class PinnedPages {
   uint64_t tuple_count_ = 0;
   uint64_t stats_version_ = 0;
   uint64_t layout_version_ = 0;
+  std::shared_ptr<const TableLayout> layout_;
+  uint32_t tuples_per_page_ = 0;
   // Shared ownership of page generations / delta substitutes backing the
   // snapshot (in-memory tables).
   std::vector<std::shared_ptr<const void>> hold_;
@@ -217,18 +237,18 @@ class Table {
   /// table decompresses it automatically, like dropping an index on write.
   Status Decompress();
 
+  /// The active page encoding, read under the state mutex, so a planner
+  /// racing a Compress/Decompress sees one whole layout. Code that reads
+  /// pages takes the layout from its PinnedPages instead: that one matches
+  /// the pages.
+  std::shared_ptr<const TableLayout> layout() const {
+    std::lock_guard<std::mutex> lk(state_mu_);
+    return layout_;
+  }
+
   /// The active compression codec; codec().enabled == false for plain NSM
   /// tables. The planner serializes this into plan signatures.
-  const TableCodec& codec() const { return codec_; }
-
-  /// Sorted dictionary blobs for kDict columns (empty vectors elsewhere).
-  const std::vector<std::vector<uint8_t>>& dicts() const { return dicts_; }
-
-  /// Tuple capacity of one page under the active layout (codec capacity
-  /// when compressed, NSM packing otherwise).
-  uint32_t effective_tuples_per_page() const {
-    return codec_.enabled ? codec_.tuples_per_cpage : tuples_per_page_;
-  }
+  TableCodec codec() const { return layout()->codec; }
 
   /// Null for in-memory tables.
   BufferManager* buffer_manager() const { return buffer_manager_; }
@@ -281,6 +301,11 @@ class Table {
   };
 
   Table(std::string name, Schema schema, BufferManager* bm, FileId file);
+  // Tuple capacity of one page under `layout`.
+  uint32_t PageCapacity(const TableLayout& layout) const {
+    return layout.codec.enabled ? layout.codec.tuples_per_cpage
+                                : tuples_per_page_;
+  }
   Result<Page*> CurrentWritePage();
   // Gathers every tuple as NSM bytes (decoding if compressed, merging the
   // delta) — the staging buffer for Compress/Decompress/Compact rewrites.
@@ -302,7 +327,7 @@ class Table {
   uint64_t num_pages_ = 0;               // base pages only
 
   // In-memory mode: the current base-page generation. state_mu_ guards the
-  // generation pointer, codec_/dicts_ swaps, and the stats-version bump
+  // generation pointer, layout_ swaps, and the stats-version bump
   // that accompanies them, so Pin() captures a consistent snapshot.
   std::shared_ptr<PageGen> gen_ = std::make_shared<PageGen>();
   mutable std::mutex state_mu_;
@@ -320,9 +345,11 @@ class Table {
   std::string file_path_;          // base path; rewrites append .g<N>
   uint32_t file_generation_ = 0;
 
-  // Compression state (see storage/compress.h).
-  TableCodec codec_;
-  std::vector<std::vector<uint8_t>> dicts_;
+  // Compression state (see storage/compress.h). Swapped under state_mu_;
+  // the load and writer paths, which are the only ones that swap it, read
+  // it without the lock.
+  std::shared_ptr<const TableLayout> layout_ =
+      std::make_shared<const TableLayout>();
 
   TableStats stats_;
   mutable std::mutex stats_mu_;  // guards stats_ (ComputeStats vs planners)

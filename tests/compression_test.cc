@@ -240,8 +240,9 @@ class CorruptPageTest : public ::testing::Test {
 
   Status Decode(const Page& page) {
     std::vector<uint8_t> out;
-    return DecodePage(table_->codec(), table_->schema(), page,
-                      table_->dicts(), &out);
+    const auto layout = table_->layout();
+    return DecodePage(layout->codec, table_->schema(), page, layout->dicts,
+                      &out);
   }
 
   Catalog catalog_;

@@ -524,6 +524,39 @@ TEST_F(NetServerTest, StatsScrapeUnderConcurrentLoad) {
   server.Stop();
 }
 
+// The event loop sleeps without a timeout: an idle, handshaken connection
+// costs no wake-ups, and a statement's pages still arrive because the
+// producer wakes the loop. The count is scraped as a gauge too.
+TEST_F(NetServerTest, IdleServerDoesNotWakeUp) {
+  Catalog& catalog = SharedCatalog();
+  HiqueEngine engine(&catalog, FastOptions(1));
+  net::Server server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = net::Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  net::Client client = std::move(connected).value();
+
+  const uint64_t before = server.stats().loop_wakeups;
+  EXPECT_GT(before, 0u);  // the accept and the handshake woke it
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(server.stats().loop_wakeups, before);
+
+  auto rs = client.Query("select count(*) as c from nr");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  net::RemoteResultSet cursor = std::move(rs).value();
+  ASSERT_TRUE(cursor.Next());
+  EXPECT_EQ(cursor.Get(0).AsInt64(), 20000);
+  EXPECT_FALSE(cursor.Next());
+  EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+  EXPECT_GT(server.stats().loop_wakeups, before);
+
+  auto stats = client.ServerStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats.value().prometheus_text.find("hique_server_loop_wakeups "),
+            std::string::npos);
+  server.Stop();
+}
+
 TEST_F(NetServerTest, ServerStopUnblocksConnectedClients) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(2));

@@ -2,19 +2,28 @@
 // bit-identical to the materialized Query() rows at every thread count,
 // peak result-page residency must stay bounded regardless of result
 // cardinality, early cursor close must cancel the rest of the query
-// cleanly (no leaked pages, engine stays healthy), and every blocking,
-// cursor and async entry point must share one statement pipeline.
+// cleanly (no leaked pages, engine stays healthy), every blocking,
+// cursor and async entry point must share one statement pipeline, and an
+// event-loop consumer must be woken exactly once per kPending answer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/engine.h"
 #include "exec/executor.h"
+// The arm/fire tests drive StreamCore directly, without a producer thread.
+#include "exec/session_internal.h"
 #include "ref/reference.h"
 #include "storage/page.h"
 #include "tests/test_util.h"
@@ -300,8 +309,35 @@ Outcome FromResult(const QueryResult& r) {
   return out;
 }
 
+/// The consumer side of a ready callback: Wait sleeps until the callback
+/// has run once since the last Wait.
+struct ReadySignal {
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t fired = 0;
+  uint64_t consumed = 0;
+
+  void Fire() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      ++fired;
+    }
+    cv.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return fired > consumed; });
+    ++consumed;
+  }
+  uint64_t Fired() {
+    std::lock_guard<std::mutex> lk(mu);
+    return fired;
+  }
+};
+
 /// Drains a cursor row by row, or page by page through the non-blocking
-/// TryTakePage pump the wire server runs.
+/// TryTakePage pump the wire server runs. The pump sleeps on the ready
+/// callback after every kPending, so a lost wake-up hangs here.
 Result<Outcome> FromCursor(Result<ResultSet> opened, bool pump) {
   if (!opened.ok()) return opened.status();
   ResultSet cursor = std::move(opened).value();
@@ -309,12 +345,16 @@ Result<Outcome> FromCursor(Result<ResultSet> opened, bool pump) {
   out.schema = cursor.schema();
   if (pump) {
     const uint32_t tuple_size = out.schema.TupleSize();
+    auto signal = std::make_shared<ReadySignal>();
+    cursor.SetReadyCallback([signal] { signal->Fire(); });
+    uint64_t pending = 0;
     for (;;) {
       Page* page = nullptr;
       ResultSet::PagePoll poll = cursor.TryTakePage(&page);
       if (poll == ResultSet::PagePoll::kEnd) break;
       if (poll == ResultSet::PagePoll::kPending) {
-        std::this_thread::yield();
+        ++pending;
+        signal->Wait();
         continue;
       }
       for (uint32_t i = 0; i < page->num_tuples; ++i) {
@@ -326,6 +366,12 @@ Result<Outcome> FromCursor(Result<ResultSet> opened, bool pump) {
         out.rows.push_back(std::move(row));
       }
       cursor.RecyclePage(page);
+    }
+    if (signal->Fired() != pending) {
+      return Status::Internal("ready callback ran " +
+                              std::to_string(signal->Fired()) +
+                              " times for " + std::to_string(pending) +
+                              " kPending answers");
     }
   } else {
     while (cursor.Next()) out.rows.push_back(cursor.Row());
@@ -462,6 +508,107 @@ TEST_F(SessionStreamTest, SessionCloseCancelsOpenCursors) {
   }
   auto after = session.Query("select count(*) as c from sr");
   EXPECT_FALSE(after.ok());
+}
+
+// ---- Consumer wake-up: StreamCore's arm/fire protocol ----------------------
+
+Page* NewPage() {
+  void* mem = nullptr;
+  EXPECT_EQ(posix_memalign(&mem, kPageSize, kPageSize), 0);
+  return static_cast<Page*>(mem);
+}
+
+/// A StreamCore whose ready callback counts its calls.
+struct CountingCore {
+  StreamCore core{4};
+  int fired = 0;
+  CountingCore() {
+    core.ready = [this] { ++fired; };
+  }
+  bool TryPop() {
+    Page* page = nullptr;
+    bool ended = false;
+    bool got = core.TryPop(&page, &ended);
+    std::free(page);
+    return got;
+  }
+};
+
+TEST(StreamCoreReadyTest, PushWithoutArmedWaitDoesNotFire) {
+  CountingCore c;
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  EXPECT_EQ(c.fired, 0);  // nobody polled yet
+  EXPECT_TRUE(c.TryPop());
+  EXPECT_TRUE(c.TryPop());
+  EXPECT_EQ(c.fired, 0);  // a successful poll arms nothing
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  EXPECT_EQ(c.fired, 0);
+}
+
+TEST(StreamCoreReadyTest, PendingArmsExactlyOneFire) {
+  CountingCore c;
+  EXPECT_FALSE(c.TryPop());  // kPending: arms
+  EXPECT_FALSE(c.TryPop());  // still pending: arms nothing more
+  EXPECT_EQ(c.fired, 0);
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  EXPECT_EQ(c.fired, 1);
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  EXPECT_EQ(c.fired, 1);  // one wake per kPending, not one per page
+  EXPECT_TRUE(c.TryPop());
+  EXPECT_TRUE(c.TryPop());
+  EXPECT_TRUE(c.TryPop());
+  EXPECT_FALSE(c.TryPop());
+  ASSERT_TRUE(c.core.Push(NewPage()));
+  EXPECT_EQ(c.fired, 2);
+  EXPECT_TRUE(c.TryPop());
+}
+
+TEST(StreamCoreReadyTest, FinishFiresAnArmedWait) {
+  CountingCore c;
+  c.core.Finish(Status::OK(), {}, {});
+  EXPECT_EQ(c.fired, 0);  // finished before anyone waited
+  CountingCore armed;
+  EXPECT_FALSE(armed.TryPop());
+  armed.core.Finish(Status::OK(), {}, {});
+  EXPECT_EQ(armed.fired, 1);
+  Page* page = nullptr;
+  bool ended = false;
+  EXPECT_TRUE(armed.core.TryPop(&page, &ended));
+  EXPECT_TRUE(ended);
+  EXPECT_EQ(page, nullptr);
+}
+
+TEST_F(SessionStreamTest, ReadyCallbackNeverRunsAfterClose) {
+  Catalog& catalog = SharedCatalog();
+  HiqueEngine engine(&catalog, FastOptions(2));
+  Session session = engine.OpenSession({});
+  // Close lands at a different point of the stream each round; a round
+  // whose cursor answered kPending closes with the wake armed.
+  for (int round = 0; round < 8; ++round) {
+    auto rs = session.QueryStream(
+        "select big_k, big_v, big_d from big where big_v >= 0");
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ResultSet cursor = std::move(rs).value();
+    auto closed = std::make_shared<std::atomic<bool>>(false);
+    auto late = std::make_shared<std::atomic<int>>(0);
+    cursor.SetReadyCallback([closed, late] {
+      if (closed->load()) late->fetch_add(1);
+    });
+    int pending = 0;
+    for (int polls = 0; polls < 1000 && pending <= round; ++polls) {
+      Page* page = nullptr;
+      ResultSet::PagePoll poll = cursor.TryTakePage(&page);
+      if (poll == ResultSet::PagePoll::kEnd) break;
+      if (poll == ResultSet::PagePoll::kPending) ++pending;
+      cursor.RecyclePage(page);
+    }
+    cursor.Close();
+    closed->store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(late->load(), 0) << "round " << round;
+  }
 }
 
 }  // namespace
