@@ -64,9 +64,13 @@ class Generator {
   /// (see the header's operator-driver section).
   std::string EmbeddedAbi() const {
     std::set<std::string> used = drivers_;
-    if (used.count("sort")) used.insert("record_sort");  // the run sorts
+    // Key ranges search with the sort group's hq_lower_bound; the sort
+    // group's run sorts are hq_record_sort.
+    if (used.count("key_range")) used.insert("sort");
+    if (used.count("sort")) used.insert("record_sort");
     std::string abi = kAbiHeaderSource;
-    for (const char* group : {"record_sort", "sort", "partition", "stage"}) {
+    for (const char* group : {"record_sort", "sort", "partition", "stage",
+                              "range", "key_range", "fold"}) {
       if (used.count(group)) continue;
       std::string end = "// [end driver group " + std::string(group) + "]\n";
       size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
@@ -688,24 +692,44 @@ class Generator {
            S(ka.rec) + " + " + S(ka.off) + ")";
   }
 
+  /// Emits `static inline int NAME(const uint8_t* a, const uint8_t* b)`
+  /// comparing the join key of `a` (an input-`ka` record) with the join key
+  /// of `b` (an input-`kb` record).
+  void EmitKeyComparator(const std::string& name, const KeyAccess& ka,
+                         const KeyAccess& kb) {
+    Emit("static inline int " + name +
+         "(const uint8_t* a, const uint8_t* b) {");
+    if (kb.type.id == TypeId::kChar) {
+      Emit("  return memcmp(a + " + S(ka.off) + ", b + " + S(kb.off) + ", " +
+           S(kb.type.length) + ");");
+    } else {
+      std::string x = FieldAccess("a", ka.off, ka.type);
+      std::string y = FieldAccess("b", kb.off, kb.type);
+      Emit("  if (" + x + " < " + y + ") return -1;");
+      Emit("  return " + x + " > " + y + ";");
+    }
+    Emit("}");
+    Emit("");
+  }
+
+  /// The signature every range kernel shares (runtime_abi.h HqRangeFn).
+  static std::string RangeKernel(const std::string& name) {
+    return "static int " + name +
+           "(HqQueryCtx* ctx, uint8_t* const* d, const int64_t* b, "
+           "const int64_t* e, void* out) {";
+  }
+
+  /// `op<k>_join` runs the range kernel `op<k>_merge_range` (the k-way
+  /// sorted group merge of Listing 2; fine partitions hold one key each, so
+  /// there it is a pure cross product) through a range driver: key ranges
+  /// of the sorted inputs for a merge join, partition ranges (with a JIT
+  /// sort per partition unless fine) for a hybrid join.
   Status EmitJoin(int k, const JoinOp& op) {
     size_t nin = op.input_streams.size();
-    uint32_t orec = op.output.record_size;
-    std::string fn = "op" + S(k) + "_join";
-
-    // Detect fine staging: partitions hold a single key value, so the merge
-    // degenerates to a pure cross product without sorting (paper §V-B).
-    bool fine = false;
-    if (op.algo == JoinAlgo::kHybridHashSortMerge) {
-      const auto* first_stage = FindProducer(op.input_streams[0]);
-      if (first_stage != nullptr &&
-          first_stage->action == StageAction::kPartitionFine) {
-        fine = true;
-      }
-    }
-    // Per-input JIT sorters for hybrid partitions (paper: hybrid hash-sort-
-    // merge join sorts corresponding partitions just before joining them).
-    bool need_sort = op.algo == JoinAlgo::kHybridHashSortMerge && !fine;
+    const StageOp* first_stage = FindProducer(op.input_streams[0]);
+    bool merge = op.algo == JoinAlgo::kMerge;
+    bool fine = !merge && first_stage != nullptr &&
+                first_stage->action == StageAction::kPartitionFine;
 
     std::vector<KeyAccess> keys(nin);
     for (size_t t = 0; t < nin; ++t) {
@@ -714,22 +738,25 @@ class Generator {
                  lay.OffsetOf(op.key_fields[t]),
                  lay.fields[op.key_fields[t]].type};
     }
-
-    if (need_sort) {
+    // One driver argument per input. Hybrid: its partition sort. Merge:
+    // its key against input 0's, for the splitter searches.
+    std::string per_input;
+    if (!fine) {
       for (size_t t = 0; t < nin; ++t) {
-        EmitComparator("cmp_op" + S(k) + "_in" + S(t),
-                       Stream(op.input_streams[t]).layout,
-                       {op.key_fields[t]}, {});
+        std::string cmp = "cmp_op" + S(k) + "_in" + S(t);
+        EmitKeyComparator(cmp, keys[t], merge ? keys[0] : keys[t]);
+        per_input += ", " + (merge ? cmp
+                                   : "hq_record_sort<" + S(keys[t].rec) +
+                                         ", " + cmp + ">");
       }
+      if (!merge) drivers_.insert("record_sort");
     }
 
     // Scalar-aggregation fusion: a per-task accumulator block updated
-    // inside the innermost join loops; the partials are merged in task
-    // order after the barrier and the join emits one aggregate record.
-    // (This replaces the seed's file-scope static registers, which would
-    // race under partition parallelism and carried stale state across
-    // re-executions of a cached library.)
+    // inside the innermost join loops; the driver folds the blocks in task
+    // order and the join emits one aggregate record.
     std::string accs_t = "op" + S(k) + "_accs";
+    std::string out_policy;
     if (op.fuse_scalar_agg) {
       std::vector<AccDecl> fused_accs = BuildAccs(
           op.query->aggs, op.output, op.fused_output, 0, "orec", "", "",
@@ -739,440 +766,172 @@ class Generator {
       for (const auto& a : fused_accs) Emit("  " + a.decl);
       Emit("} " + accs_t + ";");
       Emit("");
+      EmitAccFold(k, op);
+      drivers_.insert("fold");
+      out_policy = "hq_accs<sizeof(" + accs_t + "), " +
+                   S(op.fused_output.record_size) + ", op" + S(k) +
+                   "_acc_merge, op" + S(k) + "_acc_emit>";
+    } else {
+      uint64_t est = std::min<uint64_t>(
+          Stream(op.out_stream).est_rows + 16, 1u << 22);
+      out_policy = "hq_vecs<" + S(op.output.record_size) + ", " + S(est) + ">";
     }
 
-    // The k-way sorted group merge over ranges (binary join is the 2-way
-    // case). Signature: data+range per input, then the output vec — or the
-    // accumulator block when scalar aggregation is fused.
     std::string range_fn = "op" + S(k) + "_merge_range";
-    {
-      std::string sig = "static int " + range_fn + "(HqQueryCtx* ctx";
-      for (size_t t = 0; t < nin; ++t) {
-        sig += ", const uint8_t* d" + S(t) + ", int64_t b" + S(t) +
-               ", int64_t e" + S(t);
-      }
-      sig += op.fuse_scalar_agg ? ", " + accs_t + "* acc) {" : ", HqVec* v) {";
-      Emit("// " + std::string(op.algo == JoinAlgo::kMerge
-                                   ? "merge join"
+    Emit("// " + std::string(merge ? "merge join"
                                    : (fine ? "fine-partition join"
                                            : "hybrid hash-sort-merge join")) +
-           " over " + S(nin) + " inputs (nested-loops template, Listing 2)" +
-           (op.fuse_scalar_agg ? ", scalar aggregation fused" : ""));
-      Emit(sig);
-      if (op.fuse_scalar_agg) {
-        Emit("  uint8_t orec_buf[" + S(op.output.record_size) +
-             "]; (void)orec_buf;");
-      }
-      for (size_t t = 0; t < nin; ++t) {
-        Emit("  int64_t i" + S(t) + " = b" + S(t) + ";");
-      }
-      if (fine) {
-        // All tuples in corresponding fine partitions share the key: pure
-        // cross product.
-        EmitJoinEmitLoops(op, keys, "b", "e");
-      } else {
-        bool char_key = keys[0].type.id == TypeId::kChar;
-        std::string cond;
-        for (size_t t = 0; t < nin; ++t) {
-          if (t) cond += " && ";
-          cond += "i" + S(t) + " < e" + S(t);
-        }
-        Emit("  while (" + cond + ") {");
-        if (char_key) {
-          uint16_t len = keys[0].type.length;
-          Emit("    const char* m = " + KeyPtr(keys[0], "i0") + ";");
-          for (size_t t = 1; t < nin; ++t) {
-            Emit("    if (memcmp(" + KeyPtr(keys[t], "i" + S(t)) + ", m, " +
-                 S(len) + ") > 0) m = " + KeyPtr(keys[t], "i" + S(t)) + ";");
-          }
-          for (size_t t = 0; t < nin; ++t) {
-            std::string it = "i" + S(t);
-            Emit("    while (" + it + " < e" + S(t) + " && memcmp(" +
-                 KeyPtr(keys[t], it) + ", m, " + S(len) + ") < 0) ++" + it +
-                 ";");
-            Emit("    if (" + it + " >= e" + S(t) + ") break;");
-          }
-          std::string alleq;
-          for (size_t t = 0; t < nin; ++t) {
-            if (t) alleq += " || ";
-            alleq += "memcmp(" + KeyPtr(keys[t], "i" + S(t)) + ", m, " +
-                     S(len) + ") != 0";
-          }
-          Emit("    if (" + alleq + ") continue;");
-          for (size_t t = 0; t < nin; ++t) {
-            std::string gt = "g" + S(t);
-            Emit("    int64_t " + gt + " = i" + S(t) + " + 1;");
-            Emit("    while (" + gt + " < e" + S(t) + " && memcmp(" +
-                 KeyPtr(keys[t], gt) + ", m, " + S(len) + ") == 0) ++" + gt +
-                 ";");
-          }
-        } else {
-          std::string kt = keys[0].type.CType();
-          Emit("    " + std::string(kt) + " m = " + KeyExpr(keys[0], "i0") +
-               ";");
-          for (size_t t = 1; t < nin; ++t) {
-            Emit("    if (" + KeyExpr(keys[t], "i" + S(t)) + " > m) m = " +
-                 KeyExpr(keys[t], "i" + S(t)) + ";");
-          }
-          for (size_t t = 0; t < nin; ++t) {
-            std::string it = "i" + S(t);
-            Emit("    while (" + it + " < e" + S(t) + " && " +
-                 KeyExpr(keys[t], it) + " < m) ++" + it + ";");
-            Emit("    if (" + it + " >= e" + S(t) + ") break;");
-          }
-          std::string alleq;
-          for (size_t t = 0; t < nin; ++t) {
-            if (t) alleq += " || ";
-            alleq += KeyExpr(keys[t], "i" + S(t)) + " != m";
-          }
-          Emit("    if (" + alleq + ") continue;");
-          for (size_t t = 0; t < nin; ++t) {
-            std::string gt = "g" + S(t);
-            Emit("    int64_t " + gt + " = i" + S(t) + " + 1;");
-            Emit("    while (" + gt + " < e" + S(t) + " && " +
-                 KeyExpr(keys[t], gt) + " == m) ++" + gt + ";");
-          }
-        }
-        EmitJoinEmitLoops(op, keys, "i", "g");
-        for (size_t t = 0; t < nin; ++t) {
-          Emit("    i" + S(t) + " = g" + S(t) + ";");
-        }
-        Emit("  }");
-      }
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-    }
-
-    uint32_t vec_rec = op.fuse_scalar_agg ? op.fused_output.record_size
-                                          : orec;
-    uint64_t est = Stream(op.out_stream).est_rows;
-    est = std::min<uint64_t>(est + 16, 1u << 22);
-    bool partitioned =
-        op.algo != JoinAlgo::kMerge && op.algo != JoinAlgo::kNestedLoops;
-
-    if (partitioned) {
-      EmitJoinTasks(k, op, keys, need_sort, vec_rec, est);
-    } else if (op.algo == JoinAlgo::kMerge) {
-      EmitMergeRangeTasks(k, op, keys, vec_rec, est);
-    }
-
-    // Wrapper: splitter-range tasks for merge; partition-parallel tasks
-    // (with JIT sort inside each task) for hybrid; one full-range call for
-    // nested loops.
-    std::string sig = "static int " + fn + "(HqQueryCtx* ctx";
-    for (size_t t = 0; t < nin; ++t) sig += ", const HqStream* in" + S(t);
-    sig += ", HqStream* out) {";
-    Emit(sig);
-    if (op.algo == JoinAlgo::kMerge) {
-      std::string MA = "op" + S(k) + "_mr_args";
-      Emit("  " + MA + " A;");
-      for (size_t t = 0; t < nin; ++t) {
-        Emit("  A.d" + S(t) + " = in" + S(t) + "->data;");
-        Emit("  A.n" + S(t) + " = in" + S(t) + "->n;");
-      }
-      // The largest (first) input drives the decomposition, mirroring the
-      // optimizer's par_tasks choice from its cardinality estimate.
-      Emit("  A.nt = hq_task_count((uint64_t)A.n0, HQ_PAR_JOIN_GRAIN, " +
-           S(op.par_tasks) + ");");
-      if (op.fuse_scalar_agg) {
-        EmitFusedAccFold(k, op, "op" + S(k) + "_mr_task", vec_rec);
-      } else {
-        EmitPerTaskOutputs("op" + S(k) + "_mr_task", vec_rec);
-      }
-      Emit("}");
-      Emit("");
-      return Status::OK();
-    }
-    if (!partitioned) {
-      if (op.fuse_scalar_agg) {
-        Emit("  " + accs_t + " acc1;");
-        Emit("  memset(&acc1, 0, sizeof(acc1));");
-        std::string call = "  if (" + range_fn + "(ctx";
-        for (size_t t = 0; t < nin; ++t) {
-          call += ", in" + S(t) + "->data, 0, in" + S(t) + "->n";
-        }
-        call += ", &acc1) != 0) return -1;";
-        Emit(call);
-        Emit("  HqVec v;");
-        Emit("  if (hq_vec_init(&v, ctx, " + S(vec_rec) +
-             ", 1) != 0) return -1;");
-        std::vector<AccDecl> accs = BuildAccs(op.query->aggs, op.output,
-                                              op.fused_output, 0, "orec",
-                                              "acc1.", "", "acc1.grp_n");
-        Emit("  {");
-        Emit("    uint8_t* o = hq_vec_slot(&v);");
-        Emit("    if (!o) return -1;");
-        for (const auto& a : accs) Emit("    " + a.emit);
-        Emit("  }");
-        Emit("  out->data = v.data; out->n = v.n; out->rec_size = " +
-             S(vec_rec) + ";");
-      } else {
-        Emit("  HqVec v;");
-        Emit("  if (hq_vec_init(&v, ctx, " + S(vec_rec) + ", " + S(est) +
-             ") != 0) return -1;");
-        std::string call = "  if (" + range_fn + "(ctx";
-        for (size_t t = 0; t < nin; ++t) {
-          call += ", in" + S(t) + "->data, 0, in" + S(t) + "->n";
-        }
-        call += ", &v) != 0) return -1;";
-        Emit(call);
-        Emit("  out->data = v.data; out->n = v.n; out->rec_size = " +
-             S(vec_rec) + ";");
-      }
-      Emit("  out->part_begin = 0; out->num_parts = 0;");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-      return Status::OK();
-    }
-
-    std::string args_t = "op" + S(k) + "_join_args";
-    Emit("  " + args_t + " A;");
-    for (size_t t = 0; t < nin; ++t) {
-      Emit("  A.d" + S(t) + " = in" + S(t) + "->data;");
-      Emit("  A.pb" + S(t) + " = in" + S(t) + "->part_begin;");
-    }
-    Emit("  A.nt = hq_task_count(" + S(op.num_partitions) +
-         ", 1, HQ_PAR_MAX_TASKS);");
+         " over " + S(nin) + " inputs (nested-loops template, Listing 2)" +
+         (op.fuse_scalar_agg ? ", scalar aggregation fused" : ""));
+    Emit(RangeKernel(range_fn));
     if (op.fuse_scalar_agg) {
-      EmitFusedAccFold(k, op, "op" + S(k) + "_join_part", vec_rec);
+      Emit("  " + accs_t + "* acc = (" + accs_t + "*)out;");
+      Emit("  uint8_t orec_buf[" + S(op.output.record_size) +
+           "]; (void)orec_buf;");
     } else {
-      EmitPerTaskOutputs("op" + S(k) + "_join_part", vec_rec);
+      Emit("  HqVec* v = (HqVec*)out;");
     }
+    // Merge cursors i<t> start at b[t]; the fine cross product needs none.
+    const std::string lo = fine ? "b" : "i";
+    for (size_t t = 0; t < nin; ++t) {
+      Emit("  const uint8_t* d" + S(t) + " = d[" + S(t) + "]; int64_t " + lo +
+           S(t) + " = b[" + S(t) + "], e" + S(t) + " = e[" + S(t) + "];");
+    }
+    if (fine) {
+      EmitJoinEmitLoops(op, keys, "b", "e");
+    } else {
+      bool char_key = keys[0].type.id == TypeId::kChar;
+      std::string cond;
+      for (size_t t = 0; t < nin; ++t) {
+        if (t) cond += " && ";
+        cond += "i" + S(t) + " < e" + S(t);
+      }
+      Emit("  while (" + cond + ") {");
+      if (char_key) {
+        uint16_t len = keys[0].type.length;
+        Emit("    const char* m = " + KeyPtr(keys[0], "i0") + ";");
+        for (size_t t = 1; t < nin; ++t) {
+          Emit("    if (memcmp(" + KeyPtr(keys[t], "i" + S(t)) + ", m, " +
+               S(len) + ") > 0) m = " + KeyPtr(keys[t], "i" + S(t)) + ";");
+        }
+        for (size_t t = 0; t < nin; ++t) {
+          std::string it = "i" + S(t);
+          Emit("    while (" + it + " < e" + S(t) + " && memcmp(" +
+               KeyPtr(keys[t], it) + ", m, " + S(len) + ") < 0) ++" + it +
+               ";");
+          Emit("    if (" + it + " >= e" + S(t) + ") break;");
+        }
+        std::string alleq;
+        for (size_t t = 0; t < nin; ++t) {
+          if (t) alleq += " || ";
+          alleq += "memcmp(" + KeyPtr(keys[t], "i" + S(t)) + ", m, " +
+                   S(len) + ") != 0";
+        }
+        Emit("    if (" + alleq + ") continue;");
+        for (size_t t = 0; t < nin; ++t) {
+          std::string gt = "g" + S(t);
+          Emit("    int64_t " + gt + " = i" + S(t) + " + 1;");
+          Emit("    while (" + gt + " < e" + S(t) + " && memcmp(" +
+               KeyPtr(keys[t], gt) + ", m, " + S(len) + ") == 0) ++" + gt +
+               ";");
+        }
+      } else {
+        std::string kt = keys[0].type.CType();
+        Emit("    " + std::string(kt) + " m = " + KeyExpr(keys[0], "i0") +
+             ";");
+        for (size_t t = 1; t < nin; ++t) {
+          Emit("    if (" + KeyExpr(keys[t], "i" + S(t)) + " > m) m = " +
+               KeyExpr(keys[t], "i" + S(t)) + ";");
+        }
+        for (size_t t = 0; t < nin; ++t) {
+          std::string it = "i" + S(t);
+          Emit("    while (" + it + " < e" + S(t) + " && " +
+               KeyExpr(keys[t], it) + " < m) ++" + it + ";");
+          Emit("    if (" + it + " >= e" + S(t) + ") break;");
+        }
+        std::string alleq;
+        for (size_t t = 0; t < nin; ++t) {
+          if (t) alleq += " || ";
+          alleq += KeyExpr(keys[t], "i" + S(t)) + " != m";
+        }
+        Emit("    if (" + alleq + ") continue;");
+        for (size_t t = 0; t < nin; ++t) {
+          std::string gt = "g" + S(t);
+          Emit("    int64_t " + gt + " = i" + S(t) + " + 1;");
+          Emit("    while (" + gt + " < e" + S(t) + " && " +
+               KeyExpr(keys[t], gt) + " == m) ++" + gt + ";");
+        }
+      }
+      EmitJoinEmitLoops(op, keys, "i", "g");
+      for (size_t t = 0; t < nin; ++t) {
+        Emit("    i" + S(t) + " = g" + S(t) + ";");
+      }
+      Emit("  }");
+    }
+    Emit("  return 0;");
+    Emit("}");
+    Emit("");
+
+    std::string sig = "static int op" + S(k) + "_join(HqQueryCtx* ctx";
+    std::string ins;
+    for (size_t t = 0; t < nin; ++t) {
+      sig += ", const HqStream* in" + S(t);
+      ins += std::string(t ? ", " : "") + "in" + S(t);
+    }
+    Emit(sig + ", HqStream* out) {");
+    Emit("  const HqStream* in[] = {" + ins + "};");
+    // The largest (first) input drives a merge join's key ranges, capped by
+    // the optimizer's par_tasks from its cardinality estimate.
+    EmitRangeDriver(merge, S(nin), range_fn, out_policy, per_input, "in",
+                    op.par_tasks);
     Emit("}");
     Emit("");
     return Status::OK();
   }
 
-  /// The tail of a wrapper whose parallel task `task` appends each task's
-  /// output to its own vec `A.vs[t]`: run the tasks, then concatenate the
-  /// vecs in task order into `out` (hq_concat).
-  void EmitPerTaskOutputs(const std::string& task, uint32_t rec) {
-    Emit("  A.vs = (HqVec*)ctx->alloc(ctx->arena, "
-         "(uint64_t)A.nt * sizeof(HqVec));");
-    Emit("  if (!A.vs) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("  if (hq_parallel_for(ctx, A.nt, " + task +
-         ", &A) != HQ_OK) return -1;");
-    Emit("  return hq_concat(ctx, A.vs, A.nt, " + S(rec) + ", out);");
+  /// `return` of the range driver instantiation: key ranges (capped at
+  /// `par_tasks`) or partition ranges over the `n` streams `in`;
+  /// `per_input` lists the per-input comparators or sorts.
+  void EmitRangeDriver(bool key_ranges, const std::string& n,
+                       const std::string& kernel, const std::string& out,
+                       const std::string& per_input, const std::string& in,
+                       uint32_t par_tasks) {
+    drivers_.insert("range");
+    if (key_ranges) drivers_.insert("key_range");
+    Emit("  return hq_" + std::string(key_ranges ? "key" : "part") +
+         "_ranges<" + n + ", " + kernel + ", " + out + per_input + ">(ctx, " +
+         in + (key_ranges ? ", " + S(par_tasks) : "") + ", out);");
   }
 
-  /// Per-task join machinery for partitioned (hybrid / fine) joins: the
-  /// args block and the per-partition-range task (JIT partition sort +
-  /// merge into a per-task vec or accumulator block).
-  void EmitJoinTasks(int k, const JoinOp& op,
-                     const std::vector<KeyAccess>& keys, bool need_sort,
-                     uint32_t vec_rec, uint64_t est) {
-    size_t nin = op.input_streams.size();
-    bool fused = op.fuse_scalar_agg;
-    std::string A = "op" + S(k) + "_join_args";
-    std::string accs_t = "op" + S(k) + "_accs";
-    Emit("typedef struct {");
-    for (size_t t = 0; t < nin; ++t) {
-      Emit("  uint8_t* d" + S(t) + ";");
-      Emit("  const int64_t* pb" + S(t) + ";");
-    }
-    if (fused) {
-      Emit("  " + accs_t + "* accs;");
-    } else {
-      Emit("  HqVec* vs;");
-    }
-    Emit("  uint32_t nt;");
-    Emit("} " + A + ";");
-    Emit("");
-    Emit("static int32_t op" + S(k) +
-         "_join_part(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-         "void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)wk;");
-    Emit("  const uint32_t M = " + S(op.num_partitions) + ";");
-    Emit("  uint64_t mb, me;");
-    Emit("  hq_task_range(M, A->nt, t, &mb, &me);");
-    if (fused) {
-      Emit("  " + accs_t + "* acc = &A->accs[t];");
-    } else {
-      Emit("  HqVec* v = &A->vs[t];");
-      Emit("  int64_t est = " + S(est) + " / (int64_t)A->nt + 16;");
-      Emit("  if (hq_vec_init_w(v, wk, " + S(vec_rec) +
-           ", est) != 0) return -1;");
-    }
-    Emit("  for (uint64_t m = mb; m < me; ++m) {");
-    Emit("    // the next partition's records live in random frames of the");
-    Emit("    // scattered buffers: start their lines early (Table I)");
-    Emit("    if (m + 1 < me) {");
-    for (size_t t = 0; t < nin; ++t) {
-      Emit("      HQ_PREFETCH_R(A->d" + S(t) + " + (uint64_t)A->pb" + S(t) +
-           "[m + 1] * " + S(keys[t].rec) + ");");
-    }
-    Emit("    }");
-    for (size_t t = 0; t < nin; ++t) {
-      Emit("    int64_t b" + S(t) + " = A->pb" + S(t) + "[m];");
-      Emit("    int64_t e" + S(t) + " = A->pb" + S(t) + "[m + 1];");
-    }
-    std::string nonempty;
-    for (size_t t = 0; t < nin; ++t) {
-      if (t) nonempty += " || ";
-      nonempty += "b" + S(t) + " >= e" + S(t);
-    }
-    Emit("    if (" + nonempty + ") continue;");
-    if (need_sort) {
-      drivers_.insert("record_sort");
-      Emit("    // sort corresponding partitions just before joining them");
-      for (size_t t = 0; t < nin; ++t) {
-        Emit("    hq_record_sort<" + S(keys[t].rec) + ", cmp_op" + S(k) +
-             "_in" + S(t) + ">(A->d" + S(t) + " + (uint64_t)b" + S(t) +
-             " * " + S(keys[t].rec) + ", e" + S(t) + " - b" + S(t) + ");");
-      }
-    }
-    std::string call = "    if (op" + S(k) + "_merge_range(ctx";
-    for (size_t t = 0; t < nin; ++t) {
-      call += ", A->d" + S(t) + ", b" + S(t) + ", e" + S(t);
-    }
-    call += fused ? ", acc) != 0) return -1;" : ", v) != 0) return -1;";
-    Emit(call);
-    Emit("  }");
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-  }
-
-  /// Range-split machinery for the merge join over globally sorted inputs:
-  /// splitter join keys drawn at fixed ranks of input 0 are lower-bounded
-  /// in every input, so each task merges an aligned slice of the key domain
-  /// and no key group straddles two tasks — concatenating the per-task
-  /// outputs in task order reproduces the full-range merge byte for byte.
-  /// Task count and splitter ranks depend only on the data and the plan's
-  /// par_tasks cap, never on the thread count.
-  void EmitMergeRangeTasks(int k, const JoinOp& op,
-                           const std::vector<KeyAccess>& keys,
-                           uint32_t vec_rec, uint64_t est) {
-    size_t nin = op.input_streams.size();
-    bool fused = op.fuse_scalar_agg;
-    std::string A = "op" + S(k) + "_mr_args";
-    std::string accs_t = "op" + S(k) + "_accs";
-    Emit("typedef struct {");
-    for (size_t t = 0; t < nin; ++t) {
-      Emit("  const uint8_t* d" + S(t) + ";");
-      Emit("  int64_t n" + S(t) + ";");
-    }
-    if (fused) {
-      Emit("  " + accs_t + "* accs;");
-    } else {
-      Emit("  HqVec* vs;");
-    }
-    Emit("  uint32_t nt;");
-    Emit("} " + A + ";");
-    Emit("");
-    bool char_key = keys[0].type.id == TypeId::kChar;
-    Emit("static void op" + S(k) + "_mr_bounds(const " + A +
-         "* A, uint32_t t, int64_t* b) {");
-    Emit("  if (t == 0) {");
-    for (size_t j = 0; j < nin; ++j) Emit("    b[" + S(j) + "] = 0;");
-    Emit("    return;");
-    Emit("  }");
-    Emit("  if (t >= A->nt) {");
-    for (size_t j = 0; j < nin; ++j) {
-      Emit("    b[" + S(j) + "] = A->n" + S(j) + ";");
-    }
-    Emit("    return;");
-    Emit("  }");
-    for (size_t j = 0; j < nin; ++j) {
-      Emit("  const uint8_t* d" + S(j) + " = A->d" + S(j) + ";");
-    }
-    Emit("  int64_t sr = (int64_t)t * A->n0 / (int64_t)A->nt;");
-    if (char_key) {
-      Emit("  const char* sk = " + KeyPtr(keys[0], "sr") + ";");
-    } else {
-      Emit("  " + std::string(keys[0].type.CType()) + " sk = " +
-           KeyExpr(keys[0], "sr") + ";");
-    }
-    for (size_t j = 0; j < nin; ++j) {
-      Emit("  {");
-      Emit("    int64_t lo = 0, hi = A->n" + S(j) + ";");
-      Emit("    while (lo < hi) {");
-      Emit("      int64_t mid = lo + ((hi - lo) >> 1);");
-      if (char_key) {
-        Emit("      if (memcmp(" + KeyPtr(keys[j], "mid") + ", sk, " +
-             S(keys[0].type.length) + ") < 0) lo = mid + 1; else hi = mid;");
-      } else {
-        Emit("      if (" + KeyExpr(keys[j], "mid") +
-             " < sk) lo = mid + 1; else hi = mid;");
-      }
-      Emit("    }");
-      Emit("    b[" + S(j) + "] = lo;");
-      Emit("  }");
-    }
-    Emit("}");
-    Emit("");
-    Emit("static int32_t op" + S(k) +
-         "_mr_task(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-         "void* argp) {");
-    Emit("  " + A + "* A = (" + A + "*)argp; (void)wk;");
-    Emit("  int64_t b[" + S(nin) + "]; int64_t e[" + S(nin) + "];");
-    Emit("  op" + S(k) + "_mr_bounds(A, t, b);");
-    Emit("  op" + S(k) + "_mr_bounds(A, t + 1, e);");
-    if (fused) {
-      Emit("  " + accs_t + "* acc = &A->accs[t];");
-    } else {
-      Emit("  HqVec* v = &A->vs[t];");
-      Emit("  int64_t est = " + S(est) + " / (int64_t)A->nt + 16;");
-      Emit("  if (hq_vec_init_w(v, wk, " + S(vec_rec) +
-           ", est) != 0) return -1;");
-    }
-    std::string call = "  if (op" + S(k) + "_merge_range(ctx";
-    for (size_t j = 0; j < nin; ++j) {
-      call += ", A->d" + S(j) + ", b[" + S(j) + "], e[" + S(j) + "]";
-    }
-    call += fused ? ", acc) != 0) return -1;" : ", v) != 0) return -1;";
-    Emit(call);
-    Emit("  return 0;");
-    Emit("}");
-    Emit("");
-  }
-
-  /// The tail of a fused-aggregation wrapper: run `task` over per-task
-  /// accumulator blocks `A.accs[t]`, then fold the partials in task order
-  /// into the single fused aggregate record, leaving the one-row stream in
-  /// `out`. The fixed decomposition makes the fold order (and hence every
-  /// floating-point sum) identical at any thread count.
-  void EmitFusedAccFold(int k, const JoinOp& op, const std::string& task,
-                        uint32_t vec_rec) {
-    std::string accs_t = "op" + S(k) + "_accs";
-    Emit("  A.accs = (" + accs_t + "*)ctx->alloc(ctx->arena, "
-         "(uint64_t)A.nt * sizeof(" + accs_t + "));");
-    Emit("  if (!A.accs) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("  memset(A.accs, 0, (uint64_t)A.nt * sizeof(" + accs_t + "));");
-    Emit("  if (hq_parallel_for(ctx, A.nt, " + task +
-         ", &A) != HQ_OK) return -1;");
-    Emit("  HqVec v;");
-    Emit("  if (hq_vec_init(&v, ctx, " + S(vec_rec) + ", 1) != 0) return -1;");
-    Emit("  // merge the per-task partials in task order: the fixed");
-    Emit("  // decomposition makes the fold order (and hence every");
-    Emit("  // floating-point sum) identical at any thread count");
-    Emit("  {");
-    Emit("    uint8_t* o = hq_vec_slot(&v);");
-    Emit("    if (!o) return -1;");
-    Emit("    " + accs_t + " G;");
-    Emit("    memset(&G, 0, sizeof(G));");
-    Emit("    int64_t gn = 0;");
-    Emit("    for (uint32_t t2 = 0; t2 < A.nt; ++t2) {");
-    Emit("      const " + accs_t + "* Sp = &A.accs[t2];");
-    Emit("      if (Sp->grp_n == 0) continue;");
+  /// The type-specific halves of the fused-aggregation fold (runtime_abi.h
+  /// hq_accs): `op<k>_acc_merge` folds one task's block into the running
+  /// one, `op<k>_acc_emit` writes the aggregate record. The running block
+  /// counts the tuples already merged, so min/max ignore its zeroed
+  /// registers until real data arrives.
+  void EmitAccFold(int k, const JoinOp& op) {
+    std::string T = "op" + S(k) + "_accs";
+    Emit("static void op" + S(k) +
+         "_acc_merge(uint8_t* gp, const uint8_t* sp) {");
+    Emit("  " + T + "* G = (" + T + "*)gp; const " + T + "* Sp = (const " +
+         T + "*)sp;");
+    Emit("  if (Sp->grp_n == 0) return;");
     for (const std::string& m :
-         BuildAccMerges(op.query->aggs, "G.", "Sp->", "gn")) {
-      Emit("      " + m);
+         BuildAccMerges(op.query->aggs, "G->", "Sp->", "G->grp_n")) {
+      Emit("  " + m);
     }
-    Emit("      gn += Sp->grp_n;");
-    Emit("    }");
-    Emit("    (void)gn;");
-    std::vector<AccDecl> accs = BuildAccs(op.query->aggs, op.output,
-                                          op.fused_output, 0, "orec", "G.",
-                                          "", "gn");
-    for (const auto& a : accs) Emit("    " + a.emit);
-    Emit("  }");
-    Emit("  out->data = v.data; out->n = v.n; out->rec_size = " +
-         S(vec_rec) + ";");
-    Emit("  out->part_begin = 0; out->num_parts = 0;");
-    Emit("  return 0;");
+    Emit("  G->grp_n += Sp->grp_n;");
+    Emit("}");
+    Emit("");
+    Emit("static void op" + S(k) +
+         "_acc_emit(const uint8_t* gp, uint8_t* o) {");
+    Emit("  const " + T + "* G = (const " + T + "*)gp;");
+    for (const auto& a : BuildAccs(op.query->aggs, op.output,
+                                   op.fused_output, 0, "orec", "G->", "",
+                                   "G->grp_n")) {
+      Emit("  " + a.emit);
+    }
+    Emit("}");
+    Emit("");
   }
 
   /// Statements folding one task's accumulator partial (`src` prefix) into
@@ -1383,16 +1142,19 @@ class Generator {
     return accs;
   }
 
+  /// Sort and hybrid aggregation: the sorted-group scan `op<k>_scan`, a
+  /// range kernel over one input, runs through a range driver: key ranges
+  /// of the globally sorted input (each group-key splitter's lower bound,
+  /// so no group straddles two tasks), or partition ranges, each partition
+  /// JIT-sorted on all group keys.
   Status EmitSortishAgg(int k, const AggOp& op, bool hybrid) {
     const RecordLayout& in_layout = Stream(op.input_stream).layout;
     uint32_t irec = in_layout.record_size;
     uint32_t orec = op.output.record_size;
     std::string scan_fn = "op" + S(k) + "_scan";
-
-    if (hybrid) {
-      // JIT sort of each partition on all group keys.
-      EmitComparator("cmp_op" + S(k), in_layout, op.group_fields, {});
-    }
+    std::string cmp = "cmp_op" + S(k);
+    EmitComparator(cmp, in_layout, op.group_fields, {});
+    if (hybrid) drivers_.insert("record_sort");
 
     // The sorted-group scan: single pass, registers per aggregate.
     std::vector<AccDecl> accs =
@@ -1400,15 +1162,14 @@ class Generator {
                   op.group_fields.size(), "rec", "", "", "grp_n");
     Emit("// op" + S(k) + ": " + (hybrid ? "hybrid hash-sort" : "sort") +
          " aggregation scan");
-    Emit("static int " + scan_fn +
-         "(HqQueryCtx* ctx, const uint8_t* d, int64_t lo, int64_t hi, "
-         "HqVec* out) {");
-    Emit("  if (lo >= hi) return 0;");
-    Emit("  int64_t gs = lo;");
+    Emit(RangeKernel(scan_fn));
+    Emit("  const uint8_t* d0 = d[0]; HqVec* v = (HqVec*)out;");
+    Emit("  if (b[0] >= e[0]) return 0;");
+    Emit("  int64_t gs = b[0];");
     Emit("  int64_t grp_n = 0;");
     for (const auto& a : accs) Emit("  " + a.decl);
-    Emit("  for (int64_t i = lo; i < hi; ++i) {");
-    Emit("    const uint8_t* rec = d + (uint64_t)i * " + S(irec) + ";");
+    Emit("  for (int64_t i = b[0]; i < e[0]; ++i) {");
+    Emit("    const uint8_t* rec = d0 + (uint64_t)i * " + S(irec) + ";");
     // Group-change test against the group's first record.
     std::string same;
     for (size_t g = 0; g < op.group_fields.size(); ++g) {
@@ -1417,8 +1178,7 @@ class Generator {
       same += FieldEquals("rec", "grec", in_layout.OffsetOf(f),
                           in_layout.fields[f].type);
     }
-    if (same.empty()) same = "1";
-    Emit("    const uint8_t* grec = d + (uint64_t)gs * " + S(irec) + ";");
+    Emit("    const uint8_t* grec = d0 + (uint64_t)gs * " + S(irec) + ";");
     Emit("    if (i > gs && !(" + same + ")) {");
     EmitGroupEmission(op, accs, "grec", "      ");
     Emit("      gs = i; grp_n = 0;");
@@ -1431,7 +1191,7 @@ class Generator {
     Emit("    ++grp_n;");
     Emit("  }");
     Emit("  {");
-    Emit("    const uint8_t* grec = d + (uint64_t)gs * " + S(irec) + ";");
+    Emit("    const uint8_t* grec = d0 + (uint64_t)gs * " + S(irec) + ";");
     EmitGroupEmission(op, accs, "grec", "    ");
     Emit("  }");
     Emit("  return 0;");
@@ -1440,116 +1200,13 @@ class Generator {
 
     uint64_t est = std::min<uint64_t>(Stream(op.out_stream).est_rows + 16,
                                       1u << 22);
-    if (hybrid) {
-      // Partition-parallel: each task JIT-sorts and scans a range of
-      // partitions into a per-task vec; concatenating them in partition
-      // order matches the serial wrapper's emission order.
-      std::string A = "op" + S(k) + "_agg_args";
-      Emit("typedef struct {");
-      Emit("  uint8_t* d;");
-      Emit("  const int64_t* pb;");
-      Emit("  HqVec* vs;");
-      Emit("  uint32_t nt;");
-      Emit("} " + A + ";");
-      Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_agg_part(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp;");
-      Emit("  const uint32_t M = " + S(op.num_partitions) + ";");
-      Emit("  uint64_t mb, me;");
-      Emit("  hq_task_range(M, A->nt, t, &mb, &me);");
-      Emit("  HqVec* v = &A->vs[t];");
-      Emit("  int64_t est = " + S(est) + " / (int64_t)A->nt + 16;");
-      Emit("  if (hq_vec_init_w(v, wk, " + S(orec) +
-           ", est) != 0) return -1;");
-      Emit("  for (uint64_t m = mb; m < me; ++m) {");
-      Emit("    int64_t b = A->pb[m], e = A->pb[m + 1];");
-      Emit("    if (b >= e) continue;");
-      drivers_.insert("record_sort");
-      Emit("    hq_record_sort<" + S(irec) + ", cmp_op" + S(k) +
-           ">(A->d + (uint64_t)b * " + S(irec) + ", e - b);");
-      Emit("    if (" + scan_fn + "(ctx, A->d, b, e, v) != 0) return -1;");
-      Emit("  }");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-      Emit("static int op" + S(k) +
-           "_agg(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
-      Emit("  " + A + " A;");
-      Emit("  A.d = in->data; A.pb = in->part_begin;");
-      Emit("  A.nt = hq_task_count(" + S(op.num_partitions) +
-           ", 1, HQ_PAR_MAX_TASKS);");
-      EmitPerTaskOutputs("op" + S(k) + "_agg_part", orec);
-    } else if (!op.group_fields.empty()) {
-      // Globally sorted input: split the scan at group boundaries found by
-      // binary search — each boundary is the lower bound (group-key
-      // comparator) of the record at a fixed splitter rank, so no group
-      // straddles two tasks and concatenating the per-task outputs in task
-      // order is byte-identical to the serial scan. Ranks depend only on
-      // the data and the plan's par_tasks cap, never on the thread count.
-      std::string gcmp = "cmp_op" + S(k) + "_g";
-      EmitComparator(gcmp, in_layout, op.group_fields, {});
-      std::string A = "op" + S(k) + "_sagg_args";
-      Emit("typedef struct {");
-      Emit("  const uint8_t* d;");
-      Emit("  int64_t n;");
-      Emit("  HqVec* vs;");
-      Emit("  uint32_t nt;");
-      Emit("} " + A + ";");
-      Emit("");
-      Emit("static int64_t op" + S(k) + "_sagg_bound(const " + A +
-           "* A, uint32_t t) {");
-      Emit("  if (t == 0) return 0;");
-      Emit("  if (t >= A->nt) return A->n;");
-      Emit("  const uint8_t* sp = A->d + "
-           "(uint64_t)((int64_t)t * A->n / (int64_t)A->nt) * " + S(irec) +
-           ";");
-      Emit("  int64_t lo = 0, hi = A->n;");
-      Emit("  while (lo < hi) {");
-      Emit("    int64_t mid = lo + ((hi - lo) >> 1);");
-      Emit("    if (" + gcmp + "(A->d + (uint64_t)mid * " + S(irec) +
-           ", sp) < 0) lo = mid + 1; else hi = mid;");
-      Emit("  }");
-      Emit("  return lo;");
-      Emit("}");
-      Emit("");
-      Emit("static int32_t op" + S(k) +
-           "_sagg_task(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, "
-           "void* argp) {");
-      Emit("  " + A + "* A = (" + A + "*)argp;");
-      Emit("  int64_t b = op" + S(k) + "_sagg_bound(A, t);");
-      Emit("  int64_t e = op" + S(k) + "_sagg_bound(A, t + 1);");
-      Emit("  HqVec* v = &A->vs[t];");
-      Emit("  int64_t est = " + S(est) + " / (int64_t)A->nt + 16;");
-      Emit("  if (hq_vec_init_w(v, wk, " + S(orec) +
-           ", est) != 0) return -1;");
-      Emit("  if (" + scan_fn + "(ctx, A->d, b, e, v) != 0) return -1;");
-      Emit("  return 0;");
-      Emit("}");
-      Emit("");
-      Emit("static int op" + S(k) +
-           "_agg(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
-      Emit("  " + A + " A;");
-      Emit("  A.d = in->data; A.n = in->n;");
-      Emit("  A.nt = hq_task_count((uint64_t)A.n, HQ_PAR_JOIN_GRAIN, " +
-           S(op.par_tasks) + ");");
-      EmitPerTaskOutputs("op" + S(k) + "_sagg_task", orec);
-    } else {
-      // Scalar (ungrouped) aggregation over sorted input: one record out,
-      // the single scan stays serial.
-      Emit("static int op" + S(k) +
-           "_agg(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
-      Emit("  HqVec v;");
-      Emit("  if (hq_vec_init(&v, ctx, " + S(orec) + ", " + S(est) +
-           ") != 0) return -1;");
-      Emit("  if (" + scan_fn + "(ctx, in->data, 0, in->n, &v) != 0) return "
-           "-1;");
-      Emit("  out->data = v.data; out->n = v.n; out->rec_size = " + S(orec) +
-           ";");
-      Emit("  out->part_begin = 0; out->num_parts = 0;");
-      Emit("  return 0;");
-    }
+    Emit("static int op" + S(k) +
+         "_agg(HqQueryCtx* ctx, const HqStream* in, HqStream* out) {");
+    EmitRangeDriver(!hybrid, "1", scan_fn,
+                    "hq_vecs<" + S(orec) + ", " + S(est) + ">",
+                    hybrid ? ", hq_record_sort<" + S(irec) + ", " + cmp + ">"
+                           : ", " + cmp,
+                    "&in", op.par_tasks);
     Emit("}");
     Emit("");
     return Status::OK();
@@ -1561,7 +1218,7 @@ class Generator {
                          const std::string& grec, const std::string& ind) {
     const RecordLayout& in_layout = Stream(op.input_stream).layout;
     Emit(ind + "{");
-    Emit(ind + "  uint8_t* o = hq_vec_slot(out);");
+    Emit(ind + "  uint8_t* o = hq_vec_slot(v);");
     Emit(ind + "  if (!o) return -1;");
     for (size_t g = 0; g < op.group_fields.size(); ++g) {
       int f = op.group_fields[g];

@@ -576,38 +576,6 @@ static void hq_record_sort(uint8_t* base, int64_t n) {
 
 // [end driver group record_sort]
 
-// Concatenates per-task outputs vs[0..nt) of rec-byte records, in task
-// order, into the unpartitioned stream out. Tasks cover consecutive key
-// ranges or partitions, so this is byte-identical to one serial pass.
-typedef struct HqConcatArgs {
-  const HqVec* vs; const int64_t* offs; uint8_t* out; uint32_t rec;
-} HqConcatArgs;
-
-static inline int32_t hq_concat_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
-                                     uint32_t t, void* argp) {
-  HqConcatArgs* A = (HqConcatArgs*)argp; (void)ctx; (void)wk;
-  memcpy(A->out + (uint64_t)A->offs[t] * A->rec, A->vs[t].data,
-         (uint64_t)A->vs[t].n * A->rec);
-  return 0;
-}
-
-static inline int hq_concat(HqQueryCtx* ctx, const HqVec* vs, uint32_t nt,
-                            uint32_t rec, HqStream* out) {
-  int64_t* offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)nt + 1) * 8);
-  if (!offs) { ctx->error = HQ_ERR_OOM; return -1; }
-  offs[0] = 0;
-  for (uint32_t t = 0; t < nt; ++t) offs[t + 1] = offs[t] + vs[t].n;
-  int64_t total = offs[nt];
-  uint8_t* buf =
-      (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(total ? total : 1) * rec);
-  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }
-  HqConcatArgs A = {vs, offs, buf, rec};
-  if (hq_parallel_for(ctx, nt, hq_concat_task, &A) != HQ_OK) return -1;
-  out->data = buf; out->n = total; out->rec_size = rec;
-  out->part_begin = 0; out->num_parts = 0;
-  return 0;
-}
-
 // Builds result row o from input record rec (ctx carries the literals).
 typedef void (*HqRowFn)(HqQueryCtx* ctx, const uint8_t* rec, uint8_t* o);
 
@@ -780,6 +748,18 @@ static int hq_sort_cascade(HqQueryCtx* ctx, uint8_t** data, int64_t n,
   return 0;
 }
 
+// The first of the CMP-sorted rec-byte records [lo, hi) at d that is not
+// below key: every splitter search (ORDER BY merge, key ranges) is this.
+template <HqRecCmp CMP>
+static int64_t hq_lower_bound(const uint8_t* d, uint64_t rec, int64_t lo,
+                              int64_t hi, const uint8_t* key) {
+  while (lo < hi) {
+    int64_t mid = lo + ((hi - lo) >> 1);
+    if (CMP(d + (uint64_t)mid * rec, key) < 0) lo = mid + 1; else hi = mid;
+  }
+  return lo;
+}
+
 // The parallel ORDER BY pipeline: build rows in parallel, sort cascade
 // down to at most 8 runs, then a splitter-partitioned k-way merge writes
 // disjoint ranges straight into pre-allocated result pages. Decomposition
@@ -821,31 +801,15 @@ static int32_t hq_order_build_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
 // task's destination rank.
 template <uint32_t REC, HqRecCmp CMP>
 static void hq_order_bounds(const HqOrderArgs* A, uint32_t t, int64_t* b) {
-  uint32_t r;
-  if (t == 0) {
-    for (r = 0; r < A->R; ++r) b[r] = (int64_t)r * A->rw;
-    return;
-  }
-  if (t >= A->nt) {
-    for (r = 0; r < A->R; ++r) {
-      int64_t e = ((int64_t)r + 1) * A->rw;
-      b[r] = e < A->n ? e : A->n;
-    }
-    return;
-  }
   int64_t r0n = A->rw < A->n ? A->rw : A->n;
   const uint8_t* sp =
       A->rows + (uint64_t)((int64_t)t * r0n / (int64_t)A->nt) * REC;
-  for (r = 0; r < A->R; ++r) {
+  for (uint32_t r = 0; r < A->R; ++r) {
     int64_t lo = (int64_t)r * A->rw;
-    int64_t hi = lo + A->rw;
-    if (hi > A->n) hi = A->n;
-    while (lo < hi) {
-      int64_t mid = lo + ((hi - lo) >> 1);
-      if (CMP(A->rows + (uint64_t)mid * REC, sp) < 0) lo = mid + 1;
-      else hi = mid;
-    }
-    b[r] = lo;
+    int64_t hi = lo + A->rw < A->n ? lo + A->rw : A->n;
+    b[r] = t == 0 ? lo
+         : t >= A->nt ? hi
+         : hq_lower_bound<CMP>(A->rows, REC, lo, hi, sp);
   }
 }
 
@@ -1040,5 +1004,165 @@ static int hq_partition_fine(HqQueryCtx* ctx, HqStream* s) {
                           hq_part_rec_task<REC, M, PID, CLAMP, true>);
 }
 // [end driver group partition]
+
+// [driver group range]
+// Range drivers (paper Listing 2, the sorted-group scan). Task t runs
+// kernel K on records [b[i], e[i]) of each input i, at d[i], for each of
+// its partitions or its key range, into its own out; OUT::close combines
+// the outs in task order, which is the serial result.
+typedef int (*HqRangeFn)(HqQueryCtx* ctx, uint8_t* const* d,
+                         const int64_t* b, const int64_t* e, void* out);
+typedef void (*HqSortFn)(uint8_t* base, int64_t n);
+
+template <uint32_t N>
+struct HqRangeArgs {
+  const HqStream* const* in; uint8_t* d[N]; uint8_t* outs; uint32_t nt;
+};
+
+typedef struct HqConcatArgs {
+  const HqVec* vs; const int64_t* offs; uint8_t* out; uint32_t rec;
+} HqConcatArgs;
+
+static inline int32_t hq_concat_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                     uint32_t t, void* argp) {
+  HqConcatArgs* A = (HqConcatArgs*)argp; (void)ctx; (void)wk;
+  memcpy(A->out + (uint64_t)A->offs[t] * A->rec, A->vs[t].data,
+         (uint64_t)A->vs[t].n * A->rec);
+  return 0;
+}
+
+// Concatenates vs[0..nt) of rec-byte records, in task order, into out.
+static inline int hq_concat(HqQueryCtx* ctx, const HqVec* vs, uint32_t nt,
+                            uint32_t rec, HqStream* out) {
+  int64_t* offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)nt + 1) * 8);
+  if (!offs) { ctx->error = HQ_ERR_OOM; return -1; }
+  offs[0] = 0;
+  for (uint32_t t = 0; t < nt; ++t) offs[t + 1] = offs[t] + vs[t].n;
+  int64_t total = offs[nt];
+  uint8_t* buf =
+      (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(total ? total : 1) * rec);
+  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqConcatArgs A = {vs, offs, buf, rec};
+  if (hq_parallel_for(ctx, nt, hq_concat_task, &A) != HQ_OK) return -1;
+  out->data = buf; out->n = total; out->rec_size = rec;
+  out->part_begin = 0; out->num_parts = 0;
+  return 0;
+}
+
+// OUT: a vec of OREC-byte records per task (EST in all), concatenated.
+template <uint32_t OREC, int64_t EST>
+struct hq_vecs {
+  static constexpr uint64_t kSize = sizeof(HqVec);
+  static void* open(uint8_t* outs, HqWorkerCtx* wk, uint32_t t, uint32_t nt) {
+    HqVec* v = (HqVec*)outs + t;
+    return hq_vec_init_w(v, wk, OREC, EST / nt + 16) ? 0 : v;
+  }
+  static int close(HqQueryCtx* ctx, uint8_t* outs, uint32_t nt,
+                   HqStream* out) {
+    return hq_concat(ctx, (HqVec*)outs, nt, OREC, out);
+  }
+};
+
+// Partition ranges: task t takes its hq_task_range of the partitions,
+// skips those empty in any input and sorts the others in every input
+// (SORT: one per input, or none) before K joins or aggregates them.
+template <uint32_t N, HqRangeFn K, class OUT, HqSortFn... SORT>
+static int32_t hq_part_range_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                  uint32_t t, void* argp) {
+  HqRangeArgs<N>* A = (HqRangeArgs<N>*)argp;
+  void* out = OUT::open(A->outs, wk, t, A->nt);
+  uint64_t m, me;
+  hq_task_range(A->in[0]->num_parts, A->nt, t, &m, &me);
+  for (; out && m < me; ++m) {
+    int64_t b[N], e[N];
+    uint32_t i, skip = 0;
+    for (i = 0; i < N; ++i) {
+      const HqStream* s = A->in[i];
+      // The next partition lies in random frames: start its lines (Table I).
+      if (m + 1 < me) {
+        HQ_PREFETCH_R(s->data + s->part_begin[m + 1] * s->rec_size);
+      }
+      b[i] = s->part_begin[m]; e[i] = s->part_begin[m + 1];
+      skip |= b[i] >= e[i];
+    }
+    if (skip) continue;
+    i = 0;
+    ((SORT(A->d[i] + b[i] * A->in[i]->rec_size, e[i] - b[i]), ++i), ...);
+    if (K(ctx, A->d, b, e, out) != 0) return -1;
+  }
+  return out ? 0 : -1;
+}
+
+template <uint32_t N, HqRangeFn K, class OUT, HqSortFn... SORT>
+static int hq_part_ranges(HqQueryCtx* ctx, const HqStream* const* in,
+                          HqStream* out) {
+  HqRangeArgs<N> A;
+  A.in = in;
+  for (uint32_t i = 0; i < N; ++i) A.d[i] = in[i]->data;
+  A.nt = hq_task_count(in[0]->num_parts, 1, HQ_PAR_MAX_TASKS);
+  A.outs = (uint8_t*)ctx->alloc(ctx->arena, A.nt * OUT::kSize);
+  if (!A.outs) { ctx->error = HQ_ERR_OOM; return -1; }
+  memset(A.outs, 0, A.nt * OUT::kSize);
+  HqTaskFn task = hq_part_range_task<N, K, OUT, SORT...>;
+  if (hq_parallel_for(ctx, A.nt, task, &A) != HQ_OK) return -1;
+  return OUT::close(ctx, A.outs, A.nt, out);
+}
+// [end driver group range]
+// [driver group key_range]
+// Key ranges over N sorted inputs: the record at rank t*n0/nt of input 0
+// is splitter t, and its lower bound in input i under CMP[i] (input i's
+// key against input 0's) ends range t-1 there and starts range t, so
+// equal keys share a range. The ranges run as partitions, one per task.
+// par_tasks is the plan's cap on nt. Needs the sort group (hq_lower_bound).
+template <uint32_t N, HqRangeFn K, class OUT, HqRecCmp... CMP>
+static int hq_key_ranges(HqQueryCtx* ctx, const HqStream* const* in,
+                         uint32_t par_tasks, HqStream* out) {
+  const HqStream* s0 = in[0];
+  uint32_t i, nt = hq_task_count(s0->n, HQ_PAR_JOIN_GRAIN, par_tasks);
+  int64_t* pb = (int64_t*)ctx->alloc(ctx->arena, N * (nt + 1ull) * 8);
+  if (!pb) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqStream r[N]; const HqStream* rp[N];
+  for (i = 0; i < N; ++i) {
+    r[i] = *in[i]; rp[i] = &r[i];
+    r[i].part_begin = pb + i * (nt + 1ull); r[i].num_parts = nt;
+  }
+  for (uint32_t t = 0; t <= nt; ++t) {
+    const uint8_t* sp = s0->data + t * s0->n / nt * s0->rec_size;
+    i = 0;
+    ((r[i].part_begin[t] = t == 0 ? 0 : t == nt ? r[i].n
+        : hq_lower_bound<CMP>(r[i].data, r[i].rec_size, 0, r[i].n, sp),
+      ++i), ...);
+  }
+  return hq_part_ranges<N, K, OUT>(ctx, rp, out);
+}
+// [end driver group key_range]
+// [driver group fold]
+// OUT for a join with fused scalar aggregation: one zeroed ACC-byte
+// accumulator block per task, folded in task order by MERGE (into the
+// first argument) into one block that EMIT writes as the one OREC-byte row.
+typedef void (*HqAccMergeFn)(uint8_t* g, const uint8_t* s);
+typedef void (*HqAccEmitFn)(const uint8_t* g, uint8_t* o);
+
+template <uint32_t ACC, uint32_t OREC, HqAccMergeFn MERGE, HqAccEmitFn EMIT>
+struct hq_accs {
+  static constexpr uint64_t kSize = ACC;
+  static void* open(uint8_t* outs, HqWorkerCtx* wk, uint32_t t, uint32_t nt) {
+    (void)wk; (void)nt;
+    return outs + (uint64_t)t * ACC;
+  }
+  static int close(HqQueryCtx* ctx, uint8_t* outs, uint32_t nt,
+                   HqStream* out) {
+    alignas(64) uint8_t g[ACC];
+    memset(g, 0, ACC);
+    for (uint32_t t = 0; t < nt; ++t) MERGE(g, outs + (uint64_t)t * ACC);
+    uint8_t* o = (uint8_t*)ctx->alloc(ctx->arena, OREC);
+    if (!o) { ctx->error = HQ_ERR_OOM; return -1; }
+    EMIT(g, o);
+    out->data = o; out->n = 1; out->rec_size = OREC;
+    out->part_begin = 0; out->num_parts = 0;
+    return 0;
+  }
+};
+// [end driver group fold]
 
 #endif  // HIQUE_CODEGEN_RUNTIME_ABI_H_

@@ -375,7 +375,6 @@ class Planner {
   Result<int> PlanTeamJoin(JoinClasses& classes) {
     std::map<int, ColRef> keys = TeamKeys(*q_);
     JoinAlgo algo = opts_.force_join_algo.value_or(JoinAlgo::kMerge);
-    if (algo == JoinAlgo::kNestedLoops) algo = JoinAlgo::kMerge;
 
     JoinOp op;
     op.algo = algo;
@@ -592,8 +591,6 @@ class Planner {
           return AddStage(stream, StageAction::kSort, {key}, 0, 0);
         case JoinAlgo::kHybridHashSortMerge:
           return AddStage(stream, part_action, {key}, parts, fine_min);
-        case JoinAlgo::kNestedLoops:
-          return AddStage(stream, StageAction::kNone, {}, 0, 0);
       }
       return -1;
     };
@@ -603,10 +600,8 @@ class Planner {
     op.input_streams = {lstaged, rstaged};
     op.key_fields = {plan_->streams[lstaged].layout.FindField(lkey),
                      plan_->streams[rstaged].layout.FindField(rkey)};
-    if (algo != JoinAlgo::kNestedLoops) {
-      HQ_CHECK_MSG(op.key_fields[0] >= 0 && op.key_fields[1] >= 0,
-                   "join key missing from staged layout");
-    }
+    HQ_CHECK_MSG(op.key_fields[0] >= 0 && op.key_fields[1] >= 0,
+                 "join key missing from staged layout");
     op.num_partitions = parts;
     for (int s : op.input_streams) {
       op.output.AppendConcat(plan_->streams[s].layout);
@@ -669,23 +664,17 @@ class Planner {
             "map aggregation forced but directories do not fit / stats "
             "missing");
       }
-      if (algo == AggAlgo::kHybridHashSort && q_->group_by.empty()) {
+      if (algo != AggAlgo::kMap && q_->group_by.empty()) {
         return Status::PlanError(
-            "hybrid aggregation forced without GROUP BY: no key to "
-            "partition on");
+            "sort or hybrid aggregation forced without GROUP BY: no key to "
+            "sort or partition on");
       }
     } else if (sorted_on_keys) {
       algo = AggAlgo::kSort;
     } else if (map_ok) {
       algo = AggAlgo::kMap;
-    } else if (!q_->group_by.empty()) {
-      algo = AggAlgo::kHybridHashSort;
     } else {
-      algo = AggAlgo::kMap;  // scalar aggregation: running registers
-      map_ok = true;
-      capacities.clear();
-      dense.clear();
-      dense_min.clear();
+      algo = AggAlgo::kHybridHashSort;
     }
 
     AggOp op;
@@ -757,9 +746,7 @@ class Planner {
                           q_->aggs[a].out_type,
                           "agg" + std::to_string(a)});
     }
-    if (algo == AggAlgo::kSort && !op.group_fields.empty()) {
-      op.par_tasks = ChooseParTasks(in->est_rows);
-    }
+    if (algo == AggAlgo::kSort) op.par_tasks = ChooseParTasks(in->est_rows);
     std::vector<ColRef> sorted_out;
     if (algo == AggAlgo::kSort) sorted_out = q_->group_by;
     op.out_stream = NewStream(op.output, groups_est, std::move(sorted_out));
@@ -829,7 +816,8 @@ class Planner {
                         std::vector<uint8_t>* dense,
                         std::vector<int64_t>* dense_min) const {
     constexpr uint64_t kSortedDirMax = 4096;
-    if (q_->group_by.empty()) return false;
+    // No GROUP BY: one cell, the running registers of a scalar aggregate.
+    if (q_->group_by.empty()) return true;
     uint64_t cells = 1;
     for (ColRef g : q_->group_by) {
       const Table* t = q_->tables[g.table];

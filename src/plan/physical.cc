@@ -42,8 +42,6 @@ const char* JoinAlgoName(JoinAlgo a) {
       return "merge";
     case JoinAlgo::kHybridHashSortMerge:
       return "hybrid-hash-sort-merge";
-    case JoinAlgo::kNestedLoops:
-      return "nested-loops";
   }
   return "?";
 }

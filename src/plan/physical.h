@@ -84,8 +84,7 @@ struct StageOp {
 
 enum class JoinAlgo {
   kMerge,               // inputs staged sorted; linear merge with groups
-  kHybridHashSortMerge, // inputs staged partitioned; JIT sort + merge/part.
-  kNestedLoops          // fallback / cross product
+  kHybridHashSortMerge  // inputs staged partitioned; JIT sort + merge/part.
 };
 
 /// Binary or team join. All inputs must be staged consistently (sorted for
@@ -146,7 +145,7 @@ struct AggOp {
 
   /// Task-count cap for the kSort grouped scan (see JoinOp::par_tasks).
   /// Group boundaries are found by binary search so no group straddles two
-  /// tasks; scalar (ungrouped) aggregation ignores this and stays serial.
+  /// tasks. kSort always groups: a scalar aggregate plans kMap.
   uint32_t par_tasks = 1;
 
   /// kMap only: codec of the base table the fused scan reads (see

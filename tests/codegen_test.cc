@@ -53,6 +53,25 @@ class CodegenTest : public ::testing::Test {
   Catalog catalog_;
 };
 
+/// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// The text of the function whose signature contains `signature`, from
+/// the signature to its closing brace at column 0.
+std::string FunctionText(const std::string& src, const std::string& signature) {
+  size_t begin = src.find(signature);
+  if (begin == std::string::npos) return "";
+  size_t end = src.find("\n}\n", begin);
+  return end == std::string::npos ? "" : src.substr(begin, end - begin);
+}
+
 TEST_F(CodegenTest, ScanSelectMatchesListing1Shape) {
   // A non-selective filter (~90% pass) does not batch (see
   // EachScanHasOneLoopShape), so the scan is the paper's Listing 1: page
@@ -87,9 +106,10 @@ TEST_F(CodegenTest, HybridJoinEmitsJitPartitionSort) {
   opts.fine_partition_max_domain = 0;
   std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
-  EXPECT_NE(src.find("sort corresponding partitions just before joining"),
-            std::string::npos);
-  EXPECT_NE(src.find("hq_record_sort<"), std::string::npos);
+  // The partition-range driver sorts corresponding partitions just before
+  // joining them: one hq_record_sort per input.
+  EXPECT_NE(src.find("hq_part_ranges<2, op"), std::string::npos) << src;
+  EXPECT_EQ(CountOf(src, "hq_record_sort<"), 2u) << src;
   EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos);
   EXPECT_NE(src.find("hybrid hash-sort-merge join"), std::string::npos);
   EXPECT_NE(src.find("nested-loops template, Listing 2"), std::string::npos);
@@ -102,8 +122,12 @@ TEST_F(CodegenTest, FineJoinSkipsSorting) {
   std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   EXPECT_NE(src.find("fine-partition join"), std::string::npos);
-  EXPECT_EQ(src.find("sort corresponding partitions"), std::string::npos);
+  EXPECT_NE(src.find("hq_part_ranges<2, op"), std::string::npos) << src;
   EXPECT_EQ(src.find("hq_record_sort<"), std::string::npos);
+  // The cross product needs no merge cursors.
+  std::string kernel = FunctionText(src, "_merge_range(");
+  ASSERT_FALSE(kernel.empty()) << src;
+  EXPECT_EQ(kernel.find("int64_t i0"), std::string::npos) << kernel;
   EXPECT_NE(src.find("hq_partition_fine<"), std::string::npos);
   EXPECT_EQ(src.find("hq_partition_coarse<"), std::string::npos);
 }
@@ -151,12 +175,12 @@ TEST_F(CodegenTest, OperatorsRunThroughParallelForService) {
   std::string src = BodyFor(
       "select r_k, s_v from r, s where r_k = s_k", opts);
   // Staging, partitioning and the per-partition join all dispatch through
-  // the runtime parallel-for service (partitioning inside its driver); the
-  // thread count is a pure runtime knob, never baked into the source.
-  EXPECT_NE(src.find("hq_parallel_for(ctx"), std::string::npos);
+  // the runtime parallel-for service inside their drivers; the thread
+  // count is a pure runtime knob, never baked into the source.
+  EXPECT_EQ(src.find("hq_parallel_for(ctx"), std::string::npos);
   EXPECT_NE(src.find("hq_stage_base<"), std::string::npos);
   EXPECT_NE(src.find("hq_partition_coarse<"), std::string::npos);
-  EXPECT_NE(src.find("_join_part"), std::string::npos);
+  EXPECT_NE(src.find("hq_part_ranges<"), std::string::npos);
   EXPECT_EQ(src.find("HQ_THREADS"), std::string::npos);
 }
 
@@ -170,15 +194,6 @@ TEST_F(CodegenTest, SortedOutputSkipsFinalSort) {
   EXPECT_EQ(src.find("_out(const uint8_t* a"), std::string::npos);
   EXPECT_EQ(src.find("hq_order_by_output<"), std::string::npos);
   EXPECT_NE(src.find("hq_emit_rows<"), std::string::npos);
-}
-
-/// The text of the function whose signature contains `signature`, from
-/// the signature to its closing brace at column 0.
-std::string FunctionText(const std::string& src, const std::string& signature) {
-  size_t begin = src.find(signature);
-  if (begin == std::string::npos) return "";
-  size_t end = src.find("\n}\n", begin);
-  return end == std::string::npos ? "" : src.substr(begin, end - begin);
 }
 
 TEST_F(CodegenTest, EveryOutputUsesOnlyBulkPageProtocol) {
@@ -220,7 +235,10 @@ TEST_F(CodegenTest, EveryOutputUsesOnlyBulkPageProtocol) {
 
 TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   // g++ parses every embedded template, so a source carries a driver group
-  // only when one of its operators instantiates it.
+  // only when one of its operators instantiates it. Every join and every
+  // sort or hybrid aggregation runs through a range driver (group range),
+  // key ranges also need group key_range, a fused scalar aggregate the
+  // accumulator fold.
   plan::PlannerOptions hash_join;
   hash_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   hash_join.fine_partition_max_domain = 0;
@@ -229,30 +247,48 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   plan::PlannerOptions fine_join;
   fine_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   fine_join.fine_partition_max_domain = 64;
+  plan::PlannerOptions sort_agg;
+  sort_agg.force_agg_algo = plan::AggAlgo::kSort;
+  plan::PlannerOptions hybrid_agg;
+  hybrid_agg.force_agg_algo = plan::AggAlgo::kHybridHashSort;
   struct Case {
     const char* sql;
     plan::PlannerOptions opts;
     std::vector<std::string> groups;
   };
+  const char* join = "select r_k, s_v from r, s where r_k = s_k";
+  const char* fused = "select count(*), sum(s_v) from r, s where r_k = s_k";
+  const char* grouped = "select r_k, count(*) from r group by r_k";
   for (const Case& c : std::vector<Case>{
            {"select r_k, r_v from r where r_v < 500", {}, {"stage"}},
-           {"select r_k, count(*) from r group by r_k", {}, {}},
+           {grouped, {}, {}},
+           {"select count(*), sum(r_v) from r", {}, {}},
            {"select r_k, r_v from r order by r_v",
             {},
             {"stage", "record_sort", "sort"}},
-           {"select r_k, s_v from r, s where r_k = s_k",
+           {join,
             merge_join,
-            {"stage", "record_sort", "sort"}},
-           {"select r_k, s_v from r, s where r_k = s_k",
+            {"stage", "record_sort", "sort", "range", "key_range"}},
+           {join, hash_join, {"stage", "record_sort", "partition", "range"}},
+           {join, fine_join, {"stage", "partition", "range"}},
+           {fused,
+            merge_join,
+            {"stage", "record_sort", "sort", "range", "key_range", "fold"}},
+           {fused,
             hash_join,
-            {"stage", "record_sort", "partition"}},
-           {"select r_k, s_v from r, s where r_k = s_k",
-            fine_join,
-            {"stage", "partition"}},
+            {"stage", "record_sort", "partition", "range", "fold"}},
+           {fused, fine_join, {"stage", "partition", "range", "fold"}},
+           {grouped,
+            sort_agg,
+            {"stage", "record_sort", "sort", "range", "key_range"}},
+           {grouped,
+            hybrid_agg,
+            {"stage", "record_sort", "partition", "range"}},
        }) {
     SCOPED_TRACE(c.sql);
     std::string src = GenerateFor(c.sql, c.opts);
-    for (const char* group : {"stage", "record_sort", "sort", "partition"}) {
+    for (const char* group : {"stage", "record_sort", "sort", "partition",
+                              "range", "key_range", "fold"}) {
       bool want = std::find(c.groups.begin(), c.groups.end(), group) !=
                   c.groups.end();
       EXPECT_EQ(
@@ -261,17 +297,21 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
           want)
           << group;
     }
+    // A join or a sort/hybrid aggregation is its kernels plus one driver
+    // instantiation; no per-operator task wrapper is generated.
+    std::string body = BodyFor(c.sql, c.opts);
+    bool ranges = std::find(c.groups.begin(), c.groups.end(), "range") !=
+                  c.groups.end();
+    EXPECT_EQ(CountOf(body, "hq_part_ranges<") +
+                  CountOf(body, "hq_key_ranges<"),
+              ranges ? 1u : 0u)
+        << body;
+    for (const char* gone : {"_join_args", "_join_part", "_mr_args",
+                             "_mr_bounds", "_mr_task", "_agg_args",
+                             "_agg_part", "_sagg_"}) {
+      EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    }
   }
-}
-
-/// Occurrences of `needle` in `haystack`.
-size_t CountOf(const std::string& haystack, const std::string& needle) {
-  size_t n = 0;
-  for (size_t at = haystack.find(needle); at != std::string::npos;
-       at = haystack.find(needle, at + needle.size())) {
-    ++n;
-  }
-  return n;
 }
 
 TEST_F(CodegenTest, EachScanHasOneLoopShape) {

@@ -295,6 +295,41 @@ INSTANTIATE_TEST_SUITE_P(
         AlgoCase{plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kMap,
                  true, 17}));
 
+// A scalar aggregate returns one row even when no row qualifies. Forcing
+// map aggregation plans the same running registers as the default plan;
+// there is no key to sort on, so forcing sort aggregation is a PlanError.
+TEST(ScalarAggregateTest, EmptyFilterReturnsOneRowUnderEveryPlan) {
+  Catalog catalog;
+  testing::MakeIntTable(&catalog, "r", 2000, 30, 10);
+  const std::string sql = "select count(*), sum(r_v) from r where r_k < 0";
+  auto expected = ref::ExecuteSql(sql, catalog);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.value().size(), 1u);
+  EngineOptions uncached;
+  uncached.max_cached_queries = 0;
+  HiqueEngine engine(&catalog, uncached);
+  plan::PlannerOptions forced_map;
+  forced_map.force_agg_algo = plan::AggAlgo::kMap;
+  for (const auto& planner : {plan::PlannerOptions{}, forced_map}) {
+    SessionOptions so;
+    so.override_planner = true;
+    so.planner = planner;
+    auto r = engine.OpenSession(so).Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<ref::Row> actual;
+    for (auto& row : r.value().Rows()) actual.push_back(row);
+    EXPECT_EQ(actual.size(), 1u);
+    Status cmp = ref::CompareRowSets(expected.value(), actual, false);
+    EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+  }
+  SessionOptions so;
+  so.override_planner = true;
+  so.planner.force_agg_algo = plan::AggAlgo::kSort;
+  auto sorted = engine.OpenSession(so).Query(sql);
+  ASSERT_FALSE(sorted.ok());
+  EXPECT_EQ(sorted.status().code(), StatusCode::kPlanError);
+}
+
 // Team joins across 3..5 tables, merge and hybrid, vs the reference.
 class TeamJoinTest : public ::testing::TestWithParam<std::pair<int, bool>> {};
 

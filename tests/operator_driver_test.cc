@@ -13,7 +13,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/runtime_abi.h"
@@ -519,6 +522,356 @@ TEST(OperatorDriverTest, EmitRowsAppliesLimitPageByPage) {
               static_cast<int64_t>(prefix.size()));
     EXPECT_EQ(h.Emitted(), Bytes(prefix));
   }
+}
+
+// ---- range drivers -------------------------------------------------------
+
+int32_t KeyOf(const uint8_t* d, int64_t i) { return At(d + i * kRec).key; }
+
+/// The generated join kernel's contract (op<k>_merge_range): a merge over
+/// the key-sorted ranges emitting every combination of records with equal
+/// keys as one N * kRec-byte row, inputs in order.
+template <uint32_t N>
+int JoinRanges(HqQueryCtx* ctx, uint8_t* const* d, const int64_t* b,
+               const int64_t* e, void* out) {
+  (void)ctx;
+  HqVec* v = static_cast<HqVec*>(out);
+  int64_t i[N], g[N], a[N];
+  for (uint32_t t = 0; t < N; ++t) i[t] = b[t];
+  for (;;) {
+    for (uint32_t t = 0; t < N; ++t) {
+      if (i[t] >= e[t]) return 0;
+    }
+    int32_t m = KeyOf(d[0], i[0]);
+    for (uint32_t t = 1; t < N; ++t) m = std::max(m, KeyOf(d[t], i[t]));
+    bool equal = true;
+    for (uint32_t t = 0; t < N; ++t) {
+      while (i[t] < e[t] && KeyOf(d[t], i[t]) < m) ++i[t];
+      if (i[t] >= e[t]) return 0;
+      equal = equal && KeyOf(d[t], i[t]) == m;
+    }
+    if (!equal) continue;
+    for (uint32_t t = 0; t < N; ++t) {
+      for (g[t] = i[t]; g[t] < e[t] && KeyOf(d[t], g[t]) == m;) ++g[t];
+      a[t] = i[t];
+    }
+    for (;;) {
+      uint8_t* o = hq_vec_slot(v);
+      if (o == nullptr) return -1;
+      for (uint32_t t = 0; t < N; ++t) {
+        std::memcpy(o + t * kRec, d[t] + a[t] * kRec, kRec);
+      }
+      // Next combination: the last input varies fastest.
+      int t = static_cast<int>(N) - 1;
+      for (; t >= 0 && ++a[t] == g[t]; --t) a[t] = i[t];
+      if (t < 0) break;
+    }
+    for (uint32_t t = 0; t < N; ++t) i[t] = g[t];
+  }
+}
+
+/// Records each call's ranges as one row: b[0..N) then e[0..N).
+template <uint32_t N>
+int RecordRanges(HqQueryCtx* ctx, uint8_t* const* d, const int64_t* b,
+                 const int64_t* e, void* out) {
+  (void)ctx;
+  (void)d;
+  uint8_t* o = hq_vec_slot(static_cast<HqVec*>(out));
+  if (o == nullptr) return -1;
+  std::memcpy(o, b, N * 8);
+  std::memcpy(o + N * 8, e, N * 8);
+  return 0;
+}
+
+/// A fused-aggregate stand-in whose fold is order-sensitive: a task's block
+/// hashes its calls' ranges, and MergeAcc hashes the blocks in fold order.
+struct Acc {
+  uint64_t calls;
+  uint64_t h;
+};
+
+void AddCall(Acc* a, const int64_t* b, const int64_t* e) {
+  ++a->calls;
+  a->h = a->h * 31 + static_cast<uint64_t>(b[0] * 7 + e[0]);
+}
+
+int FoldRanges(HqQueryCtx* ctx, uint8_t* const* d, const int64_t* b,
+               const int64_t* e, void* out) {
+  (void)ctx;
+  (void)d;
+  AddCall(static_cast<Acc*>(out), b, e);
+  return 0;
+}
+
+void MergeAcc(uint8_t* g, const uint8_t* s) {
+  Acc* G = reinterpret_cast<Acc*>(g);
+  const Acc* S = reinterpret_cast<const Acc*>(s);
+  if (S->calls == 0) return;
+  G->h = G->h * 1000003 + S->h;
+  G->calls += S->calls;
+}
+
+void EmitAcc(const uint8_t* g, uint8_t* o) { std::memcpy(o, g, sizeof(Acc)); }
+
+using AccOut = hq_accs<sizeof(Acc), sizeof(Acc), MergeAcc, EmitAcc>;
+
+template <size_t>
+constexpr HqSortFn kSortByKey = hq_record_sort<kRec, CmpKey>;
+template <size_t>
+constexpr HqRecCmp kCmpByKey = CmpKey;
+
+/// One expected kernel call: its task and its ranges.
+struct Call {
+  uint32_t task;
+  std::vector<int64_t> b, e;
+};
+
+/// The serial reference of a range driver: the expected calls in order,
+/// run one after another on a private copy of the inputs.
+struct Reference {
+  std::vector<uint8_t> joined, ranges, folded;
+};
+
+template <uint32_t N>
+Reference Serial(std::vector<std::vector<Rec>> inputs,
+                 const std::vector<Call>& calls, uint32_t nt, bool sort) {
+  Reference r;
+  std::vector<uint8_t*> d;
+  for (auto& in : inputs) {
+    d.push_back(reinterpret_cast<uint8_t*>(in.data()));
+  }
+  Harness h(1);
+  HqVec joined;
+  EXPECT_EQ(hq_vec_init(&joined, h.ctx(), N * kRec, 1), 0);
+  std::vector<Acc> accs(nt, Acc{0, 0});
+  for (const Call& c : calls) {
+    if (sort) {
+      for (uint32_t t = 0; t < N; ++t) {
+        hq_record_sort<kRec, CmpKey>(d[t] + c.b[t] * kRec, c.e[t] - c.b[t]);
+      }
+    }
+    EXPECT_EQ(JoinRanges<N>(h.ctx(), d.data(), c.b.data(), c.e.data(),
+                            &joined),
+              0);
+    for (const std::vector<int64_t>* bound : {&c.b, &c.e}) {
+      const uint8_t* p = reinterpret_cast<const uint8_t*>(bound->data());
+      r.ranges.insert(r.ranges.end(), p, p + N * 8);
+    }
+    AddCall(&accs[c.task], c.b.data(), c.e.data());
+  }
+  r.joined.assign(joined.data, joined.data + joined.n * N * kRec);
+  Acc fold = {0, 0};
+  for (const Acc& a : accs) {
+    MergeAcc(reinterpret_cast<uint8_t*>(&fold),
+             reinterpret_cast<const uint8_t*>(&a));
+  }
+  const uint8_t* f = reinterpret_cast<const uint8_t*>(&fold);
+  r.folded.assign(f, f + sizeof(Acc));
+  return r;
+}
+
+/// Runs `driver` over fresh copies of `inputs` (with partition bounds `pb`
+/// when given) on the serial fallback and on a 4-executor pool, and checks
+/// the result bytes and, on the pool, the tasks it ran.
+using RangeDriver =
+    std::function<int(HqQueryCtx*, const HqStream* const*, HqStream*)>;
+
+template <uint32_t N>
+void CheckDriver(const std::vector<std::vector<Rec>>& inputs,
+                 const std::vector<std::vector<int64_t>>& pb,
+                 const RangeDriver& driver,
+                 const std::vector<uint8_t>& want, uint32_t rec,
+                 uint32_t want_tasks) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Harness h(threads);
+    std::vector<std::vector<Rec>> data = inputs;
+    std::vector<HqStream> streams(N);
+    std::vector<const HqStream*> in;
+    for (uint32_t t = 0; t < N; ++t) {
+      data[t].push_back(Rec{0, 0, 0});  // never empty: a valid data pointer
+      streams[t] = {reinterpret_cast<uint8_t*>(data[t].data()),
+                    static_cast<int64_t>(inputs[t].size()), kRec,
+                    pb.empty() ? nullptr : const_cast<int64_t*>(pb[t].data()),
+                    pb.empty() ? 0u : static_cast<uint32_t>(pb[t].size() - 1)};
+      in.push_back(&streams[t]);
+    }
+    HqStream out;
+    std::memset(&out, 0xAB, sizeof(out));
+    ASSERT_EQ(driver(h.ctx(), in.data(), &out), 0);
+    EXPECT_EQ(out.rec_size, rec);
+    EXPECT_EQ(out.part_begin, nullptr);
+    EXPECT_EQ(out.num_parts, 0u);
+    EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * rec), want);
+    if (threads > 1) EXPECT_EQ(h.tasks_run(), want_tasks);
+  }
+}
+
+/// N partitioned inputs over M partitions (partition = key % M), records
+/// in random order within a partition. Input 1 has nothing in partition
+/// 1, so that partition is empty in one input only.
+std::vector<std::vector<Rec>> PartitionedInputs(
+    uint32_t n, uint32_t M, int64_t rows,
+    std::vector<std::vector<int64_t>>* pb) {
+  std::vector<std::vector<Rec>> inputs(n);
+  pb->assign(n, std::vector<int64_t>(M + 1, 0));
+  Rng rng(M * 10 + n);
+  uint32_t id = 0;
+  for (uint32_t t = 0; t < n; ++t) {
+    std::vector<std::vector<Rec>> parts(M);
+    for (int64_t i = 0; i < rows / (t + 1); ++i) {
+      int32_t key = static_cast<int32_t>(rng.NextBounded(40));
+      uint32_t m = static_cast<uint32_t>(key) % M;
+      if (t == 1 && m == 1) continue;
+      parts[m].push_back(Rec{key, id++, rng.Next()});
+    }
+    for (uint32_t m = 0; m < M; ++m) {
+      inputs[t].insert(inputs[t].end(), parts[m].begin(), parts[m].end());
+      (*pb)[t][m + 1] = static_cast<int64_t>(inputs[t].size());
+    }
+  }
+  return inputs;
+}
+
+template <uint32_t N, size_t... I>
+void CheckPartitionRanges(std::index_sequence<I...>) {
+  // One task per partition: M = 1..4 gives 1..4 tasks.
+  for (uint32_t M : {1u, 2u, 3u, 4u}) {
+    for (int64_t rows : {int64_t{0}, int64_t{600}}) {
+      SCOPED_TRACE("N=" + std::to_string(N) + " M=" + std::to_string(M) +
+                   " rows=" + std::to_string(rows));
+      std::vector<std::vector<int64_t>> pb;
+      std::vector<std::vector<Rec>> inputs =
+          PartitionedInputs(N, M, rows, &pb);
+      uint32_t nt = hq_task_count(M, 1, HQ_PAR_MAX_TASKS);
+      std::vector<Call> calls;
+      for (uint32_t t = 0; t < nt; ++t) {
+        uint64_t mb, me;
+        hq_task_range(M, nt, t, &mb, &me);
+        for (uint64_t m = mb; m < me; ++m) {
+          Call c{t, {}, {}};
+          bool empty = false;
+          for (uint32_t i = 0; i < N; ++i) {
+            c.b.push_back(pb[i][m]);
+            c.e.push_back(pb[i][m + 1]);
+            empty = empty || pb[i][m] == pb[i][m + 1];
+          }
+          if (!empty) calls.push_back(c);
+        }
+      }
+      Reference want = Serial<N>(inputs, calls, nt, /*sort=*/true);
+      EXPECT_EQ(want.joined.empty(), rows == 0);
+      if (rows > 0 && M > 1) {
+        EXPECT_LT(calls.size(), M);  // partition 1 is skipped
+      }
+      CheckDriver<N>(inputs, pb,
+                     hq_part_ranges<N, JoinRanges<N>, hq_vecs<N * kRec, 64>,
+                                    kSortByKey<I>...>,
+                     want.joined, N * kRec, 2 * nt);
+      CheckDriver<N>(inputs, pb,
+                     hq_part_ranges<N, RecordRanges<N>,
+                                    hq_vecs<N * 16, 64>, kSortByKey<I>...>,
+                     want.ranges, N * 16, 2 * nt);
+      CheckDriver<N>(inputs, pb,
+                     hq_part_ranges<N, FoldRanges, AccOut, kSortByKey<I>...>,
+                     want.folded, sizeof(Acc), nt);
+    }
+  }
+}
+
+TEST(OperatorDriverTest, PartitionRangesMatchSerialReference) {
+  CheckPartitionRanges<2>(std::make_index_sequence<2>());
+  CheckPartitionRanges<3>(std::make_index_sequence<3>());
+}
+
+/// N key-sorted inputs. Input 0 has n0 records in runs of 3000 equal keys,
+/// so splitter ranks fall inside runs; input 1 has two records per key
+/// except key 6 (absent: the rank 20000 splitter's key); input 2 one each.
+std::vector<std::vector<Rec>> SortedInputs(uint32_t n, int64_t n0) {
+  std::vector<std::vector<Rec>> inputs(n);
+  uint32_t id = 0;
+  for (int64_t i = 0; i < n0; ++i) {
+    inputs[0].push_back(Rec{static_cast<int32_t>(i / 3000), id++, i * 3ull});
+  }
+  for (uint32_t t = 1; t < n; ++t) {
+    for (int32_t key = 0; key < 14; ++key) {
+      if (t == 1 && key == 6) continue;
+      for (uint32_t c = 0; c < (t == 1 ? 2u : 1u); ++c) {
+        inputs[t].push_back(Rec{key, id++, id * 5ull});
+      }
+    }
+  }
+  return inputs;
+}
+
+template <uint32_t N, size_t... I>
+void CheckKeyRanges(std::index_sequence<I...>) {
+  for (int64_t n0 : {int64_t{0}, int64_t{40000}}) {
+    std::vector<std::vector<Rec>> inputs = SortedInputs(N, n0);
+    // n0 = 40000 spans five HQ_PAR_JOIN_GRAIN chunks: the cap decides.
+    for (uint32_t par_tasks : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE("N=" + std::to_string(N) + " n0=" + std::to_string(n0) +
+                   " par_tasks=" + std::to_string(par_tasks));
+      uint32_t nt = hq_task_count(static_cast<uint64_t>(n0),
+                                  HQ_PAR_JOIN_GRAIN, par_tasks);
+      // Task t starts at the lower bound of input 0's record at rank
+      // t * n0 / nt in every input.
+      auto bound = [&](uint32_t i, uint32_t t) -> int64_t {
+        const std::vector<Rec>& in = inputs[i];
+        if (t == 0) return 0;
+        if (t == nt) return static_cast<int64_t>(in.size());
+        int32_t key = inputs[0][t * n0 / nt].key;
+        return std::lower_bound(in.begin(), in.end(), key,
+                                [](const Rec& r, int32_t k) {
+                                  return r.key < k;
+                                }) -
+               in.begin();
+      };
+      std::vector<Call> calls;
+      for (uint32_t t = 0; t < nt; ++t) {
+        Call c{t, {}, {}};
+        bool empty = false;
+        for (uint32_t i = 0; i < N; ++i) {
+          c.b.push_back(bound(i, t));
+          c.e.push_back(bound(i, t + 1));
+          empty = empty || c.b[i] == c.e[i];
+        }
+        if (!empty) calls.push_back(c);
+      }
+      if (n0 > 0) {
+        ASSERT_EQ(nt, par_tasks);
+        // Splitters fall inside runs: no range splits a run of equal keys.
+        for (const Call& c : calls) {
+          EXPECT_EQ(c.b[0] % 3000, 0) << c.b[0];
+        }
+      }
+      Reference want = Serial<N>(inputs, calls, nt, /*sort=*/false);
+      EXPECT_EQ(want.joined.empty(), n0 == 0);
+      auto with_cap = [par_tasks](auto driver) -> RangeDriver {
+        return [=](HqQueryCtx* ctx, const HqStream* const* in,
+                   HqStream* out) { return driver(ctx, in, par_tasks, out); };
+      };
+      CheckDriver<N>(inputs, {},
+                     with_cap(hq_key_ranges<N, JoinRanges<N>,
+                                            hq_vecs<N * kRec, 64>,
+                                            kCmpByKey<I>...>),
+                     want.joined, N * kRec, 2 * nt);
+      CheckDriver<N>(inputs, {},
+                     with_cap(hq_key_ranges<N, RecordRanges<N>,
+                                            hq_vecs<N * 16, 64>,
+                                            kCmpByKey<I>...>),
+                     want.ranges, N * 16, 2 * nt);
+      CheckDriver<N>(inputs, {},
+                     with_cap(hq_key_ranges<N, FoldRanges, AccOut,
+                                            kCmpByKey<I>...>),
+                     want.folded, sizeof(Acc), nt);
+    }
+  }
+}
+
+TEST(OperatorDriverTest, KeyRangesMatchSerialReference) {
+  CheckKeyRanges<2>(std::make_index_sequence<2>());
+  CheckKeyRanges<3>(std::make_index_sequence<3>());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "plan/optimizer.h"
+#include "plan/params.h"
 #include "sql/binder.h"
 #include "tests/test_util.h"
 
@@ -233,6 +234,30 @@ TEST_F(OptimizerTest, ForcedHybridWithoutGroupByFails) {
   // With a key to partition on, the same forcing plans.
   EXPECT_TRUE(
       Plan("select big_k, sum(big_v) from big group by big_k", opts).ok());
+}
+
+TEST_F(OptimizerTest, ForcedSortWithoutGroupByFails) {
+  PlannerOptions opts;
+  opts.force_agg_algo = AggAlgo::kSort;
+  auto plan = Plan("select sum(big_v) from big", opts);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kPlanError)
+      << plan.status().ToString();
+  EXPECT_TRUE(
+      Plan("select big_k, sum(big_v) from big group by big_k", opts).ok());
+}
+
+TEST_F(OptimizerTest, ForcedMapWithoutGroupByPlansRunningRegisters) {
+  // A scalar aggregate has one cell and needs no statistics: forcing map
+  // aggregation plans exactly the default plan.
+  PlannerOptions opts;
+  opts.force_agg_algo = AggAlgo::kMap;
+  auto forced = Plan("select count(*), sum(big_v) from big", opts);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  auto plain = Plan("select count(*), sum(big_v) from big");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plan::PlanSignature(*forced.value()),
+            plan::PlanSignature(*plain.value()));
 }
 
 TEST_F(OptimizerTest, RejectsCartesianProduct) {
