@@ -65,12 +65,14 @@ class Generator {
   std::string EmbeddedAbi() const {
     std::set<std::string> used = drivers_;
     // Key ranges search with the sort group's hq_lower_bound; the sort
-    // group's run sorts are hq_record_sort.
+    // group's run sorts are hq_record_sort; map aggregation folds through
+    // hq_accs.
     if (used.count("key_range")) used.insert("sort");
     if (used.count("sort")) used.insert("record_sort");
+    if (used.count("map")) used.insert("fold");
     std::string abi = kAbiHeaderSource;
-    for (const char* group : {"record_sort", "sort", "partition", "stage",
-                              "range", "key_range", "fold"}) {
+    for (const char* group : {"decode", "record_sort", "sort", "partition",
+                              "stage", "range", "key_range", "fold", "map"}) {
       if (used.count(group)) continue;
       std::string end = "// [end driver group " + std::string(group) + "]\n";
       size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
@@ -177,6 +179,7 @@ class Generator {
                          const std::vector<char>& needed) {
     const std::string ST = "op" + S(k) + "_decst";
     const std::string TS = S(schema.TupleSize());
+    drivers_.insert("decode");
     Emit("// fused decode state for op" + S(k) +
          "'s compressed base input: per-column segment");
     Emit("// pointers plus the running value of each delta column (blocks "
@@ -758,19 +761,8 @@ class Generator {
     std::string accs_t = "op" + S(k) + "_accs";
     std::string out_policy;
     if (op.fuse_scalar_agg) {
-      std::vector<AccDecl> fused_accs = BuildAccs(
-          op.query->aggs, op.output, op.fused_output, 0, "orec", "", "",
-          "grp_n");
-      Emit("typedef struct {");
-      Emit("  int64_t grp_n = 0;");
-      for (const auto& a : fused_accs) Emit("  " + a.decl);
-      Emit("} " + accs_t + ";");
-      Emit("");
-      EmitAccFold(k, op);
-      drivers_.insert("fold");
-      out_policy = "hq_accs<sizeof(" + accs_t + "), " +
-                   S(op.fused_output.record_size) + ", op" + S(k) +
-                   "_acc_merge, op" + S(k) + "_acc_emit>";
+      out_policy = EmitAccBlock(accs_t, Cells(), op.query->aggs, op.output,
+                                op.fused_output);
     } else {
       uint64_t est = std::min<uint64_t>(
           Stream(op.out_stream).est_rows + 16, 1u << 22);
@@ -903,51 +895,162 @@ class Generator {
          in + (key_ranges ? ", " + S(par_tasks) : "") + ", out);");
   }
 
-  /// The type-specific halves of the fused-aggregation fold (runtime_abi.h
-  /// hq_accs): `op<k>_acc_merge` folds one task's block into the running
-  /// one, `op<k>_acc_emit` writes the aggregate record. The running block
-  /// counts the tuples already merged, so min/max ignore its zeroed
-  /// registers until real data arrives.
-  void EmitAccFold(int k, const JoinOp& op) {
-    std::string T = "op" + S(k) + "_accs";
-    Emit("static void op" + S(k) +
-         "_acc_merge(uint8_t* gp, const uint8_t* sp) {");
-    Emit("  " + T + "* G = (" + T + "*)gp; const " + T + "* Sp = (const " +
-         T + "*)sp;");
-    Emit("  if (Sp->grp_n == 0) return;");
-    for (const std::string& m :
-         BuildAccMerges(op.query->aggs, "G->", "Sp->", "G->grp_n")) {
-      Emit("  " + m);
+  /// The cell geometry of an accumulator block (paper Fig. 4(b)): one
+  /// directory per group key, dense (identity ids over [min, min + cap)) or
+  /// sparse (an hq_dir<cap>), and row-major cells. No keys: one cell.
+  struct Cells {
+    std::vector<uint64_t> caps, strides;
+    std::vector<bool> dense;
+    std::vector<int64_t> mins;
+    uint64_t n = 1;
+    bool sparse = false;  // some key is sparse
+  };
+
+  static Cells MapCells(const AggOp& op) {
+    Cells m;
+    m.caps = op.directory_capacity;
+    HQ_CHECK(m.caps.size() == op.group_fields.size());
+    for (uint64_t c : m.caps) m.n *= c;
+    if (m.n == 0) m.n = 1;
+    m.strides.assign(m.caps.size(), 1);
+    for (size_t g = m.caps.size(); g-- > 1;) {
+      m.strides[g - 1] = m.strides[g] * m.caps[g];
     }
-    Emit("  G->grp_n += Sp->grp_n;");
-    Emit("}");
-    Emit("");
-    Emit("static void op" + S(k) +
-         "_acc_emit(const uint8_t* gp, uint8_t* o) {");
-    Emit("  const " + T + "* G = (const " + T + "*)gp;");
-    for (const auto& a : BuildAccs(op.query->aggs, op.output,
-                                   op.fused_output, 0, "orec", "G->", "",
-                                   "G->grp_n")) {
-      Emit("  " + a.emit);
+    for (size_t g = 0; g < m.caps.size(); ++g) {
+      m.dense.push_back(g < op.directory_dense.size() &&
+                        op.directory_dense[g] != 0);
+      m.mins.push_back(m.dense[g] ? op.directory_min[g] : 0);
+      m.sparse = m.sparse || !m.dense[g];
     }
-    Emit("}");
-    Emit("");
+    return m;
   }
 
-  /// Statements folding one task's accumulator partial (`src` prefix) into
-  /// the running merge (`dst` prefix); `guard` counts tuples already
-  /// merged, so min/max ignore the zero-initialized registers of the
-  /// destination until real data arrives.
+  /// Key g's id within cell index `c`.
+  static std::string CellId(const Cells& m, size_t g, const std::string& c) {
+    std::string id = m.strides[g] == 1 ? c : c + " / " + S(m.strides[g]);
+    return g == 0 ? id : "(" + id + ") % " + S(m.caps[g]);
+  }
+
+  /// The per-task accumulator block that hq_accs folds, for map
+  /// aggregation and for a join with fused scalar aggregation: typedef T
+  /// (tuple counts grp_n, one register per aggregate, one hq_dir per
+  /// sparse key; with keys, every register is an array over the cells);
+  /// T_merge, which re-keys a task's occupied cells through the running
+  /// block's directories and folds them in, returning nonzero when one does
+  /// not fit; and T_emit, which writes the occupied cells (a scalar
+  /// aggregate's one cell always) as `out` records, group keys first. The
+  /// running block counts the tuples already merged, so min/max ignore its
+  /// zeroed registers until real data arrives. Returns the hq_accs
+  /// instantiation.
+  std::string EmitAccBlock(const std::string& T, const Cells& m,
+                           const std::vector<sql::AggSpec>& aggs,
+                           const RecordLayout& in, const RecordLayout& out) {
+    drivers_.insert("fold");
+    const size_t nkeys = m.caps.size();
+    const std::string cells = S(m.n);
+    auto at = [&](const std::string& c) {
+      return nkeys ? "[" + c + "]" : std::string();
+    };
+    const std::string ind = nkeys ? "    " : "  ";
+    Emit("typedef struct {");
+    Emit("  int64_t grp_n" + at(cells) + ";");
+    for (const AccDecl& a : BuildAccs(aggs, in, out, nkeys, "", "", "", "",
+                                      at(cells))) {
+      if (!a.decl.empty()) Emit("  " + a.decl + ";");
+    }
+    for (size_t g = 0; g < nkeys; ++g) {
+      if (!m.dense[g]) Emit("  hq_dir<" + S(m.caps[g]) + "> dir" + S(g) + ";");
+    }
+    Emit("} " + T + ";");
+    Emit("");
+    Emit("static int " + T + "_merge(uint8_t* gp, const uint8_t* sp) {");
+    Emit("  " + T + "* G = (" + T + "*)gp; const " + T + "* S = (const " + T +
+         "*)sp;");
+    if (nkeys == 0) {
+      Emit("  if (S->grp_n == 0) return 0;");
+    } else {
+      Emit("  for (uint64_t c = 0; c < " + cells + "; ++c) {");
+      Emit("    if (S->grp_n[c] == 0) continue;");
+      Emit(std::string("    uint64_t cell = ") + (m.sparse ? "0;" : "c;"));
+    }
+    for (size_t g = 0; m.sparse && g < nkeys; ++g) {
+      const std::string st = S(m.strides[g]);
+      if (m.dense[g]) {
+        // Dense ids are global already: identity re-key.
+        Emit("    cell += (uint64_t)(" + CellId(m, g, "c") + ") * " + st + ";");
+      } else {
+        // A task's sparse ids are its own: re-key through G's directory.
+        Emit("    { int32_t id = hq_dir_id<" + S(m.caps[g]) + ">(&G->dir" +
+             S(g) + ", S->dir" + S(g) + ".v[" + CellId(m, g, "c") + "]);");
+        Emit("      if (id < 0) return -1;");
+        Emit("      cell += (uint64_t)id * " + st + "; }");
+      }
+    }
+    for (const std::string& merge :
+         BuildAccMerges(aggs, "G->", "S->", at("cell"), at("c"),
+                        "G->grp_n" + at("cell"))) {
+      Emit(ind + merge);
+    }
+    Emit(ind + "G->grp_n" + at("cell") + " += S->grp_n" + at("c") + ";");
+    if (nkeys) Emit("  }");
+    Emit("  return 0;");
+    Emit("}");
+    Emit("");
+    Emit("static int " + T + "_emit(const uint8_t* gp, HqVec* v) {");
+    Emit("  const " + T + "* G = (const " + T + "*)gp;");
+    if (nkeys) {
+      Emit("  for (uint64_t cell = 0; cell < " + cells + "; ++cell) {");
+      Emit("    if (G->grp_n[cell] == 0) continue;");
+    }
+    Emit(ind + "uint8_t* o = hq_vec_slot(v);");
+    Emit(ind + "if (!o) return -1;");
+    for (size_t g = 0; g < nkeys; ++g) {
+      const Type t = out.fields[g].type;
+      const std::string dst = "o + " + S(out.OffsetOf(static_cast<int>(g)));
+      const std::string id = CellId(m, g, "cell");
+      if (m.dense[g]) {
+        Emit("    { int64_t gv = (int64_t)(" + id + ") + (" + S(m.mins[g]) +
+             ");");
+      } else {
+        Emit("    { int64_t gv = G->dir" + S(g) + ".v[" + id + "];");
+      }
+      if (t.id == TypeId::kChar) {
+        Emit("      memcpy(" + dst + ", &gv, " + S(t.length) + "); }");
+      } else if (t.ByteSize() == 4) {
+        Emit("      *(int32_t*)(" + dst + ") = (int32_t)gv; }");
+      } else {
+        Emit("      *(int64_t*)(" + dst + ") = gv; }");
+      }
+    }
+    for (const AccDecl& a : BuildAccs(aggs, in, out, nkeys, "", "G->",
+                                      at("cell"), "G->grp_n" + at("cell"))) {
+      Emit(ind + a.emit);
+    }
+    if (nkeys) Emit("  }");
+    Emit("  return 0;");
+    Emit("}");
+    Emit("");
+    return "hq_accs<sizeof(" + T + "), " + S(out.record_size) + ", " + T +
+           "_merge, " + T + "_emit>";
+  }
+
+  /// Statements folding register partials (`src` prefix, `src_cell` index)
+  /// into the running ones (`dst` prefix, `dst_cell` index); `guard`
+  /// counts the tuples already merged, so min/max ignore the
+  /// zero-initialized registers of the destination until real data
+  /// arrives. COUNT is the tuple count itself and needs no statement.
   std::vector<std::string> BuildAccMerges(
       const std::vector<sql::AggSpec>& aggs, const std::string& dst,
-      const std::string& src, const std::string& guard) {
+      const std::string& src, const std::string& dst_cell,
+      const std::string& src_cell, const std::string& guard) {
     std::vector<std::string> out;
     for (size_t j = 0; j < aggs.size(); ++j) {
       const sql::AggSpec& spec = aggs[j];
-      std::string d = dst + "acc" + S(j);
-      std::string s = src + "acc" + S(j);
+      std::string d = dst + "acc" + S(j) + dst_cell;
+      std::string s = src + "acc" + S(j) + src_cell;
       switch (spec.func) {
         case AggFunc::kCount:
+          break;
         case AggFunc::kSum:
         case AggFunc::kAvg:
           out.push_back(d + " += " + s + ";");
@@ -1012,10 +1115,9 @@ class Generator {
       if (any_arg) {
         Emit(ind + "const uint8_t* orec = orec_buf;");
       }
-      std::vector<AccDecl> accs =
-          BuildAccs(op.query->aggs, op.output, op.fused_output, 0, "orec",
-                    "acc->", "", "acc->grp_n");
-      for (const auto& a : accs) Emit(ind + a.update);
+      EmitUpdates(BuildAccs(op.query->aggs, op.output, op.fused_output, 0,
+                            "orec", "acc->", "", "acc->grp_n"),
+                  ind);
       Emit(ind + "++acc->grp_n;");
     } else {
       Emit(ind + "uint8_t* o = hq_vec_slot(v);");
@@ -1059,55 +1161,52 @@ class Generator {
   }
 
   struct AccDecl {
-    std::string decl;    // declaration with initializer
+    std::string decl;    // declaration, without initializer or semicolon
     std::string update;  // per-tuple update statement
     std::string reset;   // group-boundary reset
-    std::string emit;    // store into output record
+    std::string emit;    // store into output record `o`
   };
 
-  /// Builds accumulator register code for group-at-a-time aggregation.
-  /// `rec` is the input record variable; `o` the output slot; `grp_var` the
-  /// per-group tuple counter maintained by the caller. `var_prefix` and
-  /// `decl_prefix` let fused joins use file-scope static registers.
+  /// Accumulator register code. Register j is `prefix` + "acc<j>" + `cell`
+  /// (a cell index such as "[c]" into a per-cell array of `dims`), `rec`
+  /// the input record and `grp` the tuple count its cell has seen, which
+  /// the caller maintains. COUNT is that count: it has an emit only.
   std::vector<AccDecl> BuildAccs(const std::vector<sql::AggSpec>& aggs,
                                  const RecordLayout& in_layout,
                                  const RecordLayout& out_layout, size_t nkeys,
                                  const std::string& rec,
-                                 const std::string& var_prefix,
-                                 const std::string& decl_prefix,
-                                 const std::string& grp_var) {
+                                 const std::string& prefix,
+                                 const std::string& cell,
+                                 const std::string& grp,
+                                 const std::string& dims = "") {
     std::vector<AccDecl> accs;
     for (size_t j = 0; j < aggs.size(); ++j) {
       const sql::AggSpec& spec = aggs[j];
-      uint32_t ooff = out_layout.OffsetOf(static_cast<int>(nkeys + j));
-      std::string var = var_prefix + "acc" + S(j);
+      const std::string o =
+          "o + " + S(out_layout.OffsetOf(static_cast<int>(nkeys + j)));
+      const std::string name = "acc" + S(j) + dims;
+      const std::string var = prefix + "acc" + S(j) + cell;
       AccDecl a;
       std::string arg =
           spec.arg ? ScalarToC(rec, in_layout, *spec.arg, &plan_.params) : "1";
       switch (spec.func) {
         case AggFunc::kCount:
-          a.decl = decl_prefix + "int64_t " + var + " = 0;";
-          a.update = "++" + var + ";";
-          a.reset = var + " = 0;";
-          a.emit = "*(int64_t*)(o + " + S(ooff) + ") = " + var + ";";
+          a.emit = "*(int64_t*)(" + o + ") = " + grp + ";";
           break;
-        case AggFunc::kSum: {
-          bool dbl = spec.out_type.id == TypeId::kDouble;
-          a.decl = decl_prefix + std::string(dbl ? "double " : "int64_t ") +
-                   var + (dbl ? " = 0.0;" : " = 0;");
-          a.update = var + " += " + arg + ";";
-          a.reset = var + (dbl ? " = 0.0;" : " = 0;");
-          a.emit = std::string("*(") + (dbl ? "double" : "int64_t") +
-                   "*)(o + " + S(ooff) + ") = " + var + ";";
+        case AggFunc::kSum:
+        case AggFunc::kAvg: {
+          const bool avg = spec.func == AggFunc::kAvg;
+          const std::string ct =
+              avg || spec.out_type.id == TypeId::kDouble ? "double" : "int64_t";
+          a.decl = ct + " " + name;
+          a.update = var + " += " + (avg ? "(double)" : "") + arg + ";";
+          a.reset = var + " = 0;";
+          a.emit = "*(" + ct + "*)(" + o + ") = " +
+                   (avg ? grp + " ? (" + var + " / (double)" + grp + ") : 0.0"
+                        : var) +
+                   ";";
           break;
         }
-        case AggFunc::kAvg:
-          a.decl = decl_prefix + "double " + var + " = 0.0;";
-          a.update = var + " += (double)" + arg + ";";
-          a.reset = var + " = 0.0;";
-          a.emit = "*(double*)(o + " + S(ooff) + ") = " + grp_var +
-                   " ? (" + var + " / (double)" + grp_var + ") : 0.0;";
-          break;
         case AggFunc::kMin:
         case AggFunc::kMax: {
           const char* cmp = spec.func == AggFunc::kMin ? "<" : ">";
@@ -1115,24 +1214,20 @@ class Generator {
             // CHAR min/max over a fixed-size register buffer.
             HQ_CHECK(spec.arg && spec.arg->kind == sql::ScalarKind::kColumn);
             int fi = in_layout.FindField(spec.arg->column);
-            uint32_t foff = in_layout.OffsetOf(fi);
-            uint16_t len = spec.out_type.length;
-            a.decl = decl_prefix + "char " + var + "[" + S(len) + "] = {0};";
-            a.update = "if (" + grp_var + " == 0 || memcmp(" + rec + " + " +
-                       S(foff) + ", " + var + ", " + S(len) + ") " + cmp +
-                       " 0) memcpy(" + var + ", " + rec + " + " + S(foff) +
-                       ", " + S(len) + ");";
-            a.reset = "";
-            a.emit = "memcpy(o + " + S(ooff) + ", " + var + ", " + S(len) +
-                     ");";
+            std::string field = rec + " + " + S(in_layout.OffsetOf(fi));
+            std::string len = S(spec.out_type.length);
+            a.decl = "char " + name + "[" + len + "]";
+            a.update = "if (" + grp + " == 0 || memcmp(" + field + ", " + var +
+                       ", " + len + ") " + cmp + " 0) memcpy(" + var + ", " +
+                       field + ", " + len + ");";
+            a.emit = "memcpy(" + o + ", " + var + ", " + len + ");";
           } else {
             std::string ct = spec.out_type.CType();
-            a.decl = decl_prefix + ct + " " + var + " = 0;";
-            a.update = "{ " + ct + " v_ = (" + ct + ")" + arg +
-                       "; if (" + grp_var + " == 0 || v_ " + cmp + " " + var +
-                       ") " + var + " = v_; }";
-            a.reset = "";
-            a.emit = "*(" + ct + "*)(o + " + S(ooff) + ") = " + var + ";";
+            a.decl = ct + " " + name;
+            a.update = "{ " + ct + " v_ = (" + ct + ")" + arg + "; if (" +
+                       grp + " == 0 || v_ " + cmp + " " + var + ") " + var +
+                       " = v_; }";
+            a.emit = "*(" + ct + "*)(" + o + ") = " + var + ";";
           }
           break;
         }
@@ -1140,6 +1235,13 @@ class Generator {
       accs.push_back(std::move(a));
     }
     return accs;
+  }
+
+  /// Emits the per-tuple updates of `accs` (COUNT has none).
+  void EmitUpdates(const std::vector<AccDecl>& accs, const std::string& ind) {
+    for (const AccDecl& a : accs) {
+      if (!a.update.empty()) Emit(ind + a.update);
+    }
   }
 
   /// Sort and hybrid aggregation: the sorted-group scan `op<k>_scan`, a
@@ -1167,7 +1269,9 @@ class Generator {
     Emit("  if (b[0] >= e[0]) return 0;");
     Emit("  int64_t gs = b[0];");
     Emit("  int64_t grp_n = 0;");
-    for (const auto& a : accs) Emit("  " + a.decl);
+    for (const auto& a : accs) {
+      if (!a.decl.empty()) Emit("  " + a.decl + " = {};");
+    }
     Emit("  for (int64_t i = b[0]; i < e[0]; ++i) {");
     Emit("    const uint8_t* rec = d0 + (uint64_t)i * " + S(irec) + ";");
     // Group-change test against the group's first record.
@@ -1187,7 +1291,7 @@ class Generator {
     }
     Emit("      grec = rec;");
     Emit("    }");
-    for (const auto& a : accs) Emit("    " + a.update);
+    EmitUpdates(accs, "    ");
     Emit("    ++grp_n;");
     Emit("  }");
     Emit("  {");
@@ -1231,174 +1335,57 @@ class Generator {
     Emit(ind + "}");
   }
 
-  /// Element C type of a map-aggregation array (mirrors the seed's
-  /// per-spec array allocation choices).
-  static std::string ArrCType(const sql::AggSpec& spec) {
-    if (spec.out_type.id == TypeId::kChar) return "char";
-    if (spec.out_type.id == TypeId::kInt32 ||
-        spec.out_type.id == TypeId::kDate) {
-      return "int32_t";
-    }
-    return spec.out_type.id == TypeId::kDouble ? "double" : "int64_t";
-  }
-  static uint32_t ArrElemSize(const sql::AggSpec& spec) {
-    if (spec.out_type.id == TypeId::kChar) return spec.out_type.length;
-    if (spec.out_type.id == TypeId::kInt32 ||
-        spec.out_type.id == TypeId::kDate) {
-      return 4;
-    }
-    return 8;
-  }
-
+  /// Map aggregation: the per-task block `op<k>_map` with its merge and
+  /// emit kernels (EmitAccBlock), and the scan kernel `op<k>_map_scan`,
+  /// which aggregates a page, virtual-page or record range into one block,
+  /// run through hq_map_agg. Every task owns a block; the fold re-keys the
+  /// sparse ids of tasks 1.. through block 0's directories by value.
   Status EmitMapAgg(int k, const AggOp& op) {
     const StreamInfo& in = Stream(op.input_stream);
     const RecordLayout& in_layout = in.layout;
     const auto& aggs = op.query->aggs;
-    size_t nkeys = op.group_fields.size();
-    uint32_t orec = op.output.record_size;
+    const size_t nkeys = op.group_fields.size();
+    const Cells m = MapCells(op);
+    const std::string block = "op" + S(k) + "_map";
+    const std::string out_policy =
+        EmitAccBlock(block, m, aggs, in_layout, op.output);
 
-    // Directory capacities & strides (paper Fig. 4(b)).
-    std::vector<uint64_t> caps = op.directory_capacity;
-    HQ_CHECK(caps.size() == nkeys);
-    uint64_t cells = 1;
-    for (uint64_t c : caps) cells *= c;
-    if (cells == 0) cells = 1;
-    std::vector<uint64_t> strides(nkeys, 1);
-    for (size_t i = nkeys; i-- > 1;) {
-      strides[i - 1] = strides[i] * caps[i];
-    }
-
-    auto is_dense = [&](size_t g) {
-      return g < op.directory_dense.size() && op.directory_dense[g] != 0;
-    };
-
-    // Directory lookup helpers for sparse keys (sorted key array + binary
-    // search; ids are insertion-ordered so existing offsets stay stable).
-    // Dense int domains use identity directories (value - min) instead.
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      Emit("static inline int32_t op" + S(k) + "_dir" + S(g) +
-           "(int64_t key, int64_t* dk, int32_t* di, int64_t* dv, int32_t* "
-           "pn) {");
-      Emit("  int32_t lo = 0, hi = *pn;");
-      Emit("  while (lo < hi) {");
-      Emit("    int32_t mid = (lo + hi) >> 1;");
-      Emit("    if (dk[mid] < key) lo = mid + 1; else hi = mid;");
-      Emit("  }");
-      Emit("  if (lo < *pn && dk[lo] == key) return di[lo];");
-      Emit("  if (*pn >= " + S(caps[g]) + ") return -1;");
-      Emit("  memmove(dk + lo + 1, dk + lo, (uint64_t)(*pn - lo) * 8);");
-      Emit("  memmove(di + lo + 1, di + lo, (uint64_t)(*pn - lo) * 4);");
-      Emit("  dk[lo] = key; di[lo] = *pn; dv[*pn] = key;");
-      Emit("  return (*pn)++;");
-      Emit("}");
-      Emit("");
-    }
-
-    // Parallel scan plan: every task owns a private slice of the cell
-    // counters, aggregate arrays and (sparse) directories, and scans a
-    // fixed page/record range; the wrapper folds the partials into task
-    // 0's slice in task order after the barrier. Sparse directories assign
-    // ids per task, so the fold re-keys each occupied cell through task
-    // 0's directory by value. Decomposition depends only on the input
-    // size, so the fold order — and every floating-point sum — is
-    // identical at any thread count.
-    std::string At = "op" + S(k) + "_map_args";
-    std::string scan_task = "op" + S(k) + "_map_scan";
-    Emit("typedef struct {");
-    if (!in.is_base_table) {
-      Emit("  const uint8_t* d;");
-      Emit("  int64_t n;");
-    }
-    Emit("  int64_t* cellcnt;");
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      if (aggs[j].func == AggFunc::kCount) continue;
-      Emit("  " + ArrCType(aggs[j]) + "* arr" + S(j) + ";");
-    }
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      Emit("  int64_t* dk" + S(g) + ";");
-      Emit("  int32_t* di" + S(g) + ";");
-      Emit("  int64_t* dv" + S(g) + ";");
-      Emit("  int32_t* dn" + S(g) + ";");
-    }
-    Emit("  uint32_t nt;");
-    Emit("} " + At + ";");
-    Emit("");
-
-    // One input record `rec`: look up its cell, fold in the aggregates.
+    // One input record `rec`: look up its cell, update its registers.
     auto emit_body = [&](const std::string& rec, const std::string& ind) {
-      // Key extraction per grouping attribute.
+      std::string cell;
       for (size_t g = 0; g < nkeys; ++g) {
         int f = op.group_fields[g];
         Type t = in_layout.fields[f].type;
         uint32_t off = in_layout.OffsetOf(f);
+        std::string kv = "kv" + S(g), id = "id" + S(g);
         if (t.id == TypeId::kChar) {
-          Emit(ind + "int64_t kv" + S(g) + " = 0;");
-          Emit(ind + "memcpy(&kv" + S(g) + ", " + rec + " + " + S(off) +
-               ", " + S(t.length) + ");");
+          Emit(ind + "int64_t " + kv + " = 0;");
+          Emit(ind + "memcpy(&" + kv + ", " + rec + " + " + S(off) + ", " +
+               S(t.length) + ");");
         } else {
-          Emit(ind + "int64_t kv" + S(g) + " = (int64_t)" +
+          Emit(ind + "int64_t " + kv + " = (int64_t)" +
                FieldAccess(rec, off, t) + ";");
         }
-        if (is_dense(g)) {
-          Emit(ind + "int64_t id" + S(g) + " = kv" + S(g) + " - (" +
-               S(op.directory_min[g]) + ");");
-          Emit(ind + "if ((uint64_t)id" + S(g) + " >= " + S(caps[g]) +
+        if (m.dense[g]) {
+          Emit(ind + "int64_t " + id + " = " + kv + " - (" + S(m.mins[g]) +
+               ");");
+          Emit(ind + "if ((uint64_t)" + id + " >= " + S(m.caps[g]) +
                "ull) { wk->error = HQ_ERR_MAP_OVERFLOW; return -1; }");
         } else {
-          Emit(ind + "int32_t id" + S(g) + " = op" + S(k) + "_dir" + S(g) +
-               "(kv" + S(g) + ", dk" + S(g) + ", di" + S(g) + ", dv" + S(g) +
-               ", dn" + S(g) + ");");
-          Emit(ind + "if (id" + S(g) +
+          Emit(ind + "int32_t " + id + " = hq_dir_id<" + S(m.caps[g]) +
+               ">(&acc->dir" + S(g) + ", " + kv + ");");
+          Emit(ind + "if (" + id +
                " < 0) { wk->error = HQ_ERR_MAP_OVERFLOW; return -1; }");
         }
+        cell += std::string(g ? " + " : "") + "(uint64_t)" + id + " * " +
+                S(m.strides[g]);
       }
-      std::string cell = "0";
-      if (nkeys > 0) {
-        cell.clear();
-        for (size_t g = 0; g < nkeys; ++g) {
-          if (g) cell += " + ";
-          cell += "(uint64_t)id" + S(g) + " * " + S(strides[g]);
-        }
-      }
-      Emit(ind + "uint64_t cell = " + cell + ";");
-      for (size_t j = 0; j < aggs.size(); ++j) {
-        const sql::AggSpec& spec = aggs[j];
-        std::string arg =
-            spec.arg ? ScalarToC(rec, in_layout, *spec.arg, &plan_.params) : "1";
-        switch (spec.func) {
-          case AggFunc::kCount:
-            break;  // cellcnt handles it
-          case AggFunc::kSum:
-          case AggFunc::kAvg:
-            Emit(ind + "arr" + S(j) + "[cell] += " +
-                 (spec.func == AggFunc::kAvg ? "(double)" : "") + arg + ";");
-            break;
-          case AggFunc::kMin:
-          case AggFunc::kMax: {
-            const char* cmp = spec.func == AggFunc::kMin ? "<" : ">";
-            if (spec.out_type.id == TypeId::kChar) {
-              HQ_CHECK(spec.arg && spec.arg->kind == sql::ScalarKind::kColumn);
-              int fi = in_layout.FindField(spec.arg->column);
-              uint32_t foff = in_layout.OffsetOf(fi);
-              uint16_t len = spec.out_type.length;
-              Emit(ind + "if (cellcnt[cell] == 0 || memcmp(" + rec + " + " +
-                   S(foff) + ", arr" + S(j) + " + cell * " + S(len) + ", " +
-                   S(len) + ") " + cmp + " 0) memcpy(arr" + S(j) +
-                   " + cell * " + S(len) + ", " + rec + " + " + S(foff) +
-                   ", " + S(len) + ");");
-            } else {
-              std::string ct = spec.out_type.CType();
-              Emit(ind + "{ " + ct + " v_ = (" + ct + ")" + arg +
-                   "; if (cellcnt[cell] == 0 || v_ " + cmp + " arr" + S(j) +
-                   "[cell]) arr" + S(j) + "[cell] = v_; }");
-            }
-            break;
-          }
-        }
-      }
-      Emit(ind + "++cellcnt[cell];");
+      if (nkeys > 0) Emit(ind + "uint64_t cell = " + cell + ";");
+      cell = nkeys > 0 ? "[cell]" : "";
+      EmitUpdates(BuildAccs(aggs, in_layout, op.output, nkeys, rec, "acc->",
+                            cell, "acc->grp_n" + cell),
+                  ind);
+      Emit(ind + "++acc->grp_n" + cell + ";");
     };
 
     // Base-table input: the query's filters on it run inside the scan,
@@ -1436,66 +1423,42 @@ class Generator {
       }
     }
 
-    // The scan task: each worker aggregates its page/record range into its
-    // private slices; filters inline when reading a base table directly.
-    Emit("static int32_t " + scan_task +
-         "(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t, void* argp) {");
-    Emit("  " + At + "* A = (" + At + "*)argp; (void)ctx; (void)wk;");
-    Emit("  const uint64_t CELLS = " + S(cells) + ";");
-    Emit("  int64_t* cellcnt = A->cellcnt + (uint64_t)t * CELLS;");
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      if (spec.func == AggFunc::kCount) continue;
-      if (spec.out_type.id == TypeId::kChar) {
-        Emit("  char* arr" + S(j) + " = A->arr" + S(j) +
-             " + (uint64_t)t * CELLS * " + S(ArrElemSize(spec)) + ";");
-      } else {
-        Emit("  " + ArrCType(spec) + "* arr" + S(j) + " = A->arr" + S(j) +
-             " + (uint64_t)t * CELLS;");
-      }
-    }
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      Emit("  int64_t* dk" + S(g) + " = A->dk" + S(g) + " + (uint64_t)t * " +
-           S(caps[g]) + ";");
-      Emit("  int32_t* di" + S(g) + " = A->di" + S(g) + " + (uint64_t)t * " +
-           S(caps[g]) + ";");
-      Emit("  int64_t* dv" + S(g) + " = A->dv" + S(g) + " + (uint64_t)t * " +
-           S(caps[g]) + ";");
-      Emit("  int32_t* dn" + S(g) + " = &A->dn" + S(g) + "[t];");
-    }
+    Emit("// op" + S(k) +
+         ": map aggregation (value directories + aggregate arrays, Fig. 4)");
+    Emit("static int " + block +
+         "_scan(HqQueryCtx* ctx, HqWorkerCtx* wk, const HqStream* in, "
+         "uint64_t pb, uint64_t pe, void* out) {");
+    Emit("  " + block + "* acc = (" + block + "*)out; (void)wk; (void)in;");
+    // The items hq_map_agg splits into task ranges.
+    std::string items = "(uint64_t)in->n", grain = "HQ_PAR_REC_GRAIN";
     if (in.is_base_table) {
-      int t = in.base_table_index;
-      const Schema& schema = plan_.query->tables[t]->schema();
       // Map aggregation reads the base table in place, selection inlined —
       // no staging (paper §V-B).
-      Emit("  const HqTableRef* T = &ctx->inputs[" + S(t) + "];");
-      Emit("  uint64_t pb, pe;");
+      const std::string bt = S(in.base_table_index);
+      const Schema& schema =
+          plan_.query->tables[in.base_table_index]->schema();
+      Emit("  const HqTableRef* T = &ctx->inputs[" + bt + "];");
+      items = "ctx->inputs[" + bt + "].page_count";
+      grain = "HQ_PAR_PAGE_GRAIN";
       if (op.input_codec.enabled) {
-        // Compressed: tasks partition *virtual NSM pages* (the page count
-        // the table would have uncompressed) rather than the denser
-        // compressed pages, so every task accumulates exactly the tuple
-        // range its uncompressed twin would — floating-point aggregates
-        // fold in the same order and the results are bit-identical to the
-        // uncompressed plan.
+        // Compressed: tasks split *virtual NSM pages* (the pages the table
+        // would have uncompressed), not the denser compressed pages, so
+        // every task accumulates exactly the tuple range of its
+        // uncompressed twin: floating-point aggregates fold in the same
+        // order and the results are bit-identical to the uncompressed
+        // plan.
         const std::string VTPP = S(Page::TuplesPerPage(schema.TupleSize()));
-        Emit("  uint64_t vpages = (T->tuple_count + " + VTPP + " - 1) / " +
-             VTPP + ";");
-        Emit("  hq_task_range(vpages, A->nt, t, &pb, &pe);");
-        Emit("  uint64_t ts = pb * " + VTPP + ";");
-        Emit("  uint64_t te = pe * " + VTPP + ";");
+        items = "(ctx->inputs[" + bt + "].tuple_count + " + VTPP + " - 1) / " +
+                VTPP;
+        Emit("  uint64_t ts = pb * " + VTPP + ", te = pe * " + VTPP + ";");
         Emit("  if (te > T->tuple_count) te = T->tuple_count;");
-      } else {
-        Emit("  hq_task_range(T->page_count, A->nt, t, &pb, &pe);");
       }
       EmitBaseScan(k, schema, op.input_codec, base_filters, pred,
                    "wk->pages_touched", /*staging=*/false,
                    /*tuple_range=*/op.input_codec.enabled, emit_body);
     } else {
-      Emit("  uint64_t rb, re;");
-      Emit("  hq_task_range((uint64_t)A->n, A->nt, t, &rb, &re);");
-      Emit("  for (uint64_t i = rb; i < re; ++i) {");
-      Emit("    const uint8_t* rec = A->d + i * " +
+      Emit("  for (uint64_t i = pb; i < pe; ++i) {");
+      Emit("    const uint8_t* rec = in->data + i * " +
            S(in_layout.record_size) + ";");
       emit_body("rec", "    ");
       Emit("  }");
@@ -1504,220 +1467,13 @@ class Generator {
     Emit("}");
     Emit("");
 
-    // Wrapper: allocate the sliced state, run the parallel scan, fold.
-    Emit("// op" + S(k) +
-         ": map aggregation (value directories + aggregate arrays, Fig. 4)");
-    std::string sig = "static int op" + S(k) + "_agg(HqQueryCtx* ctx";
-    if (!in.is_base_table) sig += ", const HqStream* in";
-    sig += ", HqStream* out) {";
-    Emit(sig);
-    Emit("  const uint64_t CELLS = " + S(cells) + ";");
-    Emit("  " + At + " A;");
-    if (in.is_base_table && op.input_codec.enabled) {
-      // Compressed input: size the task count from the *virtual* NSM page
-      // count, not the (denser) compressed one — nt decides how many
-      // partial accumulators the merge folds, so it must match the
-      // uncompressed plan for bit-identical floating-point results.
-      const Schema& bschema = plan_.query->tables[in.base_table_index]->schema();
-      const std::string VTPP = S(Page::TuplesPerPage(bschema.TupleSize()));
-      Emit("  A.nt = hq_task_count((ctx->inputs[" + S(in.base_table_index) +
-           "].tuple_count + " + VTPP + " - 1) / " + VTPP +
-           ", HQ_PAR_PAGE_GRAIN, HQ_PAR_MAP_TASKS);");
-    } else if (in.is_base_table) {
-      Emit("  A.nt = hq_task_count(ctx->inputs[" + S(in.base_table_index) +
-           "].page_count, HQ_PAR_PAGE_GRAIN, HQ_PAR_MAP_TASKS);");
-    } else {
-      Emit("  A.d = in->data; A.n = in->n;");
-      Emit("  A.nt = hq_task_count((uint64_t)in->n, HQ_PAR_REC_GRAIN, "
-           "HQ_PAR_MAP_TASKS);");
-    }
-    Emit("  A.cellcnt = (int64_t*)ctx->alloc(ctx->arena, "
-         "(uint64_t)A.nt * CELLS * 8);");
-    Emit("  if (!A.cellcnt) { ctx->error = HQ_ERR_OOM; return -1; }");
-    Emit("  memset(A.cellcnt, 0, (uint64_t)A.nt * CELLS * 8);");
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      if (spec.func == AggFunc::kCount) continue;
-      std::string esz = S(ArrElemSize(spec));
-      Emit("  A.arr" + S(j) + " = (" + ArrCType(spec) +
-           "*)ctx->alloc(ctx->arena, (uint64_t)A.nt * CELLS * " + esz + ");");
-      Emit("  if (!A.arr" + S(j) +
-           ") { ctx->error = HQ_ERR_OOM; return -1; }");
-      if (spec.out_type.id != TypeId::kChar) {
-        Emit("  memset(A.arr" + S(j) + ", 0, (uint64_t)A.nt * CELLS * " +
-             esz + ");");
-      }
-    }
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      std::string cap = S(caps[g]);
-      Emit("  A.dk" + S(g) + " = (int64_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * " + cap + " * 8);");
-      Emit("  A.di" + S(g) + " = (int32_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * " + cap + " * 4);");
-      Emit("  A.dv" + S(g) + " = (int64_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * " + cap + " * 8);");
-      Emit("  A.dn" + S(g) + " = (int32_t*)ctx->alloc(ctx->arena, "
-           "(uint64_t)A.nt * 4);");
-      Emit("  if (!A.dk" + S(g) + " || !A.di" + S(g) + " || !A.dv" + S(g) +
-           " || !A.dn" + S(g) + ") { ctx->error = HQ_ERR_OOM; return -1; }");
-      Emit("  memset(A.dn" + S(g) + ", 0, (uint64_t)A.nt * 4);");
-    }
-    Emit("  if (hq_parallel_for(ctx, A.nt, " + scan_task +
-         ", &A) != HQ_OK) return -1;");
-    Emit("  // merged view = task 0's slices; fold the others in task order");
-    Emit("  int64_t* cellcnt = A.cellcnt;");
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      if (spec.func == AggFunc::kCount) continue;
-      Emit("  " + ArrCType(spec) + "* arr" + S(j) + " = A.arr" + S(j) + ";");
-    }
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      Emit("  int64_t* dk" + S(g) + " = A.dk" + S(g) + ";");
-      Emit("  int32_t* di" + S(g) + " = A.di" + S(g) + ";");
-      Emit("  int64_t* dv" + S(g) + " = A.dv" + S(g) + ";");
-      Emit("  int32_t* dn" + S(g) + " = &A.dn" + S(g) + "[0];");
-      Emit("  (void)dk" + S(g) + "; (void)di" + S(g) + "; (void)dn" + S(g) +
-           ";");
-    }
-    Emit("  for (uint32_t t2 = 1; t2 < A.nt; ++t2) {");
-    Emit("    const int64_t* scnt = A.cellcnt + (uint64_t)t2 * CELLS;");
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      if (spec.func == AggFunc::kCount) continue;
-      if (spec.out_type.id == TypeId::kChar) {
-        Emit("    const char* sarr" + S(j) + " = A.arr" + S(j) +
-             " + (uint64_t)t2 * CELLS * " + S(ArrElemSize(spec)) + ";");
-      } else {
-        Emit("    const " + ArrCType(spec) + "* sarr" + S(j) + " = A.arr" +
-             S(j) + " + (uint64_t)t2 * CELLS;");
-      }
-    }
-    for (size_t g = 0; g < nkeys; ++g) {
-      if (is_dense(g)) continue;
-      Emit("    const int64_t* sdv" + S(g) + " = A.dv" + S(g) +
-           " + (uint64_t)t2 * " + S(caps[g]) + ";");
-    }
-    Emit("    for (uint64_t c = 0; c < CELLS; ++c) {");
-    Emit("      if (scnt[c] == 0) continue;");
-    Emit("      uint64_t cell = 0;");
-    for (size_t g = 0; g < nkeys; ++g) {
-      std::string id = "((c / " + S(strides[g]) + ") % " + S(caps[g]) + ")";
-      if (is_dense(g)) {
-        // Dense ids are global already: identity re-key.
-        Emit("      cell += (uint64_t)" + id + " * " + S(strides[g]) + ";");
-      } else {
-        // Re-key the task-local id through task 0's directory by value.
-        Emit("      { int64_t gv = sdv" + S(g) + "[" + id + "];");
-        Emit("        int32_t mid = op" + S(k) + "_dir" + S(g) + "(gv, dk" +
-             S(g) + ", di" + S(g) + ", dv" + S(g) + ", dn" + S(g) + ");");
-        Emit("        if (mid < 0) { ctx->error = HQ_ERR_MAP_OVERFLOW; "
-             "return -1; }");
-        Emit("        cell += (uint64_t)mid * " + S(strides[g]) + "; }");
-      }
-    }
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      switch (spec.func) {
-        case AggFunc::kCount:
-          break;  // cellcnt handles it
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          Emit("      arr" + S(j) + "[cell] += sarr" + S(j) + "[c];");
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          const char* cmp = spec.func == AggFunc::kMin ? "<" : ">";
-          if (spec.out_type.id == TypeId::kChar) {
-            std::string len = S(spec.out_type.length);
-            Emit("      if (cellcnt[cell] == 0 || memcmp(sarr" + S(j) +
-                 " + c * " + len + ", arr" + S(j) + " + cell * " + len +
-                 ", " + len + ") " + cmp + " 0) memcpy(arr" + S(j) +
-                 " + cell * " + len + ", sarr" + S(j) + " + c * " + len +
-                 ", " + len + ");");
-          } else {
-            Emit("      if (cellcnt[cell] == 0 || sarr" + S(j) + "[c] " +
-                 cmp + " arr" + S(j) + "[cell]) arr" + S(j) +
-                 "[cell] = sarr" + S(j) + "[c];");
-          }
-          break;
-        }
-      }
-    }
-    Emit("      cellcnt[cell] += scnt[c];");
-    Emit("    }");
-    Emit("  }");
-
-    // Emission pass over occupied cells.
-    Emit("  HqVec v;");
-    Emit("  if (hq_vec_init(&v, ctx, " + S(orec) + ", " +
-         S(std::min<uint64_t>(cells + 1, 1u << 22)) + ") != 0) return -1;");
-    bool scalar_agg = nkeys == 0;
-    Emit("  for (uint64_t cell = 0; cell < CELLS; ++cell) {");
-    if (!scalar_agg) {
-      Emit("    if (cellcnt[cell] == 0) continue;");
-    }
-    Emit("    uint8_t* o = hq_vec_slot(&v);");
-    Emit("    if (!o) return -1;");
-    for (size_t g = 0; g < nkeys; ++g) {
-      int f = op.group_fields[g];
-      Type t = in_layout.fields[f].type;
-      uint32_t dst = op.output.OffsetOf(static_cast<int>(g));
-      std::string id =
-          "((cell / " + S(strides[g]) + ") % " + S(caps[g]) + ")";
-      if (is_dense(g)) {
-        Emit("    { int64_t gv = (int64_t)" + id + " + (" +
-             S(op.directory_min[g]) + ");");
-      } else {
-        Emit("    { int64_t gv = dv" + S(g) + "[" + id + "];");
-      }
-      if (t.id == TypeId::kChar) {
-        Emit("      memcpy(o + " + S(dst) + ", &gv, " + S(t.length) + "); }");
-      } else if (t.ByteSize() == 4) {
-        Emit("      *(int32_t*)(o + " + S(dst) + ") = (int32_t)gv; }");
-      } else {
-        Emit("      *(int64_t*)(o + " + S(dst) + ") = gv; }");
-      }
-    }
-    for (size_t j = 0; j < aggs.size(); ++j) {
-      const sql::AggSpec& spec = aggs[j];
-      uint32_t dst = op.output.OffsetOf(static_cast<int>(nkeys + j));
-      switch (spec.func) {
-        case AggFunc::kCount:
-          Emit("    *(int64_t*)(o + " + S(dst) + ") = cellcnt[cell];");
-          break;
-        case AggFunc::kSum:
-          Emit("    *(" +
-               std::string(spec.out_type.id == TypeId::kDouble ? "double"
-                                                               : "int64_t") +
-               "*)(o + " + S(dst) + ") = arr" + S(j) + "[cell];");
-          break;
-        case AggFunc::kAvg:
-          Emit("    *(double*)(o + " + S(dst) + ") = cellcnt[cell] ? arr" +
-               S(j) + "[cell] / (double)cellcnt[cell] : 0.0;");
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          if (spec.out_type.id == TypeId::kChar) {
-            Emit("    memcpy(o + " + S(dst) + ", arr" + S(j) + " + cell * " +
-                 S(spec.out_type.length) + ", " + S(spec.out_type.length) +
-                 ");");
-          } else if (spec.out_type.ByteSize() == 4) {
-            Emit("    *(int32_t*)(o + " + S(dst) + ") = arr" + S(j) +
-                 "[cell];");
-          } else {
-            Emit("    *(" + std::string(spec.out_type.CType()) + "*)(o + " +
-                 S(dst) + ") = arr" + S(j) + "[cell];");
-          }
-          break;
-      }
-    }
-    Emit("  }");
-    Emit("  out->data = v.data; out->n = v.n; out->rec_size = " + S(orec) +
-         ";");
-    Emit("  out->part_begin = 0; out->num_parts = 0;");
-    Emit("  return 0;");
+    drivers_.insert("map");
+    Emit("static int op" + S(k) + "_agg(HqQueryCtx* ctx" +
+         (in.is_base_table ? "" : ", const HqStream* in") +
+         ", HqStream* out) {");
+    Emit("  return hq_map_agg<" + out_policy + ", " + block + "_scan>(ctx, " +
+         (in.is_base_table ? "0" : "in") + ", " + items + ", " + grain +
+         ", out);");
     Emit("}");
     Emit("");
     return Status::OK();

@@ -45,8 +45,8 @@ typedef struct HqPage {
 #define HQ_PAR_REC_GRAIN 65536u   // records per partition/scan task
 #define HQ_PAR_MAX_TASKS 1024u    // cap on tasks per parallel_for
 // Tighter caps where per-task state is O(partitions) or O(cells): the
-// partition histogram matrix is nt*M counters, map-agg slices are
-// nt*CELLS cells plus nt directories.
+// partition histogram matrix is nt*M counters, map aggregation keeps nt
+// blocks of CELLS cells plus directories.
 #define HQ_PAR_PART_TASKS 64u
 #define HQ_PAR_MAP_TASKS 16u
 // Morsel grains for the splitter-range stages (ORDER BY final merge,
@@ -335,12 +335,6 @@ static inline int hq_vec_init(HqVec* v, HqQueryCtx* ctx, uint32_t rec,
                       &ctx->helper_calls, rec, initial_cap);
 }
 
-static inline int hq_vec_init_w(HqVec* v, HqWorkerCtx* w, uint32_t rec,
-                                int64_t initial_cap) {
-  return hq_vec_setup(v, w->alloc, w->arena, &w->error, &w->helper_calls,
-                      rec, initial_cap);
-}
-
 // Out-of-line growth path; the hot path in hq_vec_slot stays branch+add.
 static int hq_vec_grow(HqVec* v) __attribute__((noinline, unused));
 static int hq_vec_grow(HqVec* v) {
@@ -364,29 +358,9 @@ static inline uint8_t* hq_vec_slot(HqVec* v) {
   return v->data + (uint64_t)v->n++ * v->rec;
 }
 
-// 64-bit hash (murmur3 fmix64) — must match util/hash.h HashMix64.
-static inline uint64_t hq_hash64(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xFF51AFD7ED558CCDull;
-  k ^= k >> 33;
-  k *= 0xC4CEB9FE1A85EC53ull;
-  k ^= k >> 33;
-  return k;
-}
-
-// FNV-1a over bytes folded through fmix64 — must match util/hash.h HashBytes.
-static inline uint64_t hq_hash_bytes(const void* data, uint64_t len) {
-  const uint8_t* p = (const uint8_t*)data;
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (uint64_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return hq_hash64(h);
-}
-
 // ---- compressed-page decode helpers -----------------------------------------
 
+// [driver group decode]
 // Round a compressed column segment up to its 8-byte alignment boundary.
 #define HQ_ALIGN8(x) (((uint64_t)(x) + 7ull) & ~7ull)
 
@@ -402,6 +376,7 @@ static inline uint64_t hq_unpack_bits(const uint8_t* seg, uint64_t idx,
   memcpy(&w, seg + (bo >> 3), 8);
   return (w >> (bo & 7u)) & mask;
 }
+// [end driver group decode]
 
 // ---- SIMD kernel versions & software prefetch -------------------------------
 //
@@ -443,33 +418,6 @@ static int32_t hq_simd_level __attribute__((unused)) = HQ_SIMD_SCALAR;
 typedef int64_t hq_i64x4 __attribute__((vector_size(32)));
 typedef uint64_t hq_u64x4 __attribute__((vector_size(32)));
 typedef double hq_f64x4 __attribute__((vector_size(32)));
-
-// -Wpsabi: passing/returning a 32-byte vector without AVX enabled "changes
-// the ABI" — irrelevant here, the helper below is always inlined into a
-// target-attributed kernel inside one translation unit.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
-// Four-lane fmix64 — must stay value-identical to hq_hash64, lane by lane,
-// so a vectorized partition pass scatters records exactly like the portable
-// one (bit-identity across HQ_SIMD settings depends on it). always_inline
-// is load-bearing, not an optimization: an out-of-line copy would be
-// compiled WITHOUT avx2 while its callers pass the 32-byte argument per
-// the AVX calling convention (ymm0 vs memory) — a real ABI mismatch at
-// -O0, which is exactly the tier-0 JIT level. Inlining into the
-// target-attributed caller (a superset of this function's ISA) is always
-// legal, so the helper can never exist out of line.
-static inline __attribute__((always_inline)) hq_u64x4 hq_hash64x4(
-    hq_u64x4 k) {
-  k ^= k >> 33;
-  k *= 0xFF51AFD7ED558CCDull;
-  k ^= k >> 33;
-  k *= 0xC4CEB9FE1A85EC53ull;
-  k ^= k >> 33;
-  return k;
-}
-
-#pragma GCC diagnostic pop
 #endif  // HQ_SIMD_X86
 
 // Software prefetch for generated scatter/probe loops. Table I (§II-A,
@@ -500,7 +448,9 @@ static inline __attribute__((always_inline)) hq_u64x4 hq_hash64x4(
 // g++ parses every template of a cold query's source, used or not, so the
 // drivers come in groups, each between a "[driver group NAME]" and an
 // "[end driver group NAME]" comment line: the generator embeds a group
-// only in sources that use it (see codegen::Generator::EmbeddedAbi).
+// only in sources that use it (see codegen::Generator::EmbeddedAbi):
+// decode, record_sort, stage, sort, partition, range, key_range (with
+// sort), fold and map (with fold).
 
 typedef int (*HqRecCmp)(const uint8_t* a, const uint8_t* b);  // <0, 0, >0
 
@@ -883,6 +833,56 @@ static int64_t hq_order_by_output(HqQueryCtx* ctx, const HqStream* in,
 // [end driver group sort]
 
 // [driver group partition]
+// 64-bit hash (murmur3 fmix64) — must match util/hash.h HashMix64.
+static inline uint64_t hq_hash64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDull;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ull;
+  k ^= k >> 33;
+  return k;
+}
+
+// FNV-1a over bytes folded through fmix64 — must match util/hash.h HashBytes.
+static inline uint64_t hq_hash_bytes(const void* data, uint64_t len) {
+  const uint8_t* p = (const uint8_t*)data;
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (uint64_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ull;
+  }
+  return hq_hash64(h);
+}
+
+#if HQ_SIMD_X86
+// -Wpsabi: passing/returning a 32-byte vector without AVX enabled "changes
+// the ABI" — irrelevant here, the helper below is always inlined into a
+// target-attributed kernel inside one translation unit.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Four-lane fmix64 — must stay value-identical to hq_hash64, lane by lane,
+// so a vectorized partition pass scatters records exactly like the portable
+// one (bit-identity across HQ_SIMD settings depends on it). always_inline
+// is load-bearing, not an optimization: an out-of-line copy would be
+// compiled WITHOUT avx2 while its callers pass the 32-byte argument per
+// the AVX calling convention (ymm0 vs memory) — a real ABI mismatch at
+// -O0, which is exactly the tier-0 JIT level. Inlining into the
+// target-attributed caller (a superset of this function's ISA) is always
+// legal, so the helper can never exist out of line.
+static inline __attribute__((always_inline)) hq_u64x4 hq_hash64x4(
+    hq_u64x4 k) {
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDull;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ull;
+  k ^= k >> 33;
+  return k;
+}
+
+#pragma GCC diagnostic pop
+#endif  // HQ_SIMD_X86
+
 // Parallel two-pass scatter partitioning into M partitions: per-task
 // histograms over record chunks, one (partition, task) prefix sum, then a
 // scatter in which every task owns a private cursor row. Record order
@@ -1055,7 +1055,8 @@ struct hq_vecs {
   static constexpr uint64_t kSize = sizeof(HqVec);
   static void* open(uint8_t* outs, HqWorkerCtx* wk, uint32_t t, uint32_t nt) {
     HqVec* v = (HqVec*)outs + t;
-    return hq_vec_init_w(v, wk, OREC, EST / nt + 16) ? 0 : v;
+    return hq_vec_setup(v, wk->alloc, wk->arena, &wk->error,
+                        &wk->helper_calls, OREC, EST / nt + 16) ? 0 : v;
   }
   static int close(HqQueryCtx* ctx, uint8_t* outs, uint32_t nt,
                    HqStream* out) {
@@ -1137,32 +1138,87 @@ static int hq_key_ranges(HqQueryCtx* ctx, const HqStream* const* in,
 }
 // [end driver group key_range]
 // [driver group fold]
-// OUT for a join with fused scalar aggregation: one zeroed ACC-byte
-// accumulator block per task, folded in task order by MERGE (into the
-// first argument) into one block that EMIT writes as the one OREC-byte row.
-typedef void (*HqAccMergeFn)(uint8_t* g, const uint8_t* s);
-typedef void (*HqAccEmitFn)(const uint8_t* g, uint8_t* o);
+// OUT of map and fused scalar aggregation: a zeroed, line-padded block per
+// task. close folds blocks 1.. into block 0 in task order (MERGE fails if
+// a cell does not fit) and EMITs block 0's rows. No partial sum is -0.0,
+// so this equals folding into a zeroed block.
+typedef int (*HqAccMergeFn)(uint8_t* g, const uint8_t* s);
+typedef int (*HqAccEmitFn)(const uint8_t* g, HqVec* v);
 
-template <uint32_t ACC, uint32_t OREC, HqAccMergeFn MERGE, HqAccEmitFn EMIT>
+template <uint64_t ACC, uint32_t OREC, HqAccMergeFn MERGE, HqAccEmitFn EMIT>
 struct hq_accs {
-  static constexpr uint64_t kSize = ACC;
+  static constexpr uint64_t kSize = (ACC + 63) / 64 * 64;
   static void* open(uint8_t* outs, HqWorkerCtx* wk, uint32_t t, uint32_t nt) {
     (void)wk; (void)nt;
-    return outs + (uint64_t)t * ACC;
+    return outs + t * kSize;
   }
   static int close(HqQueryCtx* ctx, uint8_t* outs, uint32_t nt,
                    HqStream* out) {
-    alignas(64) uint8_t g[ACC];
-    memset(g, 0, ACC);
-    for (uint32_t t = 0; t < nt; ++t) MERGE(g, outs + (uint64_t)t * ACC);
-    uint8_t* o = (uint8_t*)ctx->alloc(ctx->arena, OREC);
-    if (!o) { ctx->error = HQ_ERR_OOM; return -1; }
-    EMIT(g, o);
-    out->data = o; out->n = 1; out->rec_size = OREC;
-    out->part_begin = 0; out->num_parts = 0;
+    for (uint32_t t = 1; t < nt; ++t) {
+      if (MERGE(outs, outs + t * kSize)) {
+        ctx->error = HQ_ERR_MAP_OVERFLOW;
+        return -1;
+      }
+    }
+    HqVec v;
+    if (hq_vec_init(&v, ctx, OREC, 1) || EMIT(outs, &v)) return -1;
+    *out = {v.data, v.n, OREC, 0, 0};
     return 0;
   }
 };
 // [end driver group fold]
+// [driver group map]
+// A sparse group key's directory (Fig. 4): k sorted, v[id] = key.
+template <uint32_t CAP>
+struct hq_dir { int64_t k[CAP], v[CAP]; int32_t id[CAP], n; };
+
+// The id of key in d, inserted if new; -1 when d is full.
+template <uint32_t CAP>
+static inline int32_t hq_dir_id(hq_dir<CAP>* d, int64_t key) {
+  int32_t lo = 0, hi = d->n, n = d->n;
+  while (lo < hi) {
+    int32_t mid = (lo + hi) >> 1;
+    if (d->k[mid] < key) lo = mid + 1; else hi = mid;
+  }
+  if (lo < n && d->k[lo] == key) return d->id[lo];
+  if (n == (int32_t)CAP) return -1;
+  memmove(d->k + lo + 1, d->k + lo, (n - lo) * 8ull);
+  memmove(d->id + lo + 1, d->id + lo, (n - lo) * 4ull);
+  d->k[lo] = key; d->id[lo] = n; d->v[n] = key;
+  return d->n++;
+}
+
+// Aggregates items [b, e) (pages or records of in) into acc; nonzero,
+// with wk->error set, when a key does not fit.
+typedef int (*HqMapScanFn)(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                           const HqStream* in, uint64_t b, uint64_t e,
+                           void* acc);
+
+typedef struct HqMapArgs {
+  const HqStream* in; uint64_t n; uint8_t* outs; uint32_t nt;
+} HqMapArgs;
+
+template <class OUT, HqMapScanFn SCAN>
+static int32_t hq_map_task(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t,
+                           void* argp) {
+  HqMapArgs* A = (HqMapArgs*)argp;
+  uint64_t b, e;
+  hq_task_range(A->n, A->nt, t, &b, &e);
+  return SCAN(ctx, wk, A->in, b, e, OUT::open(A->outs, wk, t, A->nt));
+}
+
+// Map aggregation: task t scans its range of the n items into its block.
+template <class OUT, HqMapScanFn SCAN>
+static int hq_map_agg(HqQueryCtx* ctx, const HqStream* in, uint64_t n,
+                      uint64_t grain, HqStream* out) {
+  HqMapArgs A = {in, n, 0, hq_task_count(n, grain, HQ_PAR_MAP_TASKS)};
+  A.outs = (uint8_t*)ctx->alloc(ctx->arena, A.nt * OUT::kSize);
+  if (!A.outs) { ctx->error = HQ_ERR_OOM; return -1; }
+  memset(A.outs, 0, A.nt * OUT::kSize);
+  HqTaskFn task = hq_map_task<OUT, SCAN>;
+  if (hq_parallel_for(ctx, A.nt, task, &A) != HQ_OK) return -1;
+  return OUT::close(ctx, A.outs, A.nt, out);
+}
+// [end driver group map]
 
 #endif  // HIQUE_CODEGEN_RUNTIME_ABI_H_

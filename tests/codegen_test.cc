@@ -143,17 +143,20 @@ TEST_F(CodegenTest, MergeJoinHasNoPartitioning) {
 }
 
 TEST_F(CodegenTest, MapAggUsesDenseDirectoryForDenseDomain) {
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_k, sum(r_v), count(*) from r group by r_k");
-  // Dense int domain 0..9: identity directory, no binary-search helper.
+  // Dense int domain 0..9: identity directory, no binary search.
   EXPECT_NE(src.find("map aggregation"), std::string::npos);
-  EXPECT_EQ(src.find("_dir0(int64_t key"), std::string::npos) << src;
+  EXPECT_EQ(src.find("hq_dir"), std::string::npos) << src;
 }
 
 TEST_F(CodegenTest, CharGroupKeyUsesSparseDirectory) {
-  std::string src = GenerateFor(
+  std::string src = BodyFor(
       "select r_pad, count(*) from r group by r_pad");
-  EXPECT_NE(src.find("_dir0(int64_t key"), std::string::npos);
+  // One hq_dir per task block; the scan and the fold's re-keying look ids
+  // up through the one hq_dir_id template.
+  EXPECT_EQ(CountOf(src, "hq_dir<"), 1u) << src;
+  EXPECT_EQ(CountOf(src, "hq_dir_id<"), 2u) << src;
   EXPECT_NE(src.find("HQ_ERR_MAP_OVERFLOW"), std::string::npos);
 }
 
@@ -238,7 +241,8 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   // only when one of its operators instantiates it. Every join and every
   // sort or hybrid aggregation runs through a range driver (group range),
   // key ranges also need group key_range, a fused scalar aggregate the
-  // accumulator fold.
+  // accumulator fold. Map aggregation runs through hq_map_agg (group map)
+  // and the same fold; only a scan over compressed pages decodes.
   plan::PlannerOptions hash_join;
   hash_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   hash_join.fine_partition_max_domain = 0;
@@ -259,59 +263,83 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   const char* join = "select r_k, s_v from r, s where r_k = s_k";
   const char* fused = "select count(*), sum(s_v) from r, s where r_k = s_k";
   const char* grouped = "select r_k, count(*) from r group by r_k";
-  for (const Case& c : std::vector<Case>{
-           {"select r_k, r_v from r where r_v < 500", {}, {"stage"}},
-           {grouped, {}, {}},
-           {"select count(*), sum(r_v) from r", {}, {}},
-           {"select r_k, r_v from r order by r_v",
-            {},
-            {"stage", "record_sort", "sort"}},
-           {join,
-            merge_join,
-            {"stage", "record_sort", "sort", "range", "key_range"}},
-           {join, hash_join, {"stage", "record_sort", "partition", "range"}},
-           {join, fine_join, {"stage", "partition", "range"}},
-           {fused,
-            merge_join,
-            {"stage", "record_sort", "sort", "range", "key_range", "fold"}},
-           {fused,
-            hash_join,
-            {"stage", "record_sort", "partition", "range", "fold"}},
-           {fused, fine_join, {"stage", "partition", "range", "fold"}},
-           {grouped,
-            sort_agg,
-            {"stage", "record_sort", "sort", "range", "key_range"}},
-           {grouped,
-            hybrid_agg,
-            {"stage", "record_sort", "partition", "range"}},
-       }) {
+  const char* scalar = "select count(*), sum(r_v) from r";
+  const char* staged = "select r_k, r_v from r where r_v < 500";
+  const std::vector<Case> cases = {
+      {staged, {}, {"stage"}},
+      {grouped, {}, {"fold", "map"}},
+      {scalar, {}, {"fold", "map"}},
+      {"select r_pad, count(*), min(r_v) from r group by r_pad",
+       {},
+       {"fold", "map"}},
+      {"select r_k, r_pad, max(r_pad) from r group by r_k, r_pad",
+       {},
+       {"fold", "map"}},
+      {"select r_k, r_v from r order by r_v",
+       {},
+       {"stage", "record_sort", "sort"}},
+      {join,
+       merge_join,
+       {"stage", "record_sort", "sort", "range", "key_range"}},
+      {join, hash_join, {"stage", "record_sort", "partition", "range"}},
+      {join, fine_join, {"stage", "partition", "range"}},
+      {fused,
+       merge_join,
+       {"stage", "record_sort", "sort", "range", "key_range", "fold"}},
+      {fused,
+       hash_join,
+       {"stage", "record_sort", "partition", "range", "fold"}},
+      {fused, fine_join, {"stage", "partition", "range", "fold"}},
+      {grouped,
+       sort_agg,
+       {"stage", "record_sort", "sort", "range", "key_range"}},
+      {grouped,
+       hybrid_agg,
+       {"stage", "record_sort", "partition", "range"}},
+  };
+  // Compressed inputs: the same shapes, now decoding.
+  const std::vector<Case> compressed = {
+      {staged, {}, {"decode", "stage"}},
+      {grouped, {}, {"decode", "fold", "map"}},
+      {scalar, {}, {"decode", "fold", "map"}},
+  };
+  auto check = [&](const Case& c) {
     SCOPED_TRACE(c.sql);
+    auto has = [&](const char* group) {
+      return std::find(c.groups.begin(), c.groups.end(), group) !=
+             c.groups.end();
+    };
     std::string src = GenerateFor(c.sql, c.opts);
-    for (const char* group : {"stage", "record_sort", "sort", "partition",
-                              "range", "key_range", "fold"}) {
-      bool want = std::find(c.groups.begin(), c.groups.end(), group) !=
-                  c.groups.end();
+    for (const char* group : {"decode", "stage", "record_sort", "sort",
+                              "partition", "range", "key_range", "fold",
+                              "map"}) {
       EXPECT_EQ(
           src.find("// [driver group " + std::string(group) + "]\n") !=
               std::string::npos,
-          want)
+          has(group))
           << group;
     }
-    // A join or a sort/hybrid aggregation is its kernels plus one driver
-    // instantiation; no per-operator task wrapper is generated.
+    // A join, a sort/hybrid aggregation or a map aggregation is its
+    // kernels plus one driver instantiation; no per-operator task wrapper,
+    // slice array or fold loop is generated.
     std::string body = BodyFor(c.sql, c.opts);
-    bool ranges = std::find(c.groups.begin(), c.groups.end(), "range") !=
-                  c.groups.end();
     EXPECT_EQ(CountOf(body, "hq_part_ranges<") +
                   CountOf(body, "hq_key_ranges<"),
-              ranges ? 1u : 0u)
+              has("range") ? 1u : 0u)
         << body;
+    EXPECT_EQ(CountOf(body, "hq_map_agg<"), has("map") ? 1u : 0u) << body;
     for (const char* gone : {"_join_args", "_join_part", "_mr_args",
                              "_mr_bounds", "_mr_task", "_agg_args",
-                             "_agg_part", "_sagg_"}) {
+                             "_agg_part", "_sagg_", "_map_args",
+                             "merged view", "_dir0(", "_dir1("}) {
       EXPECT_EQ(src.find(gone), std::string::npos) << gone;
     }
+  };
+  for (const Case& c : cases) check(c);
+  for (const char* t : {"r", "s"}) {
+    ASSERT_TRUE(catalog_.GetTable(t).value()->Compress().ok());
   }
+  for (const Case& c : compressed) check(c);
 }
 
 TEST_F(CodegenTest, EachScanHasOneLoopShape) {

@@ -2,8 +2,9 @@
 // with hand-written kernels — no runtime compiler involved. Base-table
 // staging is checked against a serial reference scan, the sort against
 // std::sort, the partition driver against a serial reference scatter, the
-// concatenation for task order, and the ORDER BY pipeline against a sorted
-// copy. Each runs both on the header's serial fallback and on a
+// concatenation for task order, the ORDER BY pipeline against a sorted
+// copy, map aggregation's fold against a serial one and its directory
+// against std::map. Each runs both on the header's serial fallback and on a
 // multi-threaded parallel_for over exec::WorkerPool, and the two must agree
 // byte for byte (under TSan this race-checks the disjoint per-task cursors
 // of the staging fill, the scatter and the merges).
@@ -14,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -603,17 +606,25 @@ int FoldRanges(HqQueryCtx* ctx, uint8_t* const* d, const int64_t* b,
   return 0;
 }
 
-void MergeAcc(uint8_t* g, const uint8_t* s) {
+int MergeAcc(uint8_t* g, const uint8_t* s) {
   Acc* G = reinterpret_cast<Acc*>(g);
   const Acc* S = reinterpret_cast<const Acc*>(s);
-  if (S->calls == 0) return;
+  if (S->calls == 0) return 0;
   G->h = G->h * 1000003 + S->h;
   G->calls += S->calls;
+  return 0;
 }
 
-void EmitAcc(const uint8_t* g, uint8_t* o) { std::memcpy(o, g, sizeof(Acc)); }
+/// EMIT of a fold's block: the block itself is the one row.
+template <class T>
+int EmitBlock(const uint8_t* g, HqVec* v) {
+  uint8_t* o = hq_vec_slot(v);
+  if (o == nullptr) return -1;
+  std::memcpy(o, g, sizeof(T));
+  return 0;
+}
 
-using AccOut = hq_accs<sizeof(Acc), sizeof(Acc), MergeAcc, EmitAcc>;
+using AccOut = hq_accs<sizeof(Acc), sizeof(Acc), MergeAcc, EmitBlock<Acc>>;
 
 template <size_t>
 constexpr HqSortFn kSortByKey = hq_record_sort<kRec, CmpKey>;
@@ -872,6 +883,158 @@ void CheckKeyRanges(std::index_sequence<I...>) {
 TEST(OperatorDriverTest, KeyRangesMatchSerialReference) {
   CheckKeyRanges<2>(std::make_index_sequence<2>());
   CheckKeyRanges<3>(std::make_index_sequence<3>());
+}
+
+// ---- map aggregation -----------------------------------------------------
+
+/// A map-aggregation block whose fold is order-sensitive: a task hashes
+/// its records' ids in scan order, MergeBlock hashes the blocks in fold
+/// order. 24 bytes, which hq_accs pads to one cache line per task.
+struct Block {
+  uint64_t n, h, misaligned;
+};
+
+int ScanBlock(HqQueryCtx* ctx, HqWorkerCtx* wk, const HqStream* in,
+              uint64_t b, uint64_t e, void* acc) {
+  (void)ctx;
+  (void)wk;
+  Block* blk = static_cast<Block*>(acc);
+  blk->misaligned |= reinterpret_cast<uintptr_t>(acc) % 64;
+  for (uint64_t i = b; i < e; ++i) {
+    blk->h = blk->h * 31 + At(in->data + i * kRec).id;
+    ++blk->n;
+  }
+  return 0;
+}
+
+/// Folds s into g, failing when g would then hold more than LIMIT records,
+/// as a directory fails to take another task's keys.
+template <uint64_t LIMIT>
+int MergeBlock(uint8_t* g, const uint8_t* s) {
+  Block* G = reinterpret_cast<Block*>(g);
+  const Block* S = reinterpret_cast<const Block*>(s);
+  if (S->n == 0) return 0;
+  if (G->n + S->n > LIMIT) return -1;
+  G->h = G->h * 1000003 + S->h;
+  G->n += S->n;
+  G->misaligned |= S->misaligned;
+  return 0;
+}
+
+template <uint64_t LIMIT>
+using BlockOut = hq_accs<sizeof(Block), sizeof(Block), MergeBlock<LIMIT>,
+                         EmitBlock<Block>>;
+static_assert(BlockOut<1>::kSize == 64, "one cache line per task block");
+
+constexpr uint64_t kNoLimit = ~0ull;
+constexpr uint64_t kMapGrain = 1000;
+
+/// Runs a map driver over n random records (MakeRecs seed 21) on the
+/// serial fallback and on a 4-executor pool; `check` sees the harness, the
+/// driver's return value and its output.
+void RunMapAgg(int64_t n,
+               int (*driver)(HqQueryCtx*, const HqStream*, uint64_t,
+                             uint64_t, HqStream*),
+               const std::function<void(Harness&, int, const HqStream&)>&
+                   check) {
+  std::vector<Rec> data = MakeRecs(n, Keys::kRandom, 21);
+  data.push_back(Rec{0, 0, 0});  // never empty: a valid data pointer
+  HqStream in = {reinterpret_cast<uint8_t*>(data.data()), n, kRec, nullptr,
+                 0};
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Harness h(threads);
+    HqStream out;
+    std::memset(&out, 0xAB, sizeof(out));
+    int rc = driver(h.ctx(), &in, static_cast<uint64_t>(n), kMapGrain, &out);
+    check(h, rc, out);
+  }
+}
+
+TEST(OperatorDriverTest, MapAggFoldsTaskBlocksInTaskOrder) {
+  // One to four tasks of kMapGrain records, and the empty input.
+  for (int64_t n : {0, 999, 1000, 2000, 2500, 4000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<Rec> recs = MakeRecs(n, Keys::kRandom, 21);
+    uint32_t nt = hq_task_count(static_cast<uint64_t>(n), kMapGrain,
+                                HQ_PAR_MAP_TASKS);
+    EXPECT_EQ(nt, std::max<uint32_t>(1, static_cast<uint32_t>(
+                                            (n + kMapGrain - 1) / kMapGrain)));
+    // Serial reference: the task blocks folded into zeros in task order.
+    Block want = {0, 0, 0};
+    for (uint32_t t = 0; t < nt; ++t) {
+      uint64_t b, e;
+      hq_task_range(static_cast<uint64_t>(n), nt, t, &b, &e);
+      Block blk = {0, 0, 0};
+      for (uint64_t i = b; i < e; ++i) {
+        blk.h = blk.h * 31 + recs[i].id;
+        ++blk.n;
+      }
+      MergeBlock<kNoLimit>(reinterpret_cast<uint8_t*>(&want),
+                           reinterpret_cast<const uint8_t*>(&blk));
+    }
+    RunMapAgg(n, hq_map_agg<BlockOut<kNoLimit>, ScanBlock>,
+              [&](Harness& h, int rc, const HqStream& out) {
+                ASSERT_EQ(rc, 0);
+                ASSERT_EQ(out.n, 1);
+                EXPECT_EQ(out.rec_size, sizeof(Block));
+                EXPECT_EQ(out.part_begin, nullptr);
+                EXPECT_EQ(out.num_parts, 0u);
+                Block got;
+                std::memcpy(&got, out.data, sizeof(Block));
+                EXPECT_EQ(got.n, static_cast<uint64_t>(n));
+                EXPECT_EQ(got.h, want.h);
+                EXPECT_EQ(got.misaligned, 0u);
+                if (h.ctx()->parallel_for != nullptr) {
+                  EXPECT_EQ(h.tasks_run(), nt);
+                }
+              });
+  }
+}
+
+TEST(OperatorDriverTest, MapAggFoldOverflowIsMapOverflow) {
+  // Four tasks of 1000 records: each fits a 2500-record block alone, but
+  // folding the third into block 0 does not.
+  RunMapAgg(4000, hq_map_agg<BlockOut<2500>, ScanBlock>,
+            [](Harness& h, int rc, const HqStream& out) {
+              (void)out;
+              EXPECT_EQ(rc, -1);
+              EXPECT_EQ(h.ctx()->error, HQ_ERR_MAP_OVERFLOW);
+            });
+}
+
+TEST(OperatorDriverTest, DirIdMatchesInsertionOrderReference) {
+  constexpr uint32_t kCap = 256;
+  auto d = std::make_unique<hq_dir<kCap>>();
+  std::memset(d.get(), 0, sizeof(*d));
+  std::map<int64_t, int32_t> want;  // key -> id, ids in insertion order
+  Rng rng(17);
+  bool full = false;
+  for (int i = 0; i < 5000; ++i) {
+    // 400 keys, negative and wide ones too, against 256 slots.
+    int64_t key = (static_cast<int64_t>(rng.NextBounded(400)) - 200) *
+                  1000000007LL;
+    int32_t id = hq_dir_id<kCap>(d.get(), key);
+    auto it = want.find(key);
+    if (it != want.end()) {
+      ASSERT_EQ(id, it->second) << key;
+    } else if (want.size() == kCap) {
+      ASSERT_EQ(id, -1) << key;
+      full = true;
+    } else {
+      ASSERT_EQ(id, static_cast<int32_t>(want.size())) << key;
+      want[key] = id;
+    }
+  }
+  EXPECT_TRUE(full);
+  ASSERT_EQ(d->n, static_cast<int32_t>(kCap));
+  int32_t i = 0;
+  for (const auto& [key, id] : want) {
+    EXPECT_EQ(d->k[i], key);
+    EXPECT_EQ(d->id[i], id);
+    EXPECT_EQ(d->v[id], key);
+    ++i;
+  }
 }
 
 }  // namespace

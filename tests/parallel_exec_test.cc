@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "codegen/runtime_abi.h"
 #include "exec/engine.h"
 #include "exec/worker_pool.h"
 #include "tests/test_util.h"
@@ -343,6 +344,69 @@ TEST_F(ParallelExecTest, CachedFusedAggRepeatsAreStable) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second.value().cache_hit);
   EXPECT_EQ(ResultTuples(first.value()), ResultTuples(second.value()));
+}
+
+/// A table whose statistics are stale over a sparse group key: they claim
+/// the four keys 0, 1000, 2000 and 3000, which fill the first map task's
+/// range (HQ_PAR_PAGE_GRAIN full pages). The second task's range, appended
+/// after the statistics, holds `late` keys the statistics never saw.
+Table* MakeStaleSparseTable(Catalog* catalog, int late) {
+  Schema schema;
+  schema.AddColumn("st_k", Type::Int32());
+  schema.AddColumn("st_v", Type::Int32());
+  schema.AddColumn("st_d", Type::Double());
+  Table* t = catalog->CreateTable("st", schema).value();
+  const uint64_t task_rows =
+      uint64_t{HQ_PAR_PAGE_GRAIN} * t->tuples_per_page();
+  Rng rng(31);
+  auto append = [&](int64_t k) {
+    auto v = static_cast<int32_t>(rng.NextBounded(1000));
+    (void)t->AppendRow({Value::Int32(static_cast<int32_t>(k)),
+                        Value::Int32(v), Value::Double(v * 0.1 - 3.7)});
+  };
+  for (uint64_t i = 0; i < task_rows; ++i) append(i % 4 * 1000);
+  HQ_CHECK(t->ComputeStats().ok());
+  for (uint64_t i = 0; i < task_rows; ++i) append(5000 + i % late * 1000);
+  t->mutable_stats().valid = true;  // keep the stale statistics
+  return t;
+}
+
+TEST_F(ParallelExecTest, StaleSparseMapOverflowReplansAtFoldAndScan) {
+  // Four late keys: each task's keys fit its own four-key directory, but
+  // their union does not, so the overflow surfaces when the fold re-keys
+  // task 1's cells into block 0. Five: task 1 overflows while scanning.
+  // Either way the engine re-plans with hybrid aggregation, and the repeat
+  // hits the fallback library aliased under the map plan's signature.
+  const std::string sql =
+      "select st_k, count(*), sum(st_d), min(st_v) from st group by st_k";
+  for (int late : {4, 5}) {
+    SCOPED_TRACE("late keys=" + std::to_string(late));
+    Catalog catalog;
+    Table* t = MakeStaleSparseTable(&catalog, late);
+    ASSERT_EQ(t->NumPages(), 2u * HQ_PAR_PAGE_GRAIN);
+    auto expected = ref::ExecuteSql(sql, catalog);
+    ASSERT_TRUE(expected.ok());
+    std::vector<std::string> serial;
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      HiqueEngine engine(&catalog, Options(threads));
+      for (int run = 0; run < 2; ++run) {
+        auto r = engine.Query(sql);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (run == 0) {
+          EXPECT_EQ(r.value().plan_text.find("agg map"), std::string::npos)
+              << r.value().plan_text;
+        }
+        EXPECT_EQ(r.value().cache_hit, run == 1);
+        std::vector<ref::Row> rows;
+        for (auto& row : r.value().Rows()) rows.push_back(row);
+        Status cmp = ref::CompareRowSets(expected.value(), rows, false);
+        EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+        if (threads == 1 && run == 0) serial = ResultTuples(r.value());
+        EXPECT_EQ(ResultTuples(r.value()), serial);
+      }
+    }
+  }
 }
 
 TEST_F(ParallelExecTest, ConcurrentClientsShareWorkerPool) {
