@@ -23,7 +23,7 @@ int32_t ResolveSimdLevel() {
 Result<std::shared_ptr<CompiledLibrary>> CompiledLibrary::Load(
     CompileResult compiled, const std::string& entry_symbol,
     std::string source, int opt_level, bool unlink_on_unload,
-    int32_t simd_level) {
+    int32_t simd_level, std::string plan_text) {
   void* handle = dlopen(compiled.library_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) {
     return Status::ExecError(std::string("dlopen failed: ") + dlerror());
@@ -48,6 +48,7 @@ Result<std::shared_ptr<CompiledLibrary>> CompiledLibrary::Load(
   lib->compiled_ = std::move(compiled);
   lib->entry_symbol_ = entry_symbol;
   lib->source_ = std::move(source);
+  lib->plan_text_ = std::move(plan_text);
   lib->opt_level_ = opt_level;
   lib->unlink_on_unload_ = unlink_on_unload;
   return lib;

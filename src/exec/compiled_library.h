@@ -37,11 +37,14 @@ class CompiledLibrary {
   /// `simd_level` selects the generated kernel version (HQ_SIMD_* constant)
   /// via the library's `hique_set_simd` export before any execution; pass
   /// -1 for ResolveSimdLevel(). Libraries without that export load fine
-  /// and run their portable kernels.
+  /// and run their portable kernels. `plan_text` is the rendered plan the
+  /// library was generated from: a statement reports the text of the
+  /// library it actually runs, which a cache alias can make differ from
+  /// the plan it was prepared with.
   static Result<std::shared_ptr<CompiledLibrary>> Load(
       CompileResult compiled, const std::string& entry_symbol,
       std::string source, int opt_level, bool unlink_on_unload,
-      int32_t simd_level = -1);
+      int32_t simd_level = -1, std::string plan_text = {});
 
   ~CompiledLibrary();
   CompiledLibrary(const CompiledLibrary&) = delete;
@@ -51,6 +54,7 @@ class CompiledLibrary {
   const CompileResult& compiled() const { return compiled_; }
   const std::string& entry_symbol() const { return entry_symbol_; }
   const std::string& source() const { return source_; }
+  const std::string& plan_text() const { return plan_text_; }
   int opt_level() const { return opt_level_; }
 
  private:
@@ -61,6 +65,7 @@ class CompiledLibrary {
   CompileResult compiled_;
   std::string entry_symbol_;
   std::string source_;
+  std::string plan_text_;
   int opt_level_ = 0;
   bool unlink_on_unload_ = false;
 };

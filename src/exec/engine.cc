@@ -326,14 +326,15 @@ Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::CompilePlan(
                                                    options_.gen_dir, name,
                                                    copts));
   timings->compile_ms = compiled.compile_seconds * 1e3;
-  // The source text rides along for background tier recompilation; artefact
+  // The source text rides along for background tier recompilation, the
+  // plan text for what a statement running this library reports; artefact
   // files are removed when the last owner unloads unless keep_source asks
   // for them (gen-dir hygiene under sustained traffic).
   return exec::CompiledLibrary::Load(std::move(compiled),
                                      generated.entry_symbol,
                                      std::move(generated.source), opt_level,
                                      /*unlink_on_unload=*/!options_.keep_source,
-                                     simd_level_);
+                                     simd_level_, plan.ToString());
 }
 
 std::shared_ptr<exec::CompiledLibrary> HiqueEngine::LookupCacheLocked(
@@ -341,7 +342,15 @@ std::shared_ptr<exec::CompiledLibrary> HiqueEngine::LookupCacheLocked(
   auto it = cache_.find(signature);
   if (it == cache_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return it->second.library;
+  CacheEntry& entry = it->second;
+  // A plan earns the compile.opt_level tier on its first reuse: one-shot
+  // statements never pay for a background compile nothing would run.
+  if (!entry.tier_scheduled &&
+      entry.library->opt_level() < options_.compile.opt_level) {
+    entry.tier_scheduled = true;
+    ScheduleTierUpgradeLocked(signature, entry.library);
+  }
+  return entry.library;
 }
 
 void HiqueEngine::InsertCacheLocked(
@@ -352,7 +361,9 @@ void HiqueEngine::InsertCacheLocked(
     // Replacement (duplicate concurrent compile, overflow alias refresh):
     // keep the LRU node, swap the payload. In-flight executions and
     // prepared statements keep the old library alive through their refs.
+    // The new library tiers up on its own first reuse.
     it->second.library = std::move(library);
+    it->second.tier_scheduled = false;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return;
   }
@@ -393,34 +404,26 @@ Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::GetOrCompile(
     PlanCacheMetrics::Get().misses->Increment();
   }
 
-  // A cached miss starts at -O0 and tiers up in the background; an
-  // uncached statement runs once, so it compiles at the final level.
+  // A cached miss starts at -O0 and tiers up on its first reuse (see
+  // LookupCacheLocked); an uncached statement runs once, so it compiles at
+  // the final level.
   const int opt_level = cached ? 0 : options_.compile.opt_level;
   HQ_ASSIGN_OR_RETURN(auto library, CompilePlan(plan, opt_level, timings));
   if (cached) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      InsertCacheLocked(signature, library);
-    }
-    if (opt_level < options_.compile.opt_level) {
-      ScheduleTierUpgrade(signature, library);
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    InsertCacheLocked(signature, library);
   }
   return library;
 }
 
-void HiqueEngine::ScheduleTierUpgrade(
+void HiqueEngine::ScheduleTierUpgradeLocked(
     const std::string& signature,
     const std::shared_ptr<exec::CompiledLibrary>& library) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (shutdown_) return;
-    tier_queue_.push_back(
-        {signature, library->source(), library->entry_symbol(), library});
-    ++tier_jobs_pending_;
-    if (!tier_worker_.joinable()) {
-      tier_worker_ = std::thread(&HiqueEngine::TierWorkerLoop, this);
-    }
+  if (shutdown_) return;
+  tier_queue_.push_back({signature, library});
+  ++tier_jobs_pending_;
+  if (!tier_worker_.joinable()) {
+    tier_worker_ = std::thread(&HiqueEngine::TierWorkerLoop, this);
   }
   tier_cv_.notify_one();
 }
@@ -428,48 +431,53 @@ void HiqueEngine::ScheduleTierUpgrade(
 void HiqueEngine::TierWorkerLoop() {
   for (;;) {
     TierJob job;
+    std::shared_ptr<exec::CompiledLibrary> origin;  // released unlocked
     {
       std::unique_lock<std::mutex> lk(mu_);
       tier_cv_.wait(lk, [&] { return shutdown_ || !tier_queue_.empty(); });
       if (shutdown_) return;
       job = std::move(tier_queue_.front());
       tier_queue_.pop_front();
+      origin = job.origin.lock();
+      // The entry was evicted or replaced while the job queued: the swap
+      // below would be refused, so skip the compile.
+      auto it = cache_.find(job.signature);
+      if (it == cache_.end() || it->second.library != origin) {
+        if (--tier_jobs_pending_ == 0) tier_idle_cv_.notify_all();
+        continue;
+      }
     }
 
     // Compile at the final tier outside the lock — queries keep flowing
     // through the -O0 library meanwhile.
     std::string name = NextArtefactName() + "_tier";
-    auto compiled = exec::CompileToSharedLibrary(job.source, options_.gen_dir,
-                                                 name, options_.compile);
+    auto compiled = exec::CompileToSharedLibrary(
+        origin->source(), options_.gen_dir, name, options_.compile);
     std::shared_ptr<exec::CompiledLibrary> fresh;
     if (compiled.ok()) {
       auto loaded = exec::CompiledLibrary::Load(
-          std::move(compiled).value(), job.entry_symbol, job.source,
-          options_.compile.opt_level, !options_.keep_source, simd_level_);
+          std::move(compiled).value(), origin->entry_symbol(),
+          origin->source(), options_.compile.opt_level, !options_.keep_source,
+          simd_level_, origin->plan_text());
       if (loaded.ok()) fresh = std::move(loaded).value();
       // A failed load falls through: the -O0 tier keeps serving.
     }
 
-    std::shared_ptr<exec::CompiledLibrary> replaced;  // released unlocked
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (fresh) {
-        auto it = cache_.find(job.signature);
-        // Swap only over the exact library this job was scheduled for: if
-        // the entry was evicted or replaced meanwhile (overflow alias,
-        // concurrent recompile), upgrading by opt level alone could
-        // resurrect a superseded plan under this signature.
-        if (it != cache_.end() && it->second.library == job.origin.lock() &&
-            it->second.library->opt_level() < fresh->opt_level()) {
-          // The atomic tier swap: every later lookup sees the -O2 library;
-          // executions inside the old one finish on their own reference.
-          replaced = std::move(it->second.library);
-          it->second.library = std::move(fresh);
-          ++stats_.tier_upgrades;
-          PlanCacheMetrics::Get().tier_upgrades->Increment();
-        }
-        // Otherwise drop the fresh library; its files are unlinked by the
-        // destructor.
+      // Swap only over the exact library this job was scheduled for: if
+      // the entry was evicted or replaced meanwhile (overflow alias,
+      // concurrent recompile), upgrading by opt level alone could
+      // resurrect a superseded plan under this signature. Otherwise the
+      // fresh library is dropped after the unlock; its destructor unlinks
+      // its files. `origin` keeps a swapped-out library alive until then.
+      auto it = cache_.find(job.signature);
+      if (fresh && it != cache_.end() && it->second.library == origin) {
+        // The atomic tier swap: every later lookup sees the -O2 library;
+        // executions inside the old one finish on their own reference.
+        it->second.library = std::move(fresh);
+        ++stats_.tier_upgrades;
+        PlanCacheMetrics::Get().tier_upgrades->Increment();
       }
       --tier_jobs_pending_;
       if (tier_jobs_pending_ == 0) tier_idle_cv_.notify_all();
@@ -562,7 +570,6 @@ HiqueEngine::PrepareState(const std::string& sql,
   state->signature = "sv" + std::to_string(catalog_->StatsVersion()) + "|" +
                      plan::PlanSignature(*plan);
   state->prepare_timings.optimize_ms = timer.ElapsedMillis();
-  state->plan_text = plan->ToString();
 
   const auto& slots = plan->params.placeholder_entries;
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -578,6 +585,9 @@ HiqueEngine::PrepareState(const std::string& sql,
                       GetOrCompile(state->signature, *plan,
                                    &state->prepare_timings, &hit));
   state->cache_hit = hit;
+  // The plan the library was generated from: an overflow alias serves
+  // another plan's library under this signature.
+  state->plan_text = state->library->plan_text();
   state->plan = std::move(plan);
   return std::shared_ptr<const PreparedStatement::State>(std::move(state));
 }
@@ -596,18 +606,14 @@ void HiqueEngine::InstallOverflowAlias(
     return;
   }
   // Prefer the hybrid signature's current entry (the tier worker may
-  // already have swapped -O2 in); if the alias is still tier 0, schedule
-  // its own upgrade — the hybrid plan's swap only covers its own key.
-  std::shared_ptr<exec::CompiledLibrary> alias =
-      PeekLibrary(fallback.signature);
-  if (alias == nullptr) alias = fallback.library;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    InsertCacheLocked(failed_signature, alias);
-  }
-  if (alias->opt_level() < options_.compile.opt_level) {
-    ScheduleTierUpgrade(failed_signature, alias);
-  }
+  // already have swapped -O2 in). A plain find, not a lookup: installing
+  // the alias is no reuse of the hybrid plan. An alias still below the
+  // final tier upgrades on its own first reuse, like any other entry.
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = cache_.find(fallback.signature);
+  InsertCacheLocked(failed_signature, it != cache_.end()
+                                          ? it->second.library
+                                          : fallback.library);
 }
 
 }  // namespace hique

@@ -557,7 +557,9 @@ Status SessionImpl::Adopt(
   }
   StatementMeta& meta = run->meta;
   meta.plan_signature = run->state->signature;
-  meta.plan_text = run->state->plan_text;
+  // The text of the plan the running library was generated from: the cache
+  // may serve a map-overflow alias's hybrid library under this signature.
+  meta.plan_text = run->library->plan_text();
   meta.opt_level = run->library->opt_level();
   meta.source_bytes = run->library->compiled().source_bytes;
   meta.library_bytes = run->library->compiled().library_bytes;

@@ -6,7 +6,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "bench_support/flags.h"
 #include "bench_support/micro_data.h"
 #include "exec/engine.h"
 #include "perf/perf_counters.h"
@@ -113,6 +116,70 @@ TEST(TpchQ6Test, MatchesScanFilterAggShape) {
   std::vector<ref::Row> actual;
   for (auto& row : r.value().Rows()) actual.push_back(row);
   EXPECT_TRUE(ref::CompareRowSets(expected.value(), actual).ok());
+}
+
+/// A command line for bench::Flags: a program name, then `args`.
+class CommandLine {
+ public:
+  explicit CommandLine(std::vector<std::string> args) : args_(std::move(args)) {
+    argv_.push_back(const_cast<char*>("bench"));
+    for (std::string& a : args_) argv_.push_back(a.data());
+  }
+  bench::Flags flags() {
+    return bench::Flags(static_cast<int>(argv_.size()), argv_.data());
+  }
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<char*> argv_;
+};
+
+TEST(FlagsTest, ParsesCompleteValues) {
+  CommandLine cl({"--repeat=5", "--seed=-3", "--sf=0.05", "--tiny=1e-3",
+                  "--trace", "--name=x"});
+  bench::Flags f = cl.flags();
+  EXPECT_EQ(f.GetInt("repeat", 1), 5);
+  EXPECT_EQ(f.GetInt("seed", 1), -3);
+  EXPECT_EQ(f.GetInt("absent", 7), 7);
+  EXPECT_DOUBLE_EQ(f.GetDouble("sf", 1), 0.05);
+  EXPECT_DOUBLE_EQ(f.GetDouble("tiny", 1), 1e-3);
+  EXPECT_DOUBLE_EQ(f.GetDouble("absent", 0.5), 0.5);
+  EXPECT_TRUE(f.GetBool("trace", false));
+  EXPECT_EQ(f.GetString("name", ""), "x");
+}
+
+TEST(FlagsTest, ParsesTheEndToEndBenchmarkCommandLine) {
+  // The flags bench_e2e/run.py passes, formatted as it formats them.
+  CommandLine cl({"--workload=adhoc_cold", "--seed=1", "--duration-s=16",
+                  "--trace=0", "--work-dir=/w", "--json=/w/r.json"});
+  bench::Flags f = cl.flags();
+  EXPECT_EQ(f.GetString("workload", ""), "adhoc_cold");
+  EXPECT_EQ(f.GetInt("seed", 9), 1);
+  EXPECT_DOUBLE_EQ(f.GetDouble("duration-s", 30), 16);
+  EXPECT_FALSE(f.GetBool("trace", true));
+  EXPECT_EQ(f.GetString("work-dir", ""), "/w");
+  EXPECT_EQ(f.GetString("json", ""), "/w/r.json");
+  CommandLine fractional({"--duration-s=0.5", "--trace=1"});
+  EXPECT_DOUBLE_EQ(fractional.flags().GetDouble("duration-s", 30), 0.5);
+  EXPECT_TRUE(fractional.flags().GetBool("trace", false));
+}
+
+TEST(FlagsDeathTest, RejectsValuesThatDoNotParseCompletely) {
+  // "--repeat 5" reaches Flags as "--repeat" with an empty value.
+  for (const char* bad : {"--repeat", "--repeat=", "--repeat=5x",
+                          "--repeat=five", "--repeat=1.5",
+                          "--repeat=99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    CommandLine cl({bad, "5"});
+    EXPECT_EXIT(cl.flags().GetInt("repeat", 3),
+                ::testing::ExitedWithCode(2), "bad value for --repeat");
+  }
+  for (const char* bad : {"--sf", "--sf=", "--sf=0.1x", "--sf=1e999"}) {
+    SCOPED_TRACE(bad);
+    CommandLine cl({bad});
+    EXPECT_EXIT(cl.flags().GetDouble("sf", 0.1),
+                ::testing::ExitedWithCode(2), "bad value for --sf");
+  }
 }
 
 }  // namespace

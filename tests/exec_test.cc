@@ -2,10 +2,22 @@
 // executor, arena, compiled-query cache, and the map-overflow re-planning
 // path (stale statistics).
 
+#include <elf.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+
+#include <cerrno>
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <thread>
 
 #include "exec/arena.h"
+#include "exec/compiled_library.h"
 #include "exec/compiler.h"
+#include "exec/compiler_internal.h"
 #include "exec/engine.h"
 #include "tests/test_util.h"
 #include "util/env.h"
@@ -65,6 +77,259 @@ extern "C" double work(double x) {
   ASSERT_TRUE(r2.ok());
   EXPECT_GT(r0.value().library_bytes, 0);
   EXPECT_GT(r2.value().library_bytes, 0);
+}
+
+/// Sets an environment variable for one scope, restoring the old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string old_;
+};
+
+/// True once `pid` has exited (gone, or a zombie awaiting its reaper).
+bool ProcessGone(pid_t pid) {
+  auto stat = env::ReadFile("/proc/" + std::to_string(pid) + "/stat");
+  if (!stat.ok()) return true;
+  size_t paren = stat.value().rfind(')');
+  return paren != std::string::npos && paren + 2 < stat.value().size() &&
+         stat.value()[paren + 2] == 'Z';
+}
+
+/// Names of the undefined symbols in the dynamic symbol table of the
+/// 64-bit ELF shared library at `path`.
+std::vector<std::string> UndefinedDynamicSymbols(const std::string& path) {
+  std::vector<std::string> names;
+  auto file = env::ReadFile(path);
+  if (!file.ok()) return names;
+  const std::string& bytes = file.value();
+  if (bytes.size() < sizeof(Elf64_Ehdr)) return names;
+  Elf64_Ehdr eh;
+  std::memcpy(&eh, bytes.data(), sizeof(eh));
+  auto section = [&](size_t i) {
+    Elf64_Shdr sh;
+    std::memcpy(&sh, bytes.data() + eh.e_shoff + i * eh.e_shentsize,
+                sizeof(sh));
+    return sh;
+  };
+  for (size_t i = 0; i < eh.e_shnum; ++i) {
+    Elf64_Shdr symtab = section(i);
+    if (symtab.sh_type != SHT_DYNSYM) continue;
+    Elf64_Shdr strtab = section(symtab.sh_link);
+    for (size_t off = symtab.sh_entsize; off < symtab.sh_size;
+         off += symtab.sh_entsize) {
+      Elf64_Sym sym;
+      std::memcpy(&sym, bytes.data() + symtab.sh_offset + off, sizeof(sym));
+      if (sym.st_shndx == SHN_UNDEF) {
+        names.emplace_back(bytes.data() + strtab.sh_offset + sym.st_name);
+      }
+    }
+  }
+  return names;
+}
+
+TEST(CompilerTest, HungCompilerIsKilledAtTheDeadline) {
+  std::string dir = env::ProcessTempDir() + "/compiler_hang";
+  ASSERT_TRUE(env::MakeDirs(dir).ok());
+  // A "compiler" that never finishes and has a child of its own, as g++
+  // has cc1plus: the deadline must take down the whole process group.
+  const std::string stub = dir + "/sleepy-cxx";
+  const std::string pid_file = dir + "/grandchild.pid";
+  ASSERT_TRUE(env::WriteFile(stub, "#!/bin/sh\nsleep 30 &\necho $! > '" +
+                                       pid_file + "'\nwait\n")
+                  .ok());
+  ASSERT_EQ(chmod(stub.c_str(), 0755), 0);
+  ScopedEnv cxx("HIQUE_CXX", stub);
+  exec::CompileOptions opts;
+  opts.keep_source = false;
+  const double deadline_s = 1;
+  auto start = std::chrono::steady_clock::now();
+  auto result = exec::internal::CompileWithDeadline(
+      "extern \"C\" int f() { return 1; }", dir, "hung", opts, deadline_s);
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCompileError);
+  EXPECT_NE(result.status().message().find("deadline"), std::string::npos)
+      << result.status().message();
+  EXPECT_LT(elapsed, deadline_s + 2);
+  EXPECT_FALSE(env::FileExists(dir + "/hung.so"));
+  EXPECT_FALSE(env::FileExists(dir + "/hung.cc"));
+  // The compiler was reaped: this process has no child left.
+  int status = 0;
+  EXPECT_EQ(waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  // And its own child died with it.
+  auto pid_text = env::ReadFile(pid_file);
+  ASSERT_TRUE(pid_text.ok());
+  const pid_t grandchild = std::atoi(pid_text.value().c_str());
+  ASSERT_GT(grandchild, 0);
+  for (int i = 0; i < 200 && !ProcessGone(grandchild); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(ProcessGone(grandchild));
+}
+
+TEST(CompilerTest, CompilerInheritsNoHostDescriptor) {
+  std::string dir = env::ProcessTempDir() + "/compiler_fds";
+  ASSERT_TRUE(env::MakeDirs(dir).ok());
+  // A descriptor opened without O_CLOEXEC, as the server's sockets are.
+  const std::string marker = dir + "/host-only-marker";
+  ASSERT_TRUE(env::WriteFile(marker, "").ok());
+  const int fd = open(marker.c_str(), O_RDONLY);
+  ASSERT_GT(fd, STDERR_FILENO);
+  // The stub prints what its copy of `fd` refers to, if anything; a failed
+  // compile returns the log in its message.
+  const std::string stub = dir + "/fd-cxx";
+  ASSERT_TRUE(env::WriteFile(stub, "#!/bin/sh\necho stub ran\nreadlink "
+                                   "/proc/$$/fd/" + std::to_string(fd) +
+                                       "\nexit 1\n")
+                  .ok());
+  ASSERT_EQ(chmod(stub.c_str(), 0755), 0);
+  ScopedEnv cxx("HIQUE_CXX", stub);
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" int f() { return 1; }", dir, "fds",
+      exec::CompileOptions());
+  close(fd);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("stub ran"), std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(result.status().message().find("host-only-marker"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST(CompilerTest, MissingCompilerIsACompileError) {
+  std::string dir = env::ProcessTempDir() + "/compiler_test";
+  ScopedEnv cxx("HIQUE_CXX", dir + "/no-such-compiler");
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" int f() { return 1; }", dir, "missing",
+      exec::CompileOptions());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCompileError);
+  EXPECT_FALSE(env::FileExists(dir + "/missing.so"));
+}
+
+TEST(CompilerTest, MultiWordCompilerCommand) {
+  // HIQUE_CXX="ccache g++" style: the command is split on whitespace.
+  std::string dir = env::ProcessTempDir() + "/compiler_test";
+  ScopedEnv cxx("HIQUE_CXX", "env " + exec::RuntimeCompilerPath());
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" int f() { return 1; }", dir, "multiword",
+      exec::CompileOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(env::FileExists(result.value().library_path));
+}
+
+TEST(CompilerTest, GenDirWithSpaceAndQuote) {
+  // No shell parses the command line, so no path needs quoting.
+  std::string dir = env::ProcessTempDir() + "/it's a gen dir";
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" int f() { return 1; }", dir, "quoted",
+      exec::CompileOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto lib = exec::CompiledLibrary::Load(std::move(result).value(), "f", "",
+                                         2, /*unlink_on_unload=*/true);
+  EXPECT_TRUE(lib.ok()) << lib.status().ToString();
+}
+
+TEST(CompilerTest, LeanLinkResolvesCompilerHelpers) {
+  // At -O0 without -mpopcnt, __builtin_popcountll calls libgcc's
+  // __popcountdi2. Only -lgcc after the source links it into the library
+  // (before it, the archive is scanned while nothing is undefined yet), and
+  // -nostdlib leaves out the crt files' references: the library needs
+  // nothing from its host.
+  std::string dir = env::ProcessTempDir() + "/compiler_test";
+  exec::CompileOptions opts;
+  opts.opt_level = 0;
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" long hq_pop(unsigned long long x) {\n"
+      "  return __builtin_popcountll(x);\n"
+      "}\n",
+      dir, "popcount", opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(UndefinedDynamicSymbols(result.value().library_path),
+            std::vector<std::string>{});
+  auto lib = exec::CompiledLibrary::Load(std::move(result).value(), "hq_pop",
+                                         "", 0, /*unlink_on_unload=*/true);
+  ASSERT_TRUE(lib.ok()) << lib.status().ToString();
+  auto pop = reinterpret_cast<long (*)(unsigned long long)>(
+      lib.value()->entry());
+  EXPECT_EQ(pop(0xF0F0ull), 8);
+}
+
+TEST(CompilerTest, UnresolvedSymbolIsATypedLoadError) {
+  // The lean link leaves undefined symbols to the host; one the host lacks
+  // fails the dlopen, which comes back as a status, not a crash.
+  std::string dir = env::ProcessTempDir() + "/compiler_test";
+  auto result = exec::CompileToSharedLibrary(
+      "extern \"C\" int hq_not_in_any_host();\n"
+      "extern \"C\" int f() { return hq_not_in_any_host(); }\n",
+      dir, "unresolved", exec::CompileOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(UndefinedDynamicSymbols(result.value().library_path),
+            std::vector<std::string>{"hq_not_in_any_host"});
+  auto lib = exec::CompiledLibrary::Load(std::move(result).value(), "f", "",
+                                         2, /*unlink_on_unload=*/true);
+  ASSERT_FALSE(lib.ok());
+  EXPECT_EQ(lib.status().code(), StatusCode::kExecError);
+  EXPECT_NE(lib.status().message().find("hq_not_in_any_host"),
+            std::string::npos)
+      << lib.status().message();
+}
+
+TEST(EngineTest, TiersUpOnFirstReuseOnly) {
+  Catalog catalog;
+  testing::MakeIntTable(&catalog, "t", 300, 10, 4);
+  const std::string sql = "select t_k, count(*) from t group by t_k";
+  {
+    // A statement that never repeats never pays for the -O2 compile.
+    HiqueEngine engine(&catalog);
+    ASSERT_TRUE(engine.Query(sql).ok());
+    engine.WaitForTierUpgrades();
+    EXPECT_EQ(engine.CacheStats().tier_upgrades, 0u);
+    // Its first reuse schedules exactly one upgrade; later ones none.
+    auto again = engine.Query(sql);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again.value().cache_hit);
+    engine.WaitForTierUpgrades();
+    EXPECT_EQ(engine.CacheStats().tier_upgrades, 1u);
+    auto tiered = engine.Query(sql);
+    ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+    EXPECT_EQ(tiered.value().library_opt_level, 2);
+    engine.WaitForTierUpgrades();
+    EXPECT_EQ(engine.CacheStats().tier_upgrades, 1u);
+  }
+  {
+    // Prepare compiles the plan; the first Execute is its reuse.
+    HiqueEngine engine(&catalog);
+    auto stmt = engine.Prepare(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    engine.WaitForTierUpgrades();
+    EXPECT_EQ(engine.CacheStats().tier_upgrades, 0u);
+    ASSERT_TRUE(engine.Execute(stmt.value()).ok());
+    engine.WaitForTierUpgrades();
+    EXPECT_EQ(engine.CacheStats().tier_upgrades, 1u);
+    auto tiered = engine.Execute(stmt.value());
+    ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+    EXPECT_EQ(tiered.value().library_opt_level, 2);
+  }
 }
 
 TEST(EngineTest, CompiledCacheReuse) {
