@@ -11,12 +11,14 @@
 //
 // HIQUE runs the kernel version the host supports (simd_level in the
 // JSON); to time the portable kernels, run the whole bench under
-// HQ_SIMD=off. --json=FILE writes the measurements as the repo's tracked
-// perf datapoint (BENCH_fig8.json in CI).
+// HQ_SIMD=off. Every time is the median of --repeat timed runs, with the
+// interquartile range beside it. --json=FILE writes the measurements as
+// the repo's tracked perf datapoint (BENCH_fig8.json in CI).
 
 #include <cstdio>
 #include <thread>
 
+#include "bench_e2e/e2e_util.h"
 #include "bench_support/flags.h"
 #include "bench_support/json.h"
 #include "bench_support/micro_data.h"
@@ -53,6 +55,34 @@ bool AtOptLevel(const Result&, int) {
   return true;
 }
 
+/// Median and interquartile range of one system's timed runs (seconds).
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+
+  Spread() = default;
+  explicit Spread(const std::vector<double>& v)
+      : median(e2e::Median(v)),
+        q1(e2e::Quantile(v, 0.25)),
+        q3(e2e::Quantile(v, 0.75)) {}
+
+  std::string Cell() const {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.3f [%.3f-%.3f]", median, q1, q3);
+    return buf;
+  }
+  std::string IqrJson() const {
+    return bench::JsonArr()
+        .Add(bench::JsonNum(q1))
+        .Add(bench::JsonNum(q3))
+        .Render();
+  }
+};
+
+// Speedup of `fast` over `base`, on medians.
+double Speedup(const Spread& base, const Spread& fast) {
+  return fast.median > 0 ? base.median / fast.median : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,14 +97,9 @@ int main(int argc, char** argv) {
   uint32_t threads = HiqueEngine::ClampThreads(
       flags.GetInt("threads", env::EnvInt("HQ_THREADS", 4)));
   std::string json_path = flags.GetString("json", "");
-  // Beyond-memory regime: cap the buffer pool at this many 4 KiB frames and
-  // run the capped-pool section over file-backed tables, compressed vs
-  // uncompressed (0 = skip the section). Also honours HQ_BUFFER_PAGES.
-  uint64_t buffer_pages = static_cast<uint64_t>(
-      flags.GetInt("buffer-pages", env::EnvInt("HQ_BUFFER_PAGES", 0)));
 
   std::printf("Fig. 8: TPC-H Q1/Q3/Q6/Q10 at SF=%.2f (times in seconds, "
-              "best of %d; HIQUE-x%u = %u threads)\n",
+              "median [IQR] of %d; HIQUE-x%u = %u threads)\n",
               sf, repeat, threads, threads);
   std::printf("systems: generic iterators (PostgreSQL stand-in), optimized "
               "iterators (System X stand-in),\n"
@@ -159,9 +184,9 @@ int main(int argc, char** argv) {
   // copies evict the shared table pages between HIQUE's runs.
   bool failed = false;
   std::string cur_sql;
-  auto best = [&](const char* qname, const char* sys, auto& engine,
-                  auto time_of) {
-    double t = 1e100;
+  auto timed = [&](const char* qname, const char* sys, auto& engine,
+                   auto time_of) {
+    std::vector<double> t;
     // One untimed warm-up so every system's timed repeats start from the
     // same steady cache/allocator state (and HIQUE, after AfterWarmup's
     // reuse, from its -O2 tier).
@@ -171,13 +196,13 @@ int main(int argc, char** argv) {
         std::printf("%s %s: %s\n", qname, sys,
                     res.status().ToString().c_str());
         failed = true;
-        return t;
+        return Spread();
       }
       if (r < 0) {
         if (!AfterWarmup(engine, cur_sql)) {
           std::printf("%s %s: warm-up reuse failed\n", qname, sys);
           failed = true;
-          return t;
+          return Spread();
         }
         continue;
       }
@@ -185,11 +210,11 @@ int main(int argc, char** argv) {
         std::printf("%s %s: timed run below -O%d\n", qname, sys,
                     eopts.compile.opt_level);
         failed = true;
-        return t;
+        return Spread();
       }
-      t = std::min(t, time_of(res.value()));
+      t.push_back(time_of(res.value()));
     }
-    return t;
+    return Spread(t);
   };
   // One instrumented run per query: per-operator wall time / tuples /
   // pages / barriers keyed to the plan's op lines, embedded in the JSON
@@ -239,24 +264,26 @@ int main(int argc, char** argv) {
   for (const auto& q : queries) {
     cur_sql = q.sql;
     int64_t rows = 0;
-    double t_pg = best(q.name, "generic", pg,
-                       [](const auto& r) { return r.stats.execute_seconds; });
-    double t_sysx = best(q.name, "optimized", sysx,
-                         [](const auto& r) { return r.stats.execute_seconds; });
-    double t_col = best(q.name, "column", monet,
-                        [](const auto& r) { return r.total_seconds; });
-    double t_hq = best(q.name, "hique", hique, [&rows](const auto& r) {
+    Spread t_pg = timed(q.name, "generic", pg,
+                        [](const auto& r) { return r.stats.execute_seconds; });
+    Spread t_sysx =
+        timed(q.name, "optimized", sysx,
+              [](const auto& r) { return r.stats.execute_seconds; });
+    Spread t_col = timed(q.name, "column", monet,
+                         [](const auto& r) { return r.total_seconds; });
+    Spread t_hq = timed(q.name, "hique", hique, [&rows](const auto& r) {
       rows = r.NumRows();
       return r.exec_stats.execute_seconds;
     });
     int64_t comp_rows = 0;
-    double t_comp =
-        best(q.name, "hique-comp", hique_comp, [&comp_rows](const auto& r) {
+    Spread t_comp =
+        timed(q.name, "hique-comp", hique_comp, [&comp_rows](const auto& r) {
           comp_rows = r.NumRows();
           return r.exec_stats.execute_seconds;
         });
-    double t_mt = best(q.name, "hique-mt", hique_mt,
-                       [](const auto& r) { return r.exec_stats.execute_seconds; });
+    Spread t_mt =
+        timed(q.name, "hique-mt", hique_mt,
+              [](const auto& r) { return r.exec_stats.execute_seconds; });
     if (failed) return 1;
     if (comp_rows != rows) {
       std::printf("%s: compressed run returned %lld rows, uncompressed %lld\n",
@@ -264,19 +291,25 @@ int main(int argc, char** argv) {
                   static_cast<long long>(rows));
       return 1;
     }
-    table.AddRow({q.name, bench::Sec(t_pg), bench::Sec(t_sysx),
-                  bench::Sec(t_col), bench::Sec(t_hq), bench::Sec(t_comp),
-                  bench::Sec(t_mt), std::to_string(rows)});
+    table.AddRow({q.name, t_pg.Cell(), t_sysx.Cell(), t_col.Cell(),
+                  t_hq.Cell(), t_comp.Cell(), t_mt.Cell(),
+                  std::to_string(rows)});
     json_queries.Add(bench::JsonObj()
                          .Str("name", q.name)
-                         .Num("generic_s", t_pg)
-                         .Num("optimized_s", t_sysx)
-                         .Num("column_s", t_col)
-                         .Num("hique_simd_s", t_hq)
-                         .Num("hique_comp_s", t_comp)
-                         .Num("hique_mt_s", t_mt)
-                         .Num("comp_speedup", t_comp > 0 ? t_hq / t_comp : 0)
-                         .Num("mt_speedup", t_mt > 0 ? t_hq / t_mt : 0)
+                         .Num("generic_s", t_pg.median)
+                         .Add("generic_iqr_s", t_pg.IqrJson())
+                         .Num("optimized_s", t_sysx.median)
+                         .Add("optimized_iqr_s", t_sysx.IqrJson())
+                         .Num("column_s", t_col.median)
+                         .Add("column_iqr_s", t_col.IqrJson())
+                         .Num("hique_simd_s", t_hq.median)
+                         .Add("hique_simd_iqr_s", t_hq.IqrJson())
+                         .Num("hique_comp_s", t_comp.median)
+                         .Add("hique_comp_iqr_s", t_comp.IqrJson())
+                         .Num("hique_mt_s", t_mt.median)
+                         .Add("hique_mt_iqr_s", t_mt.IqrJson())
+                         .Num("comp_speedup", Speedup(t_hq, t_comp))
+                         .Num("mt_speedup", Speedup(t_hq, t_mt))
                          .Int("rows", rows)
                          .Add("op_spans", op_spans_json(q.sql).Render())
                          .Render());
@@ -313,114 +346,28 @@ int main(int argc, char** argv) {
   for (const auto& q : micro) {
     int64_t rows = 0;
     cur_sql = q.sql;
-    double t_hq = best(q.name, "hique", hique, [&rows](const auto& r) {
+    Spread t_hq = timed(q.name, "hique", hique, [&rows](const auto& r) {
       rows = r.NumRows();
       return r.exec_stats.execute_seconds;
     });
-    double t_mt = best(q.name, "hique-mt", hique_mt,
-                       [](const auto& r) { return r.exec_stats.execute_seconds; });
+    Spread t_mt =
+        timed(q.name, "hique-mt", hique_mt,
+              [](const auto& r) { return r.exec_stats.execute_seconds; });
     if (failed) return 1;
-    ktable.AddRow({q.name, bench::Sec(t_hq), bench::Sec(t_mt),
-                   std::to_string(rows)});
+    ktable.AddRow({q.name, t_hq.Cell(), t_mt.Cell(), std::to_string(rows)});
     json_micro.Add(bench::JsonObj()
                        .Str("name", q.name)
-                       .Num("hique_simd_s", t_hq)
-                       .Num("hique_mt_s", t_mt)
-                       .Num("mt_speedup", t_mt > 0 ? t_hq / t_mt : 0)
+                       .Num("hique_simd_s", t_hq.median)
+                       .Add("hique_simd_iqr_s", t_hq.IqrJson())
+                       .Num("hique_mt_s", t_mt.median)
+                       .Add("hique_mt_iqr_s", t_mt.IqrJson())
+                       .Num("mt_speedup", Speedup(t_hq, t_mt))
                        .Int("rows", rows)
                        .Add("op_spans", op_spans_json(q.sql).Render())
                        .Render());
   }
   std::printf("\n");
   ktable.Print();
-
-  // Beyond-memory regime (--buffer-pages): the same TPC-H data file-backed
-  // under a buffer pool too small to hold lineitem, compressed vs
-  // uncompressed. Compression packs more tuples per page, so the same scan
-  // reads fewer pages from disk — the regime where the codec is a
-  // bandwidth optimisation, not just a cache one.
-  bench::JsonArr json_capped;
-  if (buffer_pages > 0) {
-    std::printf("\ncapped buffer pool: %llu frames (%.1f MiB) over "
-                "file-backed tables\n",
-                static_cast<unsigned long long>(buffer_pages),
-                buffer_pages * 4096.0 / (1024 * 1024));
-    BufferManager pool_plain(buffer_pages);
-    BufferManager pool_comp(buffer_pages);
-    Catalog cat_plain, cat_comp;
-    tpch::TpchOptions fopts = topts;
-    auto load_file_backed = [&](BufferManager* pool, Catalog* cat,
-                                const char* sub) {
-      fopts.buffer_manager = pool;
-      fopts.data_dir = env::ProcessTempDir() + "/" + sub;
-      if (!env::MakeDirs(fopts.data_dir).ok()) return false;
-      return tpch::LoadTpch(cat, fopts).ok();
-    };
-    if (!load_file_backed(&pool_plain, &cat_plain, "fig8_bp_plain") ||
-        !load_file_backed(&pool_comp, &cat_comp, "fig8_bp_comp")) {
-      std::printf("file-backed load failed\n");
-      return 1;
-    }
-    EngineOptions bopts = eopts;
-    bopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_plain_gen";
-    HiqueEngine bp_plain(&cat_plain, bopts);
-    EngineOptions bcopts = bopts;
-    bcopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_comp_gen";
-    bcopts.compression = true;
-    HiqueEngine bp_comp(&cat_comp, bcopts);
-
-    bench::ResultPrinter ptable({"query", "uncompressed", "compressed",
-                                 "comp speedup", "pool misses (unc/comp)",
-                                 "rows"});
-    for (const auto& q : queries) {
-      cur_sql = q.sql;
-      int64_t rows_u = 0, rows_c = 0;
-      exec::ExecStats st_u, st_c;
-      double t_u = best(q.name, "bp-uncompressed", bp_plain,
-                        [&](const auto& r) {
-                          rows_u = r.NumRows();
-                          st_u = r.exec_stats;
-                          return r.exec_stats.execute_seconds;
-                        });
-      double t_c = best(q.name, "bp-compressed", bp_comp, [&](const auto& r) {
-        rows_c = r.NumRows();
-        st_c = r.exec_stats;
-        return r.exec_stats.execute_seconds;
-      });
-      if (failed) return 1;
-      if (rows_u != rows_c) {
-        std::printf("%s: capped-pool compressed run returned %lld rows, "
-                    "uncompressed %lld\n",
-                    q.name, static_cast<long long>(rows_c),
-                    static_cast<long long>(rows_u));
-        return 1;
-      }
-      char speedup[32], misses[48];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    t_c > 0 ? t_u / t_c : 0.0);
-      std::snprintf(misses, sizeof(misses), "%llu / %llu",
-                    static_cast<unsigned long long>(st_u.bp_misses),
-                    static_cast<unsigned long long>(st_c.bp_misses));
-      ptable.AddRow({q.name, bench::Sec(t_u), bench::Sec(t_c), speedup,
-                     misses, std::to_string(rows_u)});
-      json_capped.Add(bench::JsonObj()
-                          .Str("name", q.name)
-                          .Num("uncompressed_s", t_u)
-                          .Num("compressed_s", t_c)
-                          .Num("comp_speedup", t_c > 0 ? t_u / t_c : 0)
-                          .Int("bp_misses_uncompressed",
-                               static_cast<int64_t>(st_u.bp_misses))
-                          .Int("bp_misses_compressed",
-                               static_cast<int64_t>(st_c.bp_misses))
-                          .Int("bp_evictions_uncompressed",
-                               static_cast<int64_t>(st_u.bp_evictions))
-                          .Int("bp_evictions_compressed",
-                               static_cast<int64_t>(st_c.bp_evictions))
-                          .Int("rows", rows_u)
-                          .Render());
-    }
-    ptable.Print();
-  }
 
   if (!json_path.empty()) {
     std::string doc = bench::JsonObj()
@@ -432,11 +379,8 @@ int main(int argc, char** argv) {
                           .Int("hardware_threads",
                                static_cast<int64_t>(
                                    std::thread::hardware_concurrency()))
-                          .Int("buffer_pages",
-                               static_cast<int64_t>(buffer_pages))
                           .Add("queries", json_queries.Render())
                           .Add("kernel_micro", json_micro.Render())
-                          .Add("capped_pool", json_capped.Render())
                           .Render();
     if (!bench::WriteJsonFile(json_path, doc)) return 1;
     std::printf("\nwrote %s\n", json_path.c_str());

@@ -1,40 +1,31 @@
-// Storage-layer tour: the substrates under the query engine — file-backed
-// tables through the LRU buffer manager and catalogue statistics (paper §IV
-// "Storage layer").
+// Storage-layer tour: the substrates under the query engine — in-memory
+// NSM tables of 4 KiB pages and catalogue statistics (paper §IV "Storage
+// layer").
 //
 //   $ ./build/examples/storage_tour
 
 #include <cstdio>
 
 #include "exec/engine.h"
-#include "storage/buffer_manager.h"
 #include "storage/catalog.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
 using namespace hique;
 
 int main() {
-  std::string dir = env::ProcessTempDir() + "/storage_tour";
-  if (!env::MakeDirs(dir).ok()) return 1;
-
-  // 1. A buffer pool backing an on-disk table. Main-memory query execution
-  // pins a table's pages for the whole query (paper §VI), so the pool must
-  // cover the working set — 1024 frames = 4 MB here.
-  BufferManager buffer_manager(1024);
+  // 1. A table of fixed-length tuples packed into 4 KiB pages. Main-memory
+  // query execution holds a table's pages for the whole query (paper §VI).
+  Catalog catalog;
   Schema schema;
   schema.AddColumn("id", Type::Int32());
   schema.AddColumn("score", Type::Double());
-  auto table_or = Table::CreateFileBacked("events", schema, &buffer_manager,
-                                          dir + "/events.db");
+  auto table_or = catalog.CreateTable("events", schema);
   if (!table_or.ok()) {
     std::printf("create failed: %s\n", table_or.status().ToString().c_str());
     return 1;
   }
-
-  Catalog catalog;
-  Table* events = catalog.AdoptTable(std::move(table_or).value()).value();
+  Table* events = table_or.value();
 
   Rng rng(2024);
   const int kRows = 100000;
@@ -48,13 +39,10 @@ int main() {
       return 1;
     }
   }
-  std::printf("loaded %d rows into a file-backed table in %.2fs "
-              "(%llu pages, pool hits=%llu misses=%llu evictions=%llu)\n",
+  std::printf("loaded %d rows in %.2fs (%llu pages, %u tuples per page)\n",
               kRows, timer.ElapsedSeconds(),
               (unsigned long long)events->NumPages(),
-              (unsigned long long)buffer_manager.hit_count(),
-              (unsigned long long)buffer_manager.miss_count(),
-              (unsigned long long)buffer_manager.eviction_count());
+              events->tuples_per_page());
 
   // 2. Statistics drive the optimizer (here: 1000 distinct ids -> map agg).
   if (!events->ComputeStats().ok()) return 1;
@@ -64,8 +52,8 @@ int main() {
               events->stats().columns[0].min.ToString().c_str(),
               events->stats().columns[0].max.ToString().c_str());
 
-  // 3. Queries over file-backed tables work exactly like memory-resident
-  // ones: the executor pins the pages for the duration of the query.
+  // 3. A query: the executor snapshots the table's pages for the duration
+  // of the query and hands them to the generated code.
   HiqueEngine engine(&catalog);
   Session session = engine.OpenSession({});
   auto result = session.Query(
@@ -75,7 +63,7 @@ int main() {
     std::printf("query failed: %s\n", result.status().ToString().c_str());
     return 1;
   }
-  std::printf("\nquery over the file-backed table:\n%s\n",
+  std::printf("\nquery over the table:\n%s\n",
               result.value().ToString().c_str());
   return 0;
 }

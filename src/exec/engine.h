@@ -167,13 +167,6 @@ struct SessionStats {
   // mean task wall time; 0 until a statement completes) seen so far.
   uint32_t threads_effective = 0;
   double max_skew_ratio = 0;
-  // Buffer-pool activity of this session's completed statements: cumulative
-  // hit/miss/eviction deltas (ExecStats::bp_*). Zero when every table the
-  // session touched is in-memory. Reported to remote clients in the wire
-  // protocol's CloseAck summary.
-  uint64_t bp_hits = 0;
-  uint64_t bp_misses = 0;
-  uint64_t bp_evictions = 0;
 };
 
 /// Per-session execution settings: every statement a Session runs inherits
@@ -457,9 +450,8 @@ class Session {
 /// cache holds shared_ptr<CompiledLibrary> entries, so an eviction or tier
 /// swap never unloads a library mid-execution; concurrent misses on one
 /// signature may compile twice (both results are valid, the later insert
-/// wins). Base tables must not be mutated during queries;
-/// file-backed tables share a mutex-protected BufferManager, so they can
-/// be pinned from concurrent and parallel executions too.
+/// wins). Bulk loads must not run during queries; DML goes through each
+/// table's delta store, which concurrent executions snapshot safely.
 class HiqueEngine {
  public:
   explicit HiqueEngine(Catalog* catalog, EngineOptions options = {});

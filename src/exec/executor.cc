@@ -1,6 +1,5 @@
 #include "exec/executor.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -418,23 +417,6 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const PageAllocFn& alloc_page,
                                       const std::vector<uint64_t>*
                                           expected_layouts) {
-  // Snapshot buffer-pool counters of every distinct pool involved so the
-  // stats block below can report this run's deltas (ExecStats::bp_*).
-  std::vector<BufferManager*> pools;
-  for (Table* table : tables) {
-    BufferManager* bm = table->buffer_manager();
-    if (bm != nullptr &&
-        std::find(pools.begin(), pools.end(), bm) == pools.end()) {
-      pools.push_back(bm);
-    }
-  }
-  uint64_t bp_hits0 = 0, bp_misses0 = 0, bp_evictions0 = 0;
-  for (BufferManager* bm : pools) {
-    bp_hits0 += bm->hit_count();
-    bp_misses0 += bm->miss_count();
-    bp_evictions0 += bm->eviction_count();
-  }
-
   // Pin every base table in memory (main-memory execution, paper §VI).
   std::vector<PinnedPages> pinned(tables.size());
   std::vector<std::vector<uint8_t*>> page_ptrs(tables.size());
@@ -589,15 +571,6 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     stats->par_barriers = par_service.barriers;
     stats->par_tasks = par_service.tasks;
     stats->skew_ratio = par_service.max_skew;
-    uint64_t bp_hits1 = 0, bp_misses1 = 0, bp_evictions1 = 0;
-    for (BufferManager* bm : pools) {
-      bp_hits1 += bm->hit_count();
-      bp_misses1 += bm->miss_count();
-      bp_evictions1 += bm->eviction_count();
-    }
-    stats->bp_hits = bp_hits1 - bp_hits0;
-    stats->bp_misses = bp_misses1 - bp_misses0;
-    stats->bp_evictions = bp_evictions1 - bp_evictions0;
     if (par.collect_op_stats) {
       recorder.Finalize();
       stats->ops = std::move(recorder.spans);

@@ -51,14 +51,6 @@ struct ExecStats {
   uint64_t par_barriers = 0;
   uint64_t par_tasks = 0;
   double skew_ratio = 0;
-  // Buffer-pool activity attributable to this run: deltas of the
-  // BufferManager counters of every distinct pool the query's file-backed
-  // tables use, taken around Pin/execute. In-memory tables contribute 0.
-  // Concurrent queries on the same pool can inflate each other's deltas —
-  // these are capacity-planning signals, not per-query exact costs.
-  uint64_t bp_hits = 0;
-  uint64_t bp_misses = 0;
-  uint64_t bp_evictions = 0;
   // Per-operator spans, in pipeline order. Empty unless the run asked for
   // op stats (ParallelRuntime::collect_op_stats — EXPLAIN ANALYZE, the
   // engine's trace_spans option, or the benches).

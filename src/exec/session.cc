@@ -156,11 +156,6 @@ void RecordExecGauges(Session::State* session, const exec::ExecStats& stats) {
          !session->stat_skew_milli.compare_exchange_weak(
              cur, skew_milli, std::memory_order_relaxed)) {
   }
-  session->stat_bp_hits.fetch_add(stats.bp_hits, std::memory_order_relaxed);
-  session->stat_bp_misses.fetch_add(stats.bp_misses,
-                                    std::memory_order_relaxed);
-  session->stat_bp_evictions.fetch_add(stats.bp_evictions,
-                                       std::memory_order_relaxed);
 }
 
 /// Process-wide statement instruments, resolved once (the registry mutex is
@@ -170,9 +165,6 @@ struct StatementMetrics {
   obs::Counter* failed;
   obs::Counter* rows;
   obs::Counter* slow;
-  obs::Counter* bp_hits;
-  obs::Counter* bp_misses;
-  obs::Counter* bp_evictions;
   obs::Counter* barriers;
   obs::Counter* tasks;
   obs::Histogram* execute_ms;
@@ -190,14 +182,6 @@ struct StatementMetrics {
                                "Result rows produced by completed statements");
       it->slow = r->GetCounter("hique_slow_queries_total",
                                "Statements recorded in the slow-query log");
-      it->bp_hits = r->GetCounter("hique_bufferpool_hits_total",
-                                  "Buffer-pool page hits (statement deltas)");
-      it->bp_misses =
-          r->GetCounter("hique_bufferpool_misses_total",
-                        "Buffer-pool page misses (statement deltas)");
-      it->bp_evictions =
-          r->GetCounter("hique_bufferpool_evictions_total",
-                        "Buffer-pool evictions (statement deltas)");
       it->barriers = r->GetCounter("hique_exec_barriers_total",
                                    "Parallel-for barriers executed");
       it->tasks = r->GetCounter("hique_exec_tasks_total",
@@ -231,9 +215,6 @@ void RecordStatementDone(const StatementRun& r, int64_t rows) {
   auto& m = StatementMetrics::Get();
   m.statements->Increment();
   if (rows > 0) m.rows->Add(static_cast<uint64_t>(rows));
-  m.bp_hits->Add(r.stats.bp_hits);
-  m.bp_misses->Add(r.stats.bp_misses);
-  m.bp_evictions->Add(r.stats.bp_evictions);
   m.barriers->Add(r.stats.par_barriers);
   m.tasks->Add(r.stats.par_tasks);
   m.execute_ms->Observe(r.meta.timings.execute_ms);
@@ -1186,10 +1167,6 @@ SessionStats Session::Stats() const {
       state_->stat_threads_effective.load(std::memory_order_relaxed);
   st.max_skew_ratio =
       state_->stat_skew_milli.load(std::memory_order_relaxed) / 1000.0;
-  st.bp_hits = state_->stat_bp_hits.load(std::memory_order_relaxed);
-  st.bp_misses = state_->stat_bp_misses.load(std::memory_order_relaxed);
-  st.bp_evictions =
-      state_->stat_bp_evictions.load(std::memory_order_relaxed);
   return st;
 }
 

@@ -167,12 +167,6 @@ struct Session::State {
   // (fixed-point so it fits a lock-free max update).
   std::atomic<uint32_t> stat_threads_effective{0};
   std::atomic<uint64_t> stat_skew_milli{0};
-  // Buffer-pool activity (SessionStats::bp_*): cumulative hit/miss/eviction
-  // deltas of this session's completed statements (ExecStats::bp_*). Zero
-  // for purely in-memory catalogs.
-  std::atomic<uint64_t> stat_bp_hits{0};
-  std::atomic<uint64_t> stat_bp_misses{0};
-  std::atomic<uint64_t> stat_bp_evictions{0};
 
   std::mutex mu;
   std::vector<std::weak_ptr<StreamCore>> streams;

@@ -384,9 +384,6 @@ Result<RemoteSessionStats> Client::Close() {
   HQ_RETURN_IF_ERROR(r.U64(&stats.streams_opened));
   HQ_RETURN_IF_ERROR(r.U64(&stats.threads_effective));
   HQ_RETURN_IF_ERROR(r.F64(&stats.max_skew_ratio));
-  HQ_RETURN_IF_ERROR(r.U64(&stats.bp_hits));
-  HQ_RETURN_IF_ERROR(r.U64(&stats.bp_misses));
-  HQ_RETURN_IF_ERROR(r.U64(&stats.bp_evictions));
   sock_.Close();
   return stats;
 }

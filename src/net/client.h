@@ -44,9 +44,6 @@ struct RemoteSessionStats {
   uint64_t streams_opened = 0;
   uint64_t threads_effective = 0;  // executor width of the last statement
   double max_skew_ratio = 0;       // worst per-barrier skew ratio observed
-  uint64_t bp_hits = 0;            // buffer-pool hits across the session
-  uint64_t bp_misses = 0;          // buffer-pool misses (disk reads)
-  uint64_t bp_evictions = 0;       // frames evicted to make room
 };
 
 /// Pull cursor over one remote query's result stream, mirroring the

@@ -28,7 +28,9 @@ inline constexpr uint32_t kMagic = 0x48515750;  // "HQWP"
 // v5: ServerStats/ServerStatsReply — a client may ask for the engine's
 //     metrics dump (Prometheus text) between statements. Pure addition:
 //     every v4 frame is encoded identically in v5.
-inline constexpr uint16_t kProtocolVersion = 5;
+// v6: CloseAck ends at max_skew_ratio; the three buffer-pool counters
+//     that followed it since v3 are gone. No other frame changed.
+inline constexpr uint16_t kProtocolVersion = 6;
 inline constexpr uint8_t kLittleEndian = 1;
 
 /// Upper bound on one frame's payload. Row pages are ~4 KiB, SQL text and

@@ -397,9 +397,6 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
       w.U64(st.streams_opened);
       w.U64(st.threads_effective);
       w.F64(st.max_skew_ratio);
-      w.U64(st.bp_hits);
-      w.U64(st.bp_misses);
-      w.U64(st.bp_evictions);
       SendFrame(conn, static_cast<uint8_t>(MsgType::kCloseAck), w.buffer());
       conn->closing = true;
       return true;

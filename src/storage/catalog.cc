@@ -25,16 +25,6 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
   return raw;
 }
 
-Result<Table*> Catalog::AdoptTable(std::unique_ptr<Table> table) {
-  const std::string& name = table->name();
-  if (tables_.count(name) != 0) {
-    return Status::AlreadyExists("table " + name + " already exists");
-  }
-  Table* raw = table.get();
-  tables_[name] = std::move(table);
-  return raw;
-}
-
 Result<Table*> Catalog::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no table named " + name);

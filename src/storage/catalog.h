@@ -21,11 +21,8 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  /// Creates a memory-resident table. Fails if the name exists.
+  /// Creates an empty table. Fails if the name exists.
   Result<Table*> CreateTable(const std::string& name, Schema schema);
-
-  /// Registers an externally constructed table (e.g., file backed).
-  Result<Table*> AdoptTable(std::unique_ptr<Table> table);
 
   Result<Table*> GetTable(const std::string& name) const;
   bool HasTable(const std::string& name) const;

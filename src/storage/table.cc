@@ -12,42 +12,30 @@
 
 namespace hique {
 
-PinnedPages& PinnedPages::operator=(PinnedPages&& other) noexcept {
-  if (this != &other) {
-    Release();
-    pages_ = std::move(other.pages_);
-    buffer_manager_ = other.buffer_manager_;
-    file_ = other.file_;
-    owns_ = other.owns_;
-    tuple_count_ = other.tuple_count_;
-    stats_version_ = other.stats_version_;
-    layout_version_ = other.layout_version_;
-    layout_ = std::move(other.layout_);
-    tuples_per_page_ = other.tuples_per_page_;
-    hold_ = std::move(other.hold_);
-    other.pages_.clear();
-    other.hold_.clear();
-    other.buffer_manager_ = nullptr;
-    other.owns_ = false;
-    other.tuple_count_ = 0;
-  }
-  return *this;
-}
-
 void PinnedPages::Release() {
-  if (owns_) {
-    for (Page* p : pages_) std::free(p);
-  } else if (buffer_manager_ != nullptr) {
-    for (uint64_t i = 0; i < pages_.size(); ++i) {
-      buffer_manager_->Unpin(file_, i, /*dirty=*/false);
-    }
-  }
   pages_.clear();
   hold_.clear();
-  buffer_manager_ = nullptr;
-  owns_ = false;
   tuple_count_ = 0;
 }
+
+namespace {
+
+// One fresh, reset page. Pages are handed to generated SIMD kernels as
+// staged-column input: kPageSize (>= 64) alignment keeps every aligned
+// vector load legal.
+Result<Page*> NewPage() {
+  void* mem = nullptr;
+  int rc = posix_memalign(&mem, kPageSize, kPageSize);
+  if (rc != 0 || mem == nullptr) {
+    return Status::ExecError("out of memory allocating table page");
+  }
+  Page* p = static_cast<Page*>(mem);
+  assert((reinterpret_cast<uintptr_t>(p) & 63u) == 0);
+  p->Reset();
+  return p;
+}
+
+}  // namespace
 
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)),
@@ -57,77 +45,15 @@ Table::Table(std::string name, Schema schema)
                "tuple too large for a page");
 }
 
-Table::Table(std::string name, Schema schema, BufferManager* bm, FileId file)
-    : name_(std::move(name)),
-      schema_(std::move(schema)),
-      tuples_per_page_(Page::TuplesPerPage(schema_.TupleSize())),
-      buffer_manager_(bm),
-      file_(file) {}
-
-Result<std::unique_ptr<Table>> Table::CreateFileBacked(
-    std::string name, Schema schema, BufferManager* buffer_manager,
-    const std::string& path) {
-  HQ_CHECK(buffer_manager != nullptr);
-  HQ_ASSIGN_OR_RETURN(FileId file, buffer_manager->OpenFile(path, true));
-  std::unique_ptr<Table> t(
-      new Table(std::move(name), std::move(schema), buffer_manager, file));
-  t->file_path_ = path;
-  return t;
-}
-
-Table::~Table() {
-  if (buffer_manager_ != nullptr) {
-    if (write_page_ != nullptr) {
-      buffer_manager_->Unpin(file_, write_page_no_, /*dirty=*/true);
-    }
-  }
-  // In-memory pages are freed by the last PageGen reference (a draining
-  // snapshot may outlive the table's own pointer).
-}
-
 Result<Page*> Table::CurrentWritePage() {
-  if (buffer_manager_ == nullptr) {
-    if (gen_->pages.empty() ||
-        gen_->pages.back()->num_tuples >= tuples_per_page_) {
-      void* mem = nullptr;
-      int rc = posix_memalign(&mem, kPageSize, kPageSize);
-      if (rc != 0 || mem == nullptr) {
-        return Status::ExecError("out of memory allocating table page");
-      }
-      Page* p = static_cast<Page*>(mem);
-      // Pages are handed to generated SIMD kernels as staged-column input:
-      // kPageSize (>= 64) alignment keeps every aligned vector load legal.
-      assert((reinterpret_cast<uintptr_t>(p) & 63u) == 0);
-      p->Reset();
-      std::lock_guard<std::mutex> lk(state_mu_);
-      gen_->pages.push_back(p);
-      ++num_pages_;
-    }
-    return gen_->pages.back();
-  }
-  if (write_page_ == nullptr && num_pages_ > 0) {
-    // Re-attach to the tail page (a Decompress rewrite dropped the pinned
-    // write page); keep filling it if it is still partial.
-    HQ_ASSIGN_OR_RETURN(Page * tail,
-                        buffer_manager_->FetchPage(file_, num_pages_ - 1));
-    if (tail->num_tuples < tuples_per_page_) {
-      write_page_ = tail;
-      write_page_no_ = num_pages_ - 1;
-      return write_page_;
-    }
-    buffer_manager_->Unpin(file_, num_pages_ - 1, /*dirty=*/false);
-  }
-  if (write_page_ == nullptr || write_page_->num_tuples >= tuples_per_page_) {
-    if (write_page_ != nullptr) {
-      buffer_manager_->Unpin(file_, write_page_no_, /*dirty=*/true);
-      write_page_ = nullptr;
-    }
-    HQ_ASSIGN_OR_RETURN(Page * p,
-                        buffer_manager_->NewPage(file_, &write_page_no_));
-    write_page_ = p;
+  if (gen_->pages.empty() ||
+      gen_->pages.back()->num_tuples >= tuples_per_page_) {
+    HQ_ASSIGN_OR_RETURN(Page * p, NewPage());
+    std::lock_guard<std::mutex> lk(state_mu_);
+    gen_->pages.push_back(p);
     ++num_pages_;
   }
-  return write_page_;
+  return gen_->pages.back();
 }
 
 Result<uint8_t*> Table::AppendTupleSlot() {
@@ -150,9 +76,6 @@ Result<uint8_t*> Table::AppendTupleSlot() {
 }
 
 Status Table::AdoptPage(Page* page) {
-  if (buffer_manager_ != nullptr) {
-    return Status::InvalidArgument("AdoptPage requires an in-memory table");
-  }
   if (delta_ != nullptr) {
     return Status::InvalidArgument("AdoptPage on write-enabled table " +
                                    name_);
@@ -206,81 +129,21 @@ Status Table::AppendRow(const std::vector<Value>& values) {
 
 Result<PinnedPages> Table::Pin() {
   PinnedPages pinned;
-  if (buffer_manager_ == nullptr) {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    if (delta_ != nullptr) {
-      pinned.pages_.reserve(gen_->pages.size() + delta_->delta_pages());
-      pinned.tuple_count_ =
-          delta_->SnapshotMerged(gen_->pages, &pinned.pages_, &pinned.hold_);
-    } else {
-      pinned.pages_ = gen_->pages;
-      pinned.tuple_count_ = num_tuples_.load(std::memory_order_acquire);
-    }
-    pinned.hold_.push_back(gen_);
-    pinned.stats_version_ = stats_version_.load(std::memory_order_acquire);
-    pinned.layout_version_ = layout_version_.load(std::memory_order_acquire);
-    pinned.layout_ = layout_;
-    pinned.tuples_per_page_ = PageCapacity(*layout_);
-    return pinned;
+  std::lock_guard<std::mutex> lk(state_mu_);
+  if (delta_ != nullptr) {
+    pinned.pages_.reserve(gen_->pages.size() + delta_->delta_pages());
+    pinned.tuple_count_ =
+        delta_->SnapshotMerged(gen_->pages, &pinned.pages_, &pinned.hold_);
+  } else {
+    pinned.pages_ = gen_->pages;
+    pinned.tuple_count_ = num_tuples_.load(std::memory_order_acquire);
   }
-  pinned.tuple_count_ = num_tuples_.load(std::memory_order_acquire);
+  pinned.hold_.push_back(gen_);
   pinned.stats_version_ = stats_version_.load(std::memory_order_acquire);
   pinned.layout_version_ = layout_version_.load(std::memory_order_acquire);
-  pinned.layout_ = layout();
-  pinned.tuples_per_page_ = PageCapacity(*pinned.layout_);
-  // Flush the tail write page state: it stays pinned by the table itself;
-  // pin counts are per-fetch so double pinning is fine.
-  if (num_pages_ < buffer_manager_->frame_capacity()) {
-    pinned.buffer_manager_ = buffer_manager_;
-    pinned.file_ = file_;
-    pinned.pages_.reserve(num_pages_);
-    bool pool_failed = false;
-    Status fetch_err = Status::OK();
-    for (uint64_t i = 0; i < num_pages_; ++i) {
-      auto page = buffer_manager_->FetchPage(file_, i);
-      if (!page.ok()) {
-        // Unpin what we already pinned, then fall through to bypass mode
-        // (concurrent queries may hold the frames we needed).
-        for (uint64_t j = 0; j < pinned.pages_.size(); ++j) {
-          buffer_manager_->Unpin(file_, j, false);
-        }
-        pinned.pages_.clear();
-        pinned.buffer_manager_ = nullptr;
-        pool_failed = true;
-        fetch_err = page.status();
-        break;
-      }
-      pinned.pages_.push_back(page.value());
-    }
-    if (!pool_failed) return pinned;
-    (void)fetch_err;  // bypass below surfaces its own error if disk fails too
-  }
-  // Bypass mode: the table does not fit the pool pinned all at once.
-  // Stream every page into query-local buffers (resident frames are copied,
-  // the rest pread) so beyond-memory scans work at any pool size.
-  PinnedPages byp;
-  byp.owns_ = true;
-  byp.tuple_count_ = pinned.tuple_count_;
-  byp.stats_version_ = pinned.stats_version_;
-  byp.layout_version_ = pinned.layout_version_;
-  byp.layout_ = pinned.layout_;
-  byp.tuples_per_page_ = pinned.tuples_per_page_;
-  byp.pages_.reserve(num_pages_);
-  for (uint64_t i = 0; i < num_pages_; ++i) {
-    void* mem = nullptr;
-    int rc = posix_memalign(&mem, kPageSize, kPageSize);
-    if (rc != 0 || mem == nullptr) {
-      return Status::ExecError("out of memory in bypass table read");
-    }
-    Page* p = static_cast<Page*>(mem);
-    Status read = buffer_manager_->ReadPageBypass(file_, i, p);
-    if (!read.ok()) {
-      std::free(mem);
-      return read;
-    }
-    byp.pages_.push_back(p);
-  }
-  return byp;
+  pinned.layout_ = layout_;
+  pinned.tuples_per_page_ = PageCapacity(*layout_);
+  return pinned;
 }
 
 Status Table::ForEachTuple(const std::function<void(const uint8_t*)>& fn) {
@@ -309,10 +172,6 @@ Status Table::ForEachTuple(const std::function<void(const uint8_t*)>& fn) {
 // ---- Write path (src/txn) ---------------------------------------------------
 
 Status Table::EnableWrites() {
-  if (buffer_manager_ != nullptr) {
-    return Status::NotImplemented("DML requires a memory-resident table (" +
-                                  name_ + " is file-backed)");
-  }
   if (read_only_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("table " + name_ + " is read-only");
   }
@@ -333,10 +192,6 @@ Status Table::ForEachLiveRow(
   if (layout_->codec.enabled) {
     return Status::InvalidArgument("ForEachLiveRow on compressed table " +
                                    name_);
-  }
-  if (buffer_manager_ != nullptr) {
-    return Status::NotImplemented("ForEachLiveRow requires a memory-resident "
-                                  "table");
   }
   const uint32_t ts = schema_.TupleSize();
   std::shared_ptr<const txn::DeleteSet> ds =
@@ -367,7 +222,7 @@ Result<uint64_t> Table::DeleteRows(const std::vector<uint64_t>& row_ids) {
 
 Status Table::Compact(bool recompress) {
   std::lock_guard<std::mutex> wl(writer_mu_);
-  if (buffer_manager_ != nullptr || delta_ == nullptr) return Status::OK();
+  if (delta_ == nullptr) return Status::OK();
   if (delta_->inserts() == 0 && delta_->deleted_base() == 0) {
     return Status::OK();
   }
@@ -375,11 +230,9 @@ Status Table::Compact(bool recompress) {
   // the writer mutex), rebuild fresh NSM base pages, and publish pages +
   // empty delta + stats-version bump as one atomic generation swap.
   HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> flat, GatherTuples());
-  const uint32_t ts = schema_.TupleSize();
-  const uint64_t rows = flat.size() / ts;
-  auto fresh = std::make_shared<PageGen>();
-  HQ_ASSIGN_OR_RETURN(fresh->pages,
-                      BuildNsmPages(flat, ts, tuples_per_page_));
+  const uint64_t rows = flat.size() / schema_.TupleSize();
+  HQ_ASSIGN_OR_RETURN(std::shared_ptr<PageGen> fresh,
+                      BuildGen(flat, TableLayout{}));
   auto delta =
       std::make_unique<txn::DeltaStore>(schema_.TupleSize(), tuples_per_page_);
   {
@@ -408,107 +261,47 @@ Result<std::vector<uint8_t>> Table::GatherTuples() {
   return flat;
 }
 
-Result<std::vector<Page*>> Table::BuildNsmPages(
-    const std::vector<uint8_t>& flat, uint32_t tuple_size, uint32_t cap) {
-  const uint64_t rows = flat.size() / tuple_size;
-  const uint64_t new_pages = (rows + cap - 1) / cap;
-  std::vector<Page*> fresh;
-  fresh.reserve(new_pages);
-  auto free_fresh = [&]() {
-    for (Page* p : fresh) std::free(p);
-  };
-  for (uint64_t i = 0; i < new_pages; ++i) {
-    void* mem = nullptr;
-    int rc = posix_memalign(&mem, kPageSize, kPageSize);
-    if (rc != 0 || mem == nullptr) {
-      free_fresh();
-      return Status::ExecError("out of memory rewriting table pages");
-    }
-    Page* dst = static_cast<Page*>(mem);
-    fresh.push_back(dst);
-    const uint64_t first = i * cap;
+Result<std::shared_ptr<Table::PageGen>> Table::BuildGen(
+    const std::vector<uint8_t>& flat, const TableLayout& layout) const {
+  const uint32_t ts = schema_.TupleSize();
+  const uint64_t rows = flat.size() / ts;
+  const uint32_t cap = PageCapacity(layout);
+  HQ_CHECK(cap > 0);
+  auto gen = std::make_shared<PageGen>();
+  gen->pages.reserve((rows + cap - 1) / cap);
+  for (uint64_t first = 0; first < rows; first += cap) {
+    HQ_ASSIGN_OR_RETURN(Page * dst, NewPage());
+    gen->pages.push_back(dst);  // freed with `gen` if encoding fails
     const uint32_t nt =
         static_cast<uint32_t>(std::min<uint64_t>(cap, rows - first));
-    dst->Reset();
-    dst->num_tuples = nt;
-    std::memcpy(dst->data, flat.data() + first * tuple_size,
-                static_cast<size_t>(nt) * tuple_size);
+    const uint8_t* src = flat.data() + first * ts;
+    if (layout.codec.enabled) {
+      HQ_RETURN_IF_ERROR(
+          EncodePage(layout.codec, schema_, src, nt, layout.dicts, dst));
+    } else {
+      dst->num_tuples = nt;
+      std::memcpy(dst->data, src, static_cast<size_t>(nt) * ts);
+    }
   }
-  return fresh;
+  return gen;
 }
 
 Status Table::RewritePages(const std::vector<uint8_t>& flat,
                            const TableCodec& codec,
                            const std::vector<std::vector<uint8_t>>& dicts) {
-  const uint32_t ts = schema_.TupleSize();
-  const uint64_t rows = flat.size() / ts;
   auto layout = std::make_shared<const TableLayout>(TableLayout{codec, dicts});
-  const uint32_t cap = PageCapacity(*layout);
-  HQ_CHECK(cap > 0);
-  const uint64_t new_pages = (rows + cap - 1) / cap;
-
-  auto fill = [&](uint64_t page_idx, Page* dst) -> Status {
-    const uint64_t first = page_idx * cap;
-    const uint32_t nt =
-        static_cast<uint32_t>(std::min<uint64_t>(cap, rows - first));
-    const uint8_t* src = flat.data() + first * ts;
-    if (codec.enabled) {
-      return EncodePage(codec, schema_, src, nt, dicts, dst);
-    }
-    dst->Reset();
-    dst->num_tuples = nt;
-    std::memcpy(dst->data, src, static_cast<size_t>(nt) * ts);
-    return Status::OK();
-  };
-
-  if (buffer_manager_ == nullptr) {
-    auto fresh = std::make_shared<PageGen>();
-    fresh->pages.reserve(new_pages);
-    for (uint64_t i = 0; i < new_pages; ++i) {
-      void* mem = nullptr;
-      int rc = posix_memalign(&mem, kPageSize, kPageSize);
-      if (rc != 0 || mem == nullptr) {
-        return Status::ExecError("out of memory rewriting table pages");
-      }
-      fresh->pages.push_back(static_cast<Page*>(mem));
-      HQ_RETURN_IF_ERROR(fill(i, fresh->pages.back()));
-    }
-    // Publish pages + codec + dictionaries + the stats-version bump as one
-    // atomic layout change: a concurrent Pin sees either the old layout at
-    // the old version or the new layout at the new version, never a mix.
-    // The retired generation stays alive until the last snapshot drains.
-    std::lock_guard<std::mutex> lk(state_mu_);
-    gen_ = std::move(fresh);
-    num_pages_ = new_pages;
-    layout_ = std::move(layout);
-    stats_version_.fetch_add(1, std::memory_order_acq_rel);
-    // RewritePages only runs for codec transitions (Compress/Decompress),
-    // so the encoding a compiled plan reads moved: retire in-flight plans.
-    layout_version_.fetch_add(1, std::memory_order_acq_rel);
-    return Status::OK();
-  }
-
-  // File-backed: write a fresh generation file and swap the table onto it.
-  // The old file's cached frames age out of the pool on their own.
-  if (write_page_ != nullptr) {
-    buffer_manager_->Unpin(file_, write_page_no_, /*dirty=*/true);
-    write_page_ = nullptr;
-  }
-  const std::string path =
-      file_path_ + ".g" + std::to_string(++file_generation_);
-  HQ_ASSIGN_OR_RETURN(FileId nf, buffer_manager_->OpenFile(path, true));
-  for (uint64_t i = 0; i < new_pages; ++i) {
-    uint64_t no = 0;
-    HQ_ASSIGN_OR_RETURN(Page * dst, buffer_manager_->NewPage(nf, &no));
-    Status s = fill(i, dst);
-    buffer_manager_->Unpin(nf, no, /*dirty=*/true);
-    HQ_RETURN_IF_ERROR(s);
-  }
-  file_ = nf;
-  num_pages_ = new_pages;
+  HQ_ASSIGN_OR_RETURN(std::shared_ptr<PageGen> fresh, BuildGen(flat, *layout));
+  // Publish pages + codec + dictionaries + the stats-version bump as one
+  // atomic layout change: a concurrent Pin sees either the old layout at
+  // the old version or the new layout at the new version, never a mix.
+  // The retired generation stays alive until the last snapshot drains.
   std::lock_guard<std::mutex> lk(state_mu_);
+  gen_ = std::move(fresh);
+  num_pages_ = gen_->pages.size();
   layout_ = std::move(layout);
   stats_version_.fetch_add(1, std::memory_order_acq_rel);
+  // RewritePages only runs for codec transitions (Compress/Decompress),
+  // so the encoding a compiled plan reads moved: retire in-flight plans.
   layout_version_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }

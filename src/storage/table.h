@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/buffer_manager.h"
 #include "storage/compress.h"
 #include "storage/page.h"
 #include "storage/schema.h"
@@ -50,19 +49,18 @@ struct TableLayout {
   std::vector<std::vector<uint8_t>> dicts;  // empty vectors off kDict
 };
 
-/// All pages of a table pinned in memory for the duration of a query
-/// (main-memory execution, paper §VI). Releases pins on destruction.
+/// A table's pages held for the duration of a query (main-memory
+/// execution, paper §VI).
 ///
-/// For in-memory tables this is a *snapshot*: the page list, the exact
-/// tuple count, and the statistics version are captured atomically, and the
-/// `hold_` references keep every captured page alive even if a concurrent
-/// compaction / Compress / Decompress retires the table's current pages.
+/// This is a *snapshot*: the page list, the exact tuple count, and the
+/// statistics version are captured atomically, and the `hold_` references
+/// keep every captured page alive even if a concurrent compaction /
+/// Compress / Decompress retires the table's current pages.
 class PinnedPages {
  public:
   PinnedPages() = default;
-  ~PinnedPages() { Release(); }
-  PinnedPages(PinnedPages&& other) noexcept { *this = std::move(other); }
-  PinnedPages& operator=(PinnedPages&& other) noexcept;
+  PinnedPages(PinnedPages&&) = default;
+  PinnedPages& operator=(PinnedPages&&) = default;
   PinnedPages(const PinnedPages&) = delete;
   PinnedPages& operator=(const PinnedPages&) = delete;
 
@@ -84,29 +82,24 @@ class PinnedPages {
   /// Tuple capacity of one pinned page (codec capacity when compressed,
   /// NSM packing otherwise).
   uint32_t tuples_per_page() const { return tuples_per_page_; }
+  /// Drops the snapshot early (before destruction).
   void Release();
 
  private:
   friend class Table;
   std::vector<Page*> pages_;
-  BufferManager* buffer_manager_ = nullptr;  // null for in-memory tables
-  FileId file_ = 0;
-  // Bypass mode: the pages are query-local copies (table bigger than the
-  // buffer pool) owned by this object and freed on Release.
-  bool owns_ = false;
   uint64_t tuple_count_ = 0;
   uint64_t stats_version_ = 0;
   uint64_t layout_version_ = 0;
   std::shared_ptr<const TableLayout> layout_;
   uint32_t tuples_per_page_ = 0;
   // Shared ownership of page generations / delta substitutes backing the
-  // snapshot (in-memory tables).
+  // snapshot.
   std::vector<std::shared_ptr<const void>> hold_;
 };
 
-/// An NSM table: fixed-length tuples packed into 4096-byte pages. Tables are
-/// either memory-resident (the default; malloc'd pages) or file-backed
-/// through the BufferManager.
+/// An NSM table: fixed-length tuples packed into 4096-byte pages, all
+/// resident in memory (malloc'd pages).
 ///
 /// Write model: bulk loading (AppendTupleSlot / AppendRow / AdoptPage)
 /// mutates base pages directly and is NOT safe against concurrent readers.
@@ -116,15 +109,8 @@ class PinnedPages {
 /// concurrent DML and compaction.
 class Table {
  public:
-  /// Creates a memory-resident table.
   Table(std::string name, Schema schema);
 
-  /// Creates a file-backed table whose pages live in `buffer_manager`.
-  static Result<std::unique_ptr<Table>> CreateFileBacked(
-      std::string name, Schema schema, BufferManager* buffer_manager,
-      const std::string& path);
-
-  ~Table();
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
@@ -150,16 +136,11 @@ class Table {
 
   /// Adopts a fully formed, malloc-aligned page (used by the executor to
   /// turn generated-code result pages into a table without copying).
-  /// In-memory tables only.
   Status AdoptPage(Page* page);
 
-  /// Pins every page and returns the pinned page-pointer array, the memory
-  /// image the code generator's TableRef points at. When a file-backed
-  /// table exceeds the buffer pool, falls back to bypass reads: the
-  /// returned pages are query-local copies (PinnedPages frees them), so
-  /// beyond-memory scans stream instead of failing on pool exhaustion.
-  /// For in-memory tables this is a consistent snapshot of the merged
-  /// base + delta state (see PinnedPages).
+  /// Returns the page-pointer array the code generator's TableRef points
+  /// at: a consistent snapshot of the merged base + delta state (see
+  /// PinnedPages).
   Result<PinnedPages> Pin();
 
   /// Invokes `fn(tuple_ptr)` for every tuple (test/oracle convenience).
@@ -174,8 +155,8 @@ class Table {
 
   /// Attaches the write-optimized delta store, freezing the base pages.
   /// Idempotent. Decompresses first (a compressed base cannot interleave
-  /// with NSM delta pages). In-memory tables only; errors with a typed
-  /// Status on file-backed or read-only tables.
+  /// with NSM delta pages). Errors with a typed Status on read-only
+  /// tables.
   Status EnableWrites();
 
   /// The attached delta store, or null. Attached implies !codec().enabled.
@@ -199,7 +180,7 @@ class Table {
   /// Invokes fn(row_id, tuple) for every live row — base pages first (ids
   /// are frozen physical positions), then delta inserts (ids offset by
   /// txn::kDeltaIdBase). Caller must hold writer_mutex(). Requires an
-  /// uncompressed in-memory table (EnableWrites establishes that).
+  /// uncompressed table (EnableWrites establishes that).
   Status ForEachLiveRow(
       const std::function<void(uint64_t, const uint8_t*)>& fn);
 
@@ -250,9 +231,6 @@ class Table {
   /// tables. The planner serializes this into plan signatures.
   TableCodec codec() const { return layout()->codec; }
 
-  /// Null for in-memory tables.
-  BufferManager* buffer_manager() const { return buffer_manager_; }
-
   /// Scans the table and recomputes `stats()`. Bumps the statistics
   /// version: the engine embeds the catalog-wide version in compiled-plan
   /// cache keys, so refreshed statistics invalidate stale libraries.
@@ -289,7 +267,7 @@ class Table {
   }
 
  private:
-  /// One immutable generation of in-memory base pages. Readers hold a
+  /// One immutable generation of base pages. Readers hold a
   /// shared_ptr from Pin(); page-layout rewrites (Compress/Decompress/
   /// Compact) install a fresh generation and the old pages are freed only
   /// when the last snapshot over them drains.
@@ -300,7 +278,6 @@ class Table {
     }
   };
 
-  Table(std::string name, Schema schema, BufferManager* bm, FileId file);
   // Tuple capacity of one page under `layout`.
   uint32_t PageCapacity(const TableLayout& layout) const {
     return layout.codec.enabled ? layout.codec.tuples_per_cpage
@@ -310,15 +287,16 @@ class Table {
   // Gathers every tuple as NSM bytes (decoding if compressed, merging the
   // delta) — the staging buffer for Compress/Decompress/Compact rewrites.
   Result<std::vector<uint8_t>> GatherTuples();
+  // Builds a fresh page generation holding the NSM tuples `flat`, encoded
+  // under `layout` (plain NSM pages when its codec is disabled).
+  Result<std::shared_ptr<PageGen>> BuildGen(const std::vector<uint8_t>& flat,
+                                            const TableLayout& layout) const;
   // Replaces the table's pages with pages built from `flat` under `codec`
-  // (codec.enabled == false → NSM rebuild) and publishes pages + codec +
-  // dicts + a stats-version bump atomically. In-memory tables swap the
-  // page generation; file-backed tables write a fresh generation file.
+  // (codec.enabled == false → NSM rebuild) and publishes the new page
+  // generation + codec + dicts + a stats-version bump atomically.
   Status RewritePages(const std::vector<uint8_t>& flat,
                       const TableCodec& codec,
                       const std::vector<std::vector<uint8_t>>& dicts);
-  static Result<std::vector<Page*>> BuildNsmPages(
-      const std::vector<uint8_t>& flat, uint32_t tuple_size, uint32_t cap);
 
   std::string name_;
   Schema schema_;
@@ -326,9 +304,9 @@ class Table {
   std::atomic<uint64_t> num_tuples_{0};  // live tuples incl. delta
   uint64_t num_pages_ = 0;               // base pages only
 
-  // In-memory mode: the current base-page generation. state_mu_ guards the
-  // generation pointer, layout_ swaps, and the stats-version bump
-  // that accompanies them, so Pin() captures a consistent snapshot.
+  // The current base-page generation. state_mu_ guards the generation
+  // pointer, layout_ swaps, and the stats-version bump that accompanies
+  // them, so Pin() captures a consistent snapshot.
   std::shared_ptr<PageGen> gen_ = std::make_shared<PageGen>();
   mutable std::mutex state_mu_;
 
@@ -336,14 +314,6 @@ class Table {
   std::unique_ptr<txn::DeltaStore> delta_;
   std::mutex writer_mu_;
   std::atomic<bool> read_only_{false};
-
-  // File-backed mode.
-  BufferManager* buffer_manager_ = nullptr;
-  FileId file_ = 0;
-  Page* write_page_ = nullptr;     // pinned tail page
-  uint64_t write_page_no_ = 0;
-  std::string file_path_;          // base path; rewrites append .g<N>
-  uint32_t file_generation_ = 0;
 
   // Compression state (see storage/compress.h). Swapped under state_mu_;
   // the load and writer paths, which are the only ones that swap it, read

@@ -157,21 +157,6 @@ uint64_t Scaled(uint64_t base, double sf) {
   return v == 0 ? 1 : v;
 }
 
-/// Creates a load target: memory-resident by default, file-backed through
-/// TpchOptions::buffer_manager/data_dir for the beyond-memory regime.
-Result<Table*> MakeTable(Catalog* catalog, const TpchOptions& options,
-                         const std::string& name, Schema schema) {
-  if (options.buffer_manager != nullptr && !options.data_dir.empty()) {
-    HQ_ASSIGN_OR_RETURN(
-        auto table,
-        Table::CreateFileBacked(name, std::move(schema),
-                                options.buffer_manager,
-                                options.data_dir + "/" + name + ".hq"));
-    return catalog->AdoptTable(std::move(table));
-  }
-  return catalog->CreateTable(name, std::move(schema));
-}
-
 }  // namespace
 
 uint64_t TableCardinality(const std::string& table, double sf) {
@@ -193,7 +178,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
   // region / nation -------------------------------------------------------
   {
     HQ_ASSIGN_OR_RETURN(Table * region,
-                        MakeTable(catalog, options, "region", RegionSchema()));
+                        catalog->CreateTable("region", RegionSchema()));
     for (int r = 0; r < 5; ++r) {
       HQ_ASSIGN_OR_RETURN(uint8_t * tup, region->AppendTupleSlot());
       std::memset(tup, 0, region->tuple_size());
@@ -203,7 +188,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
       w.Text(2, &rng);
     }
     HQ_ASSIGN_OR_RETURN(Table * nation,
-                        MakeTable(catalog, options, "nation", NationSchema()));
+                        catalog->CreateTable("nation", NationSchema()));
     for (int n = 0; n < 25; ++n) {
       HQ_ASSIGN_OR_RETURN(uint8_t * tup, nation->AppendTupleSlot());
       std::memset(tup, 0, nation->tuple_size());
@@ -218,7 +203,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
   // supplier ---------------------------------------------------------------
   {
     HQ_ASSIGN_OR_RETURN(Table * supplier,
-                        MakeTable(catalog, options, "supplier", SupplierSchema()));
+                        catalog->CreateTable("supplier", SupplierSchema()));
     uint64_t n = TableCardinality("supplier", sf);
     for (uint64_t i = 1; i <= n; ++i) {
       HQ_ASSIGN_OR_RETURN(uint8_t * tup, supplier->AppendTupleSlot());
@@ -238,7 +223,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
   // customer ---------------------------------------------------------------
   {
     HQ_ASSIGN_OR_RETURN(Table * customer,
-                        MakeTable(catalog, options, "customer", CustomerSchema()));
+                        catalog->CreateTable("customer", CustomerSchema()));
     uint64_t n = TableCardinality("customer", sf);
     for (uint64_t i = 1; i <= n; ++i) {
       HQ_ASSIGN_OR_RETURN(uint8_t * tup, customer->AppendTupleSlot());
@@ -260,7 +245,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
   // part / partsupp ---------------------------------------------------------
   {
     HQ_ASSIGN_OR_RETURN(Table * part,
-                        MakeTable(catalog, options, "part", PartSchema()));
+                        catalog->CreateTable("part", PartSchema()));
     uint64_t n = TableCardinality("part", sf);
     for (uint64_t i = 1; i <= n; ++i) {
       HQ_ASSIGN_OR_RETURN(uint8_t * tup, part->AppendTupleSlot());
@@ -277,7 +262,7 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
       w.Text(8, &rng);
     }
     HQ_ASSIGN_OR_RETURN(Table * partsupp,
-                        MakeTable(catalog, options, "partsupp", PartsuppSchema()));
+                        catalog->CreateTable("partsupp", PartsuppSchema()));
     uint64_t suppliers = TableCardinality("supplier", sf);
     for (uint64_t i = 1; i <= n; ++i) {
       for (int s = 0; s < 4; ++s) {
@@ -297,9 +282,9 @@ Status LoadTpch(Catalog* catalog, const TpchOptions& options) {
   // orders / lineitem -------------------------------------------------------
   {
     HQ_ASSIGN_OR_RETURN(Table * orders,
-                        MakeTable(catalog, options, "orders", OrdersSchema()));
+                        catalog->CreateTable("orders", OrdersSchema()));
     HQ_ASSIGN_OR_RETURN(Table * lineitem,
-                        MakeTable(catalog, options, "lineitem", LineitemSchema()));
+                        catalog->CreateTable("lineitem", LineitemSchema()));
     uint64_t norders = TableCardinality("orders", sf);
     uint64_t ncustomers = TableCardinality("customer", sf);
     uint64_t nparts = TableCardinality("part", sf);

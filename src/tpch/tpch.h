@@ -19,13 +19,6 @@ struct TpchOptions {
   double scale_factor = 0.1;
   uint64_t seed = 19920101;
   bool compute_stats = true;  // ANALYZE after load (needed by the optimizer)
-  // File-backed loading: when both are set, every table is created through
-  // Table::CreateFileBacked with its pages in `buffer_manager` and its data
-  // file at `data_dir`/<table>.hq — the beyond-memory benchmark regime
-  // (bench/fig8_tpch --buffer-pages). Left unset, tables are
-  // memory-resident as before. The pool must outlive the catalog.
-  BufferManager* buffer_manager = nullptr;
-  std::string data_dir;
 };
 
 /// Creates and populates all eight TPC-H tables in `catalog`:

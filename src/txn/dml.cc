@@ -286,8 +286,8 @@ Result<uint64_t> ExecuteUpdate(const sql::DmlStmt& stmt, Table* table) {
 Result<uint64_t> ExecuteDml(const sql::DmlStmt& stmt, Catalog* catalog) {
   HQ_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(stmt.table));
   // Serialize against other DML and compaction first, then attach the
-  // delta store (typed failure on read-only / file-backed tables) — the
-  // attach itself may decompress the base and must not race another writer.
+  // delta store (typed failure on read-only tables) — the attach itself
+  // may decompress the base and must not race another writer.
   std::lock_guard<std::mutex> wl(table->writer_mutex());
   HQ_RETURN_IF_ERROR(table->EnableWrites());
   switch (stmt.kind) {

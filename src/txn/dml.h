@@ -21,8 +21,8 @@ namespace hique::txn {
 /// pre-statement snapshot, scans admitted after see all of it.
 ///
 /// Typed failures: kNotFound (unknown table), kInvalidArgument (read-only
-/// table), kNotImplemented (file-backed table), kBindError (unknown column,
-/// arity or type mismatch, non-literal INSERT value).
+/// table), kBindError (unknown column, arity or type mismatch, non-literal
+/// INSERT value).
 Result<uint64_t> ExecuteDml(const sql::DmlStmt& stmt, Catalog* catalog);
 
 /// Parse + execute convenience used by the session layer and tests.

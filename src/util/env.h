@@ -9,8 +9,7 @@
 
 namespace hique {
 
-/// Minimal filesystem helpers used by the runtime compiler driver and the
-/// file-backed storage layer.
+/// Minimal filesystem helpers used by the runtime compiler driver.
 namespace env {
 
 /// Creates a directory (and parents). OK if it already exists.

@@ -4,7 +4,8 @@
 // NULL markers, empty and max-length CHAR strings included. The server
 // must survive arbitrary bytes from the network, so every malformed-input
 // path returns a Status instead of walking off a buffer — and so must the
-// client, which a scripted peer feeds truncated frames.
+// client, which a scripted peer feeds truncated frames. A Hello of the
+// previous protocol version is refused before any other frame is decoded.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "exec/engine.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/serde.h"
+#include "net/server.h"
 #include "net/socket.h"
 #include "storage/schema.h"
 #include "storage/value.h"
+#include "tests/test_util.h"
 
 namespace hique::net {
 namespace {
@@ -369,6 +373,52 @@ TEST(ClientFrameTest, ShortResultDoneEndsStreamWithIoError) {
   client.Abort();
   server.join();
   EXPECT_TRUE(peer.ok()) << peer.ToString();
+}
+
+// Each version bump changes some frame's layout (v6 shortened CloseAck), and
+// no peer decodes a frame of another version: the handshake refuses a
+// mismatch before any such frame is exchanged. A Hello carrying the
+// previous version must get an Error frame and a closed connection, and
+// the server must keep serving current-version clients.
+TEST(HandshakeTest, HelloWithPreviousVersionIsRefused) {
+  Catalog catalog;
+  hique::testing::MakeIntTable(&catalog, "t", 100, 10, 1);
+  EngineOptions options;
+  options.threads = 1;
+  options.compile.opt_level = 0;
+  HiqueEngine engine(&catalog, options);
+  Server server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto raw = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  Socket sock = std::move(raw).value();
+  WireWriter hello;
+  hello.U32(kMagic);
+  hello.U16(kProtocolVersion - 1);
+  hello.U8(kLittleEndian);
+  hello.Str("previous-version peer");
+  ASSERT_TRUE(SendRawFrame(&sock, MsgType::kHello, hello).ok());
+  Frame reply;
+  Status got = RecvRawFrame(&sock, &reply);
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  ASSERT_EQ(reply.type, MsgType::kError);
+  // The Error frame is the last thing the server sends on that connection.
+  Frame after;
+  EXPECT_EQ(RecvRawFrame(&sock, &after).code(), StatusCode::kIoError);
+
+  auto connected = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Client client = std::move(connected).value();
+  auto rs = client.Query("select count(*) as c from t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  RemoteResultSet cursor = std::move(rs).value();
+  ASSERT_TRUE(cursor.Next());
+  EXPECT_EQ(cursor.Get(0).AsInt64(), 100);
+  EXPECT_FALSE(cursor.Next());
+  EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
 }
 
 }  // namespace

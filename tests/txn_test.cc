@@ -14,14 +14,12 @@
 
 #include "exec/engine.h"
 #include "ref/reference.h"
-#include "storage/buffer_manager.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
 #include "txn/compactor.h"
 #include "txn/delta_store.h"
 #include "txn/dml.h"
-#include "util/env.h"
 
 namespace hique {
 namespace {
@@ -213,24 +211,6 @@ TEST_F(DmlTest, RejectionsAreTypedNotAsserted) {
   auto r7 = engine.Query("insert into r valves (1)");
   ASSERT_FALSE(r7.ok());
   EXPECT_EQ(r7.status().code(), StatusCode::kParseError);
-}
-
-TEST(DmlFileBackedTest, FileBackedTablesRejectDml) {
-  // The pool must outlive the catalog: a file-backed table unpins its tail
-  // write page on destruction.
-  BufferManager bm(16);
-  Catalog catalog;
-  Schema schema;
-  schema.AddColumn("f_k", Type::Int32());
-  auto table = Table::CreateFileBacked(
-      "f", schema, &bm, env::ProcessTempDir() + "/txn_dml_fb.db");
-  ASSERT_TRUE(table.ok());
-  Table* t = catalog.AdoptTable(std::move(table).value()).value();
-  ASSERT_TRUE(t->AppendRow({Value::Int32(1)}).ok());
-  HiqueEngine engine(&catalog);
-  auto r = engine.Query("delete from f where f_k = 1");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented);
 }
 
 // ---- Snapshot visibility ---------------------------------------------------
