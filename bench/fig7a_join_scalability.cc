@@ -8,13 +8,17 @@
 // A second section tracks intra-query scalability: a fixed table set is
 // queried at 1/2/4/8 threads for ORDER BY, merge join, hybrid join, and
 // Zipf-skewed variants (the skew-scheduling stress case: one key holds ~10%
-// of the outer rows). `--json=FILE` dumps both sections for CI trending.
+// of the outer rows). Every HIQUE time is the median of --repeat execute
+// timings, with their interquartile range; the iterator series are single
+// runs. `--json=FILE` dumps both sections for CI trending: each `*_s` key
+// of a HIQUE series is a median and each `*_iqr_s` key its quartiles.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
 
+#include "bench_e2e/e2e_util.h"
 #include "bench_support/flags.h"
 #include "bench_support/json.h"
 #include "bench_support/micro_data.h"
@@ -35,24 +39,37 @@ EngineOptions BaseOptions(const std::string& gen_tag, uint32_t threads) {
   return eopts;
 }
 
-// Best-of-`repeat` execute-only seconds for `sql` under `popts`.
-double TimeQuery(HiqueEngine* engine, const std::string& sql,
+/// Median and interquartile range of `repeat` execute-only timings
+/// (seconds).
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+
+  std::string IqrJson() const {
+    return bench::JsonArr()
+        .Add(bench::JsonNum(q1))
+        .Add(bench::JsonNum(q3))
+        .Render();
+  }
+};
+
+// Execute-only seconds of `repeat` runs of `sql` under `popts`.
+Spread TimeQuery(HiqueEngine* engine, const std::string& sql,
                  const plan::PlannerOptions& popts, int repeat) {
   SessionOptions so;
   so.override_planner = true;
   so.planner = popts;
   Session session = engine->OpenSession(so);
-  double best = 0.0;
+  std::vector<double> runs;
   for (int r = 0; r < repeat; ++r) {
     auto qr = session.Query(sql);
     if (!qr.ok()) {
       std::printf("query failed: %s\n", qr.status().ToString().c_str());
       std::exit(1);
     }
-    double t = qr.value().exec_stats.execute_seconds;
-    if (r == 0 || t < best) best = t;
+    runs.push_back(qr.value().exec_stats.execute_seconds);
   }
-  return best;
+  return {e2e::Median(runs), e2e::Quantile(runs, 0.25),
+          e2e::Quantile(runs, 0.75)};
 }
 
 }  // namespace
@@ -81,9 +98,11 @@ int main(int argc, char** argv) {
   bench::JsonArr sweep_json;
   if (sweep) {
     std::printf("Fig. 7(a): join scalability (outer=%llu, 10 matches/outer, "
-                "time in seconds; HIQUE-x%u = generated hybrid join at %u "
-                "threads, speedup vs 1 thread)\n\n",
-                static_cast<unsigned long long>(outer_rows), threads, threads);
+                "time in seconds, HIQUE series the median of %d; HIQUE-x%u = "
+                "generated hybrid join at %u threads, speedup vs 1 "
+                "thread)\n\n",
+                static_cast<unsigned long long>(outer_rows), repeat, threads,
+                threads);
     bench::ResultPrinter table({"inner (M)", "Merge-Iterators",
                                 "Hybrid-Iterators", "Merge-HIQUE",
                                 "Hybrid-HIQUE",
@@ -125,24 +144,23 @@ int main(int argc, char** argv) {
         secs.push_back(vr.value().stats.execute_seconds);
         row.push_back(bench::Sec(secs.back()));
       }
-      double hybrid_serial = 0;
+      std::vector<Spread> spreads;
       for (plan::JoinAlgo algo : {plan::JoinAlgo::kMerge,
                                   plan::JoinAlgo::kHybridHashSortMerge}) {
         plan::PlannerOptions popts;
         popts.force_join_algo = algo;
         popts.fine_partition_max_domain = 0;
-        double t = TimeQuery(&hique, sql, popts, 1);
-        if (algo == plan::JoinAlgo::kHybridHashSortMerge) hybrid_serial = t;
-        secs.push_back(t);
-        row.push_back(bench::Sec(t));
+        spreads.push_back(TimeQuery(&hique, sql, popts, repeat));
+        row.push_back(bench::Sec(spreads.back().median));
       }
       {
         // Same generated hybrid join, scheduled over the worker pool.
         plan::PlannerOptions popts;
         popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
         popts.fine_partition_max_domain = 0;
-        double t_mt = TimeQuery(&hique_mt, sql, popts, 1);
-        secs.push_back(t_mt);
+        spreads.push_back(TimeQuery(&hique_mt, sql, popts, repeat));
+        const double hybrid_serial = spreads[1].median;
+        const double t_mt = spreads[2].median;
         row.push_back(bench::Sec(t_mt));
         char speedup[32];
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
@@ -152,9 +170,12 @@ int main(int argc, char** argv) {
         point.Int("inner_millions", static_cast<int64_t>(m))
             .Num("merge_iter_s", secs[0])
             .Num("hybrid_iter_s", secs[1])
-            .Num("merge_hique_s", secs[2])
-            .Num("hybrid_hique_s", secs[3])
-            .Num("hybrid_hique_mt_s", secs[4])
+            .Num("merge_hique_s", spreads[0].median)
+            .Add("merge_hique_iqr_s", spreads[0].IqrJson())
+            .Num("hybrid_hique_s", spreads[1].median)
+            .Add("hybrid_hique_iqr_s", spreads[1].IqrJson())
+            .Num("hybrid_hique_mt_s", t_mt)
+            .Add("hybrid_hique_mt_iqr_s", spreads[2].IqrJson())
             .Num("mt_speedup", t_mt > 0 ? hybrid_serial / t_mt : 0.0);
         sweep_json.Add(point.Render());
       }
@@ -218,7 +239,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nIntra-query scalability (outer=%llu, inner=%llu, "
-              "best-of-%d execute seconds; zo = Zipf(1.0) keys)\n\n",
+              "median of %d execute seconds; zo = Zipf(1.0) keys)\n\n",
               static_cast<unsigned long long>(sc_outer),
               static_cast<unsigned long long>(sc_inner), repeat);
   std::vector<std::string> headers = {"query"};
@@ -247,7 +268,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {q.name};
     double t1 = 0.0, tlast = 0.0;
     for (size_t i = 0; i < thread_list.size(); ++i) {
-      double t = TimeQuery(engines[i].get(), q.sql, popts, repeat);
+      Spread spread = TimeQuery(engines[i].get(), q.sql, popts, repeat);
+      double t = spread.median;
       if (i == 0) t1 = t;
       tlast = t;
       double speedup = t > 0 ? t1 / t : 0.0;
@@ -256,6 +278,7 @@ int main(int argc, char** argv) {
       point.Str("query", q.name)
           .Int("threads", static_cast<int64_t>(thread_list[i]))
           .Num("seconds", t)
+          .Add("seconds_iqr", spread.IqrJson())
           .Num("speedup", speedup);
       sc_json.Add(point.Render());
     }

@@ -3,8 +3,11 @@
 // run compiled scans over merged base+delta snapshots (no locks on the
 // read path beyond the snapshot capture), so the interesting number is how
 // much read latency the write stream and the background compactions cost:
-// the benchmark reports p50/p95/p99 read latency for an OLAP-only baseline
-// phase and for the mixed phase, plus refresh throughput.
+// the benchmark reports p50/p95/p99 read latency (interpolated quantiles of
+// every statement's latency) for an OLAP-only baseline phase and for the
+// mixed phase, plus refresh throughput. Readers and the writer each run on
+// their own thread with nothing scheduling them: no statement queues for a
+// shared execution slot.
 //
 // --json=FILE writes the measurements as the repo's tracked perf datapoint
 // (BENCH_mixed.json in CI).
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_e2e/e2e_util.h"
 #include "bench_support/flags.h"
 #include "bench_support/json.h"
 #include "exec/engine.h"
@@ -33,19 +37,14 @@ struct Percentiles {
   int64_t count = 0;
 };
 
-Percentiles Summarize(std::vector<double>* latencies_ms) {
+Percentiles Summarize(const std::vector<double>& latencies_ms) {
   Percentiles p;
-  if (latencies_ms->empty()) return p;
-  std::sort(latencies_ms->begin(), latencies_ms->end());
-  auto at = [&](double q) {
-    size_t i = static_cast<size_t>(q * (latencies_ms->size() - 1));
-    return (*latencies_ms)[i];
-  };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
-  p.max = latencies_ms->back();
-  p.count = static_cast<int64_t>(latencies_ms->size());
+  if (latencies_ms.empty()) return p;
+  p.p50 = e2e::Quantile(latencies_ms, 0.50);
+  p.p95 = e2e::Quantile(latencies_ms, 0.95);
+  p.p99 = e2e::Quantile(latencies_ms, 0.99);
+  p.max = *std::max_element(latencies_ms.begin(), latencies_ms.end());
+  p.count = static_cast<int64_t>(latencies_ms.size());
   return p;
 }
 
@@ -233,10 +232,10 @@ int main(int argc, char** argv) {
   };
   std::vector<double> b1 = fold(&baseline, true), b6 = fold(&baseline, false);
   std::vector<double> m1 = fold(&mixed, true), m6 = fold(&mixed, false);
-  std::vector<Row> rows = {{"baseline", "Q1", Summarize(&b1)},
-                           {"baseline", "Q6", Summarize(&b6)},
-                           {"mixed", "Q1", Summarize(&m1)},
-                           {"mixed", "Q6", Summarize(&m6)}};
+  std::vector<Row> rows = {{"baseline", "Q1", Summarize(b1)},
+                           {"baseline", "Q6", Summarize(b6)},
+                           {"mixed", "Q1", Summarize(m1)},
+                           {"mixed", "Q6", Summarize(m6)}};
 
   std::printf("\n%-10s %-4s %10s %10s %10s %10s %8s\n", "phase", "query",
               "p50 ms", "p95 ms", "p99 ms", "max ms", "n");

@@ -1,6 +1,6 @@
 // Quickstart: create a table, load rows, open a client session and run SQL
-// through the holistic engine — blocking, streaming-cursor and async
-// submission — then inspect results and the generated code statistics.
+// through the holistic engine — blocking, prepared and streaming-cursor —
+// then inspect results and the generated code statistics.
 //
 //   $ ./build/examples/quickstart
 
@@ -51,8 +51,8 @@ int main() {
   // 3. Ask HIQUE through a client session. The engine parses, optimizes,
   // *generates C++ source for this exact query*, compiles it to a shared
   // library, dlopens it and runs it (paper ICDE'10, Fig. 2). Sessions
-  // carry per-client settings (planner overrides, parallelism, priority)
-  // and are the gateway to the streaming and async APIs below.
+  // carry per-client settings (planner overrides, parallelism, cursor
+  // buffer bound) and are the gateway to the streaming API below.
   EngineOptions options;
   options.keep_source = true;  // retain the generated code for inspection
   HiqueEngine engine(&catalog, options);
@@ -138,22 +138,5 @@ int main() {
   std::printf("streamed %lld rows, peak resident result pages: %u\n",
               static_cast<long long>(cursor.rows_read()),
               cursor.peak_result_pages());
-
-  // 6. Async submission: queries queue through the engine's
-  // priority-weighted admission scheduler and complete in the background;
-  // the handle is a future (Wait / TryPoll / Cancel).
-  std::printf("\n=== async submission ===\n");
-  QueryHandle handle = session.SubmitAsync(
-      "select city, max(temp) as hottest from weather group by city "
-      "order by hottest desc");
-  auto async_result = handle.Wait();
-  if (!async_result.ok()) {
-    std::printf("async failed: %s\n",
-                async_result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("dispatched as #%llu:\n%s\n",
-              static_cast<unsigned long long>(handle.dispatch_seq()),
-              async_result.value().ToString().c_str());
   return 0;
 }

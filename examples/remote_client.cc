@@ -110,12 +110,8 @@ int main(int argc, char** argv) {
   auto stats = client.Close();
   if (stats.ok()) {
     std::printf(
-        "session: %llu submitted, %llu dispatched, %llu streams, "
-        "%.2f ms admission wait\n",
-        static_cast<unsigned long long>(stats.value().submitted),
-        static_cast<unsigned long long>(stats.value().dispatched),
-        static_cast<unsigned long long>(stats.value().streams_opened),
-        stats.value().total_wait_ms);
+        "session: %llu streams\n",
+        static_cast<unsigned long long>(stats.value().streams_opened));
   }
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "codegen/generator.h"
-#include "exec/admission.h"
 #include "exec/session_internal.h"
 #include "obs/metrics.h"
 #include "plan/params.h"
@@ -174,20 +173,14 @@ HiqueEngine::HiqueEngine(Catalog* catalog, EngineOptions options)
 }
 
 HiqueEngine::~HiqueEngine() {
-  // Wind down client work first: cancel the default session's in-flight
-  // queries, then stop the admission scheduler (queued jobs settle as
-  // cancelled, running ones finish and their runner threads join) while
-  // the worker pool and compiled libraries are still alive.
+  // Wind down client work first: cancel the default session's open cursors
+  // while the worker pool and compiled libraries are still alive.
   default_session_.Close();
   {
     // Stop the compactor before anything else: its worker dereferences the
     // catalog, which must outlive it.
     std::lock_guard<std::mutex> lk(compactor_mu_);
     compactor_.reset();
-  }
-  {
-    std::lock_guard<std::mutex> lk(admission_mu_);
-    admission_.reset();
   }
   std::thread worker;
   {
@@ -203,18 +196,6 @@ HiqueEngine::~HiqueEngine() {
   tier_idle_cv_.notify_all();
   if (worker.joinable()) worker.join();
 }
-
-exec::AdmissionController* HiqueEngine::admission() {
-  std::lock_guard<std::mutex> lk(admission_mu_);
-  if (admission_ == nullptr) {
-    admission_ =
-        std::make_unique<exec::AdmissionController>(options_.async_slots);
-  }
-  return admission_.get();
-}
-
-void HiqueEngine::PauseAdmission() { admission()->Pause(); }
-void HiqueEngine::ResumeAdmission() { admission()->Resume(); }
 
 txn::Compactor* HiqueEngine::compactor() {
   std::lock_guard<std::mutex> lk(compactor_mu_);
@@ -254,33 +235,16 @@ Result<uint64_t> HiqueEngine::ExecuteDml(const std::string& sql) {
 }
 
 std::string HiqueEngine::RenderStats() {
-  // Subsystems with exact counters behind their own locks (admission
-  // scheduler, background compactor) are folded in at scrape frequency —
-  // their hot paths stay untouched. Everything else streams in live.
+  // The background compactor keeps an exact counter behind its own lock;
+  // it is folded in at scrape frequency, so its hot path stays untouched.
+  // Everything else streams in live.
   struct ScrapeGauges {
-    obs::Gauge* adm_submitted;
-    obs::Gauge* adm_dispatched;
-    obs::Gauge* adm_blocking;
-    obs::Gauge* adm_removed;
-    obs::Gauge* adm_max_queued;
     obs::Gauge* compactions;
     obs::Gauge* threads;
     static ScrapeGauges& Get() {
       static ScrapeGauges* g = [] {
         auto* r = &obs::Registry::Global();
         auto* it = new ScrapeGauges();
-        it->adm_submitted =
-            r->GetGauge("hique_admission_submitted",
-                        "Async statements handed to the admission queue");
-        it->adm_dispatched = r->GetGauge(
-            "hique_admission_dispatched", "Async statements dispatched");
-        it->adm_blocking =
-            r->GetGauge("hique_admission_blocking_admitted",
-                        "Blocking statements granted an admission lease");
-        it->adm_removed = r->GetGauge(
-            "hique_admission_removed", "Statements cancelled while queued");
-        it->adm_max_queued = r->GetGauge(
-            "hique_admission_max_queued", "Admission queue depth high-water");
         it->compactions = r->GetGauge("hique_compactions",
                                       "Background delta compactions run");
         it->threads =
@@ -291,17 +255,6 @@ std::string HiqueEngine::RenderStats() {
     }
   };
   auto& g = ScrapeGauges::Get();
-  {
-    std::lock_guard<std::mutex> lk(admission_mu_);
-    if (admission_ != nullptr) {
-      exec::AdmissionController::Counters c = admission_->counters();
-      g.adm_submitted->Set(static_cast<int64_t>(c.submitted));
-      g.adm_dispatched->Set(static_cast<int64_t>(c.dispatched));
-      g.adm_blocking->Set(static_cast<int64_t>(c.blocking_admitted));
-      g.adm_removed->Set(static_cast<int64_t>(c.removed));
-      g.adm_max_queued->Set(static_cast<int64_t>(c.max_queued));
-    }
-  }
   {
     std::lock_guard<std::mutex> lk(compactor_mu_);
     if (compactor_ != nullptr) {

@@ -76,10 +76,6 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-namespace exec {
-class AdmissionController;
-}  // namespace exec
-
 class HiqueEngine;
 
 struct EngineOptions {
@@ -110,22 +106,6 @@ struct EngineOptions {
   // OOM error; in a parallel run the failing worker cancels the remaining
   // tasks at the next barrier.
   uint64_t arena_limit_bytes = 0;
-  // Concurrent slots of the admission-control scheduler: at most this many
-  // admitted queries execute at once; the rest queue in priority-weighted
-  // (stride-scheduling) order. Both Session::SubmitAsync jobs and blocking
-  // Session::Query/Execute calls are admitted through the same queue (a
-  // blocking storm cannot starve async slots, and vice versa). Streaming
-  // cursors (QueryStream/ExecuteStream) are not admission-controlled: a
-  // slow consumer would pin a slot for the cursor's whole lifetime —
-  // their throttling is the bounded stream buffer instead.
-  uint32_t async_slots = 2;
-  // Default bound on completed result pages a streaming ResultSet buffers
-  // ahead of the consumer (SessionOptions::stream_buffer_pages == 0
-  // inherits this). The producer blocks once the bound is reached, so a
-  // cursor's peak result-page residency is stream_buffer_pages + 2
-  // (buffered + one being filled + one held by the reader) regardless of
-  // result cardinality.
-  uint32_t stream_buffer_pages = 4;
   // Compressed columnar storage: when enabled (or HQ_COMPRESS=1/on in the
   // environment), the constructor compresses every catalogue table whose
   // statistics justify an encoding (storage::ChooseTableCodec) and the
@@ -150,16 +130,9 @@ struct EngineOptions {
   double slow_query_ms = 0;
 };
 
-/// Per-session admission and activity metrics (Session::Stats). Wait time
-/// is the total time this session's statements spent queued in the
-/// admission scheduler before dispatch — blocking Query/Execute leases and
-/// SubmitAsync jobs both count. The wire protocol reports these in the
-/// Close summary frame, so remote clients see their own admission costs.
+/// Per-session activity metrics (Session::Stats). The wire protocol
+/// reports these in the Close summary frame.
 struct SessionStats {
-  uint64_t submitted = 0;       // statements handed to the admission queue
-  uint64_t dispatched = 0;      // statements granted a slot (async + blocking)
-  uint64_t queue_depth = 0;     // currently queued, not yet dispatched
-  double total_wait_ms = 0;     // cumulative queue wait across dispatches
   uint64_t streams_opened = 0;  // cursors opened (QueryStream/ExecuteStream)
   // Parallel-execution gauges: the executor-slot count of the most recent
   // completed statement (after engine/session clamping — the width queries
@@ -170,10 +143,11 @@ struct SessionStats {
 };
 
 /// Per-session execution settings: every statement a Session runs inherits
-/// these. Zero/absent fields fall back to the engine's EngineOptions.
+/// these. Everything else (scratch budget, compilation, tracing) is the
+/// engine's EngineOptions.
 struct SessionOptions {
   /// When set, replaces the engine's planner options for every statement
-  /// this session plans (Query, Prepare, streaming and async variants).
+  /// this session plans (Query, Prepare and the streaming variants).
   /// Benchmarks pin algorithms this way, as the paper's §VI-B sweeps do;
   /// the pinned plan is cached under its own signature.
   bool override_planner = false;
@@ -183,18 +157,12 @@ struct SessionOptions {
   /// engine's shared worker pool at its configured width (the pool is
   /// sized once, engine-wide).
   uint32_t threads = 0;
-  /// Scratch budget override; kInheritArenaLimit inherits the engine
-  /// setting, any other value (0 = unlimited) applies per execution.
-  static constexpr uint64_t kInheritArenaLimit = ~0ull;
-  uint64_t arena_limit_bytes = kInheritArenaLimit;
-  /// Admission-control weight (clamped to [1, 64]): under contention a
-  /// weight-4 session's async submissions dispatch four times as often as
-  /// a weight-1 session's. Also the worker-pool priority of this session's
-  /// parallel barriers.
-  int priority = 1;
-  /// Completed result pages a ResultSet buffers ahead of the consumer;
-  /// 0 inherits EngineOptions::stream_buffer_pages.
-  uint32_t stream_buffer_pages = 0;
+  /// Completed result pages a ResultSet buffers ahead of the consumer (at
+  /// least 1). The producer blocks once the bound is reached, so a
+  /// cursor's peak result-page residency is stream_buffer_pages + 2
+  /// (buffered + one being filled + one held by the reader) regardless of
+  /// result cardinality.
+  uint32_t stream_buffer_pages = 4;
 };
 
 /// A prepared statement: the fully planned, compiled form of one SQL string
@@ -339,46 +307,12 @@ class ResultSet {
   std::unique_ptr<Stream> stream_;
 };
 
-/// A future over an asynchronously submitted query (Session::SubmitAsync).
-/// Value-semantic handle; safe to poll/cancel from any thread. The result
-/// is single-shot: the first successful Wait()/TryTake() moves it out.
-class QueryHandle {
- public:
-  QueryHandle() = default;
-  bool valid() const { return state_ != nullptr; }
-
-  /// Blocks until the query finishes and moves the result out. A second
-  /// call (or a call after TryTake returned the result) reports an error.
-  Result<QueryResult> Wait();
-
-  /// Non-blocking completion probe.
-  bool TryPoll() const;
-
-  /// Best-effort cancellation: a still-queued query is dequeued and fails
-  /// with "query cancelled"; a running query is interrupted at its next
-  /// cancellation point. Parse/plan/compile phases are not interruptible.
-  void Cancel();
-
-  /// Admission-scheduler dispatch order (1-based), 0 while queued. Stable
-  /// once the query has started; used by fairness tests and observability.
-  uint64_t dispatch_seq() const;
-
- public:
-  /// Opaque future state (defined in the session implementation).
-  struct AsyncState;
-
- private:
-  friend struct SessionImpl;
-  std::shared_ptr<AsyncState> state_;
-};
-
 /// A client session: the unit of connection state in the client-server
 /// model. Carries per-session defaults (planner overrides, parallelism,
-/// scratch budget, scheduling priority), owns the lifecycle of its
-/// in-flight work, and is the only way to reach the streaming and async
-/// APIs. Value-semantic handle over shared state; cheap to copy. All
-/// methods are thread-safe (the underlying engine is). Sessions must not
-/// outlive their engine.
+/// cursor buffer bound), owns the lifecycle of its open cursors, and is
+/// the only way to reach the streaming API. Value-semantic handle over
+/// shared state; cheap to copy. All methods are thread-safe (the
+/// underlying engine is). Sessions must not outlive their engine.
 class Session {
  public:
   Session() = default;  // invalid until assigned from OpenSession
@@ -394,7 +328,6 @@ class Session {
 
   /// Blocking evaluation: the cursor's pipeline, run on the calling thread
   /// with result pages adopted straight into a materialized QueryResult.
-  /// Semantically identical to the pre-session HiqueEngine::Query/Execute.
   Result<QueryResult> Query(const std::string& sql);
   Result<QueryResult> Execute(const PreparedStatement& stmt,
                               const std::vector<Value>& values = {});
@@ -410,24 +343,15 @@ class Session {
   Result<ResultSet> ExecuteStream(const PreparedStatement& stmt,
                                   const std::vector<Value>& values = {});
 
-  /// Asynchronous submission through the engine's admission-control
-  /// scheduler: at most EngineOptions::async_slots submitted queries run
-  /// concurrently, dispatched in priority-weighted (stride) order across
-  /// sessions. The handle is future-like: Wait / TryPoll / Cancel.
-  QueryHandle SubmitAsync(const std::string& sql);
-  QueryHandle SubmitAsync(const PreparedStatement& stmt,
-                          const std::vector<Value>& values = {});
-
-  /// Admission and activity metrics for this session: queue depth, total
-  /// time spent waiting for an admission slot, dispatched/submitted
-  /// counts, cursors opened. Cheap (atomic reads); callable concurrently
-  /// with running statements.
+  /// Activity metrics for this session: cursors opened and the last
+  /// statement's parallel shape. Cheap (atomic reads); callable
+  /// concurrently with running statements.
   SessionStats Stats() const;
 
-  /// Cancels this session's in-flight work: queued async queries are
-  /// dequeued, running ones are interrupted, open cursors are cancelled
-  /// (their ResultSet objects stay owned by the caller and report "query
-  /// cancelled"). Waits for async queries to settle. Idempotent.
+  /// Cancels this session's open cursors (their ResultSet objects stay
+  /// owned by the caller and report "query cancelled") and refuses every
+  /// later statement. A blocking Query/Execute already running on another
+  /// thread finishes. Idempotent.
   void Close();
 
  public:
@@ -489,7 +413,7 @@ class HiqueEngine {
   }
 
   /// Opens a client session with per-session defaults/overrides. Sessions
-  /// are the full client API (blocking, streaming, async); the engine-level
+  /// are the full client API (blocking and streaming); the engine-level
   /// Query/Execute below are conveniences that run on an internal default
   /// session. Sessions must be closed (or dropped) before the engine is
   /// destroyed.
@@ -504,9 +428,9 @@ class HiqueEngine {
   /// Executes one DML statement (INSERT INTO ... VALUES / UPDATE ... SET /
   /// DELETE FROM) through the interpreted write path: the row lands in (or
   /// is masked out of) the target table's delta store, concurrent compiled
-  /// scans keep reading their admission-time snapshots, and the background
+  /// scans keep reading the snapshots they pinned, and the background
   /// compactor is nudged afterwards. Returns rows affected. Session::Query
-  /// and the streaming/async paths route DML here automatically.
+  /// and the streaming paths route DML here automatically.
   Result<uint64_t> ExecuteDml(const std::string& sql);
 
   /// The background delta compactor (lazily started on first use). Folds
@@ -514,15 +438,6 @@ class HiqueEngine {
   /// chooser when compression is on, and bumps statistics versions so
   /// cached plans over the old layout invalidate.
   txn::Compactor* compactor();
-
-  /// Convenience: SubmitAsync on the default session.
-  QueryHandle SubmitAsync(const std::string& sql);
-
-  /// Drains/undrains the async admission scheduler: while paused,
-  /// submitted queries queue up (in stride order) without dispatching.
-  /// Used for maintenance windows and deterministic scheduling tests.
-  void PauseAdmission();
-  void ResumeAdmission();
 
   /// Parses, optimizes and compiles `sql` once, binding `?` placeholders to
   /// parameter-table slots (types inferred from their comparison/arithmetic
@@ -563,14 +478,14 @@ class HiqueEngine {
   /// operator spans (EXPLAIN ANALYZE forces collection regardless).
   bool trace_spans() const { return options_.trace_spans; }
 
-  /// Synchronizes scrape-time gauges (admission-scheduler counters,
-  /// background compactions, plan-cache population) into the global
-  /// metrics registry and renders the Prometheus text dump. Hot paths feed
-  /// their instruments live; subsystems that already keep exact internal
-  /// counters under their own locks are folded in here, at scrape
-  /// frequency, instead of taking a second atomic on every event. Serves
-  /// the protocol-v5 ServerStats frame, the SIGUSR1 dump, and
-  /// `remote_client --server-stats`.
+  /// Synchronizes scrape-time gauges (background compactions, the
+  /// configured worker threads) into the global metrics registry and
+  /// renders the Prometheus text dump. Hot paths feed their instruments
+  /// live; subsystems that already keep exact internal counters under
+  /// their own locks are folded in here, at scrape frequency, instead of
+  /// taking a second atomic on every event. Serves the protocol-v5
+  /// ServerStats frame, the SIGUSR1 dump, and `remote_client
+  /// --server-stats`.
   std::string RenderStats();
 
  private:
@@ -595,7 +510,7 @@ class HiqueEngine {
 
   /// Parses/optimizes/parameterizes/compiles into a prepared state — the
   /// one front half shared by every evaluation path (blocking, streaming,
-  /// async, prepared). `force_hybrid_agg` is the stale-statistics fallback
+  /// prepared). `force_hybrid_agg` is the stale-statistics fallback
   /// used when map aggregation overflowed; `allow_placeholders` is false
   /// for direct Query paths (`?` requires Prepare/Execute). The plan
   /// signature is prefixed with the catalog statistics version, so a stats
@@ -644,9 +559,6 @@ class HiqueEngine {
   void TierWorkerLoop();
   hique::CacheStats StatsSnapshotLocked() const;
 
-  /// Lazily creates the admission controller (first SubmitAsync).
-  exec::AdmissionController* admission();
-
   Catalog* catalog_;
   EngineOptions options_;
   uint32_t threads_ = 1;
@@ -669,12 +581,6 @@ class HiqueEngine {
   std::deque<TierJob> tier_queue_;
   uint64_t tier_jobs_pending_ = 0;
   bool shutdown_ = false;
-
-  // Admission-control scheduler for SubmitAsync (lazily created, guarded
-  // by admission_mu_; destroyed — queued jobs settled as cancelled, runner
-  // threads joined — at the top of ~HiqueEngine, before the worker pool).
-  std::mutex admission_mu_;
-  std::unique_ptr<exec::AdmissionController> admission_;
 
   // Background delta compactor (lazily created on first DML; stopped and
   // joined early in ~HiqueEngine, while the catalog is still valid).

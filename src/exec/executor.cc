@@ -211,7 +211,6 @@ struct ParallelService {
   HqWorkerCtx* workers = nullptr;
   uint32_t num_workers = 1;
   const std::atomic<int32_t>* cancel = nullptr;
-  int priority = 0;
   // Barrier/skew metrics, folded once per Invoke. The counts are as
   // deterministic as the task decomposition itself; only the skew ratio
   // (wall-time based) varies between runs.
@@ -276,8 +275,7 @@ struct ParallelService {
               return HQ_ERR_CANCELLED;
             }
             return s->RunTimed(ctx, &s->workers[slot], task, fn, arg);
-          },
-          s->priority);
+          });
     }
     int32_t err = HQ_OK;
     uint64_t sum_ns = 0, max_ns = 0, tasks_run = 0;
@@ -480,7 +478,6 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
   par_service.workers = workers.data();
   par_service.num_workers = num_workers;
   par_service.cancel = par.cancel;
-  par_service.priority = par.priority;
 
   const Schema& out_schema = output_schema;
 

@@ -71,9 +71,6 @@ struct ParallelRuntime {
   // HqWorkerCtx sticky-error path) and generated code polls it at operator
   // and result-page boundaries. Null = not cancellable.
   const std::atomic<int32_t>* cancel = nullptr;
-  // Worker-pool priority of this execution's barriers: when concurrent
-  // queries contend for pool threads, higher-priority jobs drain first.
-  int priority = 0;
   // Observability: when set, the executor installs a span recorder behind
   // the operator-boundary marks and fills ExecStats::ops. Never changes the
   // generated source or the result bytes — the marks are always compiled
@@ -91,7 +88,7 @@ struct ParallelRuntime {
 bool IsMapOverflow(const Status& status);
 
 /// Returns true when the failure is a client-requested cancellation
-/// (ParallelRuntime::cancel flag, closed cursor, QueryHandle::Cancel).
+/// (ParallelRuntime::cancel flag, closed cursor or closed session).
 bool IsCancelled(const Status& status);
 
 /// Returns true when the failure is the stale-plan signal: a table's page

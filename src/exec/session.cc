@@ -1,9 +1,9 @@
-// The session layer: Session / ResultSet / QueryHandle implementations plus
-// the HiqueEngine client-facing wrappers built on them. Every statement
-// passes one pipeline — classify, open, run — and the entry points differ
-// only in the page sink Run feeds: a cursor runs it on a producer thread
-// into a bounded StreamCore, a blocking call on the calling thread into a
-// result table, and an async call is a blocking call on an admission slot.
+// The session layer: Session / ResultSet implementations plus the
+// HiqueEngine client-facing wrappers built on them. Every statement passes
+// one pipeline — classify, open, run — and the entry points differ only in
+// the page sink Run feeds: a cursor runs it on a producer thread into a
+// bounded StreamCore, a blocking call on the calling thread into a result
+// table.
 // The materialized and streamed results are bit-identical by construction.
 
 #include <algorithm>
@@ -169,7 +169,6 @@ struct StatementMetrics {
   obs::Counter* tasks;
   obs::Histogram* execute_ms;
   obs::Histogram* total_ms;
-  obs::Histogram* admission_wait_ms;
   static StatementMetrics& Get() {
     static StatementMetrics* m = [] {
       auto* r = &obs::Registry::Global();
@@ -193,10 +192,6 @@ struct StatementMetrics {
       it->total_ms = r->GetHistogram(
           "hique_statement_total_ms",
           "End-to-end wall time per statement (milliseconds)",
-          obs::LatencyBucketsMs());
-      it->admission_wait_ms = r->GetHistogram(
-          "hique_admission_wait_ms",
-          "Admission-queue wait before dispatch (milliseconds)",
           obs::LatencyBucketsMs());
       return it;
     }();
@@ -235,8 +230,6 @@ void RecordStatementDone(const StatementRun& r, int64_t rows) {
 Status SessionClosedError() {
   return Status::ExecError("session is closed");
 }
-
-Status CancelledError() { return Status::ExecError("query cancelled"); }
 
 /// Registers a stream's handoff core with its session so Close() can cancel
 /// it; fails when the session has been closed.
@@ -390,8 +383,7 @@ QueryResult AssembleResult(HiqueEngine* engine, const StatementMeta& meta,
 
 /// The blocking sink: Run on the calling thread, with each result page
 /// adopted straight into the result table — no thread, no handoff queue.
-Result<std::unique_ptr<Table>> Drain(ResultSet::Stream* s,
-                                     std::atomic<int32_t>* cancel) {
+Result<std::unique_ptr<Table>> Drain(ResultSet::Stream* s) {
   auto table = std::make_unique<Table>("result", s->schema);
   Status adopted = Status::OK();
   auto on_page = [&](Page* page) {
@@ -400,7 +392,8 @@ Result<std::unique_ptr<Table>> Drain(ResultSet::Stream* s,
     std::free(page);
     return false;
   };
-  Status ran = SessionImpl::Run(&s->run, on_page, /*alloc_page=*/{}, cancel);
+  Status ran = SessionImpl::Run(&s->run, on_page, /*alloc_page=*/{},
+                                /*cancel=*/nullptr);
   HQ_RETURN_IF_ERROR(adopted);
   HQ_RETURN_IF_ERROR(ran);
   return table;
@@ -430,8 +423,7 @@ Page* PullPage(ResultSet::Stream* s) {
 // ---- Stage 2: open ---------------------------------------------------------
 
 Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
-    const std::shared_ptr<Session::State>& session, StatementSource source,
-    std::atomic<int32_t>* cancel) {
+    const std::shared_ptr<Session::State>& session, StatementSource source) {
   HiqueEngine* engine = session->engine;
   {
     std::lock_guard<std::mutex> lk(session->mu);
@@ -477,8 +469,7 @@ Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
       // statement through the real pipeline — same restarts, same metrics
       // fold — then render the report.
       source.sql = std::move(inner);
-      HQ_ASSIGN_OR_RETURN(auto planned,
-                          Open(session, std::move(source), cancel));
+      HQ_ASSIGN_OR_RETURN(auto planned, Open(session, std::move(source)));
       StatementRun& run = planned->run;
       std::vector<std::string> lines;
       if (kind == StatementKind::kExplain) {
@@ -487,7 +478,7 @@ Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
                                         run.meta.cache_hit, run.meta.opt_level);
       } else {
         run.force_op_stats = true;
-        HQ_RETURN_IF_ERROR(Drain(planned.get(), cancel).status());
+        HQ_RETURN_IF_ERROR(Drain(planned.get()).status());
         lines = obs::RenderAnalyzeLines(
             run.meta.plan_text, run.meta.plan_signature, run.meta.cache_hit,
             run.meta.opt_level, run.meta.timings, run.stats);
@@ -580,12 +571,8 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
   exec::ParallelRuntime par;
   par.pool = session.options.threads == 1 ? nullptr
                                           : engine->worker_pool_.get();
-  par.arena_limit_bytes =
-      session.options.arena_limit_bytes == SessionOptions::kInheritArenaLimit
-          ? engine->options().arena_limit_bytes
-          : session.options.arena_limit_bytes;
+  par.arena_limit_bytes = engine->options().arena_limit_bytes;
   par.cancel = cancel;
-  par.priority = session.options.priority;
   par.collect_op_stats = run->force_op_stats || engine->trace_spans();
   par.collect_op_cycles = run->force_op_stats;
 
@@ -685,25 +672,25 @@ Status SessionImpl::Replan(StatementRun* run, bool hybrid) {
 // ---- Entry points: which sink Run feeds ------------------------------------
 
 Result<QueryResult> SessionImpl::Blocking(
-    const std::shared_ptr<Session::State>& session, StatementSource source,
-    std::atomic<int32_t>* cancel) {
-  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source), cancel));
+    const std::shared_ptr<Session::State>& session, StatementSource source) {
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source)));
   if (stream->core != nullptr) {
     // Answered at open (DML, EXPLAIN): read the finished stream back.
     ResultSet answered;
     answered.stream_ = std::move(stream);
     return answered.Materialize();
   }
-  HQ_ASSIGN_OR_RETURN(auto table, Drain(stream.get(), cancel));
+  HQ_ASSIGN_OR_RETURN(auto table, Drain(stream.get()));
   return AssembleResult(session->engine, stream->run.meta, stream->run.stats,
                         std::move(table));
 }
 
 Result<ResultSet> SessionImpl::Cursor(
     const std::shared_ptr<Session::State>& session, StatementSource source) {
-  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source), nullptr));
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, std::move(source)));
   if (stream->core == nullptr) {
-    stream->core = std::make_shared<StreamCore>(session->stream_buffer_pages);
+    stream->core =
+        std::make_shared<StreamCore>(session->options.stream_buffer_pages);
     HQ_RETURN_IF_ERROR(RegisterStream(session.get(), stream->core));
     StatementRun* run = &stream->run;
     std::shared_ptr<StreamCore> core = stream->core;
@@ -718,108 +705,6 @@ Result<ResultSet> SessionImpl::Cursor(
   ResultSet rs;
   rs.stream_ = std::move(stream);
   return rs;
-}
-
-// ---- Admission accounting --------------------------------------------------
-
-/// Debits the session's queue-depth gauge exactly once per async job, no
-/// matter which path settles it (dispatch, Cancel dequeue, session close,
-/// controller shutdown).
-static void DebitQueued(const std::shared_ptr<QueryHandle::AsyncState>& s) {
-  bool expected = false;
-  if (!s->dequeued.compare_exchange_strong(expected, true)) return;
-  if (auto session = s->session.lock()) {
-    session->stat_queued.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-SessionImpl::AdmissionLease::AdmissionLease(
-    const std::shared_ptr<Session::State>& session) {
-  if (session == nullptr || session->engine == nullptr) return;
-  controller_ = session->engine->admission();
-  session->stat_submitted.fetch_add(1, std::memory_order_relaxed);
-  session->stat_queued.fetch_add(1, std::memory_order_relaxed);
-  WallTimer wait;
-  leased_ = controller_->EnterBlocking(&session->client);
-  session->stat_queued.fetch_sub(1, std::memory_order_relaxed);
-  session->stat_dispatched.fetch_add(1, std::memory_order_relaxed);
-  int64_t waited_micros = wait.ElapsedMicros();
-  session->stat_wait_micros.fetch_add(waited_micros,
-                                      std::memory_order_relaxed);
-  StatementMetrics::Get().admission_wait_ms->Observe(
-      static_cast<double>(waited_micros) / 1000.0);
-  if (!leased_) controller_ = nullptr;  // shutting down: nothing to release
-}
-
-SessionImpl::AdmissionLease::~AdmissionLease() {
-  if (controller_ != nullptr) controller_->ExitBlocking();
-}
-
-void SessionImpl::SettleCancelled(
-    const std::shared_ptr<QueryHandle::AsyncState>& s) {
-  {
-    std::lock_guard<std::mutex> lk(s->mu);
-    if (s->done) return;
-    s->result = std::make_unique<Result<QueryResult>>(CancelledError());
-    s->done = true;
-  }
-  s->cv.notify_all();
-}
-
-QueryHandle SessionImpl::Submit(const std::shared_ptr<Session::State>& session,
-                                StatementSource source) {
-  auto state = std::make_shared<QueryHandle::AsyncState>();
-  state->controller = session->engine->admission();
-  state->session = session;
-  {
-    std::lock_guard<std::mutex> lk(session->mu);
-    auto& asyncs = session->asyncs;
-    asyncs.erase(
-        std::remove_if(asyncs.begin(), asyncs.end(),
-                       [](const std::weak_ptr<QueryHandle::AsyncState>& w) {
-                         return w.expired();
-                       }),
-        asyncs.end());
-    asyncs.push_back(state);
-    if (session->closed) {
-      SettleCancelled(state);
-      QueryHandle handle;
-      handle.state_ = std::move(state);
-      return handle;
-    }
-  }
-  session->stat_submitted.fetch_add(1, std::memory_order_relaxed);
-  session->stat_queued.fetch_add(1, std::memory_order_relaxed);
-  WallTimer queue_wait;
-  auto job = [state, session, queue_wait,
-              source = std::move(source)](uint64_t seq, bool cancelled) {
-    DebitQueued(state);
-    if (cancelled || state->cancel.load(std::memory_order_acquire) != 0) {
-      SettleCancelled(state);
-      return;
-    }
-    session->stat_dispatched.fetch_add(1, std::memory_order_relaxed);
-    int64_t waited_micros = queue_wait.ElapsedMicros();
-    session->stat_wait_micros.fetch_add(waited_micros,
-                                        std::memory_order_relaxed);
-    StatementMetrics::Get().admission_wait_ms->Observe(
-        static_cast<double>(waited_micros) / 1000.0);
-    state->dispatch_seq.store(seq, std::memory_order_release);
-    auto result = Blocking(session, source, &state->cancel);
-    {
-      std::lock_guard<std::mutex> lk(state->mu);
-      if (!state->done) {
-        state->result =
-            std::make_unique<Result<QueryResult>>(std::move(result));
-        state->done = true;
-      }
-    }
-    state->cv.notify_all();
-  };
-  state->ticket = state->controller->Submit(&session->client, std::move(job));
-  QueryHandle handle;
-  handle.state_ = std::move(state);
-  return handle;
 }
 
 Result<PreparedStatement> SessionImpl::Prepare(
@@ -1059,44 +944,6 @@ const exec::ExecStats& ResultSet::exec_stats() const {
   return stream_->stats;
 }
 
-// ---- QueryHandle -----------------------------------------------------------
-
-Result<QueryResult> QueryHandle::Wait() {
-  if (!valid()) return Status::InvalidArgument("invalid QueryHandle");
-  std::unique_lock<std::mutex> lk(state_->mu);
-  state_->cv.wait(lk, [&] { return state_->done; });
-  if (state_->taken) {
-    return Status::InvalidArgument("query result was already taken");
-  }
-  state_->taken = true;
-  Result<QueryResult> result = std::move(*state_->result);
-  state_->result.reset();
-  return result;
-}
-
-bool QueryHandle::TryPoll() const {
-  if (!valid()) return false;
-  std::lock_guard<std::mutex> lk(state_->mu);
-  return state_->done;
-}
-
-void QueryHandle::Cancel() {
-  if (!valid()) return;
-  state_->cancel.store(1, std::memory_order_release);
-  if (state_->controller != nullptr &&
-      state_->controller->TryRemove(state_->ticket)) {
-    // Dequeued before dispatch: settle the promise ourselves.
-    DebitQueued(state_);
-    SessionImpl::SettleCancelled(state_);
-  }
-  // Otherwise the job is running (the cancel flag interrupts it at the
-  // next cancellation point) or already done.
-}
-
-uint64_t QueryHandle::dispatch_seq() const {
-  return valid() ? state_->dispatch_seq.load(std::memory_order_acquire) : 0;
-}
-
 // ---- Session ---------------------------------------------------------------
 
 Session::~Session() = default;
@@ -1112,18 +959,13 @@ HiqueEngine* Session::engine() const {
 
 Result<QueryResult> Session::Query(const std::string& sql) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  // Blocking submissions wait in the same stride queue as SubmitAsync jobs
-  // (one shared slot pool), so a storm of blocking remote clients cannot
-  // starve async slots — or the other way round.
-  SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::Blocking(state_, TextSource(*state_, sql), nullptr);
+  return SessionImpl::Blocking(state_, TextSource(*state_, sql));
 }
 
 Result<QueryResult> Session::Execute(const PreparedStatement& stmt,
                                      const std::vector<Value>& values) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::Blocking(state_, PreparedSource(stmt, values), nullptr);
+  return SessionImpl::Blocking(state_, PreparedSource(stmt, values));
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& sql) {
@@ -1142,25 +984,9 @@ Result<ResultSet> Session::ExecuteStream(const PreparedStatement& stmt,
   return SessionImpl::Cursor(state_, PreparedSource(stmt, values));
 }
 
-QueryHandle Session::SubmitAsync(const std::string& sql) {
-  if (!valid()) return QueryHandle();
-  return SessionImpl::Submit(state_, TextSource(*state_, sql));
-}
-
-QueryHandle Session::SubmitAsync(const PreparedStatement& stmt,
-                                 const std::vector<Value>& values) {
-  if (!valid()) return QueryHandle();
-  return SessionImpl::Submit(state_, PreparedSource(stmt, values));
-}
-
 SessionStats Session::Stats() const {
   SessionStats st;
   if (!valid()) return st;
-  st.submitted = state_->stat_submitted.load(std::memory_order_relaxed);
-  st.dispatched = state_->stat_dispatched.load(std::memory_order_relaxed);
-  st.queue_depth = state_->stat_queued.load(std::memory_order_relaxed);
-  st.total_wait_ms =
-      state_->stat_wait_micros.load(std::memory_order_relaxed) / 1000.0;
   st.streams_opened =
       state_->stat_streams_opened.load(std::memory_order_relaxed);
   st.threads_effective =
@@ -1173,53 +999,28 @@ SessionStats Session::Stats() const {
 void Session::Close() {
   if (!valid()) return;
   std::vector<std::shared_ptr<StreamCore>> cores;
-  std::vector<std::shared_ptr<QueryHandle::AsyncState>> asyncs;
   {
     std::lock_guard<std::mutex> lk(state_->mu);
     state_->closed = true;
     for (auto& w : state_->streams) {
       if (auto core = w.lock()) cores.push_back(std::move(core));
     }
-    for (auto& w : state_->asyncs) {
-      if (auto a = w.lock()) asyncs.push_back(std::move(a));
-    }
     state_->streams.clear();
-    state_->asyncs.clear();
   }
   // Cancel open cursors (their ResultSet owners observe "query cancelled"
   // and join their producers on Close/destruction).
   for (auto& core : cores) core->CancelAndClose();
-  // Cancel async submissions and wait for them to settle: queued jobs are
-  // dequeued, running ones are interrupted at their next cancellation
-  // point.
-  for (auto& a : asyncs) {
-    a->cancel.store(1, std::memory_order_release);
-    if (a->controller != nullptr && a->controller->TryRemove(a->ticket)) {
-      DebitQueued(a);
-      SessionImpl::SettleCancelled(a);
-    }
-  }
-  for (auto& a : asyncs) {
-    std::unique_lock<std::mutex> lk(a->mu);
-    a->cv.wait(lk, [&] { return a->done; });
-  }
 }
 
 // ---- HiqueEngine client-facing wrappers ------------------------------------
 
 Session HiqueEngine::OpenSession(SessionOptions options) {
-  if (options.priority < 1) options.priority = 1;
-  if (options.priority > 64) options.priority = 64;
+  if (options.stream_buffer_pages < 1) options.stream_buffer_pages = 1;
   auto state = std::make_shared<Session::State>();
   state->engine = this;
   state->options = options;
   state->planner = options.override_planner ? options.planner
                                             : options_.planner;
-  state->stream_buffer_pages = options.stream_buffer_pages != 0
-                                   ? options.stream_buffer_pages
-                                   : options_.stream_buffer_pages;
-  if (state->stream_buffer_pages < 1) state->stream_buffer_pages = 1;
-  state->client.weight = static_cast<uint32_t>(options.priority);
   Session session;
   session.state_ = std::move(state);
   return session;
@@ -1236,10 +1037,6 @@ Result<PreparedStatement> HiqueEngine::Prepare(const std::string& sql) {
 Result<QueryResult> HiqueEngine::Execute(const PreparedStatement& stmt,
                                          const std::vector<Value>& values) {
   return default_session_.Execute(stmt, values);
-}
-
-QueryHandle HiqueEngine::SubmitAsync(const std::string& sql) {
-  return default_session_.SubmitAsync(sql);
 }
 
 }  // namespace hique

@@ -2,7 +2,7 @@
 #define HIQUE_EXEC_SESSION_INTERNAL_H_
 
 // Internal definitions shared by engine.cc and session.cc: the pimpl state
-// behind PreparedStatement / Session / ResultSet / QueryHandle and the
+// behind PreparedStatement / Session / ResultSet and the
 // privileged SessionImpl facade. Not part of the public API — include only
 // from src/exec implementation files.
 
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/admission.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
 
@@ -151,15 +150,9 @@ struct Session::State {
   HiqueEngine* engine = nullptr;
   SessionOptions options;           // as resolved by OpenSession
   plan::PlannerOptions planner;     // effective planner for this session
-  uint32_t stream_buffer_pages = 4; // resolved page-buffer bound
-  exec::AdmissionController::Client client;  // stride-scheduling state
 
-  // Admission metrics behind Session::Stats(): maintained with atomics so
-  // concurrent statements and a remote Stats probe never contend.
-  std::atomic<uint64_t> stat_submitted{0};
-  std::atomic<uint64_t> stat_dispatched{0};
-  std::atomic<uint64_t> stat_queued{0};
-  std::atomic<int64_t> stat_wait_micros{0};
+  // Metrics behind Session::Stats(): maintained with atomics so concurrent
+  // statements and a remote Stats probe never contend.
   std::atomic<uint64_t> stat_streams_opened{0};
   // Parallel-execution gauges (SessionStats::threads_effective /
   // max_skew_ratio): last completed statement's executor width, and the
@@ -170,25 +163,7 @@ struct Session::State {
 
   std::mutex mu;
   std::vector<std::weak_ptr<StreamCore>> streams;
-  std::vector<std::weak_ptr<QueryHandle::AsyncState>> asyncs;
   bool closed = false;
-};
-
-struct QueryHandle::AsyncState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool taken = false;
-  std::unique_ptr<Result<QueryResult>> result;
-
-  std::atomic<int32_t> cancel{0};
-  std::atomic<uint64_t> dispatch_seq{0};
-  exec::AdmissionController* controller = nullptr;
-  uint64_t ticket = 0;
-  // For queue-depth accounting: the session is debited once, whether the
-  // job dispatches, is dequeued by Cancel, or settles at session close.
-  std::weak_ptr<Session::State> session;
-  std::atomic<bool> dequeued{false};
 };
 
 /// Where a statement comes from: SQL text planned with `planner`, or a
@@ -251,18 +226,16 @@ struct ResultSet::Stream {
 };
 
 /// The privileged implementation of the session layer: a friend of
-/// HiqueEngine / Session / ResultSet / QueryHandle / PreparedStatement, so
+/// HiqueEngine / Session / ResultSet / PreparedStatement, so
 /// the pipeline can reach the cache, the worker pool and the prepared-state
 /// internals without widening any public surface. Every statement passes
 /// Classify (session.cc), Open and, unless Open answered it, Run.
 struct SessionImpl {
   /// Stage 2: resolves the state and library and fills in the metadata.
   /// DML and EXPLAIN are answered here and come back as a finished stream
-  /// (sealed core, no producer); a SELECT comes back ready for Run. `cancel`
-  /// is polled by the execution EXPLAIN ANALYZE runs.
+  /// (sealed core, no producer); a SELECT comes back ready for Run.
   static Result<std::unique_ptr<ResultSet::Stream>> Open(
-      const std::shared_ptr<Session::State>& session, StatementSource source,
-      std::atomic<int32_t>* cancel);
+      const std::shared_ptr<Session::State>& session, StatementSource source);
 
   /// Stage 3: executes `run` into the page sink, applies the restart policy
   /// (at most one map-overflow replan to hybrid aggregation and three
@@ -274,16 +247,11 @@ struct SessionImpl {
 
   /// Open, then Run on the calling thread into a result table.
   static Result<QueryResult> Blocking(
-      const std::shared_ptr<Session::State>& session, StatementSource source,
-      std::atomic<int32_t>* cancel);
+      const std::shared_ptr<Session::State>& session, StatementSource source);
 
   /// Open, then Run on a producer thread into a bounded StreamCore.
   static Result<ResultSet> Cursor(
       const std::shared_ptr<Session::State>& session, StatementSource source);
-
-  /// Blocking on an admission slot.
-  static QueryHandle Submit(const std::shared_ptr<Session::State>& session,
-                            StatementSource source);
 
   static Result<PreparedStatement> Prepare(
       HiqueEngine* engine, const std::string& sql,
@@ -299,24 +267,6 @@ struct SessionImpl {
   /// across its executions), or from scratch against the current table
   /// layouts after a stale plan.
   static Status Replan(StatementRun* run, bool hybrid);
-
-  /// Blocking-admission lease for Session::Query/Execute: waits for an
-  /// admission slot (same stride queue as SubmitAsync), records the wait
-  /// in the session stats, and releases on destruction. Async jobs hold an
-  /// admission slot already, so they bypass this.
-  class AdmissionLease {
-   public:
-    explicit AdmissionLease(const std::shared_ptr<Session::State>& session);
-    ~AdmissionLease();
-    AdmissionLease(const AdmissionLease&) = delete;
-    AdmissionLease& operator=(const AdmissionLease&) = delete;
-
-   private:
-    exec::AdmissionController* controller_ = nullptr;
-    bool leased_ = false;
-  };
-
-  static void SettleCancelled(const std::shared_ptr<QueryHandle::AsyncState>& s);
 };
 
 }  // namespace hique

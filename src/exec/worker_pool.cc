@@ -1,7 +1,5 @@
 #include "exec/worker_pool.h"
 
-#include <algorithm>
-
 namespace hique::exec {
 
 WorkerPool::WorkerPool(uint32_t num_workers) {
@@ -73,21 +71,15 @@ void WorkerPool::WorkerLoop(uint32_t slot) {
         }
         if (!jobs_.empty()) break;
       }
-      // Claim tasks from the highest-priority pending job; FIFO within a
-      // level (the deque preserves submission order, max_element keeps
-      // the first maximum).
-      job = *std::max_element(
-          jobs_.begin(), jobs_.end(),
-          [](const std::shared_ptr<Job>& a, const std::shared_ptr<Job>& b) {
-            return a->priority < b->priority;
-          });
+      // Claim tasks from the oldest undrained job (the deque preserves
+      // submission order).
+      job = jobs_.front();
     }
     RunTasks(job.get(), slot);
   }
 }
 
-bool WorkerPool::ParallelFor(uint32_t num_tasks, const TaskFn& fn,
-                             int priority) {
+bool WorkerPool::ParallelFor(uint32_t num_tasks, const TaskFn& fn) {
   if (num_tasks == 0) return true;
   if (threads_.empty()) {
     for (uint32_t t = 0; t < num_tasks; ++t) {
@@ -99,7 +91,6 @@ bool WorkerPool::ParallelFor(uint32_t num_tasks, const TaskFn& fn,
   job->fn = &fn;
   job->num_tasks = num_tasks;
   job->executors = num_executors();
-  job->priority = priority;
   {
     std::lock_guard<std::mutex> lk(mu_);
     jobs_.push_back(job);

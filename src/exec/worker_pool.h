@@ -51,18 +51,16 @@ class WorkerPool {
   /// so callers never mistake a partially-run job for a completed one.
   ///
   /// When several jobs are pending, idle workers claim tasks from the
-  /// highest-priority job first (FIFO within a priority level), so a
-  /// high-priority session's barriers drain ahead of background work. The
-  /// calling thread always works on its own job regardless of priority —
-  /// every job keeps at least one executor and can never starve.
-  bool ParallelFor(uint32_t num_tasks, const TaskFn& fn, int priority = 0);
+  /// oldest undrained job first. The calling thread always works on its
+  /// own job, so every job keeps at least one executor and can never
+  /// starve.
+  bool ParallelFor(uint32_t num_tasks, const TaskFn& fn);
 
  private:
   struct Job {
     const TaskFn* fn = nullptr;
     uint32_t num_tasks = 0;
     uint32_t executors = 1;  // pool width, sizes the guided claim chunks
-    int priority = 0;
     // Chunked morsel claim index: executors grab a decreasing-size block
     // of consecutive tasks per fetch_add (guided self-scheduling) instead
     // of one task per atomic. Decomposition is still fixed by the caller —

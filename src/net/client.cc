@@ -377,10 +377,6 @@ Result<RemoteSessionStats> Client::Close() {
   }
   WireReader r(reply.payload);
   RemoteSessionStats stats;
-  HQ_RETURN_IF_ERROR(r.U64(&stats.submitted));
-  HQ_RETURN_IF_ERROR(r.U64(&stats.dispatched));
-  HQ_RETURN_IF_ERROR(r.U64(&stats.queue_depth));
-  HQ_RETURN_IF_ERROR(r.F64(&stats.total_wait_ms));
   HQ_RETURN_IF_ERROR(r.U64(&stats.streams_opened));
   HQ_RETURN_IF_ERROR(r.U64(&stats.threads_effective));
   HQ_RETURN_IF_ERROR(r.F64(&stats.max_skew_ratio));

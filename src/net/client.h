@@ -34,13 +34,9 @@ struct RemoteServerStats {
   std::string prometheus_text;
 };
 
-/// Session admission metrics the server reports in its CloseAck frame
-/// (mirrors hique::SessionStats for the connection's server-side session).
+/// Session metrics the server reports in its CloseAck frame (mirrors
+/// hique::SessionStats for the connection's server-side session).
 struct RemoteSessionStats {
-  uint64_t submitted = 0;
-  uint64_t dispatched = 0;
-  uint64_t queue_depth = 0;
-  double total_wait_ms = 0;
   uint64_t streams_opened = 0;
   uint64_t threads_effective = 0;  // executor width of the last statement
   double max_skew_ratio = 0;       // worst per-barrier skew ratio observed
@@ -162,7 +158,7 @@ class Client {
   Status Cancel();
 
   /// Graceful goodbye: Close frame, CloseAck with the server session's
-  /// admission stats, socket shutdown. The connection is unusable after.
+  /// stats, socket shutdown. The connection is unusable after.
   Result<RemoteSessionStats> Close();
 
   /// Hard drop without the Close handshake — from the server's view this

@@ -30,7 +30,9 @@ inline constexpr uint32_t kMagic = 0x48515750;  // "HQWP"
 //     every v4 frame is encoded identically in v5.
 // v6: CloseAck ends at max_skew_ratio; the three buffer-pool counters
 //     that followed it since v3 are gone. No other frame changed.
-inline constexpr uint16_t kProtocolVersion = 6;
+// v7: CloseAck starts at streams_opened; the four admission fields that
+//     preceded it are gone. No other frame changed.
+inline constexpr uint16_t kProtocolVersion = 7;
 inline constexpr uint8_t kLittleEndian = 1;
 
 /// Upper bound on one frame's payload. Row pages are ~4 KiB, SQL text and
@@ -53,7 +55,7 @@ enum class MsgType : uint8_t {
   kResultDone = 9,    // server -> client: terminal summary of the stream
   kCancel = 10,       // client -> server: cancel the in-flight statement
   kClose = 11,        // client -> server: end the session
-  kCloseAck = 12,     // server -> client: session admission stats summary
+  kCloseAck = 12,     // server -> client: session stats summary
   kError = 13,        // server -> client: status code + message (terminal
                       // for the current statement, not the connection)
   kServerStats = 14,       // client -> server: request the metrics dump (v5)

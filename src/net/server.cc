@@ -390,10 +390,6 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
       }
       SessionStats st = conn->session.Stats();
       WireWriter w;
-      w.U64(st.submitted);
-      w.U64(st.dispatched);
-      w.U64(st.queue_depth);
-      w.F64(st.total_wait_ms);
       w.U64(st.streams_opened);
       w.U64(st.threads_effective);
       w.F64(st.max_skew_ratio);

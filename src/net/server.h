@@ -25,9 +25,9 @@ struct ServerOptions {
   uint16_t port = 0;
   uint32_t max_connections = 64;
   int backlog = 64;
-  /// Per-connection session settings (priority, threads cap, stream
-  /// buffer bound — the stream buffer is also the backpressure window a
-  /// slow client can hold open before the query throttles).
+  /// Per-connection session settings (threads cap, stream buffer bound —
+  /// the stream buffer is also the backpressure window a slow client can
+  /// hold open before the query throttles).
   SessionOptions session;
   std::string banner = "hiqued";
 };

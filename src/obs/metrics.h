@@ -17,8 +17,8 @@ namespace hique::obs {
 /// ServerStats frame, SIGUSR1 dump, `remote_client --server-stats`).
 ///
 /// Design constraints, in order:
-///  - Hot-path writes (a counter bump per query, per page, per admission
-///    event) must be lock-free and avoid a single contended cache line:
+///  - Hot-path writes (a counter bump per query, per page, per DML
+///    statement) must be lock-free and avoid a single contended cache line:
 ///    counters shard their value over a small padded atomic array indexed
 ///    by a per-thread slot.
 ///  - Reads (the stats dump) are rare and may be approximate: a dump that

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/macros.h"
@@ -371,8 +373,15 @@ namespace {
 constexpr size_t kDistinctCap = 1u << 22;
 
 struct DistinctCounter {
+  // Distinct CHAR values are copied once into blocks of kBlockBytes (a
+  // CHAR is at most 65535 bytes), which the views in `strings` point into;
+  // a repeated value costs one hash probe and no allocation.
+  static constexpr size_t kBlockBytes = 1u << 16;
+
   std::unordered_set<uint64_t> scalars;
-  std::set<std::string> strings;
+  std::unordered_set<std::string_view> strings;
+  std::vector<std::unique_ptr<char[]>> blocks;
+  size_t block_used = kBlockBytes;
   bool overflowed = false;
 
   void AddScalar(uint64_t bits) {
@@ -381,11 +390,59 @@ struct DistinctCounter {
     if (scalars.size() > kDistinctCap) overflowed = true;
   }
   void AddString(const char* p, size_t n) {
-    if (overflowed) return;
-    strings.emplace(p, n);
+    if (overflowed || strings.count(std::string_view(p, n)) != 0) return;
+    if (block_used + n > kBlockBytes) {
+      blocks.push_back(std::unique_ptr<char[]>(new char[kBlockBytes]));
+      block_used = 0;
+    }
+    char* copy = blocks.back().get() + block_used;
+    std::memcpy(copy, p, n);
+    block_used += n;
+    strings.emplace(copy, n);
     if (strings.size() > kDistinctCap) overflowed = true;
   }
   uint64_t Count() const { return scalars.size() + strings.size(); }
+};
+
+// Running min/max of one column, on the stored representation: int-family
+// values widened to int64, doubles, and CHAR bytes under memcmp — the
+// orders Value::Compare applies to the boxed values.
+struct MinMax {
+  bool any = false;
+  int64_t imin = 0, imax = 0;
+  double dmin = 0, dmax = 0;
+  std::string smin, smax;
+
+  void AddInt(int64_t v) {
+    if (!any || v < imin) imin = v;
+    if (!any || v > imax) imax = v;
+    any = true;
+  }
+  void AddDouble(double v) {
+    if (!any || v < dmin) dmin = v;
+    if (!any || v > dmax) dmax = v;
+    any = true;
+  }
+  void AddChar(const char* p, size_t n) {
+    if (!any || std::memcmp(p, smin.data(), n) < 0) smin.assign(p, n);
+    if (!any || std::memcmp(p, smax.data(), n) > 0) smax.assign(p, n);
+    any = true;
+  }
+  Value Boxed(const Type& type, bool max) const {
+    switch (type.id) {
+      case TypeId::kInt32:
+        return Value::Int32(static_cast<int32_t>(max ? imax : imin));
+      case TypeId::kDate:
+        return Value::Date(static_cast<int32_t>(max ? imax : imin));
+      case TypeId::kInt64:
+        return Value::Int64(max ? imax : imin);
+      case TypeId::kDouble:
+        return Value::Double(max ? dmax : dmin);
+      case TypeId::kChar:
+        return Value::Char(max ? smax : smin, type.length);
+    }
+    return Value();
+  }
 };
 
 }  // namespace
@@ -395,76 +452,72 @@ Status Table::ComputeStats() {
   // end: the compactor recomputes statistics while concurrent planners read
   // them, and a half-updated TableStats must never be observable.
   stats_version_.fetch_add(1, std::memory_order_acq_rel);
+  const size_t num_cols = schema_.NumColumns();
   TableStats fresh;
   fresh.rows = NumTuples();
-  fresh.columns.assign(schema_.NumColumns(), ColumnStats{});
-  std::vector<DistinctCounter> counters(schema_.NumColumns());
+  fresh.columns.assign(num_cols, ColumnStats{});
+  std::vector<DistinctCounter> counters(num_cols);
+  std::vector<MinMax> bounds(num_cols);
   // Scan-order sortedness / max adjacent step (delta-encoding inputs).
-  std::vector<int64_t> prev(schema_.NumColumns(), 0);
-  std::vector<int64_t> max_step(schema_.NumColumns(), 0);
-  std::vector<uint8_t> has_prev(schema_.NumColumns(), 0);
-  std::vector<uint8_t> sorted(schema_.NumColumns(), 1);
+  std::vector<int64_t> prev(num_cols, 0);
+  std::vector<int64_t> max_step(num_cols, 0);
+  std::vector<uint8_t> has_prev(num_cols, 0);
+  std::vector<uint8_t> sorted(num_cols, 1);
 
   uint64_t seen = 0;
   HQ_RETURN_IF_ERROR(ForEachTuple([&](const uint8_t* tuple) {
     ++seen;
-    for (size_t c = 0; c < schema_.NumColumns(); ++c) {
-      const Column& col = schema_.ColumnAt(c);
+    for (size_t c = 0; c < num_cols; ++c) {
+      const Type& type = schema_.ColumnAt(c).type;
       const uint8_t* p = tuple + schema_.OffsetAt(c);
-      ColumnStats& cs = fresh.columns[c];
-      switch (col.type.id) {
+      uint64_t bits = 0;
+      switch (type.id) {
+        case TypeId::kDouble: {
+          double v = 0;
+          std::memcpy(&v, p, 8);
+          bounds[c].AddDouble(v);
+          std::memcpy(&bits, p, 8);
+          counters[c].AddScalar(bits);
+          break;
+        }
         case TypeId::kInt32:
         case TypeId::kDate:
-        case TypeId::kInt64:
-        case TypeId::kDouble: {
-          Value v = schema_.GetValue(tuple, c);
-          if (!cs.valid) {
-            cs.min = v;
-            cs.max = v;
-            cs.valid = true;
+        case TypeId::kInt64: {
+          int64_t iv = 0;
+          if (type.id == TypeId::kInt64) {
+            std::memcpy(&iv, p, 8);
           } else {
-            if (v.Compare(cs.min) < 0) cs.min = v;
-            if (v.Compare(cs.max) > 0) cs.max = v;
+            int32_t v32 = 0;
+            std::memcpy(&v32, p, 4);
+            iv = v32;
           }
-          uint64_t bits = 0;
-          std::memcpy(&bits, p, col.type.ByteSize());
+          bounds[c].AddInt(iv);
+          std::memcpy(&bits, p, type.ByteSize());
           counters[c].AddScalar(bits);
-          if (col.type.id != TypeId::kDouble) {
-            const int64_t iv = v.AsInt64();
-            if (has_prev[c] != 0) {
-              if (iv < prev[c]) {
-                sorted[c] = 0;
-              } else {
-                // In unsigned arithmetic: a step between far-apart values
-                // can exceed INT64_MAX. Saturating there is exact enough —
-                // no packed delta width is that wide.
-                const uint64_t step = static_cast<uint64_t>(iv) -
-                                      static_cast<uint64_t>(prev[c]);
-                max_step[c] = std::max(
-                    max_step[c],
-                    static_cast<int64_t>(std::min<uint64_t>(
-                        step, std::numeric_limits<int64_t>::max())));
-              }
+          if (has_prev[c] != 0) {
+            if (iv < prev[c]) {
+              sorted[c] = 0;
+            } else {
+              // In unsigned arithmetic: a step between far-apart values
+              // can exceed INT64_MAX. Saturating there is exact enough —
+              // no packed delta width is that wide.
+              const uint64_t step = static_cast<uint64_t>(iv) -
+                                    static_cast<uint64_t>(prev[c]);
+              max_step[c] = std::max(
+                  max_step[c],
+                  static_cast<int64_t>(std::min<uint64_t>(
+                      step, std::numeric_limits<int64_t>::max())));
             }
-            prev[c] = iv;
-            has_prev[c] = 1;
           }
+          prev[c] = iv;
+          has_prev[c] = 1;
           break;
         }
-        case TypeId::kChar: {
-          Value v = schema_.GetValue(tuple, c);
-          if (!cs.valid) {
-            cs.min = v;
-            cs.max = v;
-            cs.valid = true;
-          } else {
-            if (v.Compare(cs.min) < 0) cs.min = v;
-            if (v.Compare(cs.max) > 0) cs.max = v;
-          }
+        case TypeId::kChar:
+          bounds[c].AddChar(reinterpret_cast<const char*>(p), type.length);
           counters[c].AddString(reinterpret_cast<const char*>(p),
-                                col.type.length);
+                                type.length);
           break;
-        }
       }
     }
   }));
@@ -472,8 +525,14 @@ Status Table::ComputeStats() {
   // by the time the scan finishes (DML may have run in between).
   fresh.rows = seen;
 
-  for (size_t c = 0; c < schema_.NumColumns(); ++c) {
+  for (size_t c = 0; c < num_cols; ++c) {
     ColumnStats& cs = fresh.columns[c];
+    const Type& type = schema_.ColumnAt(c).type;
+    if (bounds[c].any) {
+      cs.min = bounds[c].Boxed(type, /*max=*/false);
+      cs.max = bounds[c].Boxed(type, /*max=*/true);
+      cs.valid = true;
+    }
     if (counters[c].overflowed) {
       cs.distinct = seen;
       cs.distinct_exact = false;
@@ -481,7 +540,7 @@ Status Table::ComputeStats() {
       cs.distinct = counters[c].Count();
       cs.distinct_exact = true;
     }
-    const TypeId id = schema_.ColumnAt(c).type.id;
+    const TypeId id = type.id;
     const bool int_family =
         id == TypeId::kInt32 || id == TypeId::kInt64 || id == TypeId::kDate;
     cs.sorted_asc = int_family && has_prev[c] != 0 && sorted[c] != 0;

@@ -2,9 +2,10 @@
 // bit-identical to the materialized Query() rows at every thread count,
 // peak result-page residency must stay bounded regardless of result
 // cardinality, early cursor close must cancel the rest of the query
-// cleanly (no leaked pages, engine stays healthy), every blocking,
-// cursor and async entry point must share one statement pipeline, and an
-// event-loop consumer must be woken exactly once per kPending answer.
+// cleanly (no leaked pages, engine stays healthy), every blocking and
+// cursor entry point must share one statement pipeline, a closed session
+// must refuse them all, and an event-loop consumer must be woken exactly
+// once per kPending answer.
 
 #include <gtest/gtest.h>
 
@@ -423,14 +424,6 @@ std::vector<EntryPoint> EntryPoints() {
        [](Session* s, const std::string& sql) {
          return FromCursor(s->QueryStream(sql), /*pump=*/true);
        }},
-      {"SubmitAsync(sql)", false,
-       [](Session* s, const std::string& sql) {
-         return FromBlocking(s->SubmitAsync(sql).Wait());
-       }},
-      {"SubmitAsync(stmt)", true,
-       prepared([](Session* s, const PreparedStatement& stmt) {
-         return FromBlocking(s->SubmitAsync(stmt).Wait());
-       })},
   };
 }
 
@@ -508,6 +501,78 @@ TEST_F(SessionStreamTest, SessionCloseCancelsOpenCursors) {
   }
   auto after = session.Query("select count(*) as c from sr");
   EXPECT_FALSE(after.ok());
+}
+
+// Session::Close from another thread lands at a different point of a
+// running cursor's life each round (mid-execution, mid-drain or after the
+// last page): the stream either ends cancelled or delivers every row, and
+// nothing hangs, leaks or races (TSan-checked in CI).
+TEST_F(SessionStreamTest, SessionCloseFromAnotherThreadIsRaceFree) {
+  Catalog& catalog = SharedCatalog();
+  HiqueEngine engine(&catalog, FastOptions(2));
+  const std::string sql = "select big_k, big_v, big_d from big "
+                          "where big_v >= 0";
+  auto full = engine.Query(sql);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (int round = 0; round < 10; ++round) {
+    Session session = engine.OpenSession({});
+    auto rs = session.QueryStream(sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ResultSet cursor = std::move(rs).value();
+    std::thread closer([&session, round] {
+      for (volatile int spin = 0; spin < round * 20000; ++spin) {
+      }
+      session.Close();
+    });
+    while (cursor.Next()) {
+    }
+    closer.join();
+    if (cursor.status().ok()) {
+      EXPECT_EQ(cursor.rows_read(), full.value().NumRows());
+    } else {
+      EXPECT_TRUE(exec::IsCancelled(cursor.status()))
+          << cursor.status().ToString();
+    }
+  }
+  // Engine healthy afterwards.
+  auto check = engine.Query("select count(*) as c from sr");
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+}
+
+// A closed session refuses every entry point, counts only the cursors it
+// opened, and leaves the engine's other sessions answering.
+TEST_F(SessionStreamTest, ClosedSessionRefusesEveryEntryPoint) {
+  Catalog& catalog = SharedCatalog();
+  HiqueEngine engine(&catalog, FastOptions(1));
+  Session session = engine.OpenSession({});
+  const std::string sql = "select count(*) as c from sr";
+  auto stmt = session.Prepare(sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+
+  ASSERT_TRUE(session.Query(sql).ok());
+  EXPECT_EQ(session.Stats().streams_opened, 0u);
+  for (int i = 0; i < 3; ++i) {
+    auto rs = i % 2 == 0 ? session.QueryStream(sql)
+                         : session.ExecuteStream(stmt.value());
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ResultSet cursor = std::move(rs).value();
+    while (cursor.Next()) {
+    }
+    EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+  }
+  EXPECT_EQ(session.Stats().streams_opened, 3u);
+
+  session.Close();
+  EXPECT_FALSE(session.Query(sql).ok());
+  EXPECT_FALSE(session.Execute(stmt.value()).ok());
+  EXPECT_FALSE(session.QueryStream(sql).ok());
+  EXPECT_FALSE(session.ExecuteStream(stmt.value()).ok());
+  EXPECT_EQ(session.Stats().streams_opened, 3u);
+
+  Session other = engine.OpenSession({});
+  auto answered = other.Query(sql);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value().NumRows(), 1);
 }
 
 // ---- Consumer wake-up: StreamCore's arm/fire protocol ----------------------

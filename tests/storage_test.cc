@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/page.h"
 #include "storage/schema.h"
 #include "storage/table.h"
+#include "tpch/tpch.h"
 
 namespace hique {
 namespace {
@@ -165,6 +170,101 @@ TEST(TableTest, StatsCharColumn) {
   EXPECT_EQ(t.stats().columns[0].distinct, 3u);
   EXPECT_EQ(t.stats().columns[0].min.ToString(), "aa");
   EXPECT_EQ(t.stats().columns[0].max.ToString(), "cc");
+}
+
+/// ComputeStats as the definition reads: every value boxed, distinct values
+/// in an ordered set, min/max its ends, sortedness by walking scan order.
+TableStats NaiveStats(Table* t) {
+  const Schema& s = t->schema();
+  const size_t n = s.NumColumns();
+  std::vector<std::set<Value>> values(n);
+  std::vector<int64_t> prev(n, 0), max_step(n, 0);
+  std::vector<bool> sorted(n, true);
+  uint64_t rows = 0;
+  Status scanned = t->ForEachTuple([&](const uint8_t* tuple) {
+    for (size_t c = 0; c < n; ++c) {
+      Value v = s.GetValue(tuple, c);
+      values[c].insert(v);
+      if (v.type_id() == TypeId::kDouble || v.type_id() == TypeId::kChar) {
+        continue;
+      }
+      const int64_t iv = v.AsInt64();
+      if (rows > 0 && iv < prev[c]) sorted[c] = false;
+      if (rows > 0 && iv >= prev[c]) {
+        max_step[c] = std::max(max_step[c], iv - prev[c]);
+      }
+      prev[c] = iv;
+    }
+    ++rows;
+  });
+  EXPECT_TRUE(scanned.ok()) << scanned.ToString();
+  TableStats ref;
+  ref.rows = rows;
+  ref.valid = true;
+  ref.columns.resize(n);
+  for (size_t c = 0; c < n; ++c) {
+    ColumnStats& cs = ref.columns[c];
+    const TypeId id = s.ColumnAt(c).type.id;
+    cs.valid = rows > 0;
+    if (cs.valid) {
+      cs.min = *values[c].begin();
+      cs.max = *values[c].rbegin();
+    }
+    cs.distinct = values[c].size();
+    cs.distinct_exact = true;
+    cs.sorted_asc = rows > 0 && sorted[c] && id != TypeId::kDouble &&
+                    id != TypeId::kChar;
+    cs.max_step = cs.sorted_asc ? max_step[c] : 0;
+  }
+  return ref;
+}
+
+void ExpectStatsEqual(const Table& t, const TableStats& got,
+                      const TableStats& want) {
+  EXPECT_TRUE(got.valid);
+  EXPECT_EQ(got.rows, want.rows);
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    SCOPED_TRACE(t.schema().ColumnAt(c).name);
+    const ColumnStats& g = got.columns[c];
+    const ColumnStats& w = want.columns[c];
+    ASSERT_EQ(g.valid, w.valid);
+    if (w.valid) {
+      ASSERT_EQ(g.min.type_id(), w.min.type_id());
+      EXPECT_EQ(g.min.Compare(w.min), 0) << g.min.ToString();
+      EXPECT_EQ(g.min.AsString(), w.min.AsString());
+      ASSERT_EQ(g.max.type_id(), w.max.type_id());
+      EXPECT_EQ(g.max.Compare(w.max), 0) << g.max.ToString();
+      EXPECT_EQ(g.max.AsString(), w.max.AsString());
+    }
+    EXPECT_EQ(g.distinct, w.distinct);
+    EXPECT_EQ(g.distinct_exact, w.distinct_exact);
+    EXPECT_EQ(g.sorted_asc, w.sorted_asc);
+    EXPECT_EQ(g.max_step, w.max_step);
+  }
+}
+
+// Every ColumnStats field of every TPC-H table at SF 0.01 matches the naive
+// reference, over plain pages and again over compressed ones (where the
+// scan decodes each page into a reused buffer).
+TEST(TableTest, StatsMatchNaiveReferenceOnTpch) {
+  Catalog catalog;
+  tpch::TpchOptions options;
+  options.scale_factor = 0.01;
+  ASSERT_TRUE(tpch::LoadTpch(&catalog, options).ok());
+  ASSERT_EQ(catalog.TableNames().size(), 8u);
+  int compressed = 0;
+  for (const std::string& name : catalog.TableNames()) {
+    SCOPED_TRACE(name);
+    Table* t = catalog.GetTable(name).value();
+    const TableStats want = NaiveStats(t);
+    ExpectStatsEqual(*t, t->stats(), want);
+    ASSERT_TRUE(t->Compress().ok());
+    if (t->layout()->codec.enabled) ++compressed;
+    ASSERT_TRUE(t->ComputeStats().ok());
+    ExpectStatsEqual(*t, t->stats(), want);
+  }
+  EXPECT_GT(compressed, 0);
 }
 
 TEST(TableTest, RejectsRowArityAndTypeMismatch) {
