@@ -13,13 +13,17 @@
 // JSON); to time the portable kernels, run the whole bench under
 // HQ_SIMD=off. Every time is the median of --repeat timed runs, with the
 // interquartile range beside it. --json=FILE writes the measurements as
-// the repo's tracked perf datapoint (BENCH_fig8.json in CI).
+// the repo's tracked perf datapoint (BENCH_fig8.json in CI), stamped with
+// the commit and a fixed-work thread calibration taken before and after
+// the queries: parallel columns mean little on a host that runs --threads
+// threads of the same work much slower than one.
 
 #include <cstdio>
 #include <thread>
 
 #include "bench_e2e/e2e_util.h"
 #include "bench_support/flags.h"
+#include "bench_support/git_commit.h"
 #include "bench_support/json.h"
 #include "bench_support/micro_data.h"
 #include "column/column_engine.h"
@@ -27,6 +31,7 @@
 #include "iterator/volcano_engine.h"
 #include "tpch/tpch.h"
 #include "util/env.h"
+#include "util/hash.h"
 #include "util/timer.h"
 
 using namespace hique;
@@ -83,6 +88,45 @@ double Speedup(const Spread& base, const Spread& fast) {
   return fast.median > 0 ? base.median / fast.median : 0;
 }
 
+/// Fixed-work contention check: one CPU-bound loop (about 0.1 s) on one
+/// thread, then the same loop on `threads` threads at once, each the median
+/// of 3. With that many idle cores both take the same wall time; a ratio
+/// well above 1 means the parallel columns ran on shared or throttled
+/// cores.
+std::string ThreadCalibrationJson(uint32_t threads) {
+  auto work = [] {
+    uint64_t h = 1;
+    for (uint64_t i = 0; i < (uint64_t{1} << 24); ++i) h = HashMix64(h + i);
+    return h;
+  };
+  auto wall = [&](uint32_t n) {
+    std::vector<double> t;
+    for (int r = 0; r < 3; ++r) {
+      std::vector<uint64_t> sink(n);
+      WallTimer timer;
+      std::vector<std::thread> pool;
+      for (uint32_t i = 0; i < n; ++i) {
+        pool.emplace_back([&sink, &work, i] { sink[i] = work(); });
+      }
+      for (std::thread& th : pool) th.join();
+      t.push_back(timer.ElapsedSeconds());
+      if (sink[0] == 42) std::printf(" ");  // keep the work observable
+    }
+    return e2e::Median(t);
+  };
+  const double one = wall(1);
+  const double all = wall(threads);
+  std::printf("thread calibration: 1 thread %.3fs, %u threads %.3fs "
+              "(ratio %.2f)\n",
+              one, threads, all, one > 0 ? all / one : 0);
+  return bench::JsonObj()
+      .Int("threads", threads)
+      .Num("one_thread_s", one)
+      .Num("all_threads_s", all)
+      .Num("ratio", one > 0 ? all / one : 0)
+      .Render();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,6 +159,7 @@ int main(int argc, char** argv) {
     std::printf("load failed: %s\n", load.ToString().c_str());
     return 1;
   }
+  const std::string calibration_before = ThreadCalibrationJson(threads);
   std::printf("loaded TPC-H (lineitem=%llu rows) in %.1fs\n\n",
               static_cast<unsigned long long>(
                   catalog.GetTable("lineitem").value()->NumTuples()),
@@ -247,16 +292,22 @@ int main(int argc, char** argv) {
         size_t e = pl.find_last_not_of(" \t\r");
         if (b != std::string::npos) label = pl.substr(b, e - b + 1);
       }
-      spans.Add(bench::JsonObj()
-                    .Int("op_id", op.op_id)
-                    .Str("op", label)
-                    .Num("wall_s", op.wall_seconds)
-                    .Int("tuples", static_cast<int64_t>(op.tuples))
-                    .Int("pages", static_cast<int64_t>(op.pages))
-                    .Int("barriers", static_cast<int64_t>(op.barriers))
-                    .Int("tasks", static_cast<int64_t>(op.tasks))
-                    .Num("max_skew", op.max_skew)
-                    .Render());
+      bench::JsonObj span;
+      span.Int("op_id", op.op_id)
+          .Str("op", label)
+          .Num("wall_s", op.wall_seconds)
+          .Int("tuples", static_cast<int64_t>(op.tuples))
+          .Int("pages", static_cast<int64_t>(op.pages))
+          .Int("barriers", static_cast<int64_t>(op.barriers))
+          .Int("tasks", static_cast<int64_t>(op.tasks))
+          .Num("max_skew", op.max_skew);
+      if (op.key_filter.present) {
+        span.Int("kf_keys", op.key_filter.keys)
+            .Int("kf_bytes", static_cast<int64_t>(op.key_filter.bytes))
+            .Int("kf_tested", static_cast<int64_t>(op.key_filter.tested))
+            .Int("kf_passed", static_cast<int64_t>(op.key_filter.passed));
+      }
+      spans.Add(span.Render());
     }
     return spans;
   };
@@ -368,6 +419,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   ktable.Print();
+  const std::string calibration_after = ThreadCalibrationJson(threads);
 
   if (!json_path.empty()) {
     std::string doc = bench::JsonObj()
@@ -379,6 +431,9 @@ int main(int argc, char** argv) {
                           .Int("hardware_threads",
                                static_cast<int64_t>(
                                    std::thread::hardware_concurrency()))
+                          .Str("commit", bench::GitCommit())
+                          .Add("calibration_before", calibration_before)
+                          .Add("calibration_after", calibration_after)
                           .Add("queries", json_queries.Render())
                           .Add("kernel_micro", json_micro.Render())
                           .Render();

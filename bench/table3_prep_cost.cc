@@ -15,13 +15,12 @@
 // datapoint.
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "bench_e2e/e2e_util.h"
 #include "bench_support/flags.h"
+#include "bench_support/git_commit.h"
 #include "bench_support/json.h"
 #include "bench_support/micro_data.h"
 #include "exec/engine.h"
@@ -50,26 +49,6 @@ struct Spread {
         .Render();
   }
 };
-
-/// The commit checked out in the working directory, with "-dirty" appended
-/// when tracked files differ from it; "unknown" outside a git checkout.
-std::string GitCommit() {
-  std::string commit;
-  if (FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[128] = {0};
-    if (std::fgets(buf, sizeof(buf), p) != nullptr) commit = buf;
-    ::pclose(p);
-  }
-  while (!commit.empty() && std::isspace(
-                                static_cast<unsigned char>(commit.back()))) {
-    commit.pop_back();
-  }
-  if (commit.empty()) return "unknown";
-  if (std::system("git diff --quiet HEAD 2>/dev/null") != 0) {
-    commit += "-dirty";
-  }
-  return commit;
-}
 
 std::string Cell(const Spread& s, int repeat) {
   char buf[64];
@@ -222,7 +201,7 @@ int main(int argc, char** argv) {
             .Int("repeat", repeat)
             .Int("nproc",
                  static_cast<int64_t>(std::thread::hardware_concurrency()))
-            .Str("commit", GitCommit())
+            .Str("commit", bench::GitCommit())
             .Add("queries", json_queries.Render())
             .Render();
     if (!bench::WriteJsonFile(json_path, doc)) return 1;

@@ -71,8 +71,9 @@ class Generator {
     if (used.count("sort")) used.insert("record_sort");
     if (used.count("map")) used.insert("fold");
     std::string abi = kAbiHeaderSource;
-    for (const char* group : {"decode", "record_sort", "sort", "partition",
-                              "stage", "range", "key_range", "fold", "map"}) {
+    for (const char* group :
+         {"decode", "record_sort", "sort", "partition", "stage", "key_filter",
+          "range", "key_range", "fold", "map"}) {
       if (used.count(group)) continue;
       std::string end = "// [end driver group " + std::string(group) + "]\n";
       size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
@@ -380,16 +381,25 @@ class Generator {
   /// survivors in `n`. The count version (FILL = false) takes a page's `nt`
   /// when nothing filters, pops each bitmap instead of walking it, and
   /// touches neither the survivor body nor the page counter.
+  ///
+  /// `key_test` (staging only) names the hq_key_filter_test instantiation
+  /// of a probe stage's join-key filter `kf`: the scan then always runs
+  /// the block loop, clears the bits of each block's mask whose key is not
+  /// in the filter, then applies any filters the mask did not (an
+  /// unbatched scan's), and counts the mask's bits before and after the
+  /// test in `kf_in`/`kf_out`.
   void EmitBaseScan(int k, const Schema& schema, const TableCodec& codec,
                     const std::vector<sql::Filter>& filters,
                     const std::string& pred, const std::string& pages,
                     bool staging, bool tuple_range,
-                    const SurvivorFn& survivor) {
+                    const SurvivorFn& survivor,
+                    const std::string& key_test = "") {
     const std::string TS = S(schema.TupleSize());
     const std::string if_fill = staging ? "if constexpr (FILL) " : "";
     const bool batched = !pred.empty();
+    const bool blocked = batched || !key_test.empty();
     auto page_head = [&] {
-      if (staging && filters.empty()) {
+      if (staging && filters.empty() && key_test.empty()) {
         Emit("    n += nt;");
         Emit("    if constexpr (!FILL) continue;");
         Emit("    ++" + pages + ";");
@@ -411,13 +421,33 @@ class Generator {
     };
     // One batched block at `blk`: its bitmap, then the set bits in order.
     auto bitmap = [&](const std::string& blk) {
-      Emit("      uint64_t bm = " + pred + "(ctx, " + blk + ", bn);");
+      Emit("      uint64_t bm = " +
+           (batched ? pred + "(ctx, " + blk + ", bn)" : "~0ull >> (64 - bn)") +
+           ";");
       if (tuple_range) {
         // Mask out lanes outside the task's tuple range. The carry
         // fast-forward loop leaves lo < HQ_SIMD_BLOCK, so `<< lo` is
         // well-defined.
         Emit("      if (lo) bm &= ~0ull << lo;");
         Emit("      if (hi < 64) bm &= (1ull << hi) - 1;");
+      }
+      if (!key_test.empty()) {
+        Emit("      kf_in += __builtin_popcountll(bm);");
+        Emit("      bm = " + key_test + "(kf, " + blk + ", bn, bm);");
+        Emit("      kf_out += __builtin_popcountll(bm);");
+        if (!batched && !filters.empty()) {
+          std::string conj;
+          for (const auto& f : filters) {
+            conj += std::string(conj.empty() ? "" : " && ") +
+                    FilterCondition("r", schema, f, &plan_.params);
+          }
+          Emit("      for (uint64_t sc = bm; sc; sc &= sc - 1) {");
+          Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(sc);");
+          Emit("        const uint8_t* r = " + blk + " + (uint64_t)bi * " +
+               TS + ";");
+          Emit("        if (!(" + conj + ")) bm &= ~(1ull << bi);");
+          Emit("      }");
+        }
       }
       if (staging) Emit("      n += __builtin_popcountll(bm);");
       Emit("      " + if_fill + "while (bm) {");
@@ -430,7 +460,7 @@ class Generator {
     };
     if (codec.enabled) {
       auto block = [&] {
-        if (batched) {
+        if (blocked) {
           bitmap("dbuf");
           return;
         }
@@ -444,17 +474,17 @@ class Generator {
         EmitCompressedScanTupleRange(k, schema.TupleSize(), codec, batched,
                                      page_head, block);
       } else {
-        EmitCompressedScan(k, schema.TupleSize(), batched, page_head, block);
+        EmitCompressedScan(k, schema.TupleSize(), blocked, page_head, block);
       }
       return;
     }
     Emit("  for (uint64_t p = pb; p < pe; ++p) {");
     Emit("    const uint8_t* page = T->pages[p];");
-    if (batched) EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
+    if (blocked) EmitNextPagePrefetch("T->pages", "p", "pe", "    ");
     Emit("    uint32_t nt = *(const uint32_t*)page;");
     page_head();
     Emit("    const uint8_t* tup = page + HQ_PAGE_HEADER;");
-    if (batched) {
+    if (blocked) {
       Emit("    for (uint32_t ti = 0; ti < nt; ) {");
       Emit("      uint32_t bn = nt - ti < HQ_SIMD_BLOCK ? nt - ti : "
            "HQ_SIMD_BLOCK;");
@@ -503,6 +533,16 @@ class Generator {
         pred = "op" + S(k) + "_pred";
         EmitPredicateKernel(&out_, pred, schema, op.filters, &plan_.params);
       }
+      // A probe stage's join-key filter tests the base tuple's key column.
+      const bool filtered = op.key_filter_op >= 0;
+      std::string key_test;
+      if (filtered) {
+        drivers_.insert("key_filter");
+        const plan::FieldRef& key = out_layout.fields[op.key_fields[0]];
+        key_test = "hq_key_filter_test<" + std::string(key.type.CType()) +
+                   ", " + S(schema.TupleSize()) + ", " +
+                   S(schema.OffsetAt(key.source.column)) + ">";
+      }
       // The scan both staging passes instantiate (hq_stage_base).
       Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
            " (base table scan-select, Listing 1)");
@@ -511,6 +551,10 @@ class Generator {
            "_scan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb, "
            "uint64_t pe, uint8_t* dst, uint64_t* pages) {");
       Emit("  int64_t n = 0;");
+      if (filtered) {
+        Emit("  HqKeyFilter* kf = ((const HqProbeInput*)T)->kf;");
+        Emit("  uint64_t kf_in = 0, kf_out = 0;");
+      }
       EmitBaseScan(k, schema, op.input_codec, op.filters, pred, "*pages",
                    /*staging=*/true, /*tuple_range=*/false,
                    [&](const std::string& tup, const std::string& ind) {
@@ -523,15 +567,25 @@ class Generator {
                S(f.type.ByteSize()) + ");");
         }
         Emit(ind + "dst += " + S(rec) + ";");
-      });
+      }, key_test);
+      if (filtered) {
+        Emit("  if constexpr (FILL) hq_key_filter_count(kf, kf_in, kf_out);");
+      }
       Emit("  return n;");
       Emit("}");
       Emit("");
       drivers_.insert("stage");
-      Emit("static int " + fn + "(HqQueryCtx* ctx, HqStream* out) {");
+      const std::string table = "ctx->inputs[" + S(in.base_table_index) + "]";
+      if (filtered) {
+        Emit("static int " + fn +
+             "(HqQueryCtx* ctx, HqKeyFilter* kf, HqStream* out) {");
+        Emit("  HqProbeInput in = {" + table + ", kf};");
+      } else {
+        Emit("static int " + fn + "(HqQueryCtx* ctx, HqStream* out) {");
+      }
       Emit("  if (hq_stage_base<" + S(rec) + ", op" + S(k) + "_scan<false>, op" +
-           S(k) + "_scan<true>>(ctx, &ctx->inputs[" +
-           S(in.base_table_index) + "], out) != 0) return -1;");
+           S(k) + "_scan<true>>(ctx, " + (filtered ? "&in.T" : "&" + table) +
+           ", out) != 0) return -1;");
     } else {
       // Intermediate streams carry identical layouts: alias, then act.
       HQ_CHECK(SameLayout(in.layout, out_layout));
@@ -1573,6 +1627,17 @@ class Generator {
            "; memset(&" + StreamVar(static_cast<int>(s)) + ", 0, sizeof(" +
            StreamVar(static_cast<int>(s)) + "));");
     }
+    // Join-key filters, one per probe stage, named after it.
+    auto probe_of = [&](size_t k) -> const StageOp* {
+      const auto* stage = std::get_if<StageOp>(&plan_.ops[k]);
+      return stage != nullptr && stage->key_filter_op >= 0 ? stage : nullptr;
+    };
+    for (size_t k = 0; k < plan_.ops.size(); ++k) {
+      if (probe_of(k) != nullptr) {
+        Emit("  HqKeyFilter kf" + S(k) + "; memset(&kf" + S(k) +
+             ", 0, sizeof(kf" + S(k) + "));");
+      }
+    }
     Emit("  int64_t rows = 0;");
     // Output cardinality of the operator that just finished, reported to
     // the observability hook by the next mark.
@@ -1591,7 +1656,11 @@ class Generator {
       const plan::Op& op = plan_.ops[k];
       if (const auto* stage = std::get_if<StageOp>(&op)) {
         done = StreamVar(stage->out_stream) + ".n";
-        if (Stream(stage->input_stream).is_base_table) {
+        if (stage->key_filter_op >= 0) {
+          Emit("  if (op" + S(k) + "_stage(ctx, &kf" + S(k) + ", &" +
+               StreamVar(stage->out_stream) + ") != 0) return -1;");
+          Emit("  hq_key_filter_note(ctx, &kf" + S(k) + ");");
+        } else if (Stream(stage->input_stream).is_base_table) {
           Emit("  if (op" + S(k) + "_stage(ctx, &" +
                StreamVar(stage->out_stream) + ") != 0) return -1;");
         } else {
@@ -1620,6 +1689,21 @@ class Generator {
         Emit("  rows = op" + S(k) + "_output(ctx, &" +
              StreamVar(output->input_stream) + ");");
         Emit("  if (rows < 0) return -1;");
+      }
+      // The filters op k's staged records build, in op k's span.
+      for (size_t p = k + 1; p < plan_.ops.size(); ++p) {
+        const StageOp* probe = probe_of(p);
+        if (probe == nullptr || probe->key_filter_op != static_cast<int>(k)) {
+          continue;
+        }
+        const auto& build = std::get<StageOp>(op);
+        const plan::FieldRef& key =
+            build.output.fields[probe->key_filter_field];
+        Emit("  if (hq_key_filter_build<" + std::string(key.type.CType()) +
+             ", " + S(build.output.record_size) + ", " +
+             S(build.output.OffsetOf(probe->key_filter_field)) + ">(ctx, &" +
+             StreamVar(build.out_stream) + ", &kf" + S(p) +
+             ") != 0) return -1;");
       }
     }
     Emit("  hq_op_mark(ctx, -1, " + done + ");");

@@ -606,6 +606,105 @@ static int hq_stage_base(HqQueryCtx* ctx, const HqTableRef* T,
 }
 
 // [end driver group stage]
+// [driver group key_filter]
+// Join-key filters (a Bloom join with an exact filter: Mackert & Lohman
+// 1986). After the build input of an inner equi-join is staged, one serial
+// pass sets a bitmap over its keys' actual range [lo, lo + width); the
+// probe side's base-table scan tests every 64-tuple block against it
+// before it copies, counts or scatters a row, so staging, partitioning and
+// the join's sort see only rows whose key occurs on the build side. A
+// bitmap has no false positives, and keys outside the range fail. The
+// range is the staged records', never the statistics', so stale
+// statistics or delta-store rows cannot drop a row that matches.
+typedef struct HqKeyFilter {
+  const uint64_t* bits;  // bit d: key lo + d is a build key; 0: pass all
+  int64_t lo;            // smallest build key
+  uint64_t width;        // largest - lo + 1; 0 for an empty build side
+  int64_t keys;          // build records
+  uint64_t tested, passed;  // probe rows before and after the test
+} HqKeyFilter;
+
+// Width guard: no bitmap when the build keys span more than this many bits
+// per build record (and more than a 4 KB floor), so a bitmap never costs
+// more than half of the staged build side (records are 8 bytes or wider)
+// plus one page; the probe then stages unfiltered.
+#define HQ_KF_BITS_PER_KEY 32u
+#define HQ_KF_MIN_BITS 32768u
+
+// Builds kf from the KT key at byte KOFF of the REC-byte records of s.
+template <typename KT, uint32_t REC, uint32_t KOFF>
+static int hq_key_filter_build(HqQueryCtx* ctx, const HqStream* s,
+                               HqKeyFilter* kf) {
+  memset(kf, 0, sizeof(*kf));
+  kf->keys = s->n;
+  int64_t lo = 0, hi = 0;
+  for (int64_t i = 0; i < s->n; ++i) {
+    KT k;
+    memcpy(&k, s->data + (uint64_t)i * REC + KOFF, sizeof(k));
+    if (i == 0 || k < lo) lo = k;
+    if (i == 0 || k > hi) hi = k;
+  }
+  // In unsigned arithmetic: int64 keys can span more than INT64_MAX.
+  uint64_t span = (uint64_t)hi - (uint64_t)lo;
+  uint64_t limit = (uint64_t)s->n * HQ_KF_BITS_PER_KEY;
+  if (limit < HQ_KF_MIN_BITS) limit = HQ_KF_MIN_BITS;
+  if (span >= limit) return 0;
+  uint64_t width = s->n > 0 ? span + 1 : 0;
+  uint64_t words = width ? (width + 63) / 64 : 1;  // the test reads word 0
+  uint64_t* bits = (uint64_t*)ctx->alloc(ctx->arena, words * 8);
+  if (!bits) { ctx->error = HQ_ERR_OOM; return -1; }
+  memset(bits, 0, words * 8);
+  for (int64_t i = 0; i < s->n; ++i) {
+    KT k;
+    memcpy(&k, s->data + (uint64_t)i * REC + KOFF, sizeof(k));
+    uint64_t d = (uint64_t)(int64_t)k - (uint64_t)lo;
+    bits[d >> 6] |= 1ull << (d & 63);
+  }
+  kf->bits = bits; kf->lo = lo; kf->width = width;
+  return 0;
+}
+
+// Block mask bm of the bn tuples of TS bytes at blk, with the bits of the
+// tuples whose KT key at byte KOFF is not a build key cleared. Branch-free
+// per lane: an out-of-range key reads word 0 and is masked off.
+template <typename KT, uint32_t TS, uint32_t KOFF>
+static inline uint64_t hq_key_filter_test(const HqKeyFilter* kf,
+                                          const uint8_t* blk, uint32_t bn,
+                                          uint64_t bm) {
+  if (!kf->bits || !bm) return bm;
+  const uint64_t* bits = kf->bits;
+  const uint64_t lo = (uint64_t)kf->lo, width = kf->width;
+  uint64_t keep = 0;
+  for (uint32_t i = 0; i < bn; ++i) {
+    KT k;
+    memcpy(&k, blk + (uint64_t)i * TS + KOFF, sizeof(k));
+    uint64_t d = (uint64_t)(int64_t)k - lo;
+    uint64_t in = d < width;
+    keep |= (in & (bits[in ? d >> 6 : 0] >> (d & 63))) << i;
+  }
+  return bm & keep;
+}
+
+// A probe stage hands hq_stage_base this input, whose first member is the
+// table reference the driver reads; its scan reads kf back from the same
+// pointer. Each scan task adds its counts once (FILL pass only).
+typedef struct HqProbeInput { HqTableRef T; HqKeyFilter* kf; } HqProbeInput;
+
+static inline void hq_key_filter_count(HqKeyFilter* kf, uint64_t tested,
+                                       uint64_t passed) {
+  __atomic_fetch_add(&kf->tested, tested, __ATOMIC_RELAXED);
+  __atomic_fetch_add(&kf->passed, passed, __ATOMIC_RELAXED);
+}
+
+// EXPLAIN ANALYZE: an op_mark below -1 annotates the running operator
+// instead of closing it; this one hands the recorder the probe's filter.
+#define HQ_MARK_KEY_FILTER (-2)
+static inline void hq_key_filter_note(HqQueryCtx* ctx, const HqKeyFilter* kf) {
+  if (ctx->op_mark != 0) {
+    ctx->op_mark(ctx->obs, HQ_MARK_KEY_FILTER, (int64_t)(intptr_t)kf);
+  }
+}
+// [end driver group key_filter]
 // [driver group sort]
 // Sort cascade (paper §V-B "Input staging"): quicksort independent
 // L2-sized runs, then merge adjacent run pairs level by level. Every run

@@ -147,6 +147,8 @@ struct OpSpanRecorder {
   // Barrier shape of the open span, fed by ParallelService::Invoke.
   uint64_t open_barriers = 0, open_tasks = 0;
   double open_skew = 0;
+  // Key-filter annotation of the open span (HQ_MARK_KEY_FILTER).
+  KeyFilterStat open_kf;
 
   void Install(HqQueryCtx* query_ctx, perf::PerfCounters* counters) {
     ctx = query_ctx;
@@ -159,6 +161,15 @@ struct OpSpanRecorder {
 
   static void Mark(void* obs, int32_t op_id, int64_t done_rows) {
     auto* r = static_cast<OpSpanRecorder*>(obs);
+    if (op_id == HQ_MARK_KEY_FILTER) {
+      // Annotates the open span; the filter is read while it is live.
+      const auto* kf = reinterpret_cast<const HqKeyFilter*>(
+          static_cast<intptr_t>(done_rows));
+      const uint64_t words = kf->width ? (kf->width + 63) / 64 : 1;
+      r->open_kf = {true, kf->keys, kf->bits != nullptr ? words * 8 : 0,
+                    kf->tested, kf->passed};
+      return;
+    }
     auto now = std::chrono::steady_clock::now();
     uint64_t cycles = 0;
     bool cycles_ok = r->perf != nullptr && r->perf->ReadCycles(&cycles);
@@ -175,6 +186,7 @@ struct OpSpanRecorder {
       s.barriers = r->open_barriers;
       s.tasks = r->open_tasks;
       s.max_skew = r->open_skew;
+      s.key_filter = r->open_kf;
       if (cycles_ok && r->last_cycles_ok) {
         s.cycles = cycles - r->last_cycles;
         s.cycles_valid = true;
@@ -186,6 +198,7 @@ struct OpSpanRecorder {
     r->open_barriers = 0;
     r->open_tasks = 0;
     r->open_skew = 0;
+    r->open_kf = KeyFilterStat();
     r->last = now;
     r->last_pages = r->ctx->pages_touched;
     r->last_tuples = r->ctx->tuples_emitted;

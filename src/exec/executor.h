@@ -22,6 +22,17 @@ namespace hique::exec {
 /// columns are deltas of the context counters folded at parallel barriers,
 /// so they are exact per operator and deterministic across thread counts.
 /// Timing columns (wall_seconds, max_skew, cycles) are not deterministic.
+/// The join-key filter a probe stage tested (HqKeyFilter), reported by
+/// the generated code's HQ_MARK_KEY_FILTER annotation. Deterministic
+/// across thread counts.
+struct KeyFilterStat {
+  bool present = false;
+  int64_t keys = 0;     // build-side records
+  uint64_t bytes = 0;   // bitmap bytes; 0 when the width guard fired
+  uint64_t tested = 0;  // probe rows that reached the test
+  uint64_t passed = 0;  // probe rows that passed it
+};
+
 struct OpStat {
   int32_t op_id = -1;          // index into the physical plan's op list
   double wall_seconds = 0;
@@ -33,6 +44,7 @@ struct OpStat {
   double max_skew = 0;         // worst barrier skew within this operator
   uint64_t cycles = 0;         // hardware cycles (perf_event), if available
   bool cycles_valid = false;   // false => render cycles as "n/a"
+  KeyFilterStat key_filter;    // a probe stage's join-key filter
 };
 
 struct ExecStats {

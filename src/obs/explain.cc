@@ -39,6 +39,22 @@ std::string CacheLine(const std::string& signature, bool cache_hit,
          ")  signature: " + signature;
 }
 
+/// A probe stage's join-key filter: what the build side gave it and its
+/// pass rate.
+std::string KeyFilterLine(const exec::KeyFilterStat& kf) {
+  std::ostringstream line;
+  line << "  key filter: " << kf.keys << " build keys, ";
+  if (kf.bytes > 0) {
+    line << kf.bytes << " B bitmap";
+  } else {
+    line << "no bitmap (key range too wide)";
+  }
+  line << ", passed " << kf.passed << " of " << kf.tested << " ("
+       << Pct(static_cast<double>(kf.passed), static_cast<double>(kf.tested))
+       << ")";
+  return line.str();
+}
+
 }  // namespace
 
 std::vector<std::string> RenderExplainLines(const std::string& plan_text,
@@ -103,6 +119,9 @@ std::vector<std::string> RenderAnalyzeLines(const std::string& plan_text,
         span << "  cycles n/a";
       }
       lines.push_back(span.str());
+      if (op.key_filter.present) {
+        lines.push_back(KeyFilterLine(op.key_filter));
+      }
       break;
     }
   }

@@ -596,7 +596,16 @@ class Planner {
     };
 
     int lstaged = stage_input(left, lkey);
+    const int lstage_op =
+        lstaged == left ? -1 : static_cast<int>(plan_->ops.size()) - 1;
     int rstaged = stage_input(right, rkey);
+    if (lstage_op >= 0 && rstaged != right &&
+        plan_->streams[right].is_base_table &&
+        KeyFilterRule(lkey, lrows, rkey)) {
+      auto& probe = std::get<StageOp>(plan_->ops.back());
+      probe.key_filter_op = lstage_op;
+      probe.key_filter_field = plan_->streams[lstaged].layout.FindField(lkey);
+    }
     op.input_streams = {lstaged, rstaged};
     op.key_fields = {plan_->streams[lstaged].layout.FindField(lkey),
                      plan_->streams[rstaged].layout.FindField(rkey)};
@@ -614,6 +623,37 @@ class Planner {
     int out = op.out_stream;
     plan_->ops.push_back(std::move(op));
     return out;
+  }
+
+  /// The one key-filter rule (StageOp::key_filter_op): the probe input of a
+  /// binary join, a base table staged right after the build input, tests a
+  /// bitmap of the build keys when both keys are int-family, statistics say
+  /// the build key's domain is dense (width at most twice the distinct
+  /// count, the dense-directory test of map aggregation), and the
+  /// estimated build keys cover at most half of the probe key's domain.
+  /// Statistics and plan estimates only, never run-time data, like
+  /// BatchedScan: a plan and its source carry the decision.
+  bool KeyFilterRule(ColRef build_key, uint64_t build_rows,
+                     ColRef probe_key) const {
+    // Width of an int-family key's [min, max] (0 without usable
+    // statistics) and its distinct count.
+    auto domain = [&](ColRef c, uint64_t* distinct) -> uint64_t {
+      const TableStats stats = q_->tables[c.table]->stats();
+      if (!stats.valid) return 0;
+      const ColumnStats& cs = stats.columns[c.column];
+      if (!cs.valid || !IsIntFamily(cs.min.type_id())) return 0;
+      *distinct = cs.distinct;
+      return static_cast<uint64_t>(cs.max.AsInt64()) -
+             static_cast<uint64_t>(cs.min.AsInt64()) + 1;
+    };
+    uint64_t build_distinct = 0, probe_distinct = 0;
+    const uint64_t build_width = domain(build_key, &build_distinct);
+    const uint64_t probe_width = domain(probe_key, &probe_distinct);
+    if (build_width == 0 || probe_width == 0 ||
+        build_width > 2 * build_distinct) {
+      return false;
+    }
+    return 2 * ColumnDistinct(build_key, build_rows) <= probe_width;
   }
 
   bool StreamSortedOnKey(int stream, ColRef key, JoinClasses& classes) {

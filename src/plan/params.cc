@@ -290,6 +290,11 @@ std::string PlanSignature(const PhysicalPlan& plan) {
       SigIntList(out, stage->key_fields);
       out << ",M=" << stage->num_partitions << ",fmin=" << stage->fine_min
           << ",fclamp=" << stage->fine_clamp;
+      // Only filtered stages print it: other signatures stay as they were.
+      if (stage->key_filter_op >= 0) {
+        out << ",kf=" << stage->key_filter_op << ":"
+            << stage->key_filter_field;
+      }
       SigCodec(out, stage->input_codec);
       SigLayout(out, stage->output);
       for (const auto& f : stage->filters) SigFilter(out, f);

@@ -86,7 +86,11 @@ std::string PhysicalPlan::ToString() const {
       if (stage->num_partitions > 0) {
         out << ", M=" << stage->num_partitions;
       }
-      out << ", " << stage->filters.size() << " filters)";
+      out << ", " << stage->filters.size() << " filters";
+      if (stage->key_filter_op >= 0) {
+        out << ", key filter <- op" << stage->key_filter_op;
+      }
+      out << ")";
     } else if (const auto* join = std::get_if<JoinOp>(&ops[i])) {
       out << "join " << JoinAlgoName(join->algo) << " streams [";
       for (size_t k = 0; k < join->input_streams.size(); ++k) {

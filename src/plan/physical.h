@@ -75,6 +75,18 @@ struct StageOp {
   bool fine_clamp = false;
   int out_stream = -1;
 
+  /// Join-key filter, on the probe stage of an inner equi-join (see
+  /// KeyFilterRule in optimizer.cc): after op `key_filter_op` (the build
+  /// input's stage, earlier in the plan) staged its records, a bitmap is
+  /// set over their key field `key_filter_field`, and this stage's
+  /// base-table scan drops every row whose key `key_fields[0]` is not in
+  /// it before the row is copied, counted or partitioned. The bitmap spans
+  /// the build keys' actual range, taken at run time, and is skipped when
+  /// that range is far wider than the key count. -1: no filter. Serialized
+  /// into the plan signature.
+  int key_filter_op = -1;
+  int key_filter_field = -1;
+
   /// Compression codec of the base-table input (enabled == false when the
   /// input is uncompressed or an intermediate stream). Serialized into the
   /// plan signature, so codegen can bake the decode layout as constants

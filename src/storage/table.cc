@@ -7,9 +7,8 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <string_view>
-#include <unordered_set>
 
+#include "util/hash.h"
 #include "util/macros.h"
 
 namespace hique {
@@ -373,35 +372,93 @@ namespace {
 constexpr size_t kDistinctCap = 1u << 22;
 
 struct DistinctCounter {
-  // Distinct CHAR values are copied once into blocks of kBlockBytes (a
-  // CHAR is at most 65535 bytes), which the views in `strings` point into;
-  // a repeated value costs one hash probe and no allocation.
+  // One flat open-addressing set of 8-byte slots (linear probing,
+  // power-of-two capacity, at most 3/4 full; 0 marks an empty slot). A
+  // scalar slot holds the value's bits (the value 0 is counted apart); a
+  // CHAR slot holds the top 32 bits of the value's hash over the index + 1
+  // of its one copy, kept in blocks of kBlockBytes (a CHAR is at most 65535
+  // bytes). A repeated value costs one probe and no allocation.
   static constexpr size_t kBlockBytes = 1u << 16;
 
-  std::unordered_set<uint64_t> scalars;
-  std::unordered_set<std::string_view> strings;
+  std::vector<uint64_t> slots = std::vector<uint64_t>(64, 0);
+  uint64_t count = 0;
+  bool has_zero = false;
+  size_t width = 0;  // CHAR bytes per copy; 0 for a scalar column
   std::vector<std::unique_ptr<char[]>> blocks;
-  size_t block_used = kBlockBytes;
+  uint32_t copies = 0;
   bool overflowed = false;
 
   void AddScalar(uint64_t bits) {
     if (overflowed) return;
-    scalars.insert(bits);
-    if (scalars.size() > kDistinctCap) overflowed = true;
+    if (bits == 0) {
+      if (!has_zero) {
+        has_zero = true;
+        Inserted();
+      }
+      return;
+    }
+    const size_t mask = slots.size() - 1;
+    for (size_t i = HashMix64(bits) & mask;; i = (i + 1) & mask) {
+      if (slots[i] == 0) {
+        slots[i] = bits;
+        return Inserted();
+      }
+      if (slots[i] == bits) return;
+    }
   }
   void AddString(const char* p, size_t n) {
-    if (overflowed || strings.count(std::string_view(p, n)) != 0) return;
-    if (block_used + n > kBlockBytes) {
-      blocks.push_back(std::unique_ptr<char[]>(new char[kBlockBytes]));
-      block_used = 0;
+    if (overflowed) return;
+    width = n;
+    const uint64_t tag = HashBytes(p, n) >> 32 << 32;
+    const size_t mask = slots.size() - 1;
+    for (size_t i = (tag >> 32) & mask;; i = (i + 1) & mask) {
+      const uint64_t slot = slots[i];
+      if (slot == 0) {
+        slots[i] = tag | Copy(p, n);
+        return Inserted();
+      }
+      if ((slot >> 32 << 32) == tag && std::memcmp(CopyAt(slot), p, n) == 0) {
+        return;
+      }
     }
-    char* copy = blocks.back().get() + block_used;
-    std::memcpy(copy, p, n);
-    block_used += n;
-    strings.emplace(copy, n);
-    if (strings.size() > kDistinctCap) overflowed = true;
   }
-  uint64_t Count() const { return scalars.size() + strings.size(); }
+  uint64_t Count() const { return count; }
+
+ private:
+  // Stores a copy of the n bytes at p; returns its index + 1.
+  uint64_t Copy(const char* p, size_t n) {
+    const size_t per_block = kBlockBytes / n;
+    if (copies % per_block == 0) {
+      blocks.push_back(std::unique_ptr<char[]>(new char[kBlockBytes]));
+    }
+    std::memcpy(blocks.back().get() + copies % per_block * n, p, n);
+    return ++copies;
+  }
+  const char* CopyAt(uint64_t slot) const {
+    const size_t per_block = kBlockBytes / width;
+    const uint64_t index = (slot & 0xFFFFFFFFull) - 1;
+    return blocks[index / per_block].get() + index % per_block * width;
+  }
+  // Counts a new value; past the cap the set is dropped, past 3/4 load it
+  // doubles, re-placing every slot by its hash.
+  void Inserted() {
+    if (++count > kDistinctCap) {
+      overflowed = true;
+      std::vector<uint64_t>().swap(slots);
+      blocks.clear();
+      return;
+    }
+    if (count * 4 <= slots.size() * 3) return;
+    std::vector<uint64_t> old(slots.size() * 2, 0);
+    old.swap(slots);
+    const size_t mask = slots.size() - 1;
+    for (uint64_t slot : old) {
+      if (slot == 0) continue;
+      size_t i = (width != 0 ? slot >> 32 : HashMix64(slot)) & mask;
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = slot;
+    }
+  }
 };
 
 // Running min/max of one column, on the stored representation: int-family

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_support/flags.h"
+#include "bench_support/git_commit.h"
 #include "bench_support/micro_data.h"
 #include "exec/engine.h"
 #include "perf/perf_counters.h"
@@ -133,6 +134,21 @@ class CommandLine {
   std::vector<std::string> args_;
   std::vector<char*> argv_;
 };
+
+TEST(GitCommitTest, StampIsACommitHashOrUnknown) {
+  // The benchmarks' --json stamp: a full hash, "-dirty" when the working
+  // tree differs from it, "unknown" outside a checkout.
+  std::string commit = bench::GitCommit();
+  if (commit == "unknown") return;
+  const std::string dirty = "-dirty";
+  if (commit.size() > dirty.size() &&
+      commit.compare(commit.size() - dirty.size(), dirty.size(), dirty) == 0) {
+    commit.resize(commit.size() - dirty.size());
+  }
+  EXPECT_EQ(commit.size(), 40u) << commit;
+  EXPECT_EQ(commit.find_first_not_of("0123456789abcdef"), std::string::npos)
+      << commit;
+}
 
 TEST(FlagsTest, ParsesCompleteValues) {
   CommandLine cl({"--repeat=5", "--seed=-3", "--sf=0.05", "--tiny=1e-3",

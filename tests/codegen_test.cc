@@ -11,8 +11,10 @@
 #include "codegen/expr_gen.h"
 #include "codegen/generator.h"
 #include "plan/optimizer.h"
+#include "plan/params.h"
 #include "sql/binder.h"
 #include "tests/test_util.h"
+#include "tpch/tpch.h"
 
 namespace hique {
 namespace {
@@ -310,9 +312,9 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
              c.groups.end();
     };
     std::string src = GenerateFor(c.sql, c.opts);
-    for (const char* group : {"decode", "stage", "record_sort", "sort",
-                              "partition", "range", "key_range", "fold",
-                              "map"}) {
+    for (const char* group : {"decode", "stage", "key_filter",
+                              "record_sort", "sort", "partition", "range",
+                              "key_range", "fold", "map"}) {
       EXPECT_EQ(
           src.find("// [driver group " + std::string(group) + "]\n") !=
               std::string::npos,
@@ -482,6 +484,138 @@ TEST_F(CodegenTest, GeneratedSourceIsStablePerPlan) {
   std::string a = GenerateFor("select r_k from r where r_v < 100");
   std::string b = GenerateFor("select r_k from r where r_v < 100");
   EXPECT_EQ(a, b);
+}
+
+/// TPC-H at SF 0.01, loaded once for the suite, and the sources the
+/// engine compiles for it: bound, optimized, literals hoisted, generated.
+class TpchCodegenTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog();
+    tpch::TpchOptions options;
+    options.scale_factor = 0.01;
+    HQ_CHECK(tpch::LoadTpch(catalog_, options).ok());
+  }
+  static void TearDownTestSuite() {
+    delete catalog_;
+    catalog_ = nullptr;
+  }
+
+  static std::string SourceFor(const std::string& sql) {
+    auto bound = sql::ParseAndBind(sql, *catalog_);
+    HQ_CHECK_MSG(bound.ok(), bound.status().ToString().c_str());
+    auto plan = plan::Optimize(std::move(bound).value(), {});
+    HQ_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
+    plan::ParameterizePlan(plan.value().get());
+    auto gen = codegen::Generate(*plan.value());
+    HQ_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
+    return gen.value().source;
+  }
+
+  static Catalog* catalog_;
+};
+
+Catalog* TpchCodegenTest::catalog_ = nullptr;
+
+TEST_F(TpchCodegenTest, KeyFiltersGuardExactlyTheSelectiveProbes) {
+  // Q3: customer (op0) builds the filter orders' scan (op1) tests, and the
+  // customer-orders join result, staged by op3, the one lineitem's (op4)
+  // tests. Q10: only lineitem (op7) is filtered; orders (op4) is not,
+  // because every customer is on the build side of its join.
+  struct Case {
+    std::string sql;
+    std::vector<std::pair<int, int>> filters;  // (build op, probe op)
+  };
+  const std::vector<Case> cases = {{tpch::Query3Sql(), {{0, 1}, {3, 4}}},
+                                   {tpch::Query10Sql(), {{6, 7}}}};
+  for (const Case& c : cases) {
+    std::string src = SourceFor(c.sql);
+    EXPECT_NE(src.find("// [driver group key_filter]\n"), std::string::npos);
+    std::string main = FunctionText(
+        src, "hique_query_main(HqQueryCtx* ctx, const HqParams* params) {");
+    EXPECT_EQ(CountOf(main, "hq_key_filter_build<"), c.filters.size());
+    EXPECT_EQ(CountOf(main, "hq_key_filter_note("), c.filters.size());
+    EXPECT_EQ(CountOf(src, "HqProbeInput in = {"), c.filters.size());
+    for (const auto& [build, probe] : c.filters) {
+      const std::string kf = "&kf" + std::to_string(probe);
+      const std::string probe_call =
+          "op" + std::to_string(probe) + "_stage(ctx, " + kf + ", ";
+      // Built right after the build op's stage, inside its span; tested
+      // by the probe's scan; reported before the next operator starts.
+      size_t staged =
+          main.find("op" + std::to_string(build) + "_stage(ctx, ");
+      size_t built = main.find(kf + ") != 0) return -1;");
+      size_t next_mark =
+          main.find("hq_op_mark(ctx, " + std::to_string(build + 1) + ",");
+      size_t probed = main.find(probe_call);
+      ASSERT_NE(staged, std::string::npos);
+      ASSERT_NE(built, std::string::npos);
+      ASSERT_NE(probed, std::string::npos);
+      EXPECT_LT(staged, built);
+      EXPECT_LT(built, next_mark);
+      EXPECT_LT(next_mark, probed);
+      EXPECT_NE(main.find("hq_key_filter_note(ctx, " + kf + ");", probed),
+                std::string::npos);
+      // The probe scan tests the filter after its predicate, then counts.
+      std::string scan = FunctionText(
+          src, "static int64_t op" + std::to_string(probe) + "_scan(");
+      EXPECT_NE(scan.find("hq_key_filter_test<int32_t, "), std::string::npos)
+          << scan;
+      EXPECT_NE(scan.find("hq_key_filter_count(kf, kf_in, kf_out)"),
+                std::string::npos);
+    }
+  }
+  // Q10's orders stage is not a probe.
+  EXPECT_EQ(SourceFor(tpch::Query10Sql()).find("op4_stage(ctx, &kf4"),
+            std::string::npos);
+}
+
+/// FNV-1a of a source with its one host-derived constant, the quicksort
+/// run length of an ORDER BY output (Generator::SortRunLen, from the L2
+/// size), replaced by a fixed token.
+uint64_t SourceDigest(std::string src) {
+  size_t at = src.find("hq_order_by_output<");
+  if (at != std::string::npos) {
+    size_t b = src.find(", ", src.find(">(ctx, in, ", at) + 11) + 2;
+    src.replace(b, src.find(", ", b) - b, "RUN");
+  }
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (unsigned char c : src) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST_F(TpchCodegenTest, SourcesWithoutJoinsAreUnchangedByKeyFilters) {
+  // Statements with no inner join compile the same bytes as before join
+  // key filters existed: no key_filter group, and digests recorded from
+  // the generator without them. Re-record a digest only for a deliberate
+  // change to that statement's source.
+  struct Case {
+    const char* name;
+    std::string sql;
+    uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"Q1", tpch::Query1Sql(), 0x28138a6c5f991d46ull},
+      {"Q6", tpch::Query6Sql(), 0xcf6d79720bcb367dull},
+      {"stream_wide range scan",
+       "select l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity, "
+       "l_extendedprice, l_discount, l_shipdate from lineitem "
+       "where l_orderkey >= ? and l_orderkey < ?",
+       0x9228d98ddbf28825ull},
+      {"single-table aggregation",
+       "select o_orderstatus, count(*) as cnt from orders "
+       "where o_orderdate < date '1995-01-01' group by o_orderstatus",
+       0x36ee52819ec0a360ull}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string src = SourceFor(c.sql);
+    EXPECT_EQ(src.find("key_filter"), std::string::npos);
+    EXPECT_EQ(src.find("HqKeyFilter"), std::string::npos);
+    EXPECT_EQ(SourceDigest(src), c.digest);
+  }
 }
 
 TEST(RecordLayoutTest, ConcatPreservesInternalOffsets) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -227,6 +228,73 @@ TEST_F(ExplainTest, AnalyzeReportsEachOperatorsOutputTuples) {
     }
     EXPECT_EQ(tuples[stage_op], staged.value().size());
     EXPECT_EQ(tuples[join_op], joined.value().size());
+  }
+}
+
+// Join-key filters: EXPLAIN names the op whose staged keys build each
+// filter, EXPLAIN ANALYZE adds its key count, bitmap bytes and pass rate.
+// In TPC-H Q3 lineitem's stage (op4) keeps exactly the rows the join
+// (op5) emits: a bitmap has no false positives and o_orderkey is unique.
+// The counts are the same at every thread count, and so is the source
+// with tracing on or off.
+TEST_F(ExplainTest, AnalyzeReportsEachKeyFilterAndItsPassRate) {
+  Catalog& catalog = SharedCatalog();
+  const std::string sql = tpch::Query3Sql();
+  std::string first_report;
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineOptions off = FastOptions(threads);
+    off.keep_source = true;
+    HiqueEngine engine(&catalog, off);
+    auto plain = engine.Query(sql);
+    auto r = engine.Query("explain analyze " + sql);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::vector<std::string> lines = ReportLines(r.value());
+    std::map<int32_t, const exec::OpStat*> ops;
+    for (const auto& op : r.value().exec_stats.ops) ops[op.op_id] = &op;
+    std::string report;
+    for (const auto& [probe, build] : {std::make_pair(1, 0),
+                                       std::make_pair(4, 3)}) {
+      const std::string head = "op" + std::to_string(probe) + ": stage ";
+      auto at = std::find_if(lines.begin(), lines.end(), [&](const auto& l) {
+        return l.rfind(head, 0) == 0;
+      });
+      ASSERT_NE(at, lines.end());
+      EXPECT_NE(at->find("key filter <- op" + std::to_string(build)),
+                std::string::npos)
+          << *at;
+      // The plan line, its span line, then the filter line.
+      ASSERT_LT(at + 2, lines.end());
+      const std::string& kf = *(at + 2);
+      ASSERT_EQ(kf.rfind("  key filter: ", 0), 0u) << kf;
+      const exec::KeyFilterStat& stat = ops.at(probe)->key_filter;
+      ASSERT_TRUE(stat.present);
+      EXPECT_EQ(stat.keys, static_cast<int64_t>(ops.at(build)->tuples));
+      EXPECT_GT(stat.bytes, 0u);
+      EXPECT_EQ(stat.passed, ops.at(probe)->tuples);
+      EXPECT_LT(stat.passed, stat.tested);
+      EXPECT_NE(kf.find("passed " + std::to_string(stat.passed) + " of " +
+                        std::to_string(stat.tested) + " ("),
+                std::string::npos)
+          << kf;
+      report += kf + "\n";
+    }
+    EXPECT_EQ(ops.at(4)->tuples, ops.at(5)->tuples);
+    EXPECT_FALSE(ops.at(2)->key_filter.present);  // the join reports none
+    if (first_report.empty()) {
+      first_report = report;
+    } else {
+      EXPECT_EQ(report, first_report);
+    }
+    // Traced and untraced runs compile the same source.
+    EngineOptions on = off;
+    on.trace_spans = true;
+    HiqueEngine traced(&catalog, on);
+    auto t = traced.Query(sql);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(plain.value().generated_source, t.value().generated_source);
+    EXPECT_EQ(ResultTuples(plain.value()), ResultTuples(t.value()));
   }
 }
 

@@ -4,7 +4,8 @@
 // std::sort, the partition driver against a serial reference scatter, the
 // concatenation for task order, the ORDER BY pipeline against a sorted
 // copy, map aggregation's fold against a serial one and its directory
-// against std::map. Each runs both on the header's serial fallback and on a
+// against std::map, the join-key filter against std::unordered_set. Each
+// runs both on the header's serial fallback and on a
 // multi-threaded parallel_for over exec::WorkerPool, and the two must agree
 // byte for byte (under TSan this race-checks the disjoint per-task cursors
 // of the staging fill, the scatter and the merges).
@@ -18,7 +19,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <limits>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -1034,6 +1037,158 @@ TEST(OperatorDriverTest, DirIdMatchesInsertionOrderReference) {
     EXPECT_EQ(d->id[i], id);
     EXPECT_EQ(d->v[id], key);
     ++i;
+  }
+}
+
+// Join-key filter: hq_key_filter_build over build records (KT key at byte
+// 8 of 16) and hq_key_filter_test over probe blocks (KT key at byte 8 of
+// 24), against a serial std::unordered_set of the build keys. Without a
+// bitmap (the width guard) every bit of the mask survives.
+template <typename KT>
+void CheckKeyFilter(const std::vector<KT>& build, const std::vector<KT>& probe,
+                    bool bitmap) {
+  constexpr uint32_t kBuildRec = 16, kProbeRec = 24, kOff = 8;
+  std::vector<uint8_t> recs(build.size() * kBuildRec + kBuildRec, 0xCD);
+  for (size_t i = 0; i < build.size(); ++i) {
+    std::memcpy(recs.data() + i * kBuildRec + kOff, &build[i], sizeof(KT));
+  }
+  HqStream s = {recs.data(), static_cast<int64_t>(build.size()), kBuildRec,
+                nullptr, 0};
+  Harness h(1);
+  HqKeyFilter kf;
+  std::memset(&kf, 0xEE, sizeof(kf));
+  ASSERT_EQ((hq_key_filter_build<KT, kBuildRec, kOff>(h.ctx(), &s, &kf)), 0);
+  EXPECT_EQ(kf.keys, static_cast<int64_t>(build.size()));
+  EXPECT_EQ(kf.bits != nullptr, bitmap);
+  EXPECT_EQ(kf.tested, 0u);
+  EXPECT_EQ(kf.passed, 0u);
+  const std::unordered_set<int64_t> keys(build.begin(), build.end());
+  std::vector<uint8_t> tuples(probe.size() * kProbeRec + kProbeRec, 0xCD);
+  for (size_t i = 0; i < probe.size(); ++i) {
+    std::memcpy(tuples.data() + i * kProbeRec + kOff, &probe[i], sizeof(KT));
+  }
+  Rng rng(99);
+  for (size_t b = 0; b < probe.size(); b += HQ_SIMD_BLOCK) {
+    const uint32_t bn = static_cast<uint32_t>(
+        std::min<size_t>(HQ_SIMD_BLOCK, probe.size() - b));
+    const uint64_t full = ~0ull >> (64 - bn);
+    for (uint64_t bm : {full, rng.Next() & full, uint64_t{0}}) {
+      uint64_t want = 0;
+      for (uint32_t i = 0; i < bn; ++i) {
+        if ((bm >> i & 1) && (!bitmap || keys.count(probe[b + i]) != 0)) {
+          want |= 1ull << i;
+        }
+      }
+      EXPECT_EQ((hq_key_filter_test<KT, kProbeRec, kOff>(
+                    &kf, tuples.data() + b * kProbeRec, bn, bm)),
+                want)
+          << "block at " << b;
+    }
+  }
+}
+
+TEST(OperatorDriverTest, KeyFilterMatchesUnorderedSetReference) {
+  Rng rng(5);
+  auto draw = [&](int64_t lo, int64_t hi, size_t n) {
+    std::vector<int32_t> v;
+    for (size_t i = 0; i < n; ++i) {
+      v.push_back(static_cast<int32_t>(
+          lo + static_cast<int64_t>(rng.NextBounded(
+                   static_cast<uint64_t>(hi - lo)))));
+    }
+    return v;
+  };
+  // Probe keys below, inside and above every build range.
+  const std::vector<int32_t> probe = draw(-3000, 3000, 1000);
+  CheckKeyFilter<int32_t>({}, probe, true);                   // empty
+  CheckKeyFilter<int32_t>({17}, probe, true);                 // one key
+  CheckKeyFilter<int32_t>(draw(-900, -100, 300), probe, true);  // negative
+  CheckKeyFilter<int32_t>(draw(0, 64, 500), probe, true);       // duplicates
+  CheckKeyFilter<int32_t>(draw(-2500, 2500, 4000), probe, true);
+  // Range ends that are not word-aligned, and a one-word range.
+  CheckKeyFilter<int32_t>({-65, 63, 64, 127, 128}, probe, true);
+  // The width guard: two keys 2^32 - 1 apart, then a span just at and
+  // just below the limit (max(32 bits per key, HQ_KF_MIN_BITS)).
+  const int32_t lo = std::numeric_limits<int32_t>::min();
+  const int32_t hi = std::numeric_limits<int32_t>::max();
+  CheckKeyFilter<int32_t>({lo, hi}, {lo, hi, 0, lo + 1, hi - 1}, false);
+  CheckKeyFilter<int32_t>({0, HQ_KF_MIN_BITS}, probe, false);
+  CheckKeyFilter<int32_t>({0, HQ_KF_MIN_BITS - 1}, probe, true);
+  // int64 keys: far from zero, and spanning the whole domain.
+  const int64_t wide = int64_t{1} << 40;
+  CheckKeyFilter<int64_t>({wide - 5, wide, wide + 900},
+                          {wide - 6, wide - 5, wide + 1, wide + 900, -wide},
+                          true);
+  CheckKeyFilter<int64_t>({std::numeric_limits<int64_t>::min(),
+                           std::numeric_limits<int64_t>::max()},
+                          {0, 1, std::numeric_limits<int64_t>::max()}, false);
+}
+
+/// A probe stage's scan: reads its filter back from the HqProbeInput the
+/// stage hands hq_stage_base, tests each block of Recs, counts once.
+template <bool FILL>
+int64_t ProbeScan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
+                  uint64_t pe, uint8_t* dst, uint64_t* pages) {
+  (void)ctx;
+  HqKeyFilter* kf = ((const HqProbeInput*)T)->kf;
+  uint64_t kf_in = 0, kf_out = 0;
+  int64_t n = 0;
+  for (uint64_t p = pb; p < pe; ++p) {
+    uint32_t nt;
+    std::memcpy(&nt, T->pages[p], 4);
+    if (FILL) ++*pages;
+    const uint8_t* tup = T->pages[p] + HQ_PAGE_HEADER;
+    for (uint32_t ti = 0; ti < nt;) {
+      uint32_t bn = std::min<uint32_t>(nt - ti, HQ_SIMD_BLOCK);
+      uint64_t bm = ~0ull >> (64 - bn);
+      kf_in += __builtin_popcountll(bm);
+      bm = hq_key_filter_test<int32_t, kRec, 0>(kf, tup, bn, bm);
+      kf_out += __builtin_popcountll(bm);
+      n += __builtin_popcountll(bm);
+      while (FILL && bm) {
+        uint32_t bi = static_cast<uint32_t>(__builtin_ctzll(bm));
+        bm &= bm - 1;
+        std::memcpy(dst, tup + bi * kRec, kRec);
+        dst += kRec;
+      }
+      ti += bn;
+      tup += bn * kRec;
+    }
+  }
+  if (FILL) hq_key_filter_count(kf, kf_in, kf_out);
+  return n;
+}
+
+TEST(OperatorDriverTest, ProbeStageStagesOnlyFilterKeysOnEveryPath) {
+  TablePages table(200);
+  // Build keys: the odd ones in [100, 300).
+  std::vector<Rec> build;
+  for (int32_t k = 101; k < 300; k += 2) {
+    build.push_back({k, static_cast<uint32_t>(k), 0});
+  }
+  std::vector<uint8_t> build_bytes = Bytes(build);
+  std::vector<Rec> want;
+  for (const Rec& r : table.tuples) {
+    if (r.key >= 100 && r.key < 300 && r.key % 2 != 0) want.push_back(r);
+  }
+  for (const char* path : {"serial", "fallback", "pool"}) {
+    SCOPED_TRACE(path);
+    Harness h(std::string(path) == "pool" ? 4 : 1);
+    if (std::string(path) == "fallback") h.ctx()->num_workers = 4;
+    HqStream bs = {build_bytes.data(), static_cast<int64_t>(build.size()),
+                   kRec, nullptr, 0};
+    HqKeyFilter kf;
+    ASSERT_EQ((hq_key_filter_build<int32_t, kRec, 0>(h.ctx(), &bs, &kf)), 0);
+    HqProbeInput in = {table.ref, &kf};
+    HqStream out;
+    ASSERT_EQ((hq_stage_base<kRec, ProbeScan<false>, ProbeScan<true>>(
+                  h.ctx(), &in.T, &out)),
+              0);
+    EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
+              Bytes(want));
+    // Counted once per row, in the fill pass only.
+    EXPECT_EQ(kf.tested, table.tuples.size());
+    EXPECT_EQ(kf.passed, want.size());
   }
 }
 
