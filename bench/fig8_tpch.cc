@@ -12,11 +12,17 @@
 // HIQUE runs the kernel version the host supports (simd_level in the
 // JSON); to time the portable kernels, run the whole bench under
 // HQ_SIMD=off. Every time is the median of --repeat timed runs, with the
-// interquartile range beside it. --json=FILE writes the measurements as
+// interquartile range beside it, and each HIQUE series also records the
+// median minor page faults (getrusage ru_minflt, the whole process) per
+// timed run: a warm plan that reuses its arena blocks faults in almost no
+// fresh pages. --json=FILE writes the measurements as
 // the repo's tracked perf datapoint (BENCH_fig8.json in CI), stamped with
 // the commit and a fixed-work thread calibration taken before and after
 // the queries: parallel columns mean little on a host that runs --threads
-// threads of the same work much slower than one.
+// threads of the same work much slower than one. `bench/pairs.py --bench
+// fig8` runs two builds alternately into BENCH_fig8.json.
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <thread>
@@ -60,15 +66,24 @@ bool AtOptLevel(const Result&, int) {
   return true;
 }
 
-/// Median and interquartile range of one system's timed runs (seconds).
+int64_t MinorFaults() {
+  rusage u;
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+/// Median and interquartile range of one system's timed runs (seconds),
+/// and the median minor faults per run.
 struct Spread {
   double median = 0, q1 = 0, q3 = 0;
+  double minflt = 0;
 
   Spread() = default;
-  explicit Spread(const std::vector<double>& v)
+  Spread(const std::vector<double>& v, const std::vector<double>& faults)
       : median(e2e::Median(v)),
         q1(e2e::Quantile(v, 0.25)),
-        q3(e2e::Quantile(v, 0.75)) {}
+        q3(e2e::Quantile(v, 0.75)),
+        minflt(e2e::Median(faults)) {}
 
   std::string Cell() const {
     char buf[64];
@@ -223,7 +238,7 @@ int main(int argc, char** argv) {
                               "Optimized iterators", "Column engine",
                               "HIQUE", "HIQUE-comp",
                               "HIQUE-x" + std::to_string(threads),
-                              "HIQUE rows"});
+                              "HIQUE rows", "HIQUE minflt"});
   // Each system runs its repeats back-to-back (system-major order):
   // interleaving systems per repeat would let the column engine's DSM
   // copies evict the shared table pages between HIQUE's runs.
@@ -231,12 +246,14 @@ int main(int argc, char** argv) {
   std::string cur_sql;
   auto timed = [&](const char* qname, const char* sys, auto& engine,
                    auto time_of) {
-    std::vector<double> t;
+    std::vector<double> t, faults;
     // One untimed warm-up so every system's timed repeats start from the
     // same steady cache/allocator state (and HIQUE, after AfterWarmup's
     // reuse, from its -O2 tier).
     for (int r = -1; r < repeat && !failed; ++r) {
+      const int64_t faults_before = MinorFaults();
       auto res = engine.Query(cur_sql);
+      const int64_t run_faults = MinorFaults() - faults_before;
       if (!res.ok()) {
         std::printf("%s %s: %s\n", qname, sys,
                     res.status().ToString().c_str());
@@ -258,8 +275,9 @@ int main(int argc, char** argv) {
         return Spread();
       }
       t.push_back(time_of(res.value()));
+      faults.push_back(static_cast<double>(run_faults));
     }
-    return Spread(t);
+    return Spread(t, faults);
   };
   // One instrumented run per query: per-operator wall time / tuples /
   // pages / barriers keyed to the plan's op lines, embedded in the JSON
@@ -344,7 +362,8 @@ int main(int argc, char** argv) {
     }
     table.AddRow({q.name, t_pg.Cell(), t_sysx.Cell(), t_col.Cell(),
                   t_hq.Cell(), t_comp.Cell(), t_mt.Cell(),
-                  std::to_string(rows)});
+                  std::to_string(rows),
+                  std::to_string(static_cast<int64_t>(t_hq.minflt))});
     json_queries.Add(bench::JsonObj()
                          .Str("name", q.name)
                          .Num("generic_s", t_pg.median)
@@ -355,10 +374,13 @@ int main(int argc, char** argv) {
                          .Add("column_iqr_s", t_col.IqrJson())
                          .Num("hique_simd_s", t_hq.median)
                          .Add("hique_simd_iqr_s", t_hq.IqrJson())
+                         .Num("hique_simd_minflt", t_hq.minflt)
                          .Num("hique_comp_s", t_comp.median)
                          .Add("hique_comp_iqr_s", t_comp.IqrJson())
+                         .Num("hique_comp_minflt", t_comp.minflt)
                          .Num("hique_mt_s", t_mt.median)
                          .Add("hique_mt_iqr_s", t_mt.IqrJson())
+                         .Num("hique_mt_minflt", t_mt.minflt)
                          .Num("comp_speedup", Speedup(t_hq, t_comp))
                          .Num("mt_speedup", Speedup(t_hq, t_mt))
                          .Int("rows", rows)
@@ -410,8 +432,10 @@ int main(int argc, char** argv) {
                        .Str("name", q.name)
                        .Num("hique_simd_s", t_hq.median)
                        .Add("hique_simd_iqr_s", t_hq.IqrJson())
+                       .Num("hique_simd_minflt", t_hq.minflt)
                        .Num("hique_mt_s", t_mt.median)
                        .Add("hique_mt_iqr_s", t_mt.IqrJson())
+                       .Num("hique_mt_minflt", t_mt.minflt)
                        .Num("mt_speedup", Speedup(t_hq, t_mt))
                        .Int("rows", rows)
                        .Add("op_spans", op_spans_json(q.sql).Render())

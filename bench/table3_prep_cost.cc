@@ -10,9 +10,9 @@
 // --repeat=N compiles every query N times at each level and reports the
 // median with its interquartile range; --json=FILE writes the same numbers,
 // stamped with the host's core count and the commit of the working
-// directory. bench/table3_pairs.py runs two builds alternately and
-// collects their outputs into BENCH_table3.json, the tracked compile-cost
-// datapoint.
+// directory. `bench/pairs.py --bench table3` runs two builds alternately
+// and collects their outputs into BENCH_table3.json, the tracked
+// compile-cost datapoint.
 
 #include <algorithm>
 #include <cstdio>

@@ -500,9 +500,9 @@ HiqueEngine::PrepareState(const std::string& sql,
   // codec state: a Compress/Decompress rewrite that lands after this point
   // produces a version mismatch at pin time (the stale-plan signal) instead
   // of executing against an encoding the plan was not generated for.
-  state->table_layouts.reserve(bound->tables.size());
+  state->tables.reserve(bound->tables.size());
   for (Table* t : bound->tables) {
-    state->table_layouts.push_back(t->layout_version());
+    state->tables.push_back({t->layout_version(), false});
   }
   if (!allow_placeholders && bound->num_placeholders > 0) {
     return Status::BindError(
@@ -513,6 +513,15 @@ HiqueEngine::PrepareState(const std::string& sql,
     effective.force_agg_algo = plan::AggAlgo::kHybridHashSort;
   }
   HQ_ASSIGN_OR_RETURN(auto plan, plan::Optimize(std::move(bound), effective));
+  for (const plan::Op& op : plan->ops) {
+    const auto* stage = std::get_if<plan::StageOp>(&op);
+    if (stage != nullptr && stage->action == plan::StageAction::kPartitionFine &&
+        !stage->fine_clamp) {
+      const int table =
+          stage->output.fields[stage->key_fields[0]].source.table;
+      state->tables[table].stats_cover_rows = true;
+    }
+  }
   // Hoist literal constants into the plan's parameter table, then key the
   // compiled-query cache on the literal-free structural signature.
   plan::ParameterizePlan(plan.get());

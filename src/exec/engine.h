@@ -567,6 +567,9 @@ class HiqueEngine {
   // when threads_ > 1 (pool size threads_ - 1: the query thread itself is
   // the last executor slot of every ParallelFor barrier).
   std::unique_ptr<exec::WorkerPool> worker_pool_;
+  // Arena blocks every execution of this engine takes and gives back; its
+  // blocks are freed with the engine.
+  exec::ArenaPool arena_pool_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, CacheEntry> cache_;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "codegen/runtime_abi.h"
-#include "exec/arena.h"
 #include "perf/perf_counters.h"
 #include "sql/binder.h"
 #include "storage/page.h"
@@ -426,8 +425,8 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const ParallelRuntime& par,
                                       const ResultPageFn& on_page,
                                       const PageAllocFn& alloc_page,
-                                      const std::vector<uint64_t>*
-                                          expected_layouts) {
+                                      const std::vector<TableExpectation>*
+                                          expected) {
   // Pin every base table in memory (main-memory execution, paper §VI).
   std::vector<PinnedPages> pinned(tables.size());
   std::vector<std::vector<uint8_t*>> page_ptrs(tables.size());
@@ -435,11 +434,14 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
   std::vector<HqTableRef> refs(tables.size());
   for (size_t t = 0; t < tables.size(); ++t) {
     HQ_ASSIGN_OR_RETURN(pinned[t], tables[t]->Pin());
-    if (expected_layouts != nullptr && t < expected_layouts->size() &&
-        pinned[t].layout_version() != (*expected_layouts)[t]) {
+    if (expected != nullptr && t < expected->size() &&
+        (pinned[t].layout_version() != (*expected)[t].layout_version ||
+         ((*expected)[t].stats_cover_rows &&
+          pinned[t].rows_since_stats() > 0))) {
       // The page encoding moved under the plan (a Compress/Decompress
-      // rewrite raced the lookup). Fail before running any generated code;
-      // the session re-prepares against the current layout and retries.
+      // rewrite raced the lookup), or rows arrived that a fine-partitioned
+      // join would drop. Fail before running any generated code; the
+      // session re-prepares against the current table and retries.
       return Status::ExecError(kStalePlanMsg);
     }
     page_ptrs[t].reserve(pinned[t].pages().size());
@@ -474,13 +476,21 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     budget.store(static_cast<int64_t>(par.arena_limit_bytes));
     budget_ptr = &budget;
   }
-  Arena arena(budget_ptr);
+  // Declared before the arenas, so the execution ends after they have
+  // given their blocks back.
+  ArenaPool* pool =
+      par.arena_pool != nullptr ? par.arena_pool : ArenaPool::Shared();
+  struct EndExecution {
+    ArenaPool* pool;
+    ~EndExecution() { pool->EndExecution(); }
+  } end_execution{pool};
+  Arena arena(pool, 0, budget_ptr);
   uint32_t num_workers = par.pool != nullptr ? par.pool->num_executors() : 1;
   std::vector<std::unique_ptr<Arena>> worker_arenas;
   std::vector<HqWorkerCtx> workers(num_workers);
   worker_arenas.reserve(num_workers);
   for (uint32_t i = 0; i < num_workers; ++i) {
-    worker_arenas.push_back(std::make_unique<Arena>(budget_ptr));
+    worker_arenas.push_back(std::make_unique<Arena>(pool, i + 1, budget_ptr));
     std::memset(&workers[i], 0, sizeof(HqWorkerCtx));
     workers[i].alloc = &Arena::AllocCallback;
     workers[i].arena = worker_arenas[i].get();
@@ -574,8 +584,10 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     stats->tuples_emitted = ctx.tuples_emitted;
     stats->helper_calls = ctx.helper_calls;
     stats->arena_bytes = arena.total_allocated();
+    stats->arena_fresh_bytes = arena.fresh_bytes();
     for (const auto& wa : worker_arenas) {
       stats->arena_bytes += wa->total_allocated();
+      stats->arena_fresh_bytes += wa->fresh_bytes();
     }
     stats->threads = num_workers;
     stats->par_barriers = par_service.barriers;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "codegen/runtime_abi.h"
+#include "exec/arena.h"
 #include "exec/worker_pool.h"
 #include "plan/physical.h"
 #include "storage/table.h"
@@ -54,6 +55,7 @@ struct ExecStats {
   uint64_t tuples_emitted = 0;
   uint64_t helper_calls = 0;
   uint64_t arena_bytes = 0;    // query arena + all worker arenas
+  uint64_t arena_fresh_bytes = 0;  // of which taken from the OS, not a pool
   uint32_t threads = 1;        // executor slots the run could schedule on
   // Parallel-stage shape. Barrier and task counts follow from the plan and
   // the data alone (task decomposition never depends on the thread count),
@@ -77,6 +79,9 @@ struct ExecStats {
 struct ParallelRuntime {
   WorkerPool* pool = nullptr;      // null => hq_parallel_for runs serially
   uint64_t arena_limit_bytes = 0;  // shared scratch budget (0 = unlimited)
+  // Where the execution's arenas take their blocks from: the engine's
+  // pool; null => ArenaPool::Shared(), the pool of callers without one.
+  ArenaPool* arena_pool = nullptr;
   // Cooperative cancellation flag: when set nonzero by the client, the
   // execution unwinds with a "query cancelled" error — the scheduler checks
   // it before every parallel task (remaining tasks cancel through the
@@ -109,6 +114,17 @@ bool IsCancelled(const Status& status);
 /// and retrying — safe because staleness is detected before any result
 /// page is delivered.
 bool IsStalePlan(const Status& status);
+
+/// What a plan assumed about one input table when it was prepared. A
+/// pinned snapshot that breaks an assumption fails the execution with the
+/// stale-plan signal (see IsStalePlan) before any generated code runs.
+struct TableExpectation {
+  // The physical-layout version the plan was generated for.
+  uint64_t layout_version = 0;
+  // A fine-partitioned join drops keys outside the statistics' range, so
+  // it needs the statistics to cover every row: no delta-store inserts.
+  bool stats_cover_rows = false;
+};
 
 /// The runtime materialization of a plan's ParamTable: owning storage for
 /// the banks plus the ABI view handed to generated code. The abi pointers
@@ -155,12 +171,13 @@ using PageAllocFn = std::function<Page*()>;
 /// consumer holds plus the single page being filled. Returns the row count.
 /// `par` selects the worker pool and thread budget; `{}` runs serially.
 ///
-/// `expected_layouts`, when non-null, carries the per-table physical-layout
-/// versions the plan was prepared against (same order as `tables`); if a
-/// pinned snapshot reports a different version the call fails with the
-/// stale-plan signal (see IsStalePlan) before executing any generated code.
-/// Layout-preserving compactions do not bump the version (generated NSM
-/// scan loops are still valid over the freshly folded pages).
+/// `expected`, when non-null, carries what the plan assumed about each
+/// table (same order as `tables`); a pinned snapshot that reports another
+/// layout version, or inserts the statistics may not cover where the plan
+/// needs them covered, fails the call with the stale-plan signal (see
+/// IsStalePlan) before executing any generated code. Layout-preserving
+/// compactions do not bump the version (generated NSM scan loops are still
+/// valid over the freshly folded pages).
 Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const Schema& output_schema,
                                       HqEntryFn entry, const HqParams* params,
@@ -168,8 +185,8 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const ParallelRuntime& par,
                                       const ResultPageFn& on_page,
                                       const PageAllocFn& alloc_page = {},
-                                      const std::vector<uint64_t>*
-                                          expected_layouts = nullptr);
+                                      const std::vector<TableExpectation>*
+                                          expected = nullptr);
 
 }  // namespace hique::exec
 

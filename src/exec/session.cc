@@ -572,6 +572,7 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
   par.pool = session.options.threads == 1 ? nullptr
                                           : engine->worker_pool_.get();
   par.arena_limit_bytes = engine->options().arena_limit_bytes;
+  par.arena_pool = &engine->arena_pool_;
   par.cancel = cancel;
   par.collect_op_stats = run->force_op_stats || engine->trace_spans();
   par.collect_op_cycles = run->force_op_stats;
@@ -605,7 +606,7 @@ Status SessionImpl::Run(StatementRun* run, const exec::ResultPageFn& on_page,
     auto rows = exec::ExecuteEntryStreaming(
         run->state->plan->query->tables, run->state->plan->output_schema,
         run->library->entry(), &run->bound.abi, &stats, par, deliver, alloc,
-        &run->state->table_layouts);
+        &run->state->tables);
     writers.clear();
     // The restart policy. Stale statistics overflowed map aggregation's
     // directories: re-plan once with hybrid aggregation. A compaction or

@@ -39,14 +39,16 @@ struct PreparedStatement::State {
   // Prepared DML: no plan/library — Execute routes `sql` to the DML
   // executor and returns rows-affected through the result.
   bool is_dml = false;
-  // Per-table physical-layout versions captured right after binding (same
-  // order as plan->query->tables). The executor validates the pinned
-  // snapshots against these: a Compress/Decompress rewrite that lands
-  // between preparation and pinning fails the execution with the stale-plan
-  // signal instead of running generated code against the wrong page
-  // encoding. Layout-preserving compactions do not bump the version, so a
-  // compaction storm never starves in-flight queries.
-  std::vector<uint64_t> table_layouts;
+  // Per-table assumptions (same order as plan->query->tables): the
+  // physical-layout versions captured right after binding, and whether a
+  // fine-partitioned join needs the statistics to cover every row. The
+  // executor validates the pinned snapshots against these: a
+  // Compress/Decompress rewrite or a delta-store insert that lands between
+  // preparation and pinning fails the execution with the stale-plan signal
+  // instead of running generated code that would misread or drop rows.
+  // Layout-preserving compactions do not bump the version, so a compaction
+  // storm never starves in-flight queries.
+  std::vector<exec::TableExpectation> tables;
 
   mutable std::mutex fallback_mu;
   mutable std::shared_ptr<const State> fallback;

@@ -59,7 +59,9 @@ Result<Socket> Socket::Listen(const std::string& address, uint16_t port,
   addr.sin_port = htons(port);
   HQ_RETURN_IF_ERROR(ParseAddress(address, &addr.sin_addr));
 
-  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  // Every descriptor is close-on-exec: a runtime g++ spawned by the engine
+  // must not inherit the server's sockets or its wake pipe.
+  Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!sock.valid()) return Errno("socket");
   int reuse = 1;
   (void)setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
@@ -80,7 +82,7 @@ Result<Socket> Socket::Listen(const std::string& address, uint16_t port,
 }
 
 Result<Socket> Socket::Accept() {
-  int fd = ::accept(fd_, nullptr, nullptr);
+  int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (fd < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
       return Socket();  // nothing pending
@@ -97,7 +99,7 @@ Result<Socket> Socket::Connect(const std::string& address, uint16_t port) {
   addr.sin_port = htons(port);
   HQ_RETURN_IF_ERROR(ParseAddress(address, &addr.sin_addr));
 
-  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!sock.valid()) return Errno("socket");
   if (connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
@@ -161,11 +163,9 @@ Result<size_t> Socket::RecvSome(uint8_t* data, size_t n, bool* peer_closed) {
 
 WakePipe::WakePipe() {
   int fds[2];
-  if (pipe(fds) == 0) {
+  if (pipe2(fds, O_CLOEXEC | O_NONBLOCK) == 0) {
     read_fd_ = fds[0];
     write_fd_ = fds[1];
-    (void)fcntl(read_fd_, F_SETFL, O_NONBLOCK);
-    (void)fcntl(write_fd_, F_SETFL, O_NONBLOCK);
   }
 }
 

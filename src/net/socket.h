@@ -75,6 +75,7 @@ class WakePipe {
 
   bool valid() const { return read_fd_ >= 0; }
   int read_fd() const { return read_fd_; }
+  int write_fd() const { return write_fd_; }
   void Wake();
   void Drain();
 

@@ -90,6 +90,13 @@ std::vector<std::string> RenderAnalyzeLines(const std::string& plan_text,
     char skew[32];
     std::snprintf(skew, sizeof(skew), "%.2f", stats.skew_ratio);
     sum << "  skew(max) " << skew;
+    // Fresh arena bytes came from the OS, not from the engine's block
+    // pool: on a warm plan they are the pages this run faulted in.
+    char arena[64];
+    std::snprintf(arena, sizeof(arena), "  arena %.1f MB (%.1f MB fresh)",
+                  stats.arena_bytes / 1048576.0,
+                  stats.arena_fresh_bytes / 1048576.0);
+    sum << arena;
     lines.push_back(sum.str());
   }
 

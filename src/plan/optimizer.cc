@@ -664,11 +664,15 @@ class Planner {
   }
 
   /// Dense-domain fine partitioning: both keys int-family with valid stats
-  /// and a small intersection range. Returns (min, width).
+  /// and a small intersection range. Returns (min, width). The join drops
+  /// every key outside that range, so neither table may hold rows its
+  /// statistics do not cover (delta-store inserts); the executor re-checks
+  /// this at pin time (TableExpectation::stats_cover_rows).
   std::optional<std::pair<int64_t, int64_t>> FinePartitionDomain(
       ColRef lkey, ColRef rkey) const {
     auto range = [&](ColRef c) -> std::optional<std::pair<int64_t, int64_t>> {
       const Table* t = q_->tables[c.table];
+      if (t->RowsSinceStats() > 0) return std::nullopt;
       const TableStats stats = t->stats();
       if (!stats.valid) return std::nullopt;
       const ColumnStats& cs = stats.columns[c.column];

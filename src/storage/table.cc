@@ -135,6 +135,8 @@ Result<PinnedPages> Table::Pin() {
     pinned.pages_.reserve(gen_->pages.size() + delta_->delta_pages());
     pinned.tuple_count_ =
         delta_->SnapshotMerged(gen_->pages, &pinned.pages_, &pinned.hold_);
+    // Read after the snapshot: never fewer inserts than it holds.
+    pinned.rows_since_stats_ = delta_->inserts();
   } else {
     pinned.pages_ = gen_->pages;
     pinned.tuple_count_ = num_tuples_.load(std::memory_order_acquire);
@@ -145,6 +147,11 @@ Result<PinnedPages> Table::Pin() {
   pinned.layout_ = layout_;
   pinned.tuples_per_page_ = PageCapacity(*layout_);
   return pinned;
+}
+
+uint64_t Table::RowsSinceStats() const {
+  std::lock_guard<std::mutex> lk(state_mu_);
+  return delta_ != nullptr ? delta_->inserts() : 0;
 }
 
 Status Table::ForEachTuple(const std::function<void(const uint8_t*)>& fn) {

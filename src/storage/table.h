@@ -72,6 +72,8 @@ class PinnedPages {
   /// The table's physical-layout version at snapshot time (stale-plan
   /// checks: generated code is only invalid if the page *encoding* moved).
   uint64_t layout_version() const { return layout_version_; }
+  /// Table::RowsSinceStats() when the snapshot was taken, or more.
+  uint64_t rows_since_stats() const { return rows_since_stats_; }
   /// The encoding the pinned pages were written in, captured with them:
   /// a concurrent Compress/Decompress cannot pair these pages with the
   /// next layout's codec or dictionaries.
@@ -91,6 +93,7 @@ class PinnedPages {
   uint64_t tuple_count_ = 0;
   uint64_t stats_version_ = 0;
   uint64_t layout_version_ = 0;
+  uint64_t rows_since_stats_ = 0;
   std::shared_ptr<const TableLayout> layout_;
   uint32_t tuples_per_page_ = 0;
   // Shared ownership of page generations / delta substitutes backing the
@@ -235,6 +238,10 @@ class Table {
   /// version: the engine embeds the catalog-wide version in compiled-plan
   /// cache keys, so refreshed statistics invalidate stale libraries.
   Status ComputeStats();
+  /// Rows inserted into the delta store since it was last folded (a
+  /// compaction folds the delta and recomputes the statistics): rows whose
+  /// values the statistics may not cover. 0 without a delta store.
+  uint64_t RowsSinceStats() const;
   /// A copy of the current statistics snapshot. Copy, not reference: the
   /// compactor republishes statistics while concurrent planners read them,
   /// and the lock scope must not leak into the caller.

@@ -10,6 +10,7 @@
 #include "column/column_engine.h"
 #include "iterator/volcano_engine.h"
 #include "tests/test_util.h"
+#include "tpch/tpch.h"
 
 namespace hique {
 namespace {
@@ -224,78 +225,81 @@ struct AlgoCase {
   uint64_t seed;
 };
 
-class ForcedAlgoTest : public ::testing::TestWithParam<AlgoCase> {
- protected:
-  void SetUp() override {
-    const AlgoCase& c = GetParam();
-    testing::MakeIntTable(&catalog_, "r", 2000, 30, c.seed);
-    testing::MakeIntTable(&catalog_, "s", 1500, 30, c.seed + 7);
-  }
-  Catalog catalog_;
-};
+const AlgoCase kAlgoCases[] = {
+    {plan::JoinAlgo::kMerge, plan::AggAlgo::kSort, false, 10},
+    {plan::JoinAlgo::kMerge, plan::AggAlgo::kHybridHashSort, false, 11},
+    {plan::JoinAlgo::kMerge, plan::AggAlgo::kMap, false, 12},
+    {plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kSort, false, 13},
+    {plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kHybridHashSort,
+     false, 14},
+    {plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kMap, false, 15},
+    {plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kHybridHashSort,
+     true, 16},
+    {plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kMap, true, 17}};
 
-TEST_P(ForcedAlgoTest, JoinAggAgainstReference) {
-  const AlgoCase& c = GetParam();
+const char* kAlgoSql =
+    "select r_k, count(*), sum(s_v) from r, s where r_k = s_k group by r_k";
+
+void LoadAlgoTables(Catalog* catalog, const AlgoCase& c) {
+  testing::MakeIntTable(catalog, "r", 2000, 30, c.seed);
+  testing::MakeIntTable(catalog, "s", 1500, 30, c.seed + 7);
+}
+
+plan::PlannerOptions AlgoPlanner(const AlgoCase& c) {
   plan::PlannerOptions opts;
   opts.force_join_algo = c.join_algo;
   opts.force_agg_algo = c.agg_algo;
   opts.fine_partition_max_domain = c.fine ? 64 : 0;
-  std::string sql =
-      "select r_k, count(*), sum(s_v) from r, s where r_k = s_k "
-      "group by r_k";
-  auto expected = ref::ExecuteSql(sql, catalog_);
-  ASSERT_TRUE(expected.ok());
-  // HIQUE: one uncached run through a planner-override session.
-  {
-    EngineOptions uncached;
-    uncached.max_cached_queries = 0;
-    HiqueEngine engine(&catalog_, uncached);
-    SessionOptions so;
-    so.override_planner = true;
-    so.planner = opts;
-    auto r = engine.OpenSession(so).Query(sql);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    std::vector<ref::Row> actual;
-    for (auto& row : r.value().Rows()) actual.push_back(row);
-    Status cmp = ref::CompareRowSets(expected.value(), actual, false);
-    EXPECT_TRUE(cmp.ok()) << "hique: " << cmp.ToString();
-  }
-  // Volcano (optimized mode).
-  {
-    iter::VolcanoEngine engine(&catalog_, iter::Mode::kOptimized);
-    auto r = engine.Query(sql, opts);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    std::vector<ref::Row> actual;
-    const Schema& sch = r.value().table->schema();
-    (void)r.value().table->ForEachTuple([&](const uint8_t* tuple) {
-      ref::Row row;
-      for (size_t col = 0; col < sch.NumColumns(); ++col) {
-        row.push_back(sch.GetValue(tuple, col));
-      }
-      actual.push_back(std::move(row));
-    });
-    Status cmp = ref::CompareRowSets(expected.value(), actual, false);
-    EXPECT_TRUE(cmp.ok()) << "volcano: " << cmp.ToString();
-  }
+  return opts;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Algorithms, ForcedAlgoTest,
-    ::testing::Values(
-        AlgoCase{plan::JoinAlgo::kMerge, plan::AggAlgo::kSort, false, 10},
-        AlgoCase{plan::JoinAlgo::kMerge, plan::AggAlgo::kHybridHashSort,
-                 false, 11},
-        AlgoCase{plan::JoinAlgo::kMerge, plan::AggAlgo::kMap, false, 12},
-        AlgoCase{plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kSort,
-                 false, 13},
-        AlgoCase{plan::JoinAlgo::kHybridHashSortMerge,
-                 plan::AggAlgo::kHybridHashSort, false, 14},
-        AlgoCase{plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kMap,
-                 false, 15},
-        AlgoCase{plan::JoinAlgo::kHybridHashSortMerge,
-                 plan::AggAlgo::kHybridHashSort, true, 16},
-        AlgoCase{plan::JoinAlgo::kHybridHashSortMerge, plan::AggAlgo::kMap,
-                 true, 17}));
+/// One uncached HIQUE run of kAlgoSql through a planner-override session.
+void CheckAlgoCaseOnHique(const AlgoCase& c, EngineOptions opts) {
+  Catalog catalog;
+  LoadAlgoTables(&catalog, c);
+  auto expected = ref::ExecuteSql(kAlgoSql, catalog);
+  ASSERT_TRUE(expected.ok());
+  opts.max_cached_queries = 0;
+  HiqueEngine engine(&catalog, opts);
+  SessionOptions so;
+  so.override_planner = true;
+  so.planner = AlgoPlanner(c);
+  auto r = engine.OpenSession(so).Query(kAlgoSql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<ref::Row> actual;
+  for (auto& row : r.value().Rows()) actual.push_back(row);
+  Status cmp = ref::CompareRowSets(expected.value(), actual, false);
+  EXPECT_TRUE(cmp.ok()) << "hique: " << cmp.ToString();
+}
+
+class ForcedAlgoTest : public ::testing::TestWithParam<AlgoCase> {};
+
+TEST_P(ForcedAlgoTest, JoinAggAgainstReference) {
+  const AlgoCase& c = GetParam();
+  CheckAlgoCaseOnHique(c, EngineOptions());
+  // Volcano (optimized mode).
+  Catalog catalog;
+  LoadAlgoTables(&catalog, c);
+  auto expected = ref::ExecuteSql(kAlgoSql, catalog);
+  ASSERT_TRUE(expected.ok());
+  iter::VolcanoEngine engine(&catalog, iter::Mode::kOptimized);
+  auto r = engine.Query(kAlgoSql, AlgoPlanner(c));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<ref::Row> actual;
+  const Schema& sch = r.value().table->schema();
+  (void)r.value().table->ForEachTuple([&](const uint8_t* tuple) {
+    ref::Row row;
+    for (size_t col = 0; col < sch.NumColumns(); ++col) {
+      row.push_back(sch.GetValue(tuple, col));
+    }
+    actual.push_back(std::move(row));
+  });
+  Status cmp = ref::CompareRowSets(expected.value(), actual, false);
+  EXPECT_TRUE(cmp.ok()) << "volcano: " << cmp.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, ForcedAlgoTest,
+                         ::testing::ValuesIn(kAlgoCases));
 
 // A scalar aggregate returns one row even when no row qualifies. Forcing
 // map aggregation plans the same running registers as the default plan;
@@ -424,79 +428,97 @@ Table* MakeKeyTable(Catalog* catalog, const std::string& name) {
   return catalog->CreateTable(name, schema).value();
 }
 
-class KeyFilterTest : public ::testing::TestWithParam<KeyFilterCase> {
- protected:
-  /// Fresh tables per run: compression rewrites them in place.
-  void Load(Catalog* catalog) {
-    const KeyFilterCase& c = GetParam();
-    Rng rng(77);
-    Table* b = MakeKeyTable(catalog, "b");
-    AppendKeyRows(b, c.build_keys, &rng);
-    HQ_CHECK(b->ComputeStats().ok());
-    if (!c.late_keys.empty()) {
-      // Delta-store rows the statistics do not know.
-      HQ_CHECK(b->EnableWrites().ok());
-      AppendKeyRows(b, c.late_keys, &rng);
-    }
-    Table* p = MakeKeyTable(catalog, "p");
-    std::vector<int32_t> probe;
-    for (uint64_t i = 0; i < c.probe_rows; ++i) {
-      probe.push_back(c.probe_lo + static_cast<int32_t>(rng.NextBounded(
-                                       static_cast<uint64_t>(c.probe_hi) -
-                                       static_cast<uint64_t>(c.probe_lo))));
-    }
-    probe.insert(probe.end(), c.late_keys.begin(), c.late_keys.end());
-    AppendKeyRows(p, probe, &rng);
-    HQ_CHECK(p->ComputeStats().ok());
+/// Fresh tables per run: compression rewrites them in place.
+void LoadKeyFilterTables(Catalog* catalog, const KeyFilterCase& c) {
+  Rng rng(77);
+  Table* b = MakeKeyTable(catalog, "b");
+  AppendKeyRows(b, c.build_keys, &rng);
+  HQ_CHECK(b->ComputeStats().ok());
+  if (!c.late_keys.empty()) {
+    // Delta-store rows the statistics do not know.
+    HQ_CHECK(b->EnableWrites().ok());
+    AppendKeyRows(b, c.late_keys, &rng);
   }
-};
+  Table* p = MakeKeyTable(catalog, "p");
+  std::vector<int32_t> probe;
+  for (uint64_t i = 0; i < c.probe_rows; ++i) {
+    probe.push_back(c.probe_lo + static_cast<int32_t>(rng.NextBounded(
+                                     static_cast<uint64_t>(c.probe_hi) -
+                                     static_cast<uint64_t>(c.probe_lo))));
+  }
+  probe.insert(probe.end(), c.late_keys.begin(), c.late_keys.end());
+  AppendKeyRows(p, probe, &rng);
+  HQ_CHECK(p->ComputeStats().ok());
+}
+
+std::string KeyFilterSql(const KeyFilterCase& c) {
+  return "select b_k, b_v, p_v, p_d from b, p where b_k = p_k" +
+         c.build_filter;
+}
+
+/// Runs the case's join at `threads` over plain or compressed pages,
+/// checks it against `expected` and its filter's counters, and returns its
+/// rows in `rows`.
+void CheckKeyFilterCase(const KeyFilterCase& c,
+                        const std::vector<ref::Row>& expected, bool compress,
+                        uint32_t threads,
+                        std::vector<std::vector<Value>>* rows) {
+  Catalog catalog;
+  LoadKeyFilterTables(&catalog, c);
+  EngineOptions opts;
+  opts.threads = threads;
+  opts.compression = compress;
+  opts.trace_spans = true;
+  HiqueEngine engine(&catalog, opts);
+  auto r = engine.Query(KeyFilterSql(c));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& res = r.value();
+  ASSERT_NE(res.plan_text.find("key filter <- op0"), std::string::npos)
+      << res.plan_text;
+  *rows = res.Rows();
+  std::vector<ref::Row> actual(rows->begin(), rows->end());
+  Status cmp = ref::CompareRowSets(expected, actual, false);
+  EXPECT_TRUE(cmp.ok()) << cmp.ToString();
+  // The probe stage (op1) reports its filter; with a bitmap it stages
+  // exactly the rows the join keeps (b's keys are unique, or the join
+  // repeats them), without one it stages every probe row.
+  const exec::OpStat* probe = nullptr;
+  for (const exec::OpStat& op : res.exec_stats.ops) {
+    if (op.op_id == 1) probe = &op;
+  }
+  ASSERT_NE(probe, nullptr);
+  const exec::KeyFilterStat& kf = probe->key_filter;
+  EXPECT_TRUE(kf.present);
+  EXPECT_EQ(kf.bytes > 0, c.bitmap);
+  EXPECT_EQ(kf.passed, probe->tuples);
+  EXPECT_EQ(kf.tested, catalog.GetTable("p").value()->NumTuples());
+  if (!c.bitmap) {
+    EXPECT_EQ(kf.passed, kf.tested);
+  }
+}
+
+/// The reference result of the case's join.
+std::vector<ref::Row> KeyFilterExpected(const KeyFilterCase& c) {
+  Catalog catalog;
+  LoadKeyFilterTables(&catalog, c);
+  auto expected = ref::ExecuteSql(KeyFilterSql(c), catalog);
+  HQ_CHECK_MSG(expected.ok(), expected.status().ToString());
+  return expected.value();
+}
+
+class KeyFilterTest : public ::testing::TestWithParam<KeyFilterCase> {};
 
 TEST_P(KeyFilterTest, MatchesReferenceAtEveryWidthAndEncoding) {
   const KeyFilterCase& c = GetParam();
-  const std::string sql =
-      "select b_k, b_v, p_v, p_d from b, p where b_k = p_k" + c.build_filter;
   // The data is the same in every run: one reference result serves all.
-  Catalog ref_catalog;
-  Load(&ref_catalog);
-  auto expected = ref::ExecuteSql(sql, ref_catalog);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::vector<ref::Row> expected = KeyFilterExpected(c);
   std::vector<std::vector<Value>> first;
   for (bool compress : {false, true}) {
     for (uint32_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::string(compress ? "compressed" : "plain") + ", " +
                    std::to_string(threads) + " threads");
-      Catalog catalog;
-      Load(&catalog);
-      EngineOptions opts;
-      opts.threads = threads;
-      opts.compression = compress;
-      opts.trace_spans = true;
-      HiqueEngine engine(&catalog, opts);
-      auto r = engine.Query(sql);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      const QueryResult& res = r.value();
-      ASSERT_NE(res.plan_text.find("key filter <- op0"), std::string::npos)
-          << res.plan_text;
-      std::vector<std::vector<Value>> rows = res.Rows();
-      std::vector<ref::Row> actual(rows.begin(), rows.end());
-      Status cmp = ref::CompareRowSets(expected.value(), actual, false);
-      EXPECT_TRUE(cmp.ok()) << cmp.ToString();
-      // The probe stage (op1) reports its filter; with a bitmap it stages
-      // exactly the rows the join keeps (b's keys are unique, or the join
-      // repeats them), without one it stages every probe row.
-      const exec::OpStat* probe = nullptr;
-      for (const exec::OpStat& op : res.exec_stats.ops) {
-        if (op.op_id == 1) probe = &op;
-      }
-      ASSERT_NE(probe, nullptr);
-      const exec::KeyFilterStat& kf = probe->key_filter;
-      EXPECT_TRUE(kf.present);
-      EXPECT_EQ(kf.bytes > 0, c.bitmap);
-      EXPECT_EQ(kf.passed, probe->tuples);
-      EXPECT_EQ(kf.tested, catalog.GetTable("p").value()->NumTuples());
-      if (!c.bitmap) {
-        EXPECT_EQ(kf.passed, kf.tested);
-      }
+      std::vector<std::vector<Value>> rows;
+      CheckKeyFilterCase(c, expected, compress, threads, &rows);
       if (first.empty()) {
         first = rows;
       } else {
@@ -506,30 +528,169 @@ TEST_P(KeyFilterTest, MatchesReferenceAtEveryWidthAndEncoding) {
   }
 }
 
+const KeyFilterCase kKeyFilterCases[] = {
+    {"EmptyBuildSide", KeyRange(0, 200), {}, -100, 2000, 3000, " and b_v < 0",
+     true},
+    {"SingleBuildKey", KeyRange(0, 200), {}, -100, 2000, 3000,
+     " and b_k = 57", true},
+    {"NegativeKeys", KeyRange(-700, -500), {}, -1000, 1000, 3000, "", true},
+    {"ProbeKeysBelowAndAboveTheRange", KeyRange(1000, 1200), {}, 0, 3000,
+     3000, "", true},
+    {"DuplicateBuildKeys", KeyRange(0, 100, 4), {}, 0, 1000, 3000, "", true},
+    {"BuildLargerThanProbe", KeyRange(0, 4000), {}, 0, 10000, 500, "", true},
+    // 5000 build keys: a key domain wider than fine partitioning's, whose
+    // stale-statistics domain would drop the late keys first.
+    {"WidthGuardAtInt32Extremes", KeyRange(0, 5000),
+     {std::numeric_limits<int32_t>::min(),
+      std::numeric_limits<int32_t>::max()},
+     -100, 12000, 3000, "", false}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Edges, KeyFilterTest,
-    ::testing::Values(
-        KeyFilterCase{"EmptyBuildSide", KeyRange(0, 200), {}, -100, 2000,
-                      3000, " and b_v < 0", true},
-        KeyFilterCase{"SingleBuildKey", KeyRange(0, 200), {}, -100, 2000,
-                      3000, " and b_k = 57", true},
-        KeyFilterCase{"NegativeKeys", KeyRange(-700, -500), {}, -1000, 1000,
-                      3000, "", true},
-        KeyFilterCase{"ProbeKeysBelowAndAboveTheRange", KeyRange(1000, 1200),
-                      {}, 0, 3000, 3000, "", true},
-        KeyFilterCase{"DuplicateBuildKeys", KeyRange(0, 100, 4), {}, 0, 1000,
-                      3000, "", true},
-        KeyFilterCase{"BuildLargerThanProbe", KeyRange(0, 4000), {}, 0, 10000,
-                      500, "", true},
-        // 5000 build keys: a key domain wider than fine partitioning's,
-        // whose stale-statistics domain would drop the late keys first.
-        KeyFilterCase{"WidthGuardAtInt32Extremes",
-                      KeyRange(0, 5000),
-                      {std::numeric_limits<int32_t>::min(),
-                       std::numeric_limits<int32_t>::max()},
-                      -100, 12000, 3000, "", false}),
+    Edges, KeyFilterTest, ::testing::ValuesIn(kKeyFilterCases),
     [](const ::testing::TestParamInfo<KeyFilterCase>& info) {
       return std::string(info.param.name);
+    });
+
+// Fine partitioning drops join keys outside the statistics' domain, so it
+// must not run over a table whose delta store holds rows the statistics
+// do not cover. b's statistics say 0..199, then rows with b_k at the int32
+// extremes arrive; p holds the same keys. A plan prepared or cached before
+// the writes must not serve them either: a query re-plans, a prepared
+// statement restarts on the stale-plan signal. At 1 and 4 threads, over
+// plain and compressed pages.
+TEST(FinePartitionTest, LateRowsOutsideTheStatisticsStillJoin) {
+  const std::vector<int32_t> late = {std::numeric_limits<int32_t>::min(),
+                                     std::numeric_limits<int32_t>::max()};
+  const std::string sql = "select b_k from b, p where b_k = p_k and p_v < 2";
+  auto add = [](Table* t, int32_t k, int32_t v) {
+    HQ_CHECK(t->AppendRow({Value::Int32(k), Value::Int32(v), Value::Double(v),
+                           Value::Char("x", 8)})
+                 .ok());
+  };
+  auto rows_of = [](const QueryResult& r) {
+    std::vector<std::vector<Value>> rows = r.Rows();
+    return std::vector<ref::Row>(rows.begin(), rows.end());
+  };
+  for (bool compress : {false, true}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(compress ? "compressed" : "plain") + ", " +
+                   std::to_string(threads) + " threads");
+      Catalog catalog;
+      Table* b = MakeKeyTable(&catalog, "b");
+      Table* p = MakeKeyTable(&catalog, "p");
+      for (int32_t k = 0; k < 200; ++k) {
+        add(b, k, 5);
+        add(p, k, 2 + k % 50);
+      }
+      for (size_t i = 0; i < late.size(); ++i) {
+        add(p, late[i], static_cast<int32_t>(i));
+      }
+      ASSERT_TRUE(b->ComputeStats().ok());
+      ASSERT_TRUE(p->ComputeStats().ok());
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.compression = compress;
+      HiqueEngine engine(&catalog, opts);
+      auto prepared = engine.Prepare(sql);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto before = engine.Query(sql);
+      ASSERT_TRUE(before.ok()) << before.status().ToString();
+      EXPECT_NE(before.value().plan_text.find("partition(fine)"),
+                std::string::npos)
+          << before.value().plan_text;
+      EXPECT_EQ(before.value().NumRows(), 0);
+
+      ASSERT_TRUE(b->EnableWrites().ok());
+      for (int32_t k : late) add(b, k, 5);
+      auto expected = ref::ExecuteSql(sql, catalog);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_EQ(expected.value().size(), 2u);
+
+      auto after = engine.Query(sql);
+      ASSERT_TRUE(after.ok()) << after.status().ToString();
+      EXPECT_EQ(after.value().plan_text.find("partition(fine)"),
+                std::string::npos)
+          << after.value().plan_text;
+      Status cmp = ref::CompareRowSets(expected.value(), rows_of(after.value()),
+                                       false);
+      EXPECT_TRUE(cmp.ok()) << "query: " << cmp.ToString();
+      auto executed = engine.Execute(prepared.value());
+      ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+      cmp = ref::CompareRowSets(expected.value(), rows_of(executed.value()),
+                                false);
+      EXPECT_TRUE(cmp.ok()) << "prepared: " << cmp.ToString();
+    }
+  }
+}
+
+// Poisoned arena blocks: every block an arena takes, pooled or oversized,
+// is filled with a non-zero pattern first, so a plan that read arena
+// memory it did not write (and passed only because fresh pages are zero)
+// fails here. TPC-H Q1/Q3/Q6/Q10 (each run twice: the second run's blocks
+// come from the pool), the forced join and aggregation sweeps and the
+// key-filter cases, at 1 and 4 threads, over plain and compressed pages.
+struct PoisonCase {
+  uint32_t threads;
+  bool compress;
+};
+
+class PoisonedArenaTest : public ::testing::TestWithParam<PoisonCase> {
+ protected:
+  void SetUp() override { exec::internal::PoisonArenaBlocks(true); }
+  void TearDown() override { exec::internal::PoisonArenaBlocks(false); }
+  EngineOptions Options() const {
+    EngineOptions opts;
+    opts.threads = GetParam().threads;
+    opts.compression = GetParam().compress;
+    return opts;
+  }
+};
+
+TEST_P(PoisonedArenaTest, TpchQueries) {
+  Catalog catalog;
+  tpch::TpchOptions tpch_opts;
+  tpch_opts.scale_factor = 0.005;
+  ASSERT_TRUE(tpch::LoadTpch(&catalog, tpch_opts).ok());
+  HiqueEngine engine(&catalog, Options());
+  for (const std::string& sql : {tpch::Query1Sql(), tpch::Query3Sql(),
+                                 tpch::Query6Sql(), tpch::Query10Sql()}) {
+    auto expected = ref::ExecuteSql(sql, catalog);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (int run = 0; run < 2; ++run) {
+      auto r = engine.Query(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<std::vector<Value>> rows = r.value().Rows();
+      std::vector<ref::Row> actual(rows.begin(), rows.end());
+      Status cmp = ref::CompareRowSets(expected.value(), actual, false);
+      EXPECT_TRUE(cmp.ok()) << "run " << run << ": " << cmp.ToString()
+                            << "\n  query: " << sql;
+    }
+  }
+}
+
+TEST_P(PoisonedArenaTest, ForcedAlgorithms) {
+  for (const AlgoCase& c : kAlgoCases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    CheckAlgoCaseOnHique(c, Options());
+  }
+}
+
+TEST_P(PoisonedArenaTest, KeyFilters) {
+  for (const KeyFilterCase& c : kKeyFilterCases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::vector<Value>> rows;
+    CheckKeyFilterCase(c, KeyFilterExpected(c), GetParam().compress,
+                       GetParam().threads, &rows);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Settings, PoisonedArenaTest,
+    ::testing::Values(PoisonCase{1, false}, PoisonCase{4, false},
+                      PoisonCase{1, true}, PoisonCase{4, true}),
+    [](const ::testing::TestParamInfo<PoisonCase>& info) {
+      return std::string(info.param.compress ? "Compressed" : "Plain") +
+             std::to_string(info.param.threads) + "Threads";
     });
 
 // DML differential: randomized INSERT/UPDATE/DELETE batches interleaved with

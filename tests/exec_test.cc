@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "exec/arena.h"
@@ -19,6 +20,7 @@
 #include "exec/compiler.h"
 #include "exec/compiler_internal.h"
 #include "exec/engine.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/env.h"
 
@@ -26,7 +28,8 @@ namespace hique {
 namespace {
 
 TEST(ArenaTest, AlignmentAndGrowth) {
-  Arena arena;
+  exec::ArenaPool pool;
+  exec::Arena arena(&pool, 0);
   void* a = arena.Allocate(1);
   void* b = arena.Allocate(100);
   void* c = arena.Allocate(10 << 20);  // exceeds one block
@@ -37,6 +40,188 @@ TEST(ArenaTest, AlignmentAndGrowth) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
   EXPECT_GE(arena.total_allocated(), (10u << 20));
+}
+
+constexpr uint64_t kBlock = exec::ArenaPool::kBlockSize;
+
+/// One simulated execution: arena slot s takes blocks[s] blocks (one
+/// 3 MB request each, so every request opens a block) and returns the
+/// block addresses per slot, in the order taken.
+struct PoolRun {
+  std::vector<std::vector<void*>> blocks;
+  uint64_t fresh = 0;
+};
+PoolRun RunOnPool(exec::ArenaPool* pool, const std::vector<int>& blocks) {
+  PoolRun run;
+  {
+    std::vector<std::unique_ptr<exec::Arena>> arenas;
+    for (uint32_t s = 0; s < blocks.size(); ++s) {
+      arenas.push_back(std::make_unique<exec::Arena>(pool, s));
+      run.blocks.emplace_back();
+      for (int i = 0; i < blocks[s]; ++i) {
+        void* p = arenas[s]->Allocate(3u << 20);
+        EXPECT_NE(p, nullptr);
+        run.blocks[s].push_back(p);
+      }
+    }
+    for (const auto& a : arenas) run.fresh += a->fresh_bytes();
+  }
+  pool->EndExecution();
+  return run;
+}
+
+TEST(ArenaPoolTest, SecondRunTakesEveryBlockFromItsSlotInOrder) {
+  exec::ArenaPool pool;
+  const std::vector<int> shape = {3, 2, 4};
+  PoolRun first = RunOnPool(&pool, shape);
+  EXPECT_EQ(first.fresh, 9 * kBlock);
+  EXPECT_EQ(pool.pooled_bytes(), 9 * kBlock);
+  PoolRun second = RunOnPool(&pool, shape);
+  EXPECT_EQ(second.fresh, 0u);
+  EXPECT_EQ(second.blocks, first.blocks);
+  // A smaller run takes the head of each slot's order; the next full run
+  // still finds every block where it was.
+  PoolRun small = RunOnPool(&pool, {1, 1, 1});
+  EXPECT_EQ(small.fresh, 0u);
+  for (size_t s = 0; s < shape.size(); ++s) {
+    EXPECT_EQ(small.blocks[s][0], first.blocks[s][0]);
+  }
+  EXPECT_EQ(RunOnPool(&pool, shape).blocks, first.blocks);
+  // A slot that needs more than it used takes another slot's spare
+  // blocks before it goes to the OS.
+  PoolRun shifted = RunOnPool(&pool, {5, 0, 4});
+  EXPECT_EQ(shifted.fresh, 0u);
+}
+
+// Copies between the starts of two blocks must not alias loads with
+// stores, so no two of a run's fresh blocks share their page offset.
+TEST(ArenaPoolTest, FreshBlocksStartAtDifferentPageOffsets) {
+  exec::ArenaPool pool;
+  std::set<uintptr_t> offsets;
+  for (const auto& slot : RunOnPool(&pool, {8, 8}).blocks) {
+    for (void* b : slot) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 64, 0u);
+      offsets.insert(reinterpret_cast<uintptr_t>(b) % 4096);
+    }
+  }
+  EXPECT_EQ(offsets.size(), 16u);
+}
+
+TEST(ArenaPoolTest, OversizedRequestsBypassThePool) {
+  exec::ArenaPool pool;
+  for (int run = 0; run < 2; ++run) {
+    {
+      exec::Arena arena(&pool, 0);
+      ASSERT_NE(arena.Allocate(kBlock + 1), nullptr);
+      EXPECT_EQ(arena.fresh_bytes(), kBlock + 64);
+    }
+    pool.EndExecution();
+    EXPECT_EQ(pool.pooled_bytes(), 0u);
+  }
+}
+
+TEST(ArenaPoolTest, PooledBlocksAreChargedToTheBudget) {
+  exec::ArenaPool pool;
+  RunOnPool(&pool, {2});
+  std::atomic<int64_t> budget{static_cast<int64_t>(kBlock)};
+  {
+    exec::Arena arena(&pool, 0, &budget);
+    ASSERT_NE(arena.Allocate(3u << 20), nullptr);
+    EXPECT_EQ(arena.fresh_bytes(), 0u);  // the first block was pooled
+    EXPECT_EQ(budget.load(), 0);
+    EXPECT_EQ(arena.Allocate(3u << 20), nullptr);  // HQ_ERR_OOM
+    EXPECT_EQ(budget.load(), 0);
+  }
+  pool.EndExecution();
+}
+
+TEST(ArenaPoolTest, OneOffLargeRunIsFreedAfterTheWindow) {
+  exec::ArenaPool pool;
+  RunOnPool(&pool, {6, 2});
+  EXPECT_EQ(pool.pooled_bytes(), 8 * kBlock);
+  for (size_t i = 1; i < exec::ArenaPool::kWindow; ++i) {
+    EXPECT_EQ(RunOnPool(&pool, {1}).fresh, 0u);
+    EXPECT_EQ(pool.pooled_bytes(), 8 * kBlock) << "after " << i << " runs";
+  }
+  RunOnPool(&pool, {1});
+  EXPECT_EQ(pool.pooled_bytes(), kBlock);
+}
+
+/// What the process's arena pools hold (hique_arena_pool_bytes).
+int64_t PooledGauge() {
+  return obs::Registry::Global().GetGauge("hique_arena_pool_bytes", "")
+      ->Value();
+}
+
+TEST(ArenaPoolTest, BlocksAreFreedWithThePool) {
+  const int64_t before = PooledGauge();
+  {
+    exec::ArenaPool pool;
+    RunOnPool(&pool, {2, 1});
+    EXPECT_EQ(PooledGauge(), before + static_cast<int64_t>(3 * kBlock));
+  }
+  EXPECT_EQ(PooledGauge(), before);
+}
+
+/// Two 200k-row tables joined through coarse partitioning: staging and
+/// partitioning take several arena blocks, no single request a whole one.
+void MakeJoinTables(Catalog* catalog) {
+  testing::MakeIntTable(catalog, "r", 200000, 200000, 21);
+  testing::MakeIntTable(catalog, "s", 200000, 200000, 22);
+}
+const char* kJoinSql = "select count(*) from r, s where r_k = s_k";
+
+TEST(ArenaPoolTest, WarmEngineRunTakesNoFreshBlocks) {
+  Catalog catalog;
+  MakeJoinTables(&catalog);
+  EngineOptions opts;
+  opts.threads = 1;
+  HiqueEngine engine(&catalog, opts);
+  auto first = engine.Query(kJoinSql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const exec::ExecStats& cold = first.value().exec_stats;
+  ASSERT_GT(cold.arena_bytes, kBlock);
+  EXPECT_GT(cold.arena_fresh_bytes, kBlock);
+  auto second = engine.Query(kJoinSql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.value().exec_stats.arena_bytes, cold.arena_bytes);
+  EXPECT_EQ(second.value().exec_stats.arena_fresh_bytes, 0u);
+}
+
+TEST(ArenaPoolTest, BudgetOfOneBlockFailsOnTheSecondPooledRun) {
+  Catalog catalog;
+  MakeJoinTables(&catalog);
+  EngineOptions opts;
+  opts.threads = 1;
+  opts.arena_limit_bytes = kBlock;
+  const int64_t before = PooledGauge();
+  HiqueEngine engine(&catalog, opts);
+  for (int run = 0; run < 2; ++run) {
+    // The second run's first block comes from the pool; its second still
+    // exceeds the budget.
+    auto r = engine.Query(kJoinSql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().ToString().find("out of memory"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(PooledGauge(), before + static_cast<int64_t>(kBlock));
+  }
+}
+
+TEST(ArenaPoolTest, BlocksAreFreedWithTheEngine) {
+  Catalog catalog;
+  MakeJoinTables(&catalog);
+  EngineOptions opts;
+  opts.threads = 1;
+  const int64_t before = PooledGauge();
+  {
+    HiqueEngine engine(&catalog, opts);
+    auto r = engine.Query(kJoinSql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(PooledGauge(),
+              before + static_cast<int64_t>(
+                           r.value().exec_stats.arena_fresh_bytes));
+  }
+  EXPECT_EQ(PooledGauge(), before);
 }
 
 TEST(CompilerTest, CompilesValidSource) {

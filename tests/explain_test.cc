@@ -187,6 +187,33 @@ TEST_F(ExplainTest, AnalyzeSpansCoverExecuteAcrossThreads) {
   }
 }
 
+// The execute line reports the arena bytes and how many came fresh from
+// the OS: the first run of a plan takes its blocks fresh, a second run of
+// the same plan takes every one from the engine's pool. One thread: with
+// more, tasks land on other workers from run to run, and a worker's arena
+// may need a block its slot did not hold last time.
+TEST_F(ExplainTest, AnalyzeReportsFreshArenaBytes) {
+  Catalog& catalog = SharedCatalog();
+  const std::string sql =
+      "explain analyze select xr_k, xs_v from xr, xs "
+      "where xr_k = xs_k and xr_v < 10 and xs_v < 500";
+  HiqueEngine engine(&catalog, FastOptions(1));
+  std::vector<std::string> execute_lines;
+  for (int run = 0; run < 2; ++run) {
+    auto r = engine.Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> lines = ReportLines(r.value());
+    ASSERT_GE(lines.size(), 4u);
+    execute_lines.push_back(lines[3]);
+  }
+  EXPECT_NE(execute_lines[0].find(" MB fresh)"), std::string::npos)
+      << execute_lines[0];
+  EXPECT_EQ(execute_lines[0].find("(0.0 MB fresh)"), std::string::npos)
+      << execute_lines[0];
+  EXPECT_NE(execute_lines[1].find("(0.0 MB fresh)"), std::string::npos)
+      << execute_lines[1];
+}
+
 // Every span reports its operator's output cardinality — the records the
 // operator hands on — not just the output operator's: a filtered staging
 // op and a join op report the reference executor's counts, at every

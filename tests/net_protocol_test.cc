@@ -7,6 +7,7 @@
 // client, which a scripted peer feeds truncated frames. A Hello of the
 // previous protocol version is refused before any other frame is decoded.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -380,6 +381,30 @@ TEST(ClientFrameTest, ShortResultDoneEndsStreamWithIoError) {
 // mismatch before any such frame is exchanged. A Hello carrying the
 // previous version must get an Error frame and a closed connection, and
 // the server must keep serving current-version clients.
+// hiqued's descriptors are close-on-exec, so the g++ processes the engine
+// spawns inherit none of its sockets or its wake pipe.
+TEST(SocketTest, EveryDescriptorIsCloseOnExec) {
+  auto cloexec = [](int fd) {
+    const int flags = fcntl(fd, F_GETFD);
+    return flags >= 0 && (flags & FD_CLOEXEC) != 0;
+  };
+  uint16_t port = 0;
+  auto listener = net::Socket::Listen("127.0.0.1", 0, 4, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = net::Socket::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto accepted = listener.value().Accept();
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  ASSERT_TRUE(accepted.value().valid());
+  EXPECT_TRUE(cloexec(listener.value().fd()));
+  EXPECT_TRUE(cloexec(accepted.value().fd()));
+  EXPECT_TRUE(cloexec(client.value().fd()));
+  net::WakePipe wake;
+  ASSERT_TRUE(wake.valid());
+  EXPECT_TRUE(cloexec(wake.read_fd()));
+  EXPECT_TRUE(cloexec(wake.write_fd()));
+}
+
 TEST(HandshakeTest, HelloWithPreviousVersionIsRefused) {
   Catalog catalog;
   hique::testing::MakeIntTable(&catalog, "t", 100, 10, 1);
