@@ -22,6 +22,7 @@
 // threads of the same work much slower than one. `bench/pairs.py --bench
 // fig8` runs two builds alternately into BENCH_fig8.json.
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -145,6 +146,12 @@ std::string ThreadCalibrationJson(uint32_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // bench_e2e's malloc settings, set before any thread starts: one arena
+  // and a fixed mmap threshold. By default each freed large block raises
+  // glibc's mmap threshold, so whether one system's allocations fault in
+  // fresh pages would depend on what the system timed before it freed.
+  ::mallopt(M_ARENA_MAX, 1);
+  ::mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   bench::Flags flags(argc, argv);
   double sf = flags.GetDouble("sf", 0.1);
   int repeat = static_cast<int>(flags.GetInt("repeat", 3));

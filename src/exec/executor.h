@@ -150,10 +150,12 @@ void BindParams(const plan::ParamTable& params, BoundParams* out);
 Status BindParamValues(const plan::ParamTable& params,
                        const std::vector<Value>& values, BoundParams* out);
 
-/// Receives ownership of one completed, zeroed, page-aligned result page
-/// (free with std::free, or hand to Table::AdoptPage). Invoked on the
-/// executing thread, in emission order. Return false to cancel the query:
-/// the executor records HQ_ERR_CANCELLED and the generated code unwinds.
+/// Receives ownership of one completed, zeroed, page-aligned result page,
+/// allocated with malloc (free it with std::free, or hand it to
+/// Table::AdoptPage, which copies it into a table page and frees it on
+/// success). Invoked on the executing thread, in emission order. Return
+/// false to cancel the query: the executor records HQ_ERR_CANCELLED and the
+/// generated code unwinds.
 using ResultPageFn = std::function<bool(Page*)>;
 
 /// Supplies 4096-aligned result-page memory to the streaming executor

@@ -1,7 +1,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -21,17 +20,14 @@ void PinnedPages::Release() {
 
 namespace {
 
-// One fresh, reset page. Pages are handed to generated SIMD kernels as
-// staged-column input: kPageSize (>= 64) alignment keeps every aligned
-// vector load legal.
+// One fresh, reset page from the page allocator. Pages are handed to
+// generated SIMD kernels as staged-column input: kPageSize (>= 64)
+// alignment keeps every aligned vector load legal.
 Result<Page*> NewPage() {
-  void* mem = nullptr;
-  int rc = posix_memalign(&mem, kPageSize, kPageSize);
-  if (rc != 0 || mem == nullptr) {
+  Page* p = storage::AllocPage();
+  if (p == nullptr) {
     return Status::ExecError("out of memory allocating table page");
   }
-  Page* p = static_cast<Page*>(mem);
-  assert((reinterpret_cast<uintptr_t>(p) & 63u) == 0);
   p->Reset();
   return p;
 }
@@ -85,12 +81,15 @@ Status Table::AdoptPage(Page* page) {
   if (page->num_tuples > tuples_per_page_) {
     return Status::InvalidArgument("adopted page overflows tuple capacity");
   }
+  HQ_ASSIGN_OR_RETURN(Page * copy, NewPage());
+  std::memcpy(copy, page, kPageSize);
+  std::free(page);
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    gen_->pages.push_back(page);
+    gen_->pages.push_back(copy);
     ++num_pages_;
   }
-  num_tuples_.fetch_add(page->num_tuples, std::memory_order_acq_rel);
+  num_tuples_.fetch_add(copy->num_tuples, std::memory_order_acq_rel);
   stats_.valid = false;
   return Status::OK();
 }

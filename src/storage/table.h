@@ -11,6 +11,7 @@
 
 #include "storage/compress.h"
 #include "storage/page.h"
+#include "storage/page_alloc.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 #include "txn/delta_store.h"
@@ -102,7 +103,7 @@ class PinnedPages {
 };
 
 /// An NSM table: fixed-length tuples packed into 4096-byte pages, all
-/// resident in memory (malloc'd pages).
+/// resident in memory (pages from storage::AllocPage).
 ///
 /// Write model: bulk loading (AppendTupleSlot / AppendRow / AdoptPage)
 /// mutates base pages directly and is NOT safe against concurrent readers.
@@ -137,8 +138,11 @@ class Table {
   /// cannot be published safely against concurrent snapshots.
   Result<uint8_t*> AppendTupleSlot();
 
-  /// Adopts a fully formed, malloc-aligned page (used by the executor to
-  /// turn generated-code result pages into a table without copying).
+  /// Appends a copy of a fully formed page that was allocated with malloc
+  /// (the executor turns generated-code result pages into a table this
+  /// way). The copy lives in a page-allocator page beside the table's
+  /// others. On success the original is freed with std::free; on failure
+  /// it is untouched and the caller still owns it.
   Status AdoptPage(Page* page);
 
   /// Returns the page-pointer array the code generator's TableRef points
@@ -281,7 +285,7 @@ class Table {
   struct PageGen {
     std::vector<Page*> pages;
     ~PageGen() {
-      for (Page* p : pages) std::free(p);
+      for (Page* p : pages) storage::FreePage(p);
     }
   };
 

@@ -1,8 +1,8 @@
 #include "txn/delta_store.h"
 
-#include <cstdlib>
 #include <cstring>
 
+#include "storage/page_alloc.h"
 #include "util/macros.h"
 
 namespace hique::txn {
@@ -15,12 +15,10 @@ DeltaStore::DeltaStore(uint32_t tuple_size, uint32_t tuples_per_page)
 }
 
 DeltaStore::PagePtr DeltaStore::NewPage() {
-  void* mem = nullptr;
-  int rc = posix_memalign(&mem, kPageSize, kPageSize);
-  HQ_CHECK_MSG(rc == 0 && mem != nullptr, "out of memory in delta store");
-  Page* p = static_cast<Page*>(mem);
+  Page* p = storage::AllocPage();
+  HQ_CHECK_MSG(p != nullptr, "out of memory in delta store");
   p->Reset();
-  return PagePtr(p, [](Page* q) { std::free(q); });
+  return PagePtr(p, storage::FreePage);
 }
 
 void DeltaStore::Insert(const uint8_t* tuple) {

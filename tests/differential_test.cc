@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 
 #include "column/column_engine.h"
 #include "iterator/volcano_engine.h"
+#include "storage/page_alloc.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
 
@@ -479,9 +481,11 @@ void CheckKeyFilterCase(const KeyFilterCase& c,
   std::vector<ref::Row> actual(rows->begin(), rows->end());
   Status cmp = ref::CompareRowSets(expected, actual, false);
   EXPECT_TRUE(cmp.ok()) << cmp.ToString();
-  // The probe stage (op1) reports its filter; with a bitmap it stages
-  // exactly the rows the join keeps (b's keys are unique, or the join
-  // repeats them), without one it stages every probe row.
+  // The probe stage (op1) reports its filter and stages what passes it.
+  // A bitmap is exact: it passes exactly the probe rows whose key is a
+  // build key, counted here from the reference's join result (every build
+  // key that some probe row carries appears in it). Without a bitmap every
+  // probe row passes.
   const exec::OpStat* probe = nullptr;
   for (const exec::OpStat& op : res.exec_stats.ops) {
     if (op.op_id == 1) probe = &op;
@@ -491,8 +495,19 @@ void CheckKeyFilterCase(const KeyFilterCase& c,
   EXPECT_TRUE(kf.present);
   EXPECT_EQ(kf.bytes > 0, c.bitmap);
   EXPECT_EQ(kf.passed, probe->tuples);
-  EXPECT_EQ(kf.tested, catalog.GetTable("p").value()->NumTuples());
-  if (!c.bitmap) {
+  Table* p = catalog.GetTable("p").value();
+  EXPECT_EQ(kf.tested, p->NumTuples());
+  if (c.bitmap) {
+    std::set<int32_t> joined_keys;
+    for (const ref::Row& row : expected) joined_keys.insert(row[0].AsInt32());
+    uint64_t probe_hits = 0;
+    ASSERT_TRUE(p->ForEachTuple([&](const uint8_t* t) {
+                   probe_hits +=
+                       joined_keys.count(p->schema().GetValue(t, 0).AsInt32());
+                 })
+                    .ok());
+    EXPECT_EQ(kf.passed, probe_hits);
+  } else {
     EXPECT_EQ(kf.passed, kf.tested);
   }
 }
@@ -537,6 +552,10 @@ const KeyFilterCase kKeyFilterCases[] = {
     {"ProbeKeysBelowAndAboveTheRange", KeyRange(1000, 1200), {}, 0, 3000,
      3000, "", true},
     {"DuplicateBuildKeys", KeyRange(0, 100, 4), {}, 0, 1000, 3000, "", true},
+    // About 30% of the key range survives b's filter: the bitmap has
+    // holes, and probe keys that fall in them must not pass.
+    {"SparseBuildKeys", KeyRange(0, 600), {}, -50, 650, 3000, " and b_v < 300",
+     true},
     {"BuildLargerThanProbe", KeyRange(0, 4000), {}, 0, 10000, 500, "", true},
     // 5000 build keys: a key domain wider than fine partitioning's, whose
     // stale-statistics domain would drop the late keys first.
@@ -626,9 +645,11 @@ TEST(FinePartitionTest, LateRowsOutsideTheStatisticsStillJoin) {
 // Poisoned arena blocks: every block an arena takes, pooled or oversized,
 // is filled with a non-zero pattern first, so a plan that read arena
 // memory it did not write (and passed only because fresh pages are zero)
-// fails here. TPC-H Q1/Q3/Q6/Q10 (each run twice: the second run's blocks
-// come from the pool), the forced join and aggregation sweeps and the
-// key-filter cases, at 1 and 4 threads, over plain and compressed pages.
+// fails here. Freed table pages are poisoned too, so a table page reused
+// by a later load or rewrite does not start out zero either. TPC-H
+// Q1/Q3/Q6/Q10 (each run twice: the second run's blocks come from the
+// pool), the forced join and aggregation sweeps and the key-filter cases,
+// at 1 and 4 threads, over plain and compressed pages.
 struct PoisonCase {
   uint32_t threads;
   bool compress;
@@ -636,8 +657,14 @@ struct PoisonCase {
 
 class PoisonedArenaTest : public ::testing::TestWithParam<PoisonCase> {
  protected:
-  void SetUp() override { exec::internal::PoisonArenaBlocks(true); }
-  void TearDown() override { exec::internal::PoisonArenaBlocks(false); }
+  void SetUp() override {
+    exec::internal::PoisonArenaBlocks(true);
+    storage::internal::PoisonFreedPages(true);
+  }
+  void TearDown() override {
+    exec::internal::PoisonArenaBlocks(false);
+    storage::internal::PoisonFreedPages(false);
+  }
   EngineOptions Options() const {
     EngineOptions opts;
     opts.threads = GetParam().threads;

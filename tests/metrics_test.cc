@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +176,27 @@ TEST(MetricsTest, EngineFeedsStatementMetricsAndPlanCache) {
   EXPECT_GE(statements->Value(), statements_before + 2);
   EXPECT_GE(misses->Value(), misses_before + 1);
   EXPECT_GE(hits->Value(), hits_before + 1);
+}
+
+// hique_table_page_bytes follows the page allocator's chunks: a load maps
+// whole chunks, and dropping the catalog unmaps them again, down to the one
+// empty chunk the allocator keeps.
+TEST(MetricsTest, TablePageBytesFollowLoadAndDrop) {
+  auto* mapped =
+      obs::Registry::Global().GetGauge("hique_table_page_bytes", "");
+  testing::SettlePageAllocator();
+  const int64_t start = mapped->Value();
+  EXPECT_EQ(start % static_cast<int64_t>(storage::kChunkBytes), 0);
+
+  auto catalog = std::make_unique<Catalog>();
+  testing::MakeIntTable(catalog.get(), "big", 200000, 1000, 5);
+  const uint64_t page_bytes =
+      catalog->GetTable("big").value()->NumPages() * kPageSize;
+  EXPECT_GE(mapped->Value(), static_cast<int64_t>(page_bytes));
+  EXPECT_GT(mapped->Value(), start);
+  EXPECT_EQ(mapped->Value() % static_cast<int64_t>(storage::kChunkBytes), 0);
+  catalog.reset();
+  EXPECT_EQ(mapped->Value(), start);
 }
 
 TEST(MetricsTest, SlowQueryLogTriggersOnThreshold) {

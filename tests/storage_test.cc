@@ -1,13 +1,24 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/page.h"
+#include "storage/page_alloc.h"
 #include "storage/schema.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 #include "tpch/tpch.h"
 
 namespace hique {
@@ -287,6 +298,197 @@ TEST(CatalogTest, CreateGetDrop) {
   EXPECT_TRUE(c.DropTable("t").ok());
   EXPECT_FALSE(c.HasTable("t"));
   EXPECT_FALSE(c.DropTable("t").ok());
+}
+
+// ---- The page allocator ----------------------------------------------------
+
+/// Bytes of chunks the page allocator has mapped (hique_table_page_bytes).
+int64_t MappedPageBytes() {
+  return obs::Registry::Global().GetGauge("hique_table_page_bytes", "")
+      ->Value();
+}
+
+/// Resident bytes of this process, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long long size = 0, resident = 0;
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%llu %llu", &size, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// A table of 256-byte tuples, bulk loaded until it holds `pages` pages.
+std::unique_ptr<Table> LoadWideTable(uint64_t pages) {
+  Schema s;
+  s.AddColumn("k", Type::Int64());
+  s.AddColumn("pad", Type::Char(248));
+  auto t = std::make_unique<Table>("wide", s);
+  const uint64_t rows = pages * t->tuples_per_page();
+  for (uint64_t i = 0; i < rows; ++i) {
+    uint8_t* slot = t->AppendTupleSlot().value();
+    std::memset(slot, static_cast<int>(i & 0x7F), t->tuple_size());
+    std::memcpy(slot, &i, sizeof(i));
+  }
+  return t;
+}
+
+/// Whether [addr, addr + bytes) is mapped: mincore fails with ENOMEM when
+/// part of the range is not.
+bool Mapped(uintptr_t addr, uint64_t bytes) {
+  std::vector<unsigned char> vec(bytes / static_cast<uint64_t>(
+                                             sysconf(_SC_PAGESIZE)));
+  return mincore(reinterpret_cast<void*>(addr), bytes, vec.data()) == 0 ||
+         errno != ENOMEM;
+}
+
+TEST(PageAllocatorTest, BulkLoadedPagesAreAdjacent) {
+  std::unique_ptr<Table> t = LoadWideTable(2048);
+  PinnedPages pinned = t->Pin().value();
+  const std::vector<Page*>& pages = pinned.pages();
+  ASSERT_EQ(pages.size(), 2048u);
+  uint64_t adjacent = 0;
+  for (size_t i = 1; i < pages.size(); ++i) {
+    const auto prev = reinterpret_cast<uintptr_t>(pages[i - 1]);
+    if (reinterpret_cast<uintptr_t>(pages[i]) == prev + kPageSize) {
+      ++adjacent;
+    }
+  }
+  EXPECT_GE(adjacent * 100, (pages.size() - 1) * 99)
+      << adjacent << " of " << pages.size() - 1 << " strides are 4096";
+}
+
+// ThreadSanitizer and AddressSanitizer map shadow memory for every byte
+// the program touches, and it counts in RSS.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kShadowMemory = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kShadowMemory = true;
+#else
+constexpr bool kShadowMemory = false;
+#endif
+#else
+constexpr bool kShadowMemory = false;
+#endif
+
+// A 4 KB hole between two pages stays resident: RSS would grow by about
+// twice the page bytes.
+TEST(PageAllocatorTest, LoadGrowsResidentMemoryByItsPageBytes) {
+  if (kShadowMemory) GTEST_SKIP() << "sanitizer shadow memory counts in RSS";
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  std::unique_ptr<Table> t = LoadWideTable((uint64_t{32} << 20) / kPageSize);
+  const uint64_t page_bytes = t->NumPages() * kPageSize;
+  const uint64_t growth = ResidentBytes() - before;
+  EXPECT_LE(growth, page_bytes * 115 / 100)
+      << "RSS grew " << growth << " bytes for " << page_bytes
+      << " bytes of pages";
+}
+
+TEST(PageAllocatorTest, FullyFreedChunksAreUnmapped) {
+  testing::SettlePageAllocator();
+  const int64_t start = MappedPageBytes();
+  std::vector<Page*> pages;
+  std::set<uintptr_t> chunks;
+  for (uint32_t i = 0; i < 3 * storage::kChunkPages; ++i) {
+    Page* p = storage::AllocPage();
+    ASSERT_NE(p, nullptr);
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(p) % kPageSize, 0u);
+    p->Reset();  // touch it
+    pages.push_back(p);
+    chunks.insert(reinterpret_cast<uintptr_t>(p) &
+                  ~(uintptr_t{storage::kChunkBytes} - 1));
+  }
+  ASSERT_GE(chunks.size(), 3u);
+  EXPECT_GT(MappedPageBytes(), start);
+  for (Page* p : pages) storage::FreePage(p);
+  EXPECT_EQ(MappedPageBytes(), start);
+  size_t still_mapped = 0;
+  for (uintptr_t c : chunks) still_mapped += Mapped(c, storage::kChunkBytes);
+  EXPECT_LE(still_mapped, 1u);
+}
+
+TEST(PageAllocatorTest, ConcurrentAllocAndFree) {
+  std::vector<std::thread> threads;
+  std::vector<int> errors(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &errors] {
+      std::vector<Page*> held;
+      for (uint32_t round = 0; round < 40; ++round) {
+        for (uint32_t i = 0; i < 64; ++i) {
+          Page* p = storage::AllocPage();
+          if (p == nullptr) {
+            ++errors[t];
+            return;
+          }
+          p->num_tuples = static_cast<uint32_t>(t);
+          p->reserved = round * 64 + i;
+          held.push_back(p);
+        }
+        // Free every other page this round, the rest at the end: frees
+        // and allocations interleave across threads and chunks.
+        for (size_t i = 0; i < held.size(); i += 2) {
+          Page* p = held[i];
+          if (p->num_tuples != static_cast<uint32_t>(t)) ++errors[t];
+          storage::FreePage(p);
+          held[i] = nullptr;
+        }
+        held.erase(std::remove(held.begin(), held.end(), nullptr),
+                   held.end());
+      }
+      for (Page* p : held) {
+        if (p->num_tuples != static_cast<uint32_t>(t)) ++errors[t];
+        storage::FreePage(p);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(errors[t], 0) << "thread " << t;
+}
+
+Page* MallocPage(uint32_t num_tuples, uint8_t fill) {
+  void* mem = nullptr;
+  EXPECT_EQ(posix_memalign(&mem, kPageSize, kPageSize), 0);
+  Page* p = static_cast<Page*>(mem);
+  p->Reset();
+  p->num_tuples = num_tuples;
+  std::memset(p->data, fill, kPageDataSize);
+  return p;
+}
+
+TEST(PageAllocatorTest, AdoptPageCopiesAndLeavesFailuresToTheCaller) {
+  Schema s;
+  s.AddColumn("x", Type::Int32());
+  Table t("t", s);
+  Page* page = MallocPage(3, 0x11);
+  const uintptr_t original = reinterpret_cast<uintptr_t>(page);
+  ASSERT_TRUE(t.AdoptPage(page).ok());  // frees `page`
+  {
+    PinnedPages pinned = t.Pin().value();
+    ASSERT_EQ(pinned.pages().size(), 1u);
+    const Page* adopted = pinned.pages()[0];
+    EXPECT_NE(reinterpret_cast<uintptr_t>(adopted), original);
+    EXPECT_EQ(adopted->num_tuples, 3u);
+    EXPECT_EQ(adopted->data[0], 0x11);
+    EXPECT_EQ(adopted->data[kPageDataSize - 1], 0x11);
+  }
+  EXPECT_EQ(t.NumTuples(), 3u);
+
+  // Over capacity: rejected, and the page is still the caller's.
+  Page* big = MallocPage(t.tuples_per_page() + 1, 0x22);
+  EXPECT_FALSE(t.AdoptPage(big).ok());
+  EXPECT_EQ(big->num_tuples, t.tuples_per_page() + 1);
+  EXPECT_EQ(big->data[100], 0x22);
+  std::free(big);
+
+  // Write-enabled tables adopt nothing either.
+  ASSERT_TRUE(t.EnableWrites().ok());
+  Page* late = MallocPage(1, 0x33);
+  EXPECT_FALSE(t.AdoptPage(late).ok());
+  EXPECT_EQ(late->data[0], 0x33);
+  std::free(late);
+  EXPECT_EQ(t.NumTuples(), 3u);
 }
 
 }  // namespace

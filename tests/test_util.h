@@ -7,6 +7,7 @@
 #include "exec/engine.h"
 #include "ref/reference.h"
 #include "storage/catalog.h"
+#include "storage/page_alloc.h"
 #include "util/rng.h"
 
 namespace hique::testing {
@@ -47,6 +48,17 @@ inline Status CheckAgainstReference(HiqueEngine* engine,
   std::vector<ref::Row> actual_rows;
   for (auto& row : actual.value().Rows()) actual_rows.push_back(row);
   return ref::CompareRowSets(expected.value(), actual_rows, respect_order);
+}
+
+/// Allocates and frees a chunk's worth of pages: afterwards the page
+/// allocator holds the one empty chunk it keeps, whatever it held before,
+/// so a test can take its mapped bytes as a baseline.
+inline void SettlePageAllocator() {
+  std::vector<Page*> pages;
+  for (uint32_t i = 0; i < storage::kChunkPages; ++i) {
+    pages.push_back(storage::AllocPage());
+  }
+  for (Page* p : pages) storage::FreePage(p);
 }
 
 }  // namespace hique::testing

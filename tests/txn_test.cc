@@ -15,6 +15,7 @@
 #include "exec/engine.h"
 #include "ref/reference.h"
 #include "storage/catalog.h"
+#include "storage/page_alloc.h"
 #include "tests/test_util.h"
 #include "tpch/tpch.h"
 #include "txn/compactor.h"
@@ -362,7 +363,52 @@ TEST_F(DmlTest, ConcurrentAppendVsCompiledScan) {
   EXPECT_TRUE(testing::CheckAgainstReference(&engine, q).ok());
 }
 
+/// Poisons every freed table page for the scope's length.
+struct PoisonFreedPagesScope {
+  PoisonFreedPagesScope() { storage::internal::PoisonFreedPages(true); }
+  ~PoisonFreedPagesScope() { storage::internal::PoisonFreedPages(false); }
+};
+
+// A snapshot pinned before compactions keeps reading its own page
+// generation. Freed pages are poisoned, and the later generations and
+// delta pages come from the same allocator, so a snapshot whose pages were
+// freed under it reads 0xA5 bytes or another generation's tuples.
+TEST_F(DmlTest, PinnedSnapshotKeepsItsGenerationThroughCompactions) {
+  PoisonFreedPagesScope poison;
+  HiqueEngine engine(&catalog_);
+  Table* r = catalog_.GetTable("r").value();
+  // No deletes yet: the snapshot reads the base generation's own pages,
+  // not substitute copies.
+  ASSERT_TRUE(engine.Query("insert into r values (7777, 1, 1.0, 'z')").ok());
+  PinnedPages pinned = r->Pin().value();
+  std::vector<std::vector<uint8_t>> before;
+  for (const Page* p : pinned.pages()) {
+    before.emplace_back(p->data, p->data + p->num_tuples * r->tuple_size());
+  }
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(engine.Query("delete from r where r_k = " +
+                             std::to_string(20 + round))
+                    .ok());
+    ASSERT_TRUE(engine.Query("insert into r values (" +
+                             std::to_string(8000 + round) + ", 2, 2.0, 'y')")
+                    .ok());
+    ASSERT_TRUE(r->Compact(/*recompress=*/false).ok());
+  }
+  ASSERT_EQ(pinned.pages().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    const Page* p = pinned.pages()[i];
+    ASSERT_EQ(p->num_tuples * r->tuple_size(), before[i].size()) << i;
+    EXPECT_EQ(std::memcmp(p->data, before[i].data(), before[i].size()), 0)
+        << "page " << i;
+  }
+  pinned.Release();
+  EXPECT_TRUE(testing::CheckAgainstReference(&engine, "select r_k, r_v from r")
+                  .ok());
+}
+
 TEST_F(DmlTest, CompactionUnderConcurrentReadsAndWrites) {
+  // A reader whose snapshot lost its pages reads poison, not old tuples.
+  PoisonFreedPagesScope poison;
   HiqueEngine engine(&catalog_, Options(2));
   const std::string q = "select r_k, sum(r_v) from r group by r_k";
   ASSERT_TRUE(engine.Query(q).ok());
