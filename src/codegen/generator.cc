@@ -66,14 +66,16 @@ class Generator {
     std::set<std::string> used = drivers_;
     // Key ranges search with the sort group's hq_lower_bound; the sort
     // group's run sorts are hq_record_sort; map aggregation folds through
-    // hq_accs.
+    // hq_accs; staging and the range drivers join task outputs with
+    // hq_concat.
     if (used.count("key_range")) used.insert("sort");
     if (used.count("sort")) used.insert("record_sort");
     if (used.count("map")) used.insert("fold");
+    if (used.count("stage") || used.count("range")) used.insert("concat");
     std::string abi = kAbiHeaderSource;
     for (const char* group :
-         {"decode", "record_sort", "sort", "partition", "stage", "key_filter",
-          "range", "key_range", "fold", "map"}) {
+         {"decode", "record_sort", "sort", "partition", "concat", "stage",
+          "key_filter", "range", "key_range", "fold", "map"}) {
       if (used.count(group)) continue;
       std::string end = "// [end driver group " + std::string(group) + "]\n";
       size_t b = abi.find("// [driver group " + std::string(group) + "]\n");
@@ -377,11 +379,6 @@ class Generator {
   /// either shape over fused-decoded blocks. `survivor` emits the body for
   /// one qualifying tuple and `pages` names the page counter.
   ///
-  /// `staging` emits the loop of op<k>_scan<FILL>, which also counts its
-  /// survivors in `n`. The count version (FILL = false) takes a page's `nt`
-  /// when nothing filters, pops each bitmap instead of walking it, and
-  /// touches neither the survivor body nor the page counter.
-  ///
   /// `key_test` (staging only) names the hq_key_filter_test instantiation
   /// of a probe stage's join-key filter `kf`: the scan then always runs
   /// the block loop, clears the bits of each block's mask whose key is not
@@ -391,31 +388,17 @@ class Generator {
   void EmitBaseScan(int k, const Schema& schema, const TableCodec& codec,
                     const std::vector<sql::Filter>& filters,
                     const std::string& pred, const std::string& pages,
-                    bool staging, bool tuple_range,
-                    const SurvivorFn& survivor,
+                    bool tuple_range, const SurvivorFn& survivor,
                     const std::string& key_test = "") {
     const std::string TS = S(schema.TupleSize());
-    const std::string if_fill = staging ? "if constexpr (FILL) " : "";
     const bool batched = !pred.empty();
     const bool blocked = batched || !key_test.empty();
-    auto page_head = [&] {
-      if (staging && filters.empty() && key_test.empty()) {
-        Emit("    n += nt;");
-        Emit("    if constexpr (!FILL) continue;");
-        Emit("    ++" + pages + ";");
-        return;
-      }
-      Emit("    " + if_fill + "++" + pages + ";");
-    };
+    auto page_head = [&] { Emit("    ++" + pages + ";"); };
     // One tuple of the tuple-at-a-time loop: filters, then the survivor.
     auto tuple = [&](const std::string& ind) {
       for (const auto& f : filters) {
         Emit(ind + "if (!" + FilterCondition("tup", schema, f, &plan_.params) +
              ") continue;");
-      }
-      if (staging && !filters.empty()) {
-        Emit(ind + "++n;");
-        Emit(ind + "if constexpr (!FILL) continue;");
       }
       survivor("tup", ind);
     };
@@ -449,8 +432,7 @@ class Generator {
           Emit("      }");
         }
       }
-      if (staging) Emit("      n += __builtin_popcountll(bm);");
-      Emit("      " + if_fill + "while (bm) {");
+      Emit("      while (bm) {");
       Emit("        uint32_t bi = (uint32_t)__builtin_ctzll(bm);");
       Emit("        bm &= bm - 1;");
       Emit("        const uint8_t* rtup = " + blk + " + (uint64_t)bi * " + TS +
@@ -543,20 +525,19 @@ class Generator {
                    ", " + S(schema.TupleSize()) + ", " +
                    S(schema.OffsetAt(key.source.column)) + ">";
       }
-      // The scan both staging passes instantiate (hq_stage_base).
+      // The scan every hq_stage_base task runs once over its pages.
       Emit("// op" + S(k) + ": stage stream " + S(op.input_stream) +
            " (base table scan-select, Listing 1)");
-      Emit("template <bool FILL>");
       Emit("static int64_t op" + S(k) +
            "_scan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb, "
            "uint64_t pe, uint8_t* dst, uint64_t* pages) {");
-      Emit("  int64_t n = 0;");
+      Emit("  uint8_t* const dst0 = dst;");
       if (filtered) {
         Emit("  HqKeyFilter* kf = ((const HqProbeInput*)T)->kf;");
         Emit("  uint64_t kf_in = 0, kf_out = 0;");
       }
       EmitBaseScan(k, schema, op.input_codec, op.filters, pred, "*pages",
-                   /*staging=*/true, /*tuple_range=*/false,
+                   /*tuple_range=*/false,
                    [&](const std::string& tup, const std::string& ind) {
         // Project: copy each kept field to its staged offset.
         for (size_t i = 0; i < out_layout.fields.size(); ++i) {
@@ -568,10 +549,8 @@ class Generator {
         }
         Emit(ind + "dst += " + S(rec) + ";");
       }, key_test);
-      if (filtered) {
-        Emit("  if constexpr (FILL) hq_key_filter_count(kf, kf_in, kf_out);");
-      }
-      Emit("  return n;");
+      if (filtered) Emit("  hq_key_filter_count(kf, kf_in, kf_out);");
+      Emit("  return (int64_t)((dst - dst0) / " + S(rec) + ");");
       Emit("}");
       Emit("");
       drivers_.insert("stage");
@@ -583,9 +562,8 @@ class Generator {
       } else {
         Emit("static int " + fn + "(HqQueryCtx* ctx, HqStream* out) {");
       }
-      Emit("  if (hq_stage_base<" + S(rec) + ", op" + S(k) + "_scan<false>, op" +
-           S(k) + "_scan<true>>(ctx, " + (filtered ? "&in.T" : "&" + table) +
-           ", out) != 0) return -1;");
+      Emit("  if (hq_stage_base<" + S(rec) + ", op" + S(k) + "_scan>(ctx, " +
+           (filtered ? "&in.T" : "&" + table) + ", out) != 0) return -1;");
     } else {
       // Intermediate streams carry identical layouts: alias, then act.
       HQ_CHECK(SameLayout(in.layout, out_layout));
@@ -1508,7 +1486,7 @@ class Generator {
         Emit("  if (te > T->tuple_count) te = T->tuple_count;");
       }
       EmitBaseScan(k, schema, op.input_codec, base_filters, pred,
-                   "wk->pages_touched", /*staging=*/false,
+                   "wk->pages_touched",
                    /*tuple_range=*/op.input_codec.enabled, emit_body);
     } else {
       Emit("  for (uint64_t i = pb; i < pe; ++i) {");

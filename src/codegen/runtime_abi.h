@@ -549,62 +549,85 @@ static int64_t hq_emit_rows(HqQueryCtx* ctx, const HqStream* in,
   return (int64_t)ctx->tuples_emitted;
 }
 
+// [driver group concat]
+// Task-ordered concatenation of per-task vecs (staging, range drivers).
+typedef struct HqConcatArgs {
+  const HqVec* vs; const int64_t* offs; uint8_t* out; uint32_t rec;
+} HqConcatArgs;
+
+static inline int32_t hq_concat_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
+                                     uint32_t t, void* argp) {
+  HqConcatArgs* A = (HqConcatArgs*)argp; (void)ctx; (void)wk;
+  memcpy(A->out + (uint64_t)A->offs[t] * A->rec, A->vs[t].data,
+         (uint64_t)A->vs[t].n * A->rec);
+  return 0;
+}
+
+// Concatenates vs[0..nt) of rec-byte records, in task order, into out. A
+// lone vec becomes out as it is, without a copy.
+static inline int hq_concat(HqQueryCtx* ctx, const HqVec* vs, uint32_t nt,
+                            uint32_t rec, HqStream* out) {
+  out->rec_size = rec; out->part_begin = 0; out->num_parts = 0;
+  if (nt == 1) { out->data = vs[0].data; out->n = vs[0].n; return 0; }
+  int64_t* offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)nt + 1) * 8);
+  if (!offs) { ctx->error = HQ_ERR_OOM; return -1; }
+  offs[0] = 0;
+  for (uint32_t t = 0; t < nt; ++t) offs[t + 1] = offs[t] + vs[t].n;
+  int64_t total = offs[nt];
+  uint8_t* buf =
+      (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(total ? total : 1) * rec);
+  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqConcatArgs A = {vs, offs, buf, rec};
+  if (hq_parallel_for(ctx, nt, hq_concat_task, &A) != HQ_OK) return -1;
+  out->data = buf; out->n = total;
+  return 0;
+}
+// [end driver group concat]
 // [driver group stage]
-// Base-table staging (paper Listing 1). A scan loops over pages [pb, pe)
-// of T and returns the survivors; the fill scan also stages them at dst.
+// Base-table staging (paper Listing 1). A scan copies the survivors of
+// pages [pb, pe) of T to dst, in page order, and returns their count.
 typedef int64_t (*HqScanFn)(HqQueryCtx* ctx, const HqTableRef* T,
                             uint64_t pb, uint64_t pe, uint8_t* dst,
                             uint64_t* pages);
 
 typedef struct HqStageArgs {
-  const HqTableRef* T; uint8_t* buf; uint32_t nt;
-  int64_t* offs;  // nt + 1: task t counts into [t + 1], then starts at [t]
+  const HqTableRef* T; HqVec* vs; uint32_t nt;
 } HqStageArgs;
 
-template <uint32_t REC, HqScanFn SCAN, bool FILL>
+// Task t scans its page range once into a buffer of its own. Every page of
+// a snapshot holds at most tuples_per_page tuples (a compressed base never
+// carries NSM delta pages), so the range's survivors fit the reservation.
+template <uint32_t REC, HqScanFn SCAN>
 static int32_t hq_stage_task(HqQueryCtx* ctx, HqWorkerCtx* wk, uint32_t t,
                              void* argp) {
   HqStageArgs* A = (HqStageArgs*)argp;
+  const HqTableRef* T = A->T;
   uint64_t pb, pe;
-  hq_task_range(A->T->page_count, A->nt, t, &pb, &pe);
-  if (FILL) {
-    SCAN(ctx, A->T, pb, pe, A->buf + A->offs[t] * REC, &wk->pages_touched);
-  } else {
-    A->offs[t + 1] = SCAN(ctx, A->T, pb, pe, 0, 0);
-  }
+  hq_task_range(T->page_count, A->nt, t, &pb, &pe);
+  uint64_t cap = (pe - pb) * T->tuples_per_page;
+  if (cap > T->tuple_count) cap = T->tuple_count;
+  HqVec* v = &A->vs[t];
+  v->data = (uint8_t*)wk->alloc(wk->arena, (cap ? cap : 1) * REC);
+  if (!v->data) { wk->error = HQ_ERR_OOM; return -1; }
+  v->n = SCAN(ctx, T, pb, pe, v->data, &wk->pages_touched);
   return 0;
 }
 
-// Stages T in scan order. One executor: one fill pass. More: count tasks
-// over fixed page chunks, a prefix sum, then fill tasks at the offsets.
-template <uint32_t REC, HqScanFn COUNT, HqScanFn FILL>
+// Stages T in scan order: one task for one executor, else one per fixed
+// chunk of pages; the task buffers are joined in task order.
+template <uint32_t REC, HqScanFn SCAN>
 static int hq_stage_base(HqQueryCtx* ctx, const HqTableRef* T,
                          HqStream* out) {
-  out->rec_size = REC; out->part_begin = 0; out->num_parts = 0;
-  if (ctx->num_workers <= 1) {
-    out->data = (uint8_t*)ctx->alloc(
-        ctx->arena, (T->tuple_count ? T->tuple_count : 1) * REC);
-    if (!out->data) { ctx->error = HQ_ERR_OOM; return -1; }
-    out->n = FILL(ctx, T, 0, T->page_count, out->data, &ctx->pages_touched);
-    return 0;
+  HqStageArgs A = {T, 0, 1};
+  if (ctx->num_workers > 1) {
+    A.nt = hq_task_count(T->page_count, HQ_PAR_PAGE_GRAIN, HQ_PAR_MAX_TASKS);
   }
-  HqStageArgs A = {T, 0, 0, 0};
-  A.nt = hq_task_count(T->page_count, HQ_PAR_PAGE_GRAIN, HQ_PAR_MAX_TASKS);
-  A.offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)A.nt + 1) * 8);
-  if (!A.offs) { ctx->error = HQ_ERR_OOM; return -1; }
-  A.offs[0] = 0;
-  HqTaskFn count = hq_stage_task<REC, COUNT, false>;
-  if (hq_parallel_for(ctx, A.nt, count, &A) != HQ_OK) return -1;
-  for (uint32_t t = 0; t < A.nt; ++t) A.offs[t + 1] += A.offs[t];
-  int64_t n = A.offs[A.nt];
-  A.buf = (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(n ? n : 1) * REC);
-  if (!A.buf) { ctx->error = HQ_ERR_OOM; return -1; }
-  HqTaskFn fill = hq_stage_task<REC, FILL, true>;
-  if (hq_parallel_for(ctx, A.nt, fill, &A) != HQ_OK) return -1;
-  out->data = A.buf; out->n = n;
-  return 0;
+  A.vs = (HqVec*)ctx->alloc(ctx->arena, A.nt * sizeof(HqVec));
+  if (!A.vs) { ctx->error = HQ_ERR_OOM; return -1; }
+  HqTaskFn task = hq_stage_task<REC, SCAN>;
+  if (hq_parallel_for(ctx, A.nt, task, &A) != HQ_OK) return -1;
+  return hq_concat(ctx, A.vs, A.nt, REC, out);
 }
-
 // [end driver group stage]
 // [driver group key_filter]
 // Join-key filters (a Bloom join with an exact filter: Mackert & Lohman
@@ -687,7 +710,7 @@ static inline uint64_t hq_key_filter_test(const HqKeyFilter* kf,
 
 // A probe stage hands hq_stage_base this input, whose first member is the
 // table reference the driver reads; its scan reads kf back from the same
-// pointer. Each scan task adds its counts once (FILL pass only).
+// pointer. Each scan task adds its counts once.
 typedef struct HqProbeInput { HqTableRef T; HqKeyFilter* kf; } HqProbeInput;
 
 static inline void hq_key_filter_count(HqKeyFilter* kf, uint64_t tested,
@@ -1117,36 +1140,6 @@ template <uint32_t N>
 struct HqRangeArgs {
   const HqStream* const* in; uint8_t* d[N]; uint8_t* outs; uint32_t nt;
 };
-
-typedef struct HqConcatArgs {
-  const HqVec* vs; const int64_t* offs; uint8_t* out; uint32_t rec;
-} HqConcatArgs;
-
-static inline int32_t hq_concat_task(HqQueryCtx* ctx, HqWorkerCtx* wk,
-                                     uint32_t t, void* argp) {
-  HqConcatArgs* A = (HqConcatArgs*)argp; (void)ctx; (void)wk;
-  memcpy(A->out + (uint64_t)A->offs[t] * A->rec, A->vs[t].data,
-         (uint64_t)A->vs[t].n * A->rec);
-  return 0;
-}
-
-// Concatenates vs[0..nt) of rec-byte records, in task order, into out.
-static inline int hq_concat(HqQueryCtx* ctx, const HqVec* vs, uint32_t nt,
-                            uint32_t rec, HqStream* out) {
-  int64_t* offs = (int64_t*)ctx->alloc(ctx->arena, ((uint64_t)nt + 1) * 8);
-  if (!offs) { ctx->error = HQ_ERR_OOM; return -1; }
-  offs[0] = 0;
-  for (uint32_t t = 0; t < nt; ++t) offs[t + 1] = offs[t] + vs[t].n;
-  int64_t total = offs[nt];
-  uint8_t* buf =
-      (uint8_t*)ctx->alloc(ctx->arena, (uint64_t)(total ? total : 1) * rec);
-  if (!buf) { ctx->error = HQ_ERR_OOM; return -1; }
-  HqConcatArgs A = {vs, offs, buf, rec};
-  if (hq_parallel_for(ctx, nt, hq_concat_task, &A) != HQ_OK) return -1;
-  out->data = buf; out->n = total; out->rec_size = rec;
-  out->part_begin = 0; out->num_parts = 0;
-  return 0;
-}
 
 // OUT: a vec of OREC-byte records per task (EST in all), concatenated.
 template <uint32_t OREC, int64_t EST>

@@ -58,8 +58,9 @@ struct ExecStats {
   uint64_t arena_fresh_bytes = 0;  // of which taken from the OS, not a pool
   uint32_t threads = 1;        // executor slots the run could schedule on
   // Parallel-stage shape. Barrier and task counts follow from the plan and
-  // the data alone (task decomposition never depends on the thread count),
-  // so they compare equal across thread settings; the skew ratio is the
+  // the data alone, so they compare equal across thread settings above
+  // one (with one executor, base-table staging runs one task and skips
+  // the concatenation barrier); the skew ratio is the
   // worst barrier's slowest-task / mean-task wall time (0 = no barriers
   // ran, 1.0 = perfectly balanced) and, being timing, is NOT deterministic.
   uint64_t par_barriers = 0;

@@ -243,8 +243,10 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   // only when one of its operators instantiates it. Every join and every
   // sort or hybrid aggregation runs through a range driver (group range),
   // key ranges also need group key_range, a fused scalar aggregate the
-  // accumulator fold. Map aggregation runs through hq_map_agg (group map)
-  // and the same fold; only a scan over compressed pages decodes.
+  // accumulator fold. Staging and the range drivers join task outputs
+  // through the one hq_concat (group concat). Map aggregation runs through
+  // hq_map_agg (group map) and the same fold; only a scan over compressed
+  // pages decodes.
   plan::PlannerOptions hash_join;
   hash_join.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
   hash_join.fine_partition_max_domain = 0;
@@ -268,7 +270,7 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
   const char* scalar = "select count(*), sum(r_v) from r";
   const char* staged = "select r_k, r_v from r where r_v < 500";
   const std::vector<Case> cases = {
-      {staged, {}, {"stage"}},
+      {staged, {}, {"concat", "stage"}},
       {grouped, {}, {"fold", "map"}},
       {scalar, {}, {"fold", "map"}},
       {"select r_pad, count(*), min(r_v) from r group by r_pad",
@@ -279,29 +281,32 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
        {"fold", "map"}},
       {"select r_k, r_v from r order by r_v",
        {},
-       {"stage", "record_sort", "sort"}},
+       {"concat", "stage", "record_sort", "sort"}},
       {join,
        merge_join,
-       {"stage", "record_sort", "sort", "range", "key_range"}},
-      {join, hash_join, {"stage", "record_sort", "partition", "range"}},
-      {join, fine_join, {"stage", "partition", "range"}},
+       {"concat", "stage", "record_sort", "sort", "range", "key_range"}},
+      {join,
+       hash_join,
+       {"concat", "stage", "record_sort", "partition", "range"}},
+      {join, fine_join, {"concat", "stage", "partition", "range"}},
       {fused,
        merge_join,
-       {"stage", "record_sort", "sort", "range", "key_range", "fold"}},
+       {"concat", "stage", "record_sort", "sort", "range", "key_range",
+        "fold"}},
       {fused,
        hash_join,
-       {"stage", "record_sort", "partition", "range", "fold"}},
-      {fused, fine_join, {"stage", "partition", "range", "fold"}},
+       {"concat", "stage", "record_sort", "partition", "range", "fold"}},
+      {fused, fine_join, {"concat", "stage", "partition", "range", "fold"}},
       {grouped,
        sort_agg,
-       {"stage", "record_sort", "sort", "range", "key_range"}},
+       {"concat", "stage", "record_sort", "sort", "range", "key_range"}},
       {grouped,
        hybrid_agg,
-       {"stage", "record_sort", "partition", "range"}},
+       {"concat", "stage", "record_sort", "partition", "range"}},
   };
   // Compressed inputs: the same shapes, now decoding.
   const std::vector<Case> compressed = {
-      {staged, {}, {"decode", "stage"}},
+      {staged, {}, {"decode", "concat", "stage"}},
       {grouped, {}, {"decode", "fold", "map"}},
       {scalar, {}, {"decode", "fold", "map"}},
   };
@@ -312,7 +317,7 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
              c.groups.end();
     };
     std::string src = GenerateFor(c.sql, c.opts);
-    for (const char* group : {"decode", "stage", "key_filter",
+    for (const char* group : {"decode", "concat", "stage", "key_filter",
                               "record_sort", "sort", "partition", "range",
                               "key_range", "fold", "map"}) {
       EXPECT_EQ(
@@ -321,6 +326,8 @@ TEST_F(CodegenTest, EmbedsOnlyTheDriverGroupsItInstantiates) {
           has(group))
           << group;
     }
+    EXPECT_EQ(CountOf(src, "static inline int hq_concat("),
+              has("concat") ? 1u : 0u);
     // A join, a sort/hybrid aggregation or a map aggregation is its
     // kernels plus one driver instantiation; no per-operator task wrapper,
     // slice array or fold loop is generated.
@@ -405,10 +412,10 @@ TEST_F(CodegenTest, EachScanHasOneLoopShape) {
 }
 
 TEST_F(CodegenTest, OnePageLoopPerBaseTableScan) {
-  // Every base-table scan is one generated page loop, compressed or not:
-  // staging's count and fill passes are the two instantiations of one
-  // op<k>_scan<FILL>, and hq_stage_base chooses between serial and
-  // parallel staging at run time, so the body names neither choice.
+  // Every base-table scan is one generated page loop, compressed or not.
+  // A staging op's loop is one op<k>_scan, which every hq_stage_base task
+  // runs once over its pages at any thread count, so the body names no
+  // count pass and no thread count.
   struct Case {
     const char* sql;
     size_t scans;     // base-table scans, each one page loop
@@ -438,10 +445,14 @@ TEST_F(CodegenTest, OnePageLoopPerBaseTableScan) {
       std::string src = BodyFor(c.sql);
       EXPECT_EQ(CountOf(src, "const uint8_t* page = T->pages[p];"), c.scans)
           << src;
-      EXPECT_EQ(CountOf(src, "template <bool FILL>"), c.stagings);
+      EXPECT_EQ(CountOf(src, "_scan(HqQueryCtx* ctx, const HqTableRef* T"),
+                c.stagings);
+      EXPECT_EQ(CountOf(src, "_scan>(ctx, &"), c.stagings);
       EXPECT_EQ(CountOf(src, "hq_stage_base<"), c.stagings);
       EXPECT_EQ(CountOf(src, "_dec_init(&ds"), compressed ? c.scans : 0);
-      for (const char* gone : {"_stage_count", "_stage_fill", "num_workers"}) {
+      for (const char* gone :
+           {"template <bool FILL>", "_scan<false>", "_scan<true>",
+            "_stage_count", "_stage_fill", "num_workers"}) {
         EXPECT_EQ(src.find(gone), std::string::npos) << gone;
       }
     }
@@ -604,7 +615,7 @@ TEST_F(TpchCodegenTest, SourcesWithoutJoinsAreUnchangedByKeyFilters) {
        "select l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity, "
        "l_extendedprice, l_discount, l_shipdate from lineitem "
        "where l_orderkey >= ? and l_orderkey < ?",
-       0x9228d98ddbf28825ull},
+       0x084dad1d33fea7fcull},
       {"single-table aggregation",
        "select o_orderstatus, count(*) as cnt from orders "
        "where o_orderdate < date '1995-01-01' group by o_orderstatus",

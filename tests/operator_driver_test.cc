@@ -7,8 +7,8 @@
 // against std::map, the join-key filter against std::unordered_set. Each
 // runs both on the header's serial fallback and on a
 // multi-threaded parallel_for over exec::WorkerPool, and the two must agree
-// byte for byte (under TSan this race-checks the disjoint per-task cursors
-// of the staging fill, the scatter and the merges).
+// byte for byte (under TSan this race-checks the per-task staging buffers,
+// the disjoint cursors of the scatter and the merges).
 
 #include <gtest/gtest.h>
 
@@ -119,6 +119,13 @@ class Harness {
   HqQueryCtx* ctx() { return &ctx_; }
   uint32_t tasks_run() const { return tasks_run_; }
 
+  /// Bytes requested for the allocation at p (0: not one of this arena's).
+  uint64_t AllocBytes(const void* p) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = sizes_.find(p);
+    return it == sizes_.end() ? 0 : it->second;
+  }
+
   /// Rows delivered through result_emit_pages, in order.
   std::vector<uint8_t> Emitted() const {
     std::vector<uint8_t> out;
@@ -138,6 +145,7 @@ class Harness {
     void* p = std::aligned_alloc(64, (bytes + 63) / 64 * 64 + 64);
     std::lock_guard<std::mutex> lock(h->mu_);
     h->blocks_.push_back(p);
+    h->sizes_[p] = bytes;
     return p;
   }
 
@@ -188,6 +196,7 @@ class Harness {
   std::vector<HqWorkerCtx> workers_;
   std::mutex mu_;
   std::vector<void*> blocks_;
+  std::map<const void*, uint64_t> sizes_;
   std::vector<HqPage*> pending_;
   std::vector<HqPage*> pages_;
   uint64_t emitted_rows_ = 0;
@@ -195,18 +204,20 @@ class Harness {
 };
 
 /// Synthetic base-table pages of Recs: page p holds (p * 37) % 256 tuples,
-/// so some pages are empty and every task's count differs.
+/// so some pages are empty and every task's count differs, or with `full`
+/// the page capacity each.
 struct TablePages {
   std::vector<std::vector<uint8_t>> pages;
   std::vector<uint8_t*> ptrs;
   std::vector<Rec> tuples;  // in scan order
   HqTableRef ref;
 
-  explicit TablePages(uint64_t page_count) {
+  explicit TablePages(uint64_t page_count, bool full = false) {
     const uint32_t tpp = HQ_PAGE_DATA / kRec;
     uint32_t id = 0;
     for (uint64_t p = 0; p < page_count; ++p) {
-      uint32_t nt = static_cast<uint32_t>((p * 37) % (tpp + 1));
+      uint32_t nt =
+          full ? tpp : static_cast<uint32_t>((p * 37) % (tpp + 1));
       std::vector<uint8_t> page(HQ_PAGE_SIZE, 0);
       std::memcpy(page.data(), &nt, 4);
       for (uint32_t i = 0; i < nt; ++i, ++id) {
@@ -232,27 +243,37 @@ bool Kept(Keep keep, const Rec& r) {
   return keep == Keep::kAll || (keep == Keep::kOddKeys && r.key % 2 != 0);
 }
 
-/// The shape of a generated op<k>_scan<FILL>: the count version returns
-/// the survivors of pages [pb, pe) and touches nothing else.
-template <Keep KEEP, bool FILL>
+/// Every ScanPages call: where it copied to, how many pages it read and
+/// how many records it kept.
+struct ScanCall {
+  const uint8_t* dst;
+  uint64_t pages;
+  int64_t n;
+};
+std::mutex scan_calls_mu;
+std::vector<ScanCall> scan_calls;
+
+/// The shape of a generated op<k>_scan: copies the survivors of pages
+/// [pb, pe) to dst and returns how many it copied.
+template <Keep KEEP>
 int64_t ScanPages(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
                   uint64_t pe, uint8_t* dst, uint64_t* pages) {
   (void)ctx;
-  int64_t n = 0;
+  uint8_t* const dst0 = dst;
   for (uint64_t p = pb; p < pe; ++p) {
     uint32_t nt;
     std::memcpy(&nt, T->pages[p], 4);
-    if (FILL) ++*pages;
+    ++*pages;
     for (uint32_t i = 0; i < nt; ++i) {
       const uint8_t* tup = T->pages[p] + HQ_PAGE_HEADER + i * kRec;
       if (!Kept(KEEP, At(tup))) continue;
-      ++n;
-      if (FILL) {
-        std::memcpy(dst, tup, kRec);
-        dst += kRec;
-      }
+      std::memcpy(dst, tup, kRec);
+      dst += kRec;
     }
   }
+  int64_t n = (dst - dst0) / kRec;
+  std::lock_guard<std::mutex> lock(scan_calls_mu);
+  scan_calls.push_back({dst0, pe - pb, n});
   return n;
 }
 
@@ -263,44 +284,63 @@ TEST(OperatorDriverTest, StageBaseMatchesSerialScanOnEveryPath) {
     Driver driver;
   };
   const Case cases[] = {
-      {Keep::kAll, hq_stage_base<kRec, ScanPages<Keep::kAll, false>,
-                                 ScanPages<Keep::kAll, true>>},
-      {Keep::kNone, hq_stage_base<kRec, ScanPages<Keep::kNone, false>,
-                                  ScanPages<Keep::kNone, true>>},
-      {Keep::kOddKeys, hq_stage_base<kRec, ScanPages<Keep::kOddKeys, false>,
-                                     ScanPages<Keep::kOddKeys, true>>},
+      {Keep::kAll, hq_stage_base<kRec, ScanPages<Keep::kAll>>},
+      {Keep::kNone, hq_stage_base<kRec, ScanPages<Keep::kNone>>},
+      {Keep::kOddKeys, hq_stage_base<kRec, ScanPages<Keep::kOddKeys>>},
   };
-  // Around one and several HQ_PAR_PAGE_GRAIN chunks, mostly not multiples.
-  for (uint64_t page_count : {0, 1, 63, 64, 65, 200}) {
-    TablePages table(page_count);
-    for (const Case& c : cases) {
-      SCOPED_TRACE("pages=" + std::to_string(page_count) +
-                   " keep=" + std::to_string(static_cast<int>(c.keep)));
-      std::vector<Rec> want;
-      for (const Rec& r : table.tuples) {
-        if (Kept(c.keep, r)) want.push_back(r);
-      }
-      // Serial single pass; count -> prefix -> fill on the header's serial
-      // parallel_for; the same on a 4-executor WorkerPool.
-      for (const char* path : {"serial", "fallback", "pool"}) {
-        SCOPED_TRACE(path);
-        Harness h(std::string(path) == "pool" ? 4 : 1);
-        if (std::string(path) == "fallback") h.ctx()->num_workers = 4;
-        HqStream out;
-        std::memset(&out, 0xAB, sizeof(out));
-        ASSERT_EQ(c.driver(h.ctx(), &table.ref, &out), 0);
-        EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
-        EXPECT_EQ(out.rec_size, kRec);
-        EXPECT_EQ(out.part_begin, nullptr);
-        EXPECT_EQ(out.num_parts, 0u);
-        EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
-                  Bytes(want));
-        // Only the fill pass counts pages, once each.
-        EXPECT_EQ(h.ctx()->pages_touched, page_count);
-        if (std::string(path) == "pool") {
-          EXPECT_EQ(h.tasks_run(), 2 * hq_task_count(page_count,
-                                                     HQ_PAR_PAGE_GRAIN,
-                                                     HQ_PAR_MAX_TASKS));
+  // Around one and several HQ_PAR_PAGE_GRAIN chunks, mostly not multiples;
+  // pages of varying fill, then full pages.
+  for (bool full : {false, true}) {
+    for (uint64_t page_count : {0, 1, 63, 64, 65, 200}) {
+      TablePages table(page_count, full);
+      for (const Case& c : cases) {
+        SCOPED_TRACE("pages=" + std::to_string(page_count) +
+                     " keep=" + std::to_string(static_cast<int>(c.keep)) +
+                     (full ? " full" : ""));
+        std::vector<Rec> want;
+        for (const Rec& r : table.tuples) {
+          if (Kept(c.keep, r)) want.push_back(r);
+        }
+        // One task (no parallel_for service, num_workers 0); a task per
+        // page chunk on the header's serial parallel_for; the same on a
+        // 4-executor WorkerPool.
+        for (const char* path : {"serial", "fallback", "pool"}) {
+          SCOPED_TRACE(path);
+          Harness h(std::string(path) == "pool" ? 4 : 1);
+          if (std::string(path) == "fallback") h.ctx()->num_workers = 4;
+          const uint32_t nt =
+              std::string(path) == "serial"
+                  ? 1
+                  : hq_task_count(page_count, HQ_PAR_PAGE_GRAIN,
+                                  HQ_PAR_MAX_TASKS);
+          scan_calls.clear();
+          HqStream out;
+          std::memset(&out, 0xAB, sizeof(out));
+          ASSERT_EQ(c.driver(h.ctx(), &table.ref, &out), 0);
+          EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
+          EXPECT_EQ(out.rec_size, kRec);
+          EXPECT_EQ(out.part_begin, nullptr);
+          EXPECT_EQ(out.num_parts, 0u);
+          EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
+                    Bytes(want));
+          // One scan per task, every page once.
+          EXPECT_EQ(h.ctx()->pages_touched, page_count);
+          ASSERT_EQ(scan_calls.size(), nt);
+          for (const ScanCall& call : scan_calls) {
+            // Each task reserved its pages' capacity, capped by the table.
+            uint64_t cap = std::min<uint64_t>(
+                call.pages * table.ref.tuples_per_page, table.ref.tuple_count);
+            EXPECT_EQ(h.AllocBytes(call.dst),
+                      std::max<uint64_t>(cap, 1) * kRec);
+            if (full && c.keep == Keep::kAll) {
+              EXPECT_EQ(static_cast<uint64_t>(call.n), cap);
+            }
+          }
+          // A lone task's buffer is the staged stream, not a copy of it.
+          if (nt == 1) EXPECT_EQ(out.data, scan_calls[0].dst);
+          if (std::string(path) == "pool") {
+            EXPECT_EQ(h.tasks_run(), nt == 1 ? 1 : 2 * nt);
+          }
         }
       }
     }
@@ -460,28 +500,32 @@ TEST(OperatorDriverTest, PartitionMatchesSerialScatterAtEveryTaskCount) {
 }
 
 TEST(OperatorDriverTest, ConcatKeepsTaskOrder) {
-  const uint32_t nt = 9;
-  for (uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Harness h(threads);
-    std::vector<HqVec> vs(nt);
-    std::vector<Rec> want;
-    for (uint32_t t = 0; t < nt; ++t) {
-      // Task t contributes (t * 37) % 11 records (some tasks none).
-      ASSERT_EQ(hq_vec_init(&vs[t], h.ctx(), kRec, 1), 0);
-      for (uint32_t i = 0; i < (t * 37) % 11; ++i) {
-        Rec r = {static_cast<int32_t>(t), i, t * 1000ull + i};
-        std::memcpy(hq_vec_slot(&vs[t]), &r, kRec);
-        want.push_back(r);
+  for (uint32_t nt : {1u, 9u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("nt=" + std::to_string(nt) +
+                   " threads=" + std::to_string(threads));
+      Harness h(threads);
+      std::vector<HqVec> vs(nt);
+      std::vector<Rec> want;
+      for (uint32_t t = 0; t < nt; ++t) {
+        // Task t contributes (t * 37 + 3) % 11 records (some tasks none).
+        ASSERT_EQ(hq_vec_init(&vs[t], h.ctx(), kRec, 1), 0);
+        for (uint32_t i = 0; i < (t * 37 + 3) % 11; ++i) {
+          Rec r = {static_cast<int32_t>(t), i, t * 1000ull + i};
+          std::memcpy(hq_vec_slot(&vs[t]), &r, kRec);
+          want.push_back(r);
+        }
       }
+      HqStream out;
+      ASSERT_EQ(hq_concat(h.ctx(), vs.data(), nt, kRec, &out), 0);
+      EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
+      EXPECT_EQ(out.rec_size, kRec);
+      EXPECT_EQ(out.part_begin, nullptr);
+      EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
+                Bytes(want));
+      // A lone vec is taken over, not copied.
+      if (nt == 1) EXPECT_EQ(out.data, vs[0].data);
     }
-    HqStream out;
-    ASSERT_EQ(hq_concat(h.ctx(), vs.data(), nt, kRec, &out), 0);
-    EXPECT_EQ(out.n, static_cast<int64_t>(want.size()));
-    EXPECT_EQ(out.rec_size, kRec);
-    EXPECT_EQ(out.part_begin, nullptr);
-    EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
-              Bytes(want));
   }
 }
 
@@ -781,11 +825,11 @@ void CheckPartitionRanges(std::index_sequence<I...>) {
       CheckDriver<N>(inputs, pb,
                      hq_part_ranges<N, JoinRanges<N>, hq_vecs<N * kRec, 64>,
                                     kSortByKey<I>...>,
-                     want.joined, N * kRec, 2 * nt);
+                     want.joined, N * kRec, nt == 1 ? 1 : 2 * nt);
       CheckDriver<N>(inputs, pb,
                      hq_part_ranges<N, RecordRanges<N>,
                                     hq_vecs<N * 16, 64>, kSortByKey<I>...>,
-                     want.ranges, N * 16, 2 * nt);
+                     want.ranges, N * 16, nt == 1 ? 1 : 2 * nt);
       CheckDriver<N>(inputs, pb,
                      hq_part_ranges<N, FoldRanges, AccOut, kSortByKey<I>...>,
                      want.folded, sizeof(Acc), nt);
@@ -869,12 +913,12 @@ void CheckKeyRanges(std::index_sequence<I...>) {
                      with_cap(hq_key_ranges<N, JoinRanges<N>,
                                             hq_vecs<N * kRec, 64>,
                                             kCmpByKey<I>...>),
-                     want.joined, N * kRec, 2 * nt);
+                     want.joined, N * kRec, nt == 1 ? 1 : 2 * nt);
       CheckDriver<N>(inputs, {},
                      with_cap(hq_key_ranges<N, RecordRanges<N>,
                                             hq_vecs<N * 16, 64>,
                                             kCmpByKey<I>...>),
-                     want.ranges, N * 16, 2 * nt);
+                     want.ranges, N * 16, nt == 1 ? 1 : 2 * nt);
       CheckDriver<N>(inputs, {},
                      with_cap(hq_key_ranges<N, FoldRanges, AccOut,
                                             kCmpByKey<I>...>),
@@ -1126,17 +1170,16 @@ TEST(OperatorDriverTest, KeyFilterMatchesUnorderedSetReference) {
 
 /// A probe stage's scan: reads its filter back from the HqProbeInput the
 /// stage hands hq_stage_base, tests each block of Recs, counts once.
-template <bool FILL>
 int64_t ProbeScan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
                   uint64_t pe, uint8_t* dst, uint64_t* pages) {
   (void)ctx;
   HqKeyFilter* kf = ((const HqProbeInput*)T)->kf;
   uint64_t kf_in = 0, kf_out = 0;
-  int64_t n = 0;
+  uint8_t* const dst0 = dst;
   for (uint64_t p = pb; p < pe; ++p) {
     uint32_t nt;
     std::memcpy(&nt, T->pages[p], 4);
-    if (FILL) ++*pages;
+    ++*pages;
     const uint8_t* tup = T->pages[p] + HQ_PAGE_HEADER;
     for (uint32_t ti = 0; ti < nt;) {
       uint32_t bn = std::min<uint32_t>(nt - ti, HQ_SIMD_BLOCK);
@@ -1144,8 +1187,7 @@ int64_t ProbeScan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
       kf_in += __builtin_popcountll(bm);
       bm = hq_key_filter_test<int32_t, kRec, 0>(kf, tup, bn, bm);
       kf_out += __builtin_popcountll(bm);
-      n += __builtin_popcountll(bm);
-      while (FILL && bm) {
+      while (bm) {
         uint32_t bi = static_cast<uint32_t>(__builtin_ctzll(bm));
         bm &= bm - 1;
         std::memcpy(dst, tup + bi * kRec, kRec);
@@ -1155,8 +1197,8 @@ int64_t ProbeScan(HqQueryCtx* ctx, const HqTableRef* T, uint64_t pb,
       tup += bn * kRec;
     }
   }
-  if (FILL) hq_key_filter_count(kf, kf_in, kf_out);
-  return n;
+  hq_key_filter_count(kf, kf_in, kf_out);
+  return (dst - dst0) / kRec;
 }
 
 TEST(OperatorDriverTest, ProbeStageStagesOnlyFilterKeysOnEveryPath) {
@@ -1181,12 +1223,10 @@ TEST(OperatorDriverTest, ProbeStageStagesOnlyFilterKeysOnEveryPath) {
     ASSERT_EQ((hq_key_filter_build<int32_t, kRec, 0>(h.ctx(), &bs, &kf)), 0);
     HqProbeInput in = {table.ref, &kf};
     HqStream out;
-    ASSERT_EQ((hq_stage_base<kRec, ProbeScan<false>, ProbeScan<true>>(
-                  h.ctx(), &in.T, &out)),
-              0);
+    ASSERT_EQ((hq_stage_base<kRec, ProbeScan>(h.ctx(), &in.T, &out)), 0);
     EXPECT_EQ(std::vector<uint8_t>(out.data, out.data + out.n * kRec),
               Bytes(want));
-    // Counted once per row, in the fill pass only.
+    // Counted once per row.
     EXPECT_EQ(kf.tested, table.tuples.size());
     EXPECT_EQ(kf.passed, want.size());
   }

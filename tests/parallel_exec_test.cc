@@ -190,10 +190,11 @@ TEST_F(ParallelExecTest, SkewedParallelTailsBitIdenticalAcrossThreadCounts) {
     }
   }
 
-  // Barrier/task counts are compared within the parallel regime: base-table
-  // staging takes a barrier-free serial fast path at num_workers == 1, so
-  // threads=1 legitimately reports fewer barriers (rows and row-level
-  // counters still match it exactly).
+  // Barrier/task counts are compared within the parallel regime: with one
+  // executor, base-table staging runs one task, whose buffer is the staged
+  // stream, where more executors run one task per page chunk and then
+  // concatenate their buffers, one more barrier (rows and row-level
+  // counters still match threads=1 exactly).
   std::vector<exec::ExecStats> par_stats;
   for (uint32_t threads : {2u, 8u}) {
     HiqueEngine engine(&catalog, options(threads));
